@@ -7,16 +7,14 @@ Subcommands:
 
 Outputs are deterministic for a fixed seed: the PRNG is seeded explicitly,
 floats are printed with 17 significant digits, and JSON keys are sorted.
-`MULTIFLAG_THREADS` caps the worker threads of verification sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -124,12 +122,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(payload):
-    q, tol, h, basis = payload
-    return fg.verify_flag(q, tol=tol, h=h, basis=basis)
+def _verify_input_error(args) -> str | None:
+    """What is wrong with the numeric options of `verify`, if anything."""
+    for name, count in (("--samples", args.samples),
+                        ("--singular-samples", args.singular_samples)):
+        if count < 0:
+            return f"{name} must be >= 0, got {count}"
+    for name, val in (("--tol", args.tol), ("--bracket-h", args.bracket_h)):
+        if not (math.isfinite(val) and val > 0):
+            return f"{name} must be a positive finite number, got {val!r}"
+    return None
 
 
 def cmd_verify(args) -> int:
+    error = _verify_input_error(args)
+    if error:
+        print(f"verify: invalid input: {error}", file=sys.stderr)
+        return EXIT_USAGE
     dims = ArmDims(args.k, args.n)
     rng = np.random.default_rng(args.seed)
     regular = [sampling.random_regular_config(dims, rng)
@@ -141,14 +150,9 @@ def cmd_verify(args) -> int:
         singular.append(sampling.singular_config(dims, rng,
                                                  index=1 + j % dims.n))
 
-    threads = int(os.environ.get("MULTIFLAG_THREADS", "1") or "1")
-    payloads = [(q, args.tol, args.bracket_h, args.basis)
-                for q in regular + singular]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_verify_one, payloads))
-    else:
-        reports = [_verify_one(p) for p in payloads]
+    reports = [fg.verify_flag(q, tol=args.tol, h=args.bracket_h,
+                              basis=args.basis)
+               for q in regular + singular]
 
     if args.out:
         payload = {

@@ -254,21 +254,6 @@ def cart_z_field(dims: ArmDims, i: int) -> Field:
     return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"cZ{i}")
 
 
-def cart_normal_field(dims: ArmDims, i: int) -> Field:
-    """Constraint normal of segment i (half the residual gradient)."""
-    if not 0 <= i <= dims.n:
-        raise IndexError("normal index out of range")
-    def fn(y):
-        x = _blocks(y, dims)
-        seg = x[:, i + 1, :] - x[:, i, :]
-        out = np.zeros_like(y)
-        ob = _blocks(out, dims)
-        ob[:, i + 1, :] = seg
-        ob[:, i, :] = -seg
-        return out
-    return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"N{i}")
-
-
 def cart_delta_field(dims: ArmDims, r: int) -> Field:
     """Generator r of the constrained distribution in Cartesian form:
     (x_{n+1} - x_n)^r * sum_i f_n^i cZ_i + d/dx_{n+1}^r."""

@@ -28,7 +28,8 @@ from .arm import AngularConfig, ArmDims, CartesianConfig, gamma, gamma_inverse
 from .dynamics import car_state_from_config
 from .fields import (Field, FieldId, GeneratorSet, TangentVector,
                      field_from_id, field_jacobian)
-from .numerics import orthonormal_rows, subspace_angle, svd_rank
+from .numerics import (orthonormal_rows, rank_and_rows, subspace_angle,
+                       svd_rank)
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
@@ -113,114 +114,134 @@ def lie_bracket(x: BracketArg, y: BracketArg, q, h: float = BRACKET_H) -> Tangen
 
 
 # ---------------------------------------------------------------------------
-# per-point evaluation context with caches
+# generating family and its pairwise brackets at one point
 # ---------------------------------------------------------------------------
 
 class _FlagContext:
-    """Field values, Jacobians and pairwise brackets at one configuration,
-    computed once and shared across all level checks."""
+    """The (n+1)(k+1) generating fields at one configuration, indexed as
+    the steering fields X_0^0..X_n^0 followed by k tangent fields for each
+    sphere 0..n.  Levels are index lists into `fields`."""
 
-    def __init__(self, q: AngularConfig, basis: str = "projected",
-                 h: float = BRACKET_H):
+    def __init__(self, q: AngularConfig, basis: str = "projected"):
         if basis not in ("projected", "chart"):
             raise ValueError("basis must be 'projected' or 'chart'")
-        self.q = q
-        self.dims = q.dims
-        self.basis = basis
-        self.h = h
-        self.point = q.flat()
         dims = q.dims
+        self.dims = dims
         if basis == "projected":
-            self.sphere_fields = [fl.sphere_tangent_fields(dims, j, q)
-                                  for j in range(dims.n + 1)]
+            spheres = [fl.sphere_tangent_fields(dims, j, q)
+                       for j in range(dims.n + 1)]
         else:
-            self.sphere_fields = [[fl.xi_field(dims, j, i)
-                                   for i in range(1, dims.k + 1)]
-                                  for j in range(dims.n + 1)]
-        self.x0_fields = [fl.x0_field(dims, m) for m in range(dims.n + 1)]
-        self._values: dict[int, np.ndarray] = {}
-        self._jacs: dict[int, np.ndarray] = {}
-        self._brackets: dict[tuple[int, int], np.ndarray] = {}
+            spheres = [[fl.xi_field(dims, j, i)
+                        for i in range(1, dims.k + 1)]
+                       for j in range(dims.n + 1)]
+        self.fields: list[Field] = (
+            [fl.x0_field(dims, m) for m in range(dims.n + 1)]
+            + [f for sphere in spheres for f in sphere])
 
-    # -- caches -------------------------------------------------------------
-
-    def value(self, f: Field) -> np.ndarray:
-        key = id(f)
-        if key not in self._values:
-            self._values[key] = f.at(self.point)
-        return self._values[key]
-
-    def jac(self, f: Field) -> np.ndarray:
-        key = id(f)
-        if key not in self._jacs:
-            self._jacs[key] = field_jacobian(f, self.point, self.h)
-        return self._jacs[key]
-
-    def tangent_project(self, vec: np.ndarray) -> np.ndarray:
-        """Remove radial components on each sphere block (FD noise)."""
-        dims = self.dims
-        k1 = dims.ambient
-        out = vec.copy()
-        for i in range(1, dims.n + 2):
-            zi = self.q.z[i - 1]
-            blk = out[k1 * i:k1 * (i + 1)]
-            blk -= (blk @ zi) * zi
-        return out
-
-    def bracket(self, f: Field, g: Field) -> np.ndarray:
-        key = (id(f), id(g))
-        if key not in self._brackets:
-            raw = self.jac(g) @ self.value(f) - self.jac(f) @ self.value(g)
-            self._brackets[key] = self.tangent_project(raw)
-        return self._brackets[key]
-
-    # -- generating families --------------------------------------------------
-
-    def e_fields(self, m: int) -> list[Field]:
+    def e_index(self, m: int) -> list[int]:
         """Generators of the integrable sublevel: sphere tangents m-1..n."""
         if not 1 <= m <= self.dims.n + 1:
             raise IndexError("level needs 1 <= m <= n+1")
-        out: list[Field] = []
-        for j in range(m - 1, self.dims.n + 1):
-            out.extend(self.sphere_fields[j])
-        return out
+        first = self.dims.n + 1 + (m - 1) * self.dims.k
+        return list(range(first, len(self.fields)))
 
-    def d_fields(self, m: int) -> list[Field]:
+    def d_index(self, m: int) -> list[int]:
         """Generators of level m: the steering field of joint m plus the
         sphere tangents above it."""
-        return [self.x0_fields[m - 1]] + self.e_fields(m)
+        return [m - 1] + self.e_index(m)
 
-    def matrix(self, flds: Sequence[Field]) -> np.ndarray:
-        return np.vstack([self.value(f) for f in flds])
+    def pick(self, idx: Sequence[int]) -> list[Field]:
+        return [self.fields[i] for i in idx]
 
-    def tangent_basis(self) -> np.ndarray:
-        """Orthonormal rows spanning the whole tangent space at q."""
-        dims = self.dims
-        k1 = dims.ambient
-        rows = []
-        for r in range(k1):
+
+def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Both members of every pair a < b of `idx`, in row-major order."""
+    idx = np.asarray(idx, dtype=int)
+    upper = np.triu_indices(idx.size, 1)
+    return idx[upper[0]], idx[upper[1]]
+
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the others.
+
+    A stacked `@`, so each product goes through the same BLAS kernel as
+    `x @ y` on single rows and the batched residuals keep the rounding of
+    the one-pair-at-a-time arithmetic.
+    """
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _tangent_project(vecs: np.ndarray, q: AngularConfig) -> np.ndarray:
+    """Remove, in place, the radial component on each sphere block of the
+    last axis of `vecs` (finite-difference noise: every field is tangent
+    to the spheres)."""
+    dims = q.dims
+    blocks = vecs.reshape(*vecs.shape[:-1], dims.joints,
+                          dims.ambient)[..., 1:, :]
+    blocks -= _rowdot(blocks, q.z)[..., None] * q.z
+    return vecs
+
+
+def _tangent_basis(q: AngularConfig) -> np.ndarray:
+    """Orthonormal rows spanning the whole tangent space at q."""
+    dims = q.dims
+    k1 = dims.ambient
+    rows = []
+    for r in range(k1):
+        e = np.zeros(dims.cartesian_dim)
+        e[r] = 1.0
+        rows.append(e)
+    for i in range(1, dims.n + 2):
+        zi = q.z[i - 1]
+        proj = np.eye(k1) - np.outer(zi, zi)
+        basis = orthonormal_rows(proj)
+        for b in basis:
             e = np.zeros(dims.cartesian_dim)
-            e[r] = 1.0
+            e[k1 * i:k1 * (i + 1)] = b
             rows.append(e)
-        for i in range(1, dims.n + 2):
-            zi = self.q.z[i - 1]
-            proj = np.eye(k1) - np.outer(zi, zi)
-            basis = orthonormal_rows(proj)
-            for b in basis:
-                e = np.zeros(dims.cartesian_dim)
-                e[k1 * i:k1 * (i + 1)] = b
-                rows.append(e)
-        return np.vstack(rows)
+    return np.vstack(rows)
 
-    # -- residuals ------------------------------------------------------------
 
-    def pair_residual(self, f: Field, g: Field, span_q: np.ndarray) -> float:
-        b = self.bracket(f, g)
-        resid = b - (b @ span_q.T) @ span_q
-        scale = max(float(np.linalg.norm(b)),
-                    float(np.linalg.norm(self.value(f))
-                          * np.linalg.norm(self.value(g))), 1e-300)
-        return float(np.linalg.norm(resid)) / scale
+class _PairBrackets:
+    """Values, central-difference Jacobians and every pairwise bracket of a
+    field family at one configuration.
+
+    With V (F, D) the stacked values and J (F, D, D) the Jacobians,
+    `brackets[a, b] = J_b V_a - J_a V_b` is built as one tensor, tangent to
+    every sphere block.
+    """
+
+    def __init__(self, flds: Sequence[Field], q: AngularConfig,
+                 h: float = BRACKET_H):
+        point = q.flat()
+        self.values = np.vstack([f.at(point) for f in flds])
+        jacs = np.stack([field_jacobian(f, point, h) for f in flds])
+        # jv[a, b] = J_b V_a
+        jv = np.matmul(jacs[None], self.values[:, None, :, None])[..., 0]
+        self.brackets = _tangent_project(jv - jv.transpose(1, 0, 2), q)
+        self.norms = np.sqrt(_rowdot(self.values, self.values))
+
+    def worst_residual(self, idx: Sequence[int], span_q: np.ndarray) -> float:
+        """Worst normalized component of a bracket of two fields of `idx`
+        outside the row span of the orthonormal rows `span_q`.
+
+        Normalization floors at the product of the generator norms so that
+        commuting pairs (bracket = pure finite-difference noise) report
+        noise, not noise divided by noise.
+        """
+        a, b = _pairs(idx)
+        if a.size == 0:
+            return 0.0
+        br = self.brackets[a, b]
+        resid = br - (br[:, None, :] @ span_q.T @ span_q)[:, 0]
+        scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
+                                      self.norms[a] * self.norms[b]), 1e-300)
+        return float(np.max(np.sqrt(_rowdot(resid, resid)) / scale))
+
+    def derived_stack(self, idx: Sequence[int]) -> np.ndarray:
+        """The fields of `idx` together with all their pairwise brackets."""
+        a, b = _pairs(idx)
+        return np.vstack([self.values[idx], self.brackets[a, b]])
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +257,14 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
     the sphere-tangent family and fails at degenerate charts.
     """
     ctx = _FlagContext(q, basis=basis)
-    dflds = ctx.d_fields(m)
-    eflds = ctx.e_fields(m)
-
-    def pack(flds: list[Field]) -> GeneratorSet:
-        vecs = [TangentVector(ctx.value(f), fl.MODE_EMBEDDED) for f in flds]
-        return GeneratorSet(point=q, vectors=vecs,
-                            labels=[f.label for f in flds], fields=flds)
-
-    return pack(dflds), pack(eflds)
+    flds = ctx.pick(ctx.d_index(m))
+    point = q.flat()
+    vecs = [TangentVector(f.at(point), fl.MODE_EMBEDDED) for f in flds]
+    labels = [f.label for f in flds]
+    # E^m is D^m without its leading steering field
+    return (GeneratorSet(point=q, vectors=vecs, labels=labels, fields=flds),
+            GeneratorSet(point=q, vectors=vecs[1:], labels=labels[1:],
+                         fields=flds[1:]))
 
 
 def rank_of(gs: GeneratorSet, tol: float = 1e-8) -> int:
@@ -252,44 +272,27 @@ def rank_of(gs: GeneratorSet, tol: float = 1e-8) -> int:
     return gs.rank(tol)
 
 
-def _derived_stack(ctx: _FlagContext, m: int) -> np.ndarray:
-    """Level m+1 generators together with all their pairwise brackets."""
-    gens = ctx.d_fields(m + 1)
-    rows = [ctx.value(f) for f in gens]
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            rows.append(ctx.bracket(gens[a], gens[b]))
-    return np.vstack(rows)
-
-
 def derived_rank(q: AngularConfig, m: int, tol: float = 1e-8,
                  h: float = BRACKET_H, basis: str = "projected") -> int:
     """Rank of span(D^{m+1} together with its pairwise brackets), m = 0..n."""
     if not 0 <= m <= q.dims.n:
         raise IndexError("derived level needs 0 <= m <= n")
-    ctx = _FlagContext(q, basis=basis, h=h)
-    return svd_rank(_derived_stack(ctx, m), tol)
+    ctx = _FlagContext(q, basis=basis)
+    flds = ctx.pick(ctx.d_index(m + 1))
+    stack = _PairBrackets(flds, q, h).derived_stack(range(len(flds)))
+    return svd_rank(stack, tol)
 
 
 def involutivity_residual(gs: GeneratorSet, h: float = BRACKET_H) -> float:
-    """Worst normalized component of a pairwise bracket outside the span.
-
-    Normalization floors at the product of the generator norms so that
-    commuting pairs (bracket = pure finite-difference noise) report noise,
-    not noise divided by noise.
-    """
+    """Worst normalized component of a pairwise bracket outside the span
+    (see `_PairBrackets.worst_residual` for the normalization)."""
     if gs.fields is None:
         raise ValueError("generator set carries no fields to differentiate")
     if not isinstance(gs.point, AngularConfig):
         raise ValueError("involutivity check expects an angular base point")
-    ctx = _FlagContext(gs.point, h=h)
-    span_q = orthonormal_rows(gs.matrix())
-    worst = 0.0
-    flds = list(gs.fields)
-    for a in range(len(flds)):
-        for b in range(a + 1, len(flds)):
-            worst = max(worst, ctx.pair_residual(flds[a], flds[b], span_q))
-    return worst
+    pb = _PairBrackets(gs.fields, gs.point, h)
+    return pb.worst_residual(range(len(gs.fields)),
+                             orthonormal_rows(gs.matrix()))
 
 
 def cauchy_inclusion_residual(q: AngularConfig, m: int,
@@ -299,15 +302,14 @@ def cauchy_inclusion_residual(q: AngularConfig, m: int,
     for m = 1..n."""
     if not 1 <= m <= q.dims.n:
         raise IndexError("inclusion level needs 1 <= m <= n")
-    ctx = _FlagContext(q, basis=basis, h=h)
-    span_q = orthonormal_rows(ctx.matrix(ctx.d_fields(m)))
-    worst = 0.0
-    for e in ctx.e_fields(m + 1):
-        for d in ctx.d_fields(m + 1):
-            if e is d:
-                continue
-            worst = max(worst, ctx.pair_residual(e, d, span_q))
-    return worst
+    ctx = _FlagContext(q, basis=basis)
+    point = q.flat()
+    span_q = orthonormal_rows(
+        np.vstack([f.at(point) for f in ctx.pick(ctx.d_index(m))]))
+    # D^{m+1} = E^{m+1} plus one steering field, so the pairs of D^{m+1}
+    # are exactly [E^{m+1}, D^{m+1}]
+    flds = ctx.pick(ctx.d_index(m + 1))
+    return _PairBrackets(flds, q, h).worst_residual(range(len(flds)), span_q)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +343,12 @@ def sandwich_singular_indices(q: AngularConfig, tol: float = 1e-8,
     index l fails when the steering field of joint l already lies in the
     sphere-tangent span of spheres l-1..n (no rank increase)."""
     ctx = _FlagContext(q, basis=basis)
+    point = q.flat()
+    vals = {i: ctx.fields[i].at(point) for i in range(1, len(ctx.fields))}
     bad = []
     for l in range(1, q.dims.n + 1):
-        e_mat = ctx.matrix(ctx.e_fields(l))
-        aug = np.vstack([e_mat, ctx.value(ctx.x0_fields[l])])
+        e_mat = np.vstack([vals[i] for i in ctx.e_index(l)])
+        aug = np.vstack([e_mat, vals[l]])
         if svd_rank(aug, tol) == svd_rank(e_mat, tol):
             bad.append(l)
     return tuple(bad)
@@ -471,7 +475,8 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
     `singular` verdict and never raise.
     """
     dims = q.dims
-    ctx = _FlagContext(q, basis=basis, h=h)
+    ctx = _FlagContext(q, basis=basis)
+    pb = _PairBrackets(ctx.fields, q, h)
     cls = classify_point(q, eps_sing)
     sandwich = sandwich_singular_indices(q, tol, basis=basis) if dims.k >= 2 \
         else cls.indices
@@ -479,25 +484,12 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
     failures: list[str] = []
     levels: list[LevelReport] = []
     for m in range(1, dims.n + 2):
-        d_mat = ctx.matrix(ctx.d_fields(m))
-        e_flds = ctx.e_fields(m)
-        e_mat = ctx.matrix(e_flds)
-        rank_d = svd_rank(d_mat, tol)
-        rank_e = svd_rank(e_mat, tol)
-        span_e = orthonormal_rows(e_mat)
-        inv = 0.0
-        for a in range(len(e_flds)):
-            for b in range(a + 1, len(e_flds)):
-                inv = max(inv, ctx.pair_residual(e_flds[a], e_flds[b], span_e))
-        cauchy = None
-        if m <= dims.n:
-            span_d = orthonormal_rows(d_mat)
-            cauchy = 0.0
-            for e in ctx.e_fields(m + 1):
-                for d in ctx.d_fields(m + 1):
-                    if e is d:
-                        continue
-                    cauchy = max(cauchy, ctx.pair_residual(e, d, span_d))
+        e_idx = ctx.e_index(m)
+        rank_d, span_d = rank_and_rows(pb.values[ctx.d_index(m)], tol)
+        rank_e, span_e = rank_and_rows(pb.values[e_idx], tol)
+        inv = pb.worst_residual(e_idx, span_e)
+        cauchy = (pb.worst_residual(ctx.d_index(m + 1), span_d)
+                  if m <= dims.n else None)
         lv = LevelReport(m=m, rank_d=rank_d, rank_e=rank_e,
                          expected_rank_d=expected_rank_d(dims, m),
                          expected_rank_e=expected_rank_e(dims, m),
@@ -511,12 +503,15 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
             failures.append(f"E^{m} involutivity residual {inv:.2e}")
         if cauchy is not None and cauchy >= residual_tol:
             failures.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
+    # top-level non-involutivity (bracket-generating witness, not a gate);
+    # span_d is the span of D^{n+1} from the last pass of the loop
+    delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), span_d)
 
     derived: list[DerivedReport] = []
     for m in range(dims.n, -1, -1):
-        stack = _derived_stack(ctx, m)
+        stack = pb.derived_stack(ctx.d_index(m + 1))
         rank = svd_rank(stack, tol)
-        target = ctx.matrix(ctx.d_fields(m)) if m >= 1 else ctx.tangent_basis()
+        target = pb.values[ctx.d_index(m)] if m >= 1 else _tangent_basis(q)
         angle = subspace_angle(stack, target, tol)
         dv = DerivedReport(m=m, rank=rank,
                            expected_rank=expected_rank_d(dims, m),
@@ -528,15 +523,6 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
                 f"!= {dv.expected_rank}")
         if angle >= residual_tol:
             failures.append(f"derived span angle at level {m}: {angle:.2e}")
-
-    # top-level non-involutivity (bracket-generating witness, not a gate)
-    top = ctx.d_fields(dims.n + 1)
-    span_top = orthonormal_rows(ctx.matrix(top))
-    delta_inv = 0.0
-    for a in range(len(top)):
-        for b in range(a + 1, len(top)):
-            delta_inv = max(delta_inv,
-                            ctx.pair_residual(top[a], top[b], span_top))
 
     return FlagReport(
         dims=dims,

@@ -16,16 +16,23 @@ def svd_rank(mat: np.ndarray, tol: float = 1e-8) -> int:
     return int(np.count_nonzero(s > tol * s[0]))
 
 
-def orthonormal_rows(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of `mat`."""
+def rank_and_rows(mat: np.ndarray, tol: float = 1e-8,
+                  rows_tol: float = 1e-8) -> tuple[int, np.ndarray]:
+    """`svd_rank(mat, tol)` and `orthonormal_rows(mat, rows_tol)` from one
+    decomposition."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
-        return np.zeros((0, mat.shape[1] if mat.ndim == 2 else 0))
+        return 0, np.zeros((0, mat.shape[1] if mat.ndim == 2 else 0))
     _, s, vt = np.linalg.svd(mat, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, mat.shape[1]))
-    r = int(np.count_nonzero(s > tol * s[0]))
-    return vt[:r]
+        return 0, np.zeros((0, mat.shape[1]))
+    return (int(np.count_nonzero(s > tol * s[0])),
+            vt[:int(np.count_nonzero(s > rows_tol * s[0]))])
+
+
+def orthonormal_rows(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row space of `mat`."""
+    return rank_and_rows(mat, tol, tol)[1]
 
 
 def subspace_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> float:
@@ -48,13 +55,3 @@ def subspace_angle(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> float:
         return float(np.arcsin(min(1.0, top)))
 
     return max(one_sided(qa, qb), one_sided(qb, qa))
-
-
-def component_out_of_span(vec: np.ndarray, basis_rows: np.ndarray,
-                          tol: float = 1e-8) -> float:
-    """Norm of the component of `vec` orthogonal to the row span."""
-    q = orthonormal_rows(basis_rows, tol)
-    if q.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    resid = vec - (vec @ q.T) @ q
-    return float(np.linalg.norm(resid))

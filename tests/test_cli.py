@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from multiflag import cli
 
 
@@ -139,12 +140,35 @@ class TestVerify:
         assert "D^4" in out and "E^4" in out
 
     def test_threads_env(self, tmp_path, capsys, monkeypatch):
+        # MULTIFLAG_THREADS no longer selects anything: the report is the
+        # same file byte for byte with and without it
+        argv = ["verify", "--k", "1", "--n", "1", "--samples", "4",
+                "--singular-samples", "1", "--seed", "6", "--out"]
+        monkeypatch.delenv("MULTIFLAG_THREADS", raising=False)
+        assert cli.main(argv + [str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("MULTIFLAG_THREADS", "2")
-        rc = cli.main(["verify", "--k", "1", "--n", "1", "--samples", "4",
-                       "--seed", "6", "--out", str(tmp_path / "t")])
-        assert rc == 0
-        payload = json.loads((tmp_path / "t_reports.json").read_text())
-        assert len(payload["reports"]) == 4
+        assert cli.main(argv + [str(tmp_path / "threads")]) == 0
+        plain = (tmp_path / "plain_reports.json").read_bytes()
+        assert (tmp_path / "threads_reports.json").read_bytes() == plain
+        assert len(json.loads(plain)["reports"]) == 5
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "-3"),
+        ("--singular-samples", "-1"),
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "inf"),
+        ("--bracket-h", "0"),
+        ("--bracket-h", "nan"),
+        ("--bracket-h", "-1e-5"),
+    ])
+    def test_bad_input_rejected(self, flag, value, tmp_path, capsys):
+        rc = cli.main(["verify", "--k", "1", "--n", "1", "--samples", "2",
+                       f"{flag}={value}", "--out", str(tmp_path / "v")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "v_reports.json").exists()
 
 
 class TestSingularScan:

@@ -6,7 +6,7 @@ from multiflag import dynamics as dyn
 from multiflag import fields as fl
 from multiflag import flags as fg
 from multiflag import sampling
-from multiflag.numerics import subspace_angle, svd_rank
+from multiflag.numerics import orthonormal_rows, subspace_angle, svd_rank
 
 
 def regular(dims, rng, margin=0.0):
@@ -306,3 +306,160 @@ class TestVerifyFlag:
             q = regular(arm.ArmDims(k, n), rng)
             rep = fg.verify_flag(q)
             assert rep.passed, (k, n, rep.failures)
+
+
+# ---------------------------------------------------------------------------
+# reference: the scalar one-pair-at-a-time flag check
+# ---------------------------------------------------------------------------
+
+def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL):
+    """The flag measurements of `verify_flag`, with every bracket and every
+    pair residual computed one at a time."""
+    dims = q.dims
+    n, k1 = dims.n, dims.ambient
+    point = q.flat()
+    x0 = [fl.x0_field(dims, m) for m in range(n + 1)]
+    spheres = [fl.sphere_tangent_fields(dims, j, q) for j in range(n + 1)]
+    val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}
+    jac = {id(f): fg.field_jacobian(f, point, h)
+           for f in x0 + sum(spheres, [])}
+
+    def e_fields(m):
+        return [f for j in range(m - 1, n + 1) for f in spheres[j]]
+
+    def d_fields(m):
+        return [x0[m - 1]] + e_fields(m)
+
+    def matrix(flds):
+        return np.vstack([val[id(f)] for f in flds])
+
+    def bracket(f, g):
+        b = jac[id(g)] @ val[id(f)] - jac[id(f)] @ val[id(g)]
+        for i in range(1, n + 2):
+            zi = q.z[i - 1]
+            blk = b[k1 * i:k1 * (i + 1)]
+            blk -= (blk @ zi) * zi
+        return b
+
+    def pair_residual(f, g, span_q):
+        b = bracket(f, g)
+        resid = b - (b @ span_q.T) @ span_q
+        scale = max(float(np.linalg.norm(b)),
+                    float(np.linalg.norm(val[id(f)])
+                          * np.linalg.norm(val[id(g)])), 1e-300)
+        return float(np.linalg.norm(resid)) / scale
+
+    def worst(flds, span_q):
+        return max([pair_residual(flds[a], flds[b], span_q)
+                    for a in range(len(flds))
+                    for b in range(a + 1, len(flds))], default=0.0)
+
+    def tangent_basis():
+        rows = list(np.eye(dims.cartesian_dim)[:k1])
+        for i in range(1, n + 2):
+            zi = q.z[i - 1]
+            for b in orthonormal_rows(np.eye(k1) - np.outer(zi, zi)):
+                e = np.zeros(dims.cartesian_dim)
+                e[k1 * i:k1 * (i + 1)] = b
+                rows.append(e)
+        return np.vstack(rows)
+
+    out = {"levels": [], "derived": [], "failures": []}
+    for m in range(1, n + 2):
+        d_mat, e_mat = matrix(d_fields(m)), matrix(e_fields(m))
+        rank_d, rank_e = svd_rank(d_mat, tol), svd_rank(e_mat, tol)
+        inv = worst(e_fields(m), orthonormal_rows(e_mat))
+        cauchy = (worst(d_fields(m + 1), orthonormal_rows(d_mat))
+                  if m <= n else None)
+        out["levels"].append((rank_d, rank_e, inv, cauchy))
+        if rank_d != fg.expected_rank_d(dims, m):
+            out["failures"].append(
+                f"rank D^{m} = {rank_d} != {fg.expected_rank_d(dims, m)}")
+        if rank_e != fg.expected_rank_e(dims, m):
+            out["failures"].append(
+                f"rank E^{m} = {rank_e} != {fg.expected_rank_e(dims, m)}")
+        if inv >= residual_tol:
+            out["failures"].append(f"E^{m} involutivity residual {inv:.2e}")
+        if cauchy is not None and cauchy >= residual_tol:
+            out["failures"].append(
+                f"Cauchy inclusion at level {m}: {cauchy:.2e}")
+    for m in range(n, -1, -1):
+        gens = d_fields(m + 1)
+        stack = np.vstack(
+            [matrix(gens)]
+            + [bracket(gens[a], gens[b]) for a in range(len(gens))
+               for b in range(a + 1, len(gens))])
+        rank = svd_rank(stack, tol)
+        target = matrix(d_fields(m)) if m >= 1 else tangent_basis()
+        angle = subspace_angle(stack, target, tol)
+        out["derived"].append((m, rank, angle))
+        if rank != fg.expected_rank_d(dims, m):
+            out["failures"].append(
+                f"derived rank of [D^{m + 1},D^{m + 1}] = {rank} "
+                f"!= {fg.expected_rank_d(dims, m)}")
+        if angle >= residual_tol:
+            out["failures"].append(
+                f"derived span angle at level {m}: {angle:.2e}")
+    top = d_fields(n + 1)
+    out["delta_involutivity"] = worst(top, orthonormal_rows(matrix(top)))
+    out["sandwich"] = tuple(
+        l for l in range(1, n + 1)
+        if svd_rank(np.vstack([matrix(e_fields(l)), val[id(x0[l])]]), tol)
+        == svd_rank(matrix(e_fields(l)), tol))
+    out["passed"] = not out["failures"]
+    return out
+
+
+class TestBatchedAgainstScalar:
+    TOL = 1e-13
+
+    def test_verify_flag_matches_scalar_reference(self):
+        rng = np.random.default_rng(26)
+        for k, n in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 4)]:
+            dims = arm.ArmDims(k, n)
+            points = [regular(dims, rng) for _ in range(3)]
+            points += [sampling.singular_config(dims, rng, index=i)
+                       for i in range(1, n + 1)]
+            for q in points:
+                rep = fg.verify_flag(q)
+                ref = oracle_flag(q)
+                assert rep.passed == ref["passed"]
+                assert rep.failures == ref["failures"]
+                if k >= 2:
+                    assert rep.sandwich_indices == ref["sandwich"]
+                for lv, (rank_d, rank_e, inv, cauchy) in zip(rep.levels,
+                                                             ref["levels"]):
+                    assert (lv.rank_d, lv.rank_e) == (rank_d, rank_e)
+                    assert abs(lv.involutivity_e - inv) <= self.TOL
+                    if cauchy is None:
+                        assert lv.cauchy_residual is None
+                    else:
+                        assert abs(lv.cauchy_residual - cauchy) <= self.TOL
+                derived = {dv.m: dv for dv in rep.derived}
+                for m, rank, angle in ref["derived"]:
+                    assert derived[m].rank == rank
+                    assert abs(derived[m].angle - angle) <= self.TOL
+                assert abs(rep.delta_involutivity
+                           - ref["delta_involutivity"]) <= self.TOL
+
+    def test_standalone_checks_match_scalar_reference(self):
+        rng = np.random.default_rng(27)
+        for k, n in [(1, 3), (2, 2), (3, 2)]:
+            dims = arm.ArmDims(k, n)
+            for q in (regular(dims, rng),
+                      sampling.singular_config(dims, rng, index=n)):
+                ref = oracle_flag(q)
+                for m in range(1, n + 2):
+                    _, e = fg.build_level(q, m)
+                    _, _, inv, cauchy = ref["levels"][m - 1]
+                    assert abs(fg.involutivity_residual(e) - inv) \
+                        <= self.TOL
+                    if cauchy is not None:
+                        assert abs(fg.cauchy_inclusion_residual(q, m)
+                                   - cauchy) <= self.TOL
+                top, _ = fg.build_level(q, n + 1)
+                assert abs(fg.involutivity_residual(top)
+                           - ref["delta_involutivity"]) <= self.TOL
+                for m, rank, _ in ref["derived"]:
+                    assert fg.derived_rank(q, m) == rank
+                assert fg.sandwich_singular_indices(q) == ref["sandwich"]

@@ -73,6 +73,12 @@ def _controls(args, k: int) -> dyn.ControlSignal:
 
 
 def _simulate_trajectory(args) -> dyn.Trajectory:
+    if not (math.isfinite(args.T) and args.T >= 0):
+        raise ValueError(f"--T must be a nonnegative finite number, "
+                         f"got {args.T!r}")
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise ValueError(f"--h must be a positive finite number, "
+                         f"got {args.h!r}")
     q0 = _initial_config(args)
     dims = q0.dims
     settings = dyn.IntegratorSettings(h=args.h,
@@ -311,7 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"multiflag: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

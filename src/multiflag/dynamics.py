@@ -12,9 +12,18 @@ cross-check each other:
 * `integrate_cartesian`: the flow of the constrained-distribution
   generators on raw joint positions.
 
-The angular right-hand side is evaluated on unit vectors, so it stays
-well defined where intermediate sphere charts degenerate; only the head
-sphere carries chart angles, and those are themselves state variables.
+The routes differ only in their state variables.  Each supplies a
+right-hand side, a projection, an initial state and a batched view of its
+stacked states as base points, unit segment rows and head angles; one
+stepper (`_integrate`) and one recorder (`_record`) serve all three.  The
+recorder takes every joint velocity from one kernel batched over records
+(`_velocities`), which `collinearity_residuals` reuses, and the angular
+right-hand side shares its cascade arithmetic (`_cascade`).
+
+Every route carries the head-sphere chart angles as state (d theta/dt =
+w), so no route inverts a chart mid-run.  The angular right-hand side is
+evaluated on unit vectors, so it stays well defined where intermediate
+sphere charts degenerate.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import numpy as np
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims, CartesianConfig
 from .errors import StepRejected
+from .fields import _a_chain, _f_products
 
 FMT = "%.17g"
 
@@ -93,14 +103,11 @@ class IntegratorSettings:
 
     h: float
     projection: bool = True
-    method: str = "rk4"
     max_step_drift: float = 1e-6
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step size must be positive")
-        if self.method != "rk4":
-            raise ValueError("only the classical rk4 stepper is provided")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("step size must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +217,27 @@ class Trajectory:
 
     @staticmethod
     def from_dict(d: dict) -> "Trajectory":
-        dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
-        points = d.get("points")
-        return Trajectory(
-            mode=d["mode"], dims=dims,
-            times=np.asarray(d["times"], dtype=float),
-            x0=np.asarray(d["x0"], dtype=float),
-            z=np.asarray(d["z"], dtype=float),
-            theta_n=np.asarray(d["theta_n"], dtype=float),
-            vn=np.asarray(d["vn"], dtype=float),
-            w=np.asarray(d["w"], dtype=float),
-            v=np.asarray(d["v"], dtype=float),
-            drift_pre=np.asarray(d["drift_pre"], dtype=float),
-            drift_post=np.asarray(d["drift_post"], dtype=float),
-            h=float(d["h"]), T=float(d["T"]),
-            projection=bool(d["projection"]),
-            seed=d.get("seed"),
-            points=None if points is None else np.asarray(points, dtype=float))
+        """Inverse of `to_dict`; raises ValueError on a missing key or an
+        array of the wrong shape."""
+        try:
+            dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
+            m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1
+            shapes = {"times": (m,), "x0": (m, k1), "z": (m, n1, k1),
+                      "theta_n": (m, dims.k), "vn": (m,), "w": (m, dims.k),
+                      "v": (m, n1), "drift_pre": (m,), "drift_post": (m,)}
+            if d.get("points") is not None:
+                shapes["points"] = (m, dims.joints, k1)
+            arrays = {key: np.asarray(d[key], dtype=float) for key in shapes}
+            scalars = {"mode": str(d["mode"]), "h": float(d["h"]),
+                       "T": float(d["T"]), "projection": bool(d["projection"]),
+                       "seed": d.get("seed")}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad trajectory object: {exc!r}") from exc
+        for key, shape in shapes.items():
+            if arrays[key].shape != shape:
+                raise ValueError(f"trajectory {key!r} has shape "
+                                 f"{arrays[key].shape}, expected {shape}")
+        return Trajectory(dims=dims, **scalars, **arrays)
 
     @staticmethod
     def from_json(path) -> "Trajectory":
@@ -238,51 +249,60 @@ class Trajectory:
 # shared kinematic quantities
 # ---------------------------------------------------------------------------
 
-def _suffix_products(a: np.ndarray) -> np.ndarray:
-    """f_n^i = prod_{j=i+1}^n A_j for i = 0..n, from A_1..A_n."""
-    n = a.size
-    out = np.ones(n + 1)
-    for i in range(n - 1, -1, -1):
-        out[i] = out[i + 1] * a[i]
-    return out
+def _controls_at(u: ControlSignal, t: float,
+                 k: int) -> tuple[float, np.ndarray]:
+    """The head controls at time t, with the k tangential rates checked."""
+    vn = float(u.v_n(t))
+    w = np.asarray(u.w(t), dtype=float).reshape(-1)
+    if w.size != k:
+        raise ValueError(f"tangential control must have {k} components")
+    return vn, w
 
 
-def _block_rates(z: np.ndarray, theta_n: np.ndarray, vn: float,
-                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Embedded time derivatives (dx0, dz rows, normal velocity chain).
+def _cascade(z: np.ndarray, vn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base-point rate (B, k+1) and rates of the body rows z_1..z_n
+    (B, n, k+1) for batches of unit rows z (B, n+1, k+1) driven by the
+    normal head velocities vn (B,).
 
-    z rows are z_1..z_{n+1}; dz row j is the rate of z_{j+1}.  The head row
-    rate is expressed through the chart frame at theta_n.
+    Joint i+1 moves along z_{i+1} at v_i = f_n^i vn, so sphere i turns
+    z_i at v_i times the projection of z_{i+1} onto its tangent.
     """
-    a = np.sum(z[:-1] * z[1:], axis=1)
-    f = _suffix_products(a)
-    v = f * vn
-    dx0 = v[0] * z[0]
-    dz = np.empty_like(z)
-    if z.shape[0] > 1:
-        dz[:-1] = v[1:, None] * (z[1:] - a[:, None] * z[:-1])
+    a = _a_chain(z)
+    v = _f_products(a, z.shape[1] - 1) * vn[:, None]
+    dx0 = v[:, 0, None] * z[:, 0]
+    dz = v[:, 1:, None] * (z[:, 1:] - a[:, :, None] * z[:, :-1])
+    return dx0, dz
+
+
+def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
+                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> (B, n+1) and the norms
+    of each joint velocity xdot_i off the segment ahead of it (B, n+1).
+
+    Batched over states: z (B, n+1, k+1), head angles theta_n (B, k),
+    controls vn (B,) and w (B, k).  The head row rate is taken through the
+    chart frame at theta_n; joint velocities accumulate the segment rates
+    from the base point outward.
+    """
+    dx0, dz = _cascade(z, vn)
     _, jac = hs.unit_and_jacobian(theta_n)
-    dz[-1] = jac[0] @ w
-    return dx0, dz, v
-
-
-def _geometric_velocities(z: np.ndarray, dx0: np.ndarray,
-                          dz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> and the residual norms
-    of xdot_i off the direction of the segment ahead of it."""
-    n1 = z.shape[0]
-    xdot = np.empty((n1 + 1, z.shape[1]))
-    xdot[0] = dx0
-    for i in range(n1):
-        xdot[i + 1] = xdot[i] + dz[i]
-    v = np.sum(xdot[1:] * z, axis=1)
-    along = np.sum(xdot[:-1] * z, axis=1)
-    resid = np.linalg.norm(xdot[:-1] - along[:, None] * z, axis=1)
+    head = np.matmul(jac, w[:, :, None])
+    xdot = np.cumsum(np.concatenate([dx0[:, None], dz, head.swapaxes(1, 2)],
+                                    axis=1), axis=1)
+    v = np.sum(xdot[:, 1:] * z, axis=2)
+    along = np.sum(xdot[:, :-1] * z, axis=2)
+    resid = np.linalg.norm(xdot[:, :-1] - along[:, :, None] * z, axis=2)
     return v, resid
 
 
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows scaled to unit length, and the largest | |row| - 1 |."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None], float(np.max(np.abs(norms - 1.0)))
+
+
 # ---------------------------------------------------------------------------
-# stepping machinery
+# stepping and recording
 # ---------------------------------------------------------------------------
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -294,8 +314,8 @@ def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _steps(T: float, h: float) -> list[float]:
-    if T < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     if T == 0.0:
         return []
     if h >= T:
@@ -310,39 +330,57 @@ def _steps(T: float, h: float) -> list[float]:
 
 def _integrate(rhs, project, y0: np.ndarray, T: float,
                settings: IntegratorSettings):
-    """Run the stepper; yields (t, y, drift_pre, drift_post) per record."""
-    records = [(0.0, y0.copy(), 0.0, 0.0)]
-    t, y = 0.0, y0.copy()
-    for h in _steps(T, settings.h):
+    """Run the stepper from y0.
+
+    Returns times (M,), states (M, D) and the constraint drift of each step
+    before and after its projection (M,); record 0 is the initial state.
+    """
+    steps = _steps(T, settings.h)
+    times = np.zeros(len(steps) + 1)
+    states = np.empty((times.size, y0.size))
+    drift_pre = np.zeros(times.size)
+    drift_post = np.zeros(times.size)
+    states[0] = y0
+    t, y = 0.0, y0
+    for j, h in enumerate(steps, start=1):
         y_raw = _rk4_step(rhs, t, y, h)
         if not np.all(np.isfinite(y_raw)):
             raise StepRejected(f"non-finite state at t={t + h:g}")
-        y_proj, drift_pre = project(y_raw, apply=settings.projection)
-        if drift_pre > settings.max_step_drift:
+        y, drift_pre[j] = project(y_raw, apply=settings.projection)
+        if drift_pre[j] > settings.max_step_drift:
             raise StepRejected(
-                f"constraint drift {drift_pre:.3e} in one step at t={t + h:g}")
-        _, drift_post = project(y_proj, apply=False)
+                f"constraint drift {drift_pre[j]:.3e} in one step "
+                f"at t={t + h:g}")
+        _, drift_post[j] = project(y, apply=False)
         t = t + h
-        y = y_proj
-        records.append((t, y.copy(), drift_pre, drift_post))
-    return records
+        times[j], states[j] = t, y
+    return times, states, drift_pre, drift_post
+
+
+def _record(mode: str, dims: ArmDims, u: ControlSignal, T: float,
+            settings: IntegratorSettings, seed: Optional[int], run,
+            view) -> Trajectory:
+    """Build the trajectory of a stepped route.
+
+    `run` is what `_integrate` returned; `view` maps its stacked states to
+    the recorded arrays x0, z, theta_n (and points, Cartesian route).  The
+    controls are evaluated at every recorded time.
+    """
+    times, states, drift_pre, drift_post = run
+    recorded = view(states)
+    controls = [_controls_at(u, t, dims.k) for t in times]
+    vn = np.array([c[0] for c in controls])
+    w = np.array([c[1] for c in controls])
+    v, _ = _velocities(recorded["z"], recorded["theta_n"], vn, w)
+    return Trajectory(mode=mode, dims=dims, times=times, vn=vn, w=w, v=v,
+                      drift_pre=drift_pre, drift_post=drift_post,
+                      h=settings.h, T=T, projection=settings.projection,
+                      seed=seed, **recorded)
 
 
 # ---------------------------------------------------------------------------
 # the arm integrator (also used for sub-arms)
 # ---------------------------------------------------------------------------
-
-def _arm_unpack(y: np.ndarray, dims: ArmDims):
-    k1, k, n = dims.ambient, dims.k, dims.n
-    x0 = y[:k1]
-    zmid = y[k1:k1 + n * k1].reshape(n, k1)
-    th = y[k1 + n * k1:]
-    return x0, zmid, th
-
-
-def _arm_state(q: AngularConfig, theta_n: np.ndarray) -> np.ndarray:
-    return np.concatenate([q.x0, q.z[:-1].reshape(-1), theta_n])
-
 
 def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
                   settings: IntegratorSettings, *, mode: str = "arm",
@@ -356,71 +394,34 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
     start would make their meaning ambiguous.
     """
     dims = q0.dims
-    k = dims.k
-    theta0 = q0.angles(dims.n).theta
+    k1, n = dims.ambient, dims.n
+    body = slice(k1, k1 + n * k1)
+
+    def view(states: np.ndarray) -> dict:
+        m = states.shape[0]
+        theta_n = states[:, body.stop:]
+        head = hs.unit_from_angles(theta_n)[:, None]
+        z = np.concatenate([states[:, body].reshape(m, n, k1), head], axis=1)
+        return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x0, zmid, th = _arm_unpack(y, dims)
-        vn = float(u.v_n(t))
-        w = np.asarray(u.w(t), dtype=float).reshape(-1)
-        if w.size != k:
-            raise ValueError(f"tangential control must have {k} components")
-        zn1 = hs.unit_from_angles(th)
-        z = np.vstack([zmid, zn1[None]]) if dims.n else zn1[None]
-        a = np.sum(z[:-1] * z[1:], axis=1)
-        f = _suffix_products(a)
-        v = f * vn
-        dx0 = v[0] * z[0]
-        out = np.empty_like(y)
-        out[:dims.ambient] = dx0
-        if dims.n:
-            dz = v[1:, None] * (z[1:] - a[:, None] * z[:-1])
-            out[dims.ambient:dims.ambient + dims.n * dims.ambient] = \
-                dz.reshape(-1)
-        out[dims.ambient + dims.n * dims.ambient:] = w
-        return out
+        vn, w = _controls_at(u, t, dims.k)
+        dx0, dz = _cascade(view(y[None])["z"], np.array([vn]))
+        return np.concatenate([dx0[0], dz[0].reshape(-1), w])
 
     def project(y: np.ndarray, apply: bool):
-        x0, zmid, th = _arm_unpack(y, dims)
-        if dims.n == 0:
+        if n == 0:
             return y, 0.0
-        norms = np.linalg.norm(zmid, axis=1)
-        drift = float(np.max(np.abs(norms - 1.0)))
-        if not apply:
-            return y, drift
-        out = y.copy()
-        out[dims.ambient:dims.ambient + dims.n * dims.ambient] = \
-            (zmid / norms[:, None]).reshape(-1)
-        return out, drift
+        unit, drift = _unit_rows(y[body].reshape(n, k1))
+        if apply:
+            y = y.copy()
+            y[body] = unit.reshape(-1)
+        return y, drift
 
-    y0 = _arm_state(q0, theta0)
-    records = _integrate(rhs, project, y0, T, settings)
-
-    m = len(records)
-    k1 = dims.ambient
-    times = np.empty(m)
-    x0s = np.empty((m, k1))
-    zs = np.empty((m, dims.n + 1, k1))
-    ths = np.empty((m, k))
-    vns = np.empty(m)
-    ws = np.empty((m, k))
-    vs = np.empty((m, dims.n + 1))
-    dpre = np.empty(m)
-    dpost = np.empty(m)
-    for j, (t, y, dr_pre, dr_post) in enumerate(records):
-        x0, zmid, th = _arm_unpack(y, dims)
-        zn1 = hs.unit_from_angles(th)
-        z = np.vstack([zmid, zn1[None]]) if dims.n else zn1[None]
-        vn = float(u.v_n(t))
-        w = np.asarray(u.w(t), dtype=float).reshape(-1)
-        dx0, dz, _ = _block_rates(z, th, vn, w)
-        v, _ = _geometric_velocities(z, dx0, dz)
-        times[j], x0s[j], zs[j], ths[j] = t, x0, z, th
-        vns[j], ws[j], vs[j], dpre[j], dpost[j] = vn, w, v, dr_pre, dr_post
-    return Trajectory(mode=mode, dims=dims, times=times, x0=x0s, z=zs,
-                      theta_n=ths, vn=vns, w=ws, v=vs, drift_pre=dpre,
-                      drift_post=dpost, h=settings.h, T=T,
-                      projection=settings.projection, seed=seed)
+    y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1),
+                         q0.angles(n).theta])
+    return _record(mode, dims, u, T, settings, seed,
+                   _integrate(rhs, project, y0, T, settings), view)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +440,14 @@ def car_state_from_config(q: AngularConfig) -> np.ndarray:
     return np.concatenate([[q.x0[1], q.x0[0]], thetas])
 
 
-def config_from_car_state(y: np.ndarray, dims: ArmDims) -> AngularConfig:
-    th = y[2:]
-    z = np.column_stack([np.sin(th), np.cos(th)])
-    return AngularConfig(dims=dims, x0=np.array([y[1], y[0]]), z=z)
+def _car_view(states: np.ndarray) -> dict:
+    """Angular view of stacked car states (M, n+3); the head angle is
+    reduced to [0, 2 pi)."""
+    th = states[:, 2:]
+    z = np.stack([np.sin(th), np.cos(th)], axis=2)
+    return {"x0": states[:, [1, 0]],
+            "z": z / np.linalg.norm(z, axis=2)[:, :, None],
+            "theta_n": states[:, -1:] % (2 * np.pi)}
 
 
 def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
@@ -455,51 +460,20 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     dims = q0.dims
     if dims.k != 1:
         raise ValueError("integrate_car needs k = 1")
-    n = dims.n
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        vn, w = _controls_at(u, t, 1)
         th = y[2:]
-        vn = float(u.v_n(t))
-        wv = np.asarray(u.w(t), dtype=float).reshape(-1)
         diffs = th[1:] - th[:-1]
-        f = _suffix_products(np.cos(diffs))
-        v = f * vn
-        out = np.empty_like(y)
-        out[0] = v[0] * np.cos(th[0])
-        out[1] = v[0] * np.sin(th[0])
-        if n:
-            out[2:-1] = v[1:] * np.sin(diffs)
-        out[-1] = wv[0]
-        return out
+        v = _f_products(np.cos(diffs)[None], dims.n)[0] * vn
+        return np.concatenate([[v[0] * np.cos(th[0]), v[0] * np.sin(th[0])],
+                               v[1:] * np.sin(diffs), w])
 
     def project(y: np.ndarray, apply: bool):
         return y, 0.0  # headings carry no constraint to drift from
 
-    records = _integrate(rhs, project, car_state_from_config(q0), T, settings)
-
-    m = len(records)
-    times = np.empty(m)
-    x0s = np.empty((m, 2))
-    zs = np.empty((m, n + 1, 2))
-    ths = np.empty((m, 1))
-    vns = np.empty(m)
-    ws = np.empty((m, 1))
-    vs = np.empty((m, n + 1))
-    dpre = np.zeros(m)
-    dpost = np.zeros(m)
-    for j, (t, y, _, _) in enumerate(records):
-        cfg = config_from_car_state(y, dims)
-        th_n = np.array([y[-1] % (2 * np.pi)])
-        vn = float(u.v_n(t))
-        wv = np.asarray(u.w(t), dtype=float).reshape(-1)
-        dx0, dz, _ = _block_rates(cfg.z, th_n, vn, wv)
-        v, _ = _geometric_velocities(cfg.z, dx0, dz)
-        times[j], x0s[j], zs[j], ths[j] = t, cfg.x0, cfg.z, th_n
-        vns[j], ws[j], vs[j] = vn, wv, v
-    return Trajectory(mode="car", dims=dims, times=times, x0=x0s, z=zs,
-                      theta_n=ths, vn=vns, w=ws, v=vs, drift_pre=dpre,
-                      drift_post=dpost, h=settings.h, T=T,
-                      projection=settings.projection, seed=seed)
+    run = _integrate(rhs, project, car_state_from_config(q0), T, settings)
+    return _record("car", dims, u, T, settings, seed, run, _car_view)
 
 
 # ---------------------------------------------------------------------------
@@ -512,68 +486,46 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     """Flow the joint positions along the constrained-distribution
     generators, with the head control mapped through the head frame.
 
-    Serves as the independent oracle for `integrate_arm` through the
-    segment-difference map.
+    The state is the joint positions followed by the head-sphere chart
+    angles (dtheta/dt = w, as in `integrate_arm`), so the tangential
+    controls keep their meaning through head-chart poles.  Serves as the
+    independent oracle for `integrate_arm` through the segment-difference
+    map.
     """
     dims = q0.dims
     k1, n = dims.ambient, dims.n
+    positions = slice(0, dims.cartesian_dim)
+
+    def view(states: np.ndarray) -> dict:
+        x = states[:, positions].reshape(states.shape[0], dims.joints, k1)
+        z = np.diff(x, axis=1)
+        return {"x0": x[:, 0],
+                "z": z / np.linalg.norm(z, axis=2)[:, :, None],
+                "theta_n": states[:, positions.stop:], "points": x}
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y.reshape(dims.joints, k1)
-        z = np.diff(x, axis=0)
-        vn = float(u.v_n(t))
-        w = np.asarray(u.w(t), dtype=float).reshape(-1)
-        zh = z[n] / np.linalg.norm(z[n])
-        theta = hs.angles_from_unit(zh[None], eps=1e-12, strict=True)
-        _, jac = hs.unit_and_jacobian(theta)
-        head = vn * zh + jac[0] @ w
-        a = np.sum(z[:-1] * z[1:], axis=1)
-        f = _suffix_products(a)
+        vn, w = _controls_at(u, t, dims.k)
+        z = np.diff(y[positions].reshape(dims.joints, k1), axis=0)
+        _, jac = hs.unit_and_jacobian(y[positions.stop:])
+        head = vn * (z[n] / np.linalg.norm(z[n])) + jac[0] @ w
+        f = _f_products(_a_chain(z[None]), n)[0]
         lead = float(head @ z[n])
-        out = np.empty_like(x)
-        out[:n + 1] = lead * f[:, None] * z
-        out[n + 1] = head
-        return out.reshape(-1)
+        return np.concatenate([(lead * f[:, None] * z).reshape(-1), head, w])
 
     def project(y: np.ndarray, apply: bool):
-        x = y.reshape(dims.joints, k1)
-        z = np.diff(x, axis=0)
-        norms = np.linalg.norm(z, axis=1)
-        drift = float(np.max(np.abs(norms - 1.0)))
-        if not apply:
-            return y, drift
-        zh = z / norms[:, None]
-        out = np.vstack([x[0], x[0] + np.cumsum(zh, axis=0)])
-        return out.reshape(-1), drift
+        x = y[positions].reshape(dims.joints, k1)
+        unit, drift = _unit_rows(np.diff(x, axis=0))
+        if apply:
+            y = y.copy()
+            y[positions] = np.vstack([x[0], x[0] + np.cumsum(unit, axis=0)]
+                                  ).reshape(-1)
+        return y, drift
 
-    records = _integrate(rhs, project, q0.flat().copy(), T, settings)
-
-    m = len(records)
-    times = np.empty(m)
-    x0s = np.empty((m, k1))
-    zs = np.empty((m, n + 1, k1))
-    ths = np.empty((m, dims.k))
-    vns = np.empty(m)
-    ws = np.empty((m, dims.k))
-    vs = np.empty((m, n + 1))
-    dpre = np.empty(m)
-    dpost = np.empty(m)
-    pts = np.empty((m, dims.joints, k1))
-    for j, (t, y, dr_pre, dr_post) in enumerate(records):
-        x = y.reshape(dims.joints, k1)
-        z = np.diff(x, axis=0)
-        zu = z / np.linalg.norm(z, axis=1)[:, None]
-        th = hs.angles_from_unit(zu[n][None], eps=1e-12, strict=True)[0]
-        vn = float(u.v_n(t))
-        w = np.asarray(u.w(t), dtype=float).reshape(-1)
-        dx0, dz, _ = _block_rates(zu, th, vn, w)
-        v, _ = _geometric_velocities(zu, dx0, dz)
-        times[j], x0s[j], zs[j], ths[j], pts[j] = t, x[0], zu, th, x
-        vns[j], ws[j], vs[j], dpre[j], dpost[j] = vn, w, v, dr_pre, dr_post
-    return Trajectory(mode="cartesian", dims=dims, times=times, x0=x0s, z=zs,
-                      theta_n=ths, vn=vns, w=ws, v=vs, drift_pre=dpre,
-                      drift_post=dpost, h=settings.h, T=T,
-                      projection=settings.projection, seed=seed, points=pts)
+    head0 = q0.segments()[n]
+    theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0), eps=1e-12)
+    y0 = np.concatenate([q0.flat(), theta0[0]])
+    return _record("cartesian", dims, u, T, settings, seed,
+                   _integrate(rhs, project, y0, T, settings), view)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +616,7 @@ def velocity_report(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]
 def collinearity_residuals(traj: Trajectory) -> np.ndarray:
     """Per record, the norm of each joint velocity's component off the
     segment ahead of it (the nonholonomic constraint), shape (M, n+1)."""
-    out = np.empty((len(traj), traj.dims.n + 1))
-    for j in range(len(traj)):
-        dx0, dz, _ = _block_rates(traj.z[j], traj.theta_n[j],
-                                  traj.vn[j], traj.w[j])
-        _, resid = _geometric_velocities(traj.z[j], dx0, dz)
-        out[j] = resid
-    return out
+    return _velocities(traj.z, traj.theta_n, traj.vn, traj.w)[1]
 
 
 def cascade_residuals(traj: Trajectory) -> np.ndarray:

@@ -121,12 +121,11 @@ def _a_chain(z: np.ndarray) -> np.ndarray:
 def _f_products(a: np.ndarray, m: int) -> np.ndarray:
     """f_m^r = prod_{j=r+1}^m A_j for r = 0..m, as columns (B, m+1).
 
-    a holds A_1..A_n (B, n); f_m^m = 1.
+    a holds A_1..A_n (B, n); f_m^m = 1.  The running product starts at
+    A_m and multiplies in A_{m-1}, ..., A_1 one at a time.
     """
-    b = a.shape[0]
-    out = np.ones((b, m + 1))
-    for r in range(m - 1, -1, -1):
-        out[:, r] = out[:, r + 1] * a[:, r]
+    out = np.ones((a.shape[0], m + 1))
+    out[:, :m] = np.cumprod(a[:, :m][:, ::-1], axis=1)[:, ::-1]
     return out
 
 
@@ -296,11 +295,7 @@ def car_x2_field(n: int) -> Field:
     def fn(y):
         th = y[:, 2:]
         diffs = th[:, 1:] - th[:, :-1]           # (B, n)
-        cos = np.cos(diffs)
-        b = y.shape[0]
-        f = np.ones((b, n + 1))                  # f[r] = prod_{j=r+1}^n cos
-        for r_ in range(n - 1, -1, -1):
-            f[:, r_] = f[:, r_ + 1] * cos[:, r_]
+        f = _f_products(np.cos(diffs), n)        # f[r] = prod_{j=r+1}^n cos
         out = np.zeros_like(y)
         out[:, 0] = np.cos(th[:, 0]) * f[:, 0]
         out[:, 1] = np.sin(th[:, 0]) * f[:, 0]

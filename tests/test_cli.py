@@ -111,6 +111,55 @@ class TestSimulate:
         x0 = np.asarray(data["x0"])
         assert abs(np.linalg.norm(x0[-1] - x0[0]) - 0.5) < 1e-12
 
+    def test_cartesian_through_head_chart_pole(self, tmp_path):
+        # the head's first chart angle sweeps through pi at t ~ 0.52
+        argv = ["simulate", "--k", "2", "--n", "1", "--preset", "straight",
+                "--vn", "0", "--wn", "3,0", "--T", "2"]
+        for mode in ("arm", "cartesian"):
+            assert cli.main(argv + ["--mode", mode,
+                                    "--out", str(tmp_path / mode)]) == 0
+        a = read_csv_states(tmp_path / "arm.csv")
+        b = read_csv_states(tmp_path / "cartesian.csv")
+        assert a.shape == b.shape == (2001, 1 + 3 + 2 * 3 + 2)
+        assert np.abs(a - b).max() < 1e-10
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--T", "inf"),
+        ("simulate", "--T", "nan"),
+        ("simulate", "--T", "-1"),
+        ("simulate", "--h", "inf"),
+        ("simulate", "--h", "0"),
+        ("simulate", "--h", "nan"),
+        ("simulate", "--config", "{tmp}/missing.json"),
+        ("simulate", "--controls-file", "{tmp}/missing.csv"),
+        ("simulate", "--out", "{tmp}/no/such/dir/run"),
+        ("singular-scan", "--T", "inf"),
+        ("singular-scan", "--h", "-1e-3"),
+        ("singular-scan", "--traj", "{tmp}/missing.json"),
+        ("singular-scan", "--traj", "{tmp}/no_n.json"),
+        ("singular-scan", "--traj", "{tmp}/short_z.json"),
+    ])
+    def test_bad_input_rejected(self, command, flag, value, tmp_path,
+                                capsys):
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--T", "0.01",
+                         "--out", str(tmp_path / "ok")]) == 0
+        good = json.loads((tmp_path / "ok.json").read_text())
+        (tmp_path / "no_n.json").write_text(json.dumps(
+            {key: val for key, val in good.items() if key != "n"}))
+        (tmp_path / "short_z.json").write_text(json.dumps(
+            dict(good, z=good["z"][:-1])))
+        capsys.readouterr()
+        argv = [command, "--k", "1", "--n", "1", "--T", "0.01",
+                f"{flag}={value.replace('{tmp}', str(tmp_path))}"]
+        if command == "simulate" and flag != "--out":
+            argv += ["--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        if flag in ("--T", "--h"):
+            assert flag in err
+        assert not (tmp_path / "run.csv").exists()
+
 
 class TestVerify:
     def test_small_sweep_passes(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from multiflag import arm
 from multiflag import dynamics as dyn
+from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate, StepRejected
 
@@ -10,6 +11,45 @@ from multiflag.errors import ChartDegenerate, StepRejected
 def endpoint_gap(ta, tb):
     return max(np.abs(ta.x0[-1] - tb.x0[-1]).max(),
                np.abs(ta.z[-1] - tb.z[-1]).max())
+
+
+def scalar_block_rates(z, theta_n, vn, w):
+    """Reference: embedded rates (dx0, dz rows) of one state, one row at a
+    time; the head row rate goes through the chart frame at theta_n."""
+    a = np.sum(z[:-1] * z[1:], axis=1)
+    f = np.ones(a.size + 1)
+    for i in range(a.size - 1, -1, -1):
+        f[i] = f[i + 1] * a[i]
+    v = f * vn
+    dx0 = v[0] * z[0]
+    dz = np.empty_like(z)
+    if z.shape[0] > 1:
+        dz[:-1] = v[1:, None] * (z[1:] - a[:, None] * z[:-1])
+    _, jac = hs.unit_and_jacobian(theta_n)
+    dz[-1] = jac[0] @ w
+    return dx0, dz
+
+
+def scalar_velocities(z, dx0, dz):
+    """Reference: normal velocities <xdot_{i+1}, z_{i+1}> and the norms of
+    each joint velocity off the segment ahead of it, for one state."""
+    n1 = z.shape[0]
+    xdot = np.empty((n1 + 1, z.shape[1]))
+    xdot[0] = dx0
+    for i in range(n1):
+        xdot[i + 1] = xdot[i] + dz[i]
+    v = np.sum(xdot[1:] * z, axis=1)
+    along = np.sum(xdot[:-1] * z, axis=1)
+    resid = np.linalg.norm(xdot[:-1] - along[:, None] * z, axis=1)
+    return v, resid
+
+
+def scalar_record_velocities(traj):
+    """Reference (v, residuals) of a run, computed one record at a time."""
+    out = [scalar_velocities(traj.z[j], *scalar_block_rates(
+        traj.z[j], traj.theta_n[j], traj.vn[j], traj.w[j]))
+        for j in range(len(traj))]
+    return (np.array([o[0] for o in out]), np.array([o[1] for o in out]))
 
 
 class TestCar:
@@ -286,3 +326,49 @@ class TestExport:
             tr.to_csv(p)
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
+
+
+ORACLE_SHAPES = [(1, 3), (2, 0), (2, 5), (3, 1), (3, 4)]
+
+
+def oracle_runs(k, n):
+    """Short runs of every route that applies at (k, n), sine controls."""
+    rng = np.random.default_rng(100 * k + n)
+    q = sampling.random_regular_config(arm.ArmDims(k, n), rng,
+                                       chart_margin=0.1)
+    u = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.6, freq=0.7)
+    s = dyn.IntegratorSettings(h=1e-2)
+    runs = [dyn.integrate_arm(q, u, 0.5, s),
+            dyn.integrate_cartesian(arm.gamma_inverse(q), u, 0.5, s)]
+    if k == 1:
+        runs.append(dyn.integrate_car(q, u, 0.5, s))
+    if n >= 2:
+        runs.append(dyn.integrate_subarm(q, 2, n, u, 0.5, s))
+    return runs
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("k, n", ORACLE_SHAPES)
+    def test_batched_kernel_matches_per_record_loop(self, k, n):
+        for tr in oracle_runs(k, n):
+            v, resid = scalar_record_velocities(tr)
+            assert np.array_equal(tr.v, v), tr.mode
+            assert np.array_equal(dyn.collinearity_residuals(tr), resid), \
+                tr.mode
+
+
+class TestHeadChartPole:
+    """The head passes through a pole of its chart: with vn = 0 and
+    w = (3, 0) the first head angle of a straight arm sweeps through pi."""
+
+    def test_cartesian_matches_arm_through_the_pole(self):
+        q = sampling.collinear_config(arm.ArmDims(2, 1))
+        u = dyn.ControlSignal.constant(0.0, [3.0, 0.0])
+        s = dyn.IntegratorSettings(h=1e-3)
+        ta = dyn.integrate_arm(q, u, 2.0, s)
+        tx = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 2.0, s)
+        assert np.abs(np.sin(ta.theta_n[:, 0])).min() < 1e-2
+        assert np.array_equal(tx.theta_n, ta.theta_n)
+        assert np.abs(tx.z - ta.z).max() < 1e-10
+        assert np.abs(tx.x0 - ta.x0).max() < 1e-10
+        assert np.abs(tx.v - ta.v).max() < 1e-10

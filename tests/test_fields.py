@@ -43,6 +43,17 @@ class TestCoefficients:
         expect = fl.A_coeff(q, 2) * fl.A_coeff(q, 3)
         assert fl.f_coeff(q, 1, 3) == pytest.approx(expect, abs=1e-14)
 
+    def test_batched_f_products_match_running_loop(self):
+        # reference: f_m^m = 1, then f_m^r = f_m^{r+1} * A_{r+1} downward
+        rng = np.random.default_rng(5)
+        for n in range(6):
+            a = rng.uniform(-1.0, 1.0, (7, n))
+            for m in range(n + 1):
+                want = np.ones((7, m + 1))
+                for r in range(m - 1, -1, -1):
+                    want[:, r] = want[:, r + 1] * a[:, r]
+                assert np.array_equal(fl._f_products(a, m), want)
+
     def test_f_telescopes(self):
         rng = np.random.default_rng(2)
         q = sampling.random_config(arm.ArmDims(3, 3), rng)

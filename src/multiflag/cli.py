@@ -23,6 +23,7 @@ from . import flags as fg
 from . import sampling
 from .arm import ArmDims, gamma_inverse, load_config
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
+from .fields import _a_chain
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,6 +65,8 @@ def _controls(args, k: int) -> dyn.ControlSignal:
         wn = np.full(k, wn[0])
     if wn.size != k:
         raise ValueError(f"--wn needs {k} comma-separated values")
+    if not np.all(np.isfinite(wn)):
+        raise ValueError(f"--wn must be finite numbers, got {args.wn!r}")
     if args.controls == "constant":
         return dyn.ControlSignal.constant(args.vn, wn)
     if args.controls == "sine":
@@ -79,26 +82,25 @@ def _simulate_trajectory(args) -> dyn.Trajectory:
     if not (math.isfinite(args.h) and args.h > 0):
         raise ValueError(f"--h must be a positive finite number, "
                          f"got {args.h!r}")
+    for name, val in (("--vn", args.vn), ("--freq", args.freq)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be a finite number, got {val!r}")
+    if args.mode == "car" and args.k != 1:
+        raise ValueError("--mode car requires --k 1")
+    if args.mode == "subarm" and (args.p is None or args.m is None):
+        raise ValueError("--mode subarm requires --p and --m")
+    u = _controls(args, args.k)
     q0 = _initial_config(args)
-    dims = q0.dims
     settings = dyn.IntegratorSettings(h=args.h,
                                       projection=not args.no_projection)
     if args.mode == "car":
-        if dims.k != 1:
-            raise ValueError("--mode car requires --k 1")
-        u = _controls(args, 1)
         return dyn.integrate_car(q0, u, args.T, settings, seed=args.seed)
     if args.mode == "arm":
-        u = _controls(args, dims.k)
         return dyn.integrate_arm(q0, u, args.T, settings, seed=args.seed)
     if args.mode == "cartesian":
-        u = _controls(args, dims.k)
         return dyn.integrate_cartesian(gamma_inverse(q0), u, args.T,
                                        settings, seed=args.seed)
     if args.mode == "subarm":
-        if args.p is None or args.m is None:
-            raise ValueError("--mode subarm requires --p and --m")
-        u = _controls(args, dims.k)
         return dyn.integrate_subarm(q0, args.p, args.m, u, args.T,
                                     settings, seed=args.seed)
     raise ValueError(f"unknown mode {args.mode!r}")
@@ -200,6 +202,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_singular_scan(args) -> int:
+    if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0):
+        raise ValueError(f"--eps-sing must be a nonnegative finite number, "
+                         f"got {args.eps_sing!r}")
     if args.traj:
         traj = dyn.Trajectory.from_json(args.traj)
     else:
@@ -212,7 +217,7 @@ def cmd_singular_scan(args) -> int:
     n = traj.dims.n
     events = []
     if n >= 1:
-        a = np.sum(traj.z[:, :-1, :] * traj.z[:, 1:, :], axis=2)  # (M, n)
+        a = _a_chain(traj.z)  # (M, n)
         for i in range(n):
             col = a[:, i]
             hits = np.abs(col) < args.eps_sing

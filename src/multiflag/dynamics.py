@@ -80,12 +80,18 @@ class ControlSignal:
 
     @staticmethod
     def from_table(times, vn_values, w_values) -> "ControlSignal":
-        """Linear interpolation of sampled controls."""
+        """Linear interpolation of sampled controls; the table must be
+        finite and its times strictly increasing."""
         times = np.asarray(times, dtype=float)
         vn_values = np.asarray(vn_values, dtype=float)
         w_values = np.atleast_2d(np.asarray(w_values, dtype=float))
         if w_values.shape[0] != times.size:
             w_values = w_values.T
+        if not all(np.all(np.isfinite(x))
+                   for x in (times, vn_values, w_values)):
+            raise ValueError("control table holds a non-finite value")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("control table times must strictly increase")
         cols = [w_values[:, j] for j in range(w_values.shape[1])]
 
         def vn(t: float) -> float:
@@ -157,8 +163,7 @@ class Trajectory:
         """Smallest |A_i| seen along the trajectory (inf when n = 0)."""
         if self.dims.n == 0:
             return float("inf")
-        a = np.sum(self.z[:, :-1, :] * self.z[:, 1:, :], axis=2)
-        return float(np.min(np.abs(a)))
+        return float(np.min(np.abs(_a_chain(self.z))))
 
     # -- export ------------------------------------------------------------
 
@@ -569,10 +574,7 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
     mm = len(traj)
     u0 = np.empty(mm)
     wv = np.empty((mm, dims.k))
-    for j in range(mm):
-        z = traj.z[j]
-        a = np.sum(z[:-1] * z[1:], axis=1)
-        vn = traj.vn[j]
+    for j, (z, a, vn) in enumerate(zip(traj.z, _a_chain(traj.z), traj.vn)):
         u0[j] = vn * np.prod(a[m:])            # v_m = vn * prod_{l=m+1}^n A_l
         if m == dims.n:
             wv[j] = traj.w[j]
@@ -582,17 +584,8 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
             _, b = hs.projection_coefficients(theta_m, z[m + 1])
             wv[j] = v_m1 * b
 
-    times = traj.times
-
-    def lookup(t: float) -> int:
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
-            raise ValueError(
-                f"induced controls sampled off the source grid at t={t!r}")
-        return idx
-
-    return ControlSignal(lambda t: float(u0[lookup(t)]),
-                         lambda t: wv[lookup(t)].copy())
+    return ControlSignal(lambda t: float(u0[traj.index_of(t)]),
+                         lambda t: wv[traj.index_of(t)].copy())
 
 
 def project_subarm_states(traj: Trajectory, p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -621,5 +614,4 @@ def collinearity_residuals(traj: Trajectory) -> np.ndarray:
 
 def cascade_residuals(traj: Trajectory) -> np.ndarray:
     """Per record, |v_{i-1} - A_i v_i| for i = 1..n, shape (M, n)."""
-    a = np.sum(traj.z[:, :-1, :] * traj.z[:, 1:, :], axis=2)
-    return np.abs(traj.v[:, :-1] - a * traj.v[:, 1:])
+    return np.abs(traj.v[:, :-1] - _a_chain(traj.z) * traj.v[:, 1:])

@@ -174,8 +174,8 @@ def x0_field(dims: ArmDims, m: int) -> Field:
         ob = _blocks(out, dims)
         ob[:, 0, :] = f[:, 0:1] * z[:, 1, :]
         for i in range(1, m + 1):
-            ai = np.sum(z[:, i, :] * z[:, i + 1, :], axis=1, keepdims=True)
-            ob[:, i, :] = f[:, i:i + 1] * (z[:, i + 1, :] - ai * z[:, i, :])
+            ob[:, i, :] = f[:, i:i + 1] * (z[:, i + 1, :]
+                                           - a[:, i - 1:i] * z[:, i, :])
         return out
     return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^0")
 

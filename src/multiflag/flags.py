@@ -14,11 +14,15 @@ and must agree wherever both are defined.
 All span computations run on embedded coordinates with tangency to the
 sphere factors enforced on bracket values; Jacobians for brackets use
 central differences.
+
+`verify_flag` makes one pass per point: each field value, Jacobian and
+bracket is computed once, one SVD of each level matrix or derived stack
+gives its rank, span and angle side, and the sandwich test reuses them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,8 +32,7 @@ from .arm import AngularConfig, ArmDims, CartesianConfig, gamma, gamma_inverse
 from .dynamics import car_state_from_config
 from .fields import (Field, FieldId, GeneratorSet, TangentVector,
                      field_from_id, field_jacobian)
-from .numerics import (orthonormal_rows, rank_and_rows, subspace_angle,
-                       svd_rank)
+from .numerics import RowSpan, orthonormal_rows, subspace_angle, svd_rank
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
@@ -150,9 +153,6 @@ class _FlagContext:
         sphere tangents above it."""
         return [m - 1] + self.e_index(m)
 
-    def pick(self, idx: Sequence[int]) -> list[Field]:
-        return [self.fields[i] for i in idx]
-
 
 def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Both members of every pair a < b of `idx`, in row-major order."""
@@ -186,19 +186,11 @@ def _tangent_basis(q: AngularConfig) -> np.ndarray:
     """Orthonormal rows spanning the whole tangent space at q."""
     dims = q.dims
     k1 = dims.ambient
-    rows = []
-    for r in range(k1):
-        e = np.zeros(dims.cartesian_dim)
-        e[r] = 1.0
-        rows.append(e)
-    for i in range(1, dims.n + 2):
-        zi = q.z[i - 1]
-        proj = np.eye(k1) - np.outer(zi, zi)
-        basis = orthonormal_rows(proj)
-        for b in basis:
-            e = np.zeros(dims.cartesian_dim)
-            e[k1 * i:k1 * (i + 1)] = b
-            rows.append(e)
+    rows = [np.eye(dims.cartesian_dim)[:k1]]
+    for i, zi in enumerate(q.z, start=1):
+        basis = orthonormal_rows(np.eye(k1) - np.outer(zi, zi))
+        rows.append(np.zeros((basis.shape[0], dims.cartesian_dim)))
+        rows[-1][:, k1 * i:k1 * (i + 1)] = basis
     return np.vstack(rows)
 
 
@@ -257,7 +249,7 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
     the sphere-tangent family and fails at degenerate charts.
     """
     ctx = _FlagContext(q, basis=basis)
-    flds = ctx.pick(ctx.d_index(m))
+    flds = [ctx.fields[i] for i in ctx.d_index(m)]
     point = q.flat()
     vecs = [TangentVector(f.at(point), fl.MODE_EMBEDDED) for f in flds]
     labels = [f.label for f in flds]
@@ -278,7 +270,7 @@ def derived_rank(q: AngularConfig, m: int, tol: float = 1e-8,
     if not 0 <= m <= q.dims.n:
         raise IndexError("derived level needs 0 <= m <= n")
     ctx = _FlagContext(q, basis=basis)
-    flds = ctx.pick(ctx.d_index(m + 1))
+    flds = [ctx.fields[i] for i in ctx.d_index(m + 1)]
     stack = _PairBrackets(flds, q, h).derived_stack(range(len(flds)))
     return svd_rank(stack, tol)
 
@@ -303,12 +295,11 @@ def cauchy_inclusion_residual(q: AngularConfig, m: int,
     if not 1 <= m <= q.dims.n:
         raise IndexError("inclusion level needs 1 <= m <= n")
     ctx = _FlagContext(q, basis=basis)
-    point = q.flat()
     span_q = orthonormal_rows(
-        np.vstack([f.at(point) for f in ctx.pick(ctx.d_index(m))]))
+        np.vstack([ctx.fields[i].at(q.flat()) for i in ctx.d_index(m)]))
     # D^{m+1} = E^{m+1} plus one steering field, so the pairs of D^{m+1}
     # are exactly [E^{m+1}, D^{m+1}]
-    flds = ctx.pick(ctx.d_index(m + 1))
+    flds = [ctx.fields[i] for i in ctx.d_index(m + 1)]
     return _PairBrackets(flds, q, h).worst_residual(range(len(flds)), span_q)
 
 
@@ -343,15 +334,18 @@ def sandwich_singular_indices(q: AngularConfig, tol: float = 1e-8,
     index l fails when the steering field of joint l already lies in the
     sphere-tangent span of spheres l-1..n (no rank increase)."""
     ctx = _FlagContext(q, basis=basis)
-    point = q.flat()
-    vals = {i: ctx.fields[i].at(point) for i in range(1, len(ctx.fields))}
-    bad = []
-    for l in range(1, q.dims.n + 1):
-        e_mat = np.vstack([vals[i] for i in ctx.e_index(l)])
-        aug = np.vstack([e_mat, vals[l]])
-        if svd_rank(aug, tol) == svd_rank(e_mat, tol):
-            bad.append(l)
-    return tuple(bad)
+    values = np.vstack([f.at(q.flat()) for f in ctx.fields])
+    return _sandwich(ctx, values, [svd_rank(values[ctx.e_index(l)], tol)
+                                   for l in range(1, q.dims.n + 1)], tol)
+
+
+def _sandwich(ctx: _FlagContext, values: np.ndarray, ranks_e: Sequence[int],
+              tol: float) -> tuple[int, ...]:
+    """The sandwich test on the stacked values of `ctx.fields`, given the
+    rank of E^l as `ranks_e[l - 1]`."""
+    return tuple(l for l in range(1, ctx.dims.n + 1)
+                 if svd_rank(values[ctx.e_index(l) + [l]], tol)
+                 == ranks_e[l - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +382,7 @@ class DerivedReport:
     angle: float
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "rank": self.rank,
-                "expected_rank": self.expected_rank, "angle": self.angle}
+        return asdict(self)
 
 
 @dataclass
@@ -436,13 +429,11 @@ class FlagReport:
         """Text sandwich diagram with the measured ranks per level."""
         n = self.dims.n
         top = "  ".join([f"D^{m}" for m in range(n + 1, 0, -1)] + ["D^0=TM"])
-        ranks_d = "  ".join(
-            [f"{lv.rank_d:3d}" for lv in sorted(self.levels,
-                                                key=lambda l: -l.m)]
-            + [f"{expected_rank_d(self.dims, 0):3d}"])
+        down = sorted(self.levels, key=lambda l: -l.m)
+        ranks_d = "  ".join([f"{lv.rank_d:3d}" for lv in down]
+                            + [f"{expected_rank_d(self.dims, 0):3d}"])
         bottom = "  ".join([f"E^{m}" for m in range(n + 1, 0, -1)])
-        ranks_e = "  ".join(f"{lv.rank_e:3d}" for lv in
-                            sorted(self.levels, key=lambda l: -l.m))
+        ranks_e = "  ".join(f"{lv.rank_e:3d}" for lv in down)
         lines = [
             f"flag report (k={self.dims.k}, n={self.dims.n}, "
             f"basis={self.basis})",
@@ -478,17 +469,19 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
     ctx = _FlagContext(q, basis=basis)
     pb = _PairBrackets(ctx.fields, q, h)
     cls = classify_point(q, eps_sing)
-    sandwich = sandwich_singular_indices(q, tol, basis=basis) if dims.k >= 2 \
-        else cls.indices
 
     failures: list[str] = []
     levels: list[LevelReport] = []
-    for m in range(1, dims.n + 2):
+    # one SVD per level matrix: ranks at tol, residual spans at 1e-8; the
+    # D^m spans are also the targets of the derived-span angles
+    spans_d = [RowSpan(pb.values[ctx.d_index(m)])
+               for m in range(1, dims.n + 2)]
+    for m, span_d in enumerate(spans_d, start=1):
         e_idx = ctx.e_index(m)
-        rank_d, span_d = rank_and_rows(pb.values[ctx.d_index(m)], tol)
-        rank_e, span_e = rank_and_rows(pb.values[e_idx], tol)
-        inv = pb.worst_residual(e_idx, span_e)
-        cauchy = (pb.worst_residual(ctx.d_index(m + 1), span_d)
+        span_e = RowSpan(pb.values[e_idx])
+        rank_d, rank_e = span_d.rank(tol), span_e.rank(tol)
+        inv = pb.worst_residual(e_idx, span_e.rows())
+        cauchy = (pb.worst_residual(ctx.d_index(m + 1), span_d.rows())
                   if m <= dims.n else None)
         lv = LevelReport(m=m, rank_d=rank_d, rank_e=rank_e,
                          expected_rank_d=expected_rank_d(dims, m),
@@ -503,15 +496,16 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
             failures.append(f"E^{m} involutivity residual {inv:.2e}")
         if cauchy is not None and cauchy >= residual_tol:
             failures.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
-    # top-level non-involutivity (bracket-generating witness, not a gate);
-    # span_d is the span of D^{n+1} from the last pass of the loop
-    delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), span_d)
+    # top-level non-involutivity (bracket-generating witness, not a gate)
+    delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), spans_d[-1].rows())
+    sandwich = (_sandwich(ctx, pb.values, [lv.rank_e for lv in levels], tol)
+                if dims.k >= 2 else cls.indices)
 
     derived: list[DerivedReport] = []
     for m in range(dims.n, -1, -1):
-        stack = pb.derived_stack(ctx.d_index(m + 1))
-        rank = svd_rank(stack, tol)
-        target = pb.values[ctx.d_index(m)] if m >= 1 else _tangent_basis(q)
+        stack = RowSpan(pb.derived_stack(ctx.d_index(m + 1)))
+        rank = stack.rank(tol)
+        target = spans_d[m - 1] if m >= 1 else _tangent_basis(q)
         angle = subspace_angle(stack, target, tol)
         dv = DerivedReport(m=m, rank=rank,
                            expected_rank=expected_rank_d(dims, m),
@@ -527,7 +521,7 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
     return FlagReport(
         dims=dims,
         point={"x0": q.x0.tolist(), "z": q.z.tolist()},
-        a_values=fl.a_values(q).tolist(),
+        a_values=cls.a_values.tolist(),
         verdict=cls.verdict,
         singular_indices=cls.indices,
         sandwich_indices=sandwich,

@@ -6,6 +6,7 @@ import numpy as np
 
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
+from .fields import a_values
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -32,7 +33,7 @@ def random_regular_config(dims: ArmDims, rng: np.random.Generator,
     """
     for _ in range(max_tries):
         q = random_config(dims, rng)
-        a = np.sum(q.z[:-1] * q.z[1:], axis=1)
+        a = a_values(q)
         if a.size and np.min(np.abs(a)) < min_abs_a:
             continue
         if chart_margin > 0.0:

@@ -133,11 +133,21 @@ class TestSimulate:
         ("simulate", "--config", "{tmp}/missing.json"),
         ("simulate", "--controls-file", "{tmp}/missing.csv"),
         ("simulate", "--out", "{tmp}/no/such/dir/run"),
+        ("simulate", "--vn", "nan"),
+        ("simulate", "--vn", "inf"),
+        ("simulate", "--wn", "nan"),
+        ("simulate", "--wn", "-inf"),
+        ("simulate", "--freq", "inf"),
+        ("simulate", "--controls-file", "{tmp}/nan_controls.csv"),
+        ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
         ("singular-scan", "--T", "inf"),
         ("singular-scan", "--h", "-1e-3"),
         ("singular-scan", "--traj", "{tmp}/missing.json"),
         ("singular-scan", "--traj", "{tmp}/no_n.json"),
         ("singular-scan", "--traj", "{tmp}/short_z.json"),
+        ("singular-scan", "--eps-sing", "-1e-9"),
+        ("singular-scan", "--eps-sing", "nan"),
+        ("singular-scan", "--eps-sing", "inf"),
     ])
     def test_bad_input_rejected(self, command, flag, value, tmp_path,
                                 capsys):
@@ -148,6 +158,10 @@ class TestSimulate:
             {key: val for key, val in good.items() if key != "n"}))
         (tmp_path / "short_z.json").write_text(json.dumps(
             dict(good, z=good["z"][:-1])))
+        (tmp_path / "nan_controls.csv").write_text(
+            "t,vn,w1\n0,1,0\n1,nan,0\n")
+        (tmp_path / "unsorted_controls.csv").write_text(
+            "t,vn,w1\n0,1,0\n1,1,0\n1,1,0\n2,1,0\n")
         capsys.readouterr()
         argv = [command, "--k", "1", "--n", "1", "--T", "0.01",
                 f"{flag}={value.replace('{tmp}', str(tmp_path))}"]
@@ -156,7 +170,7 @@ class TestSimulate:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        if flag in ("--T", "--h"):
+        if flag in ("--T", "--h", "--vn", "--wn", "--freq", "--eps-sing"):
             assert flag in err
         assert not (tmp_path / "run.csv").exists()
 

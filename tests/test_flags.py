@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 from multiflag import arm
@@ -312,14 +313,17 @@ class TestVerifyFlag:
 # reference: the scalar one-pair-at-a-time flag check
 # ---------------------------------------------------------------------------
 
-def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL):
+def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
+                basis="projected"):
     """The flag measurements of `verify_flag`, with every bracket and every
     pair residual computed one at a time."""
     dims = q.dims
     n, k1 = dims.n, dims.ambient
     point = q.flat()
     x0 = [fl.x0_field(dims, m) for m in range(n + 1)]
-    spheres = [fl.sphere_tangent_fields(dims, j, q) for j in range(n + 1)]
+    spheres = [fl.sphere_tangent_fields(dims, j, q) if basis == "projected"
+               else [fl.xi_field(dims, j, i) for i in range(1, dims.k + 1)]
+               for j in range(n + 1)]
     val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}
     jac = {id(f): fg.field_jacobian(f, point, h)
            for f in x0 + sum(spheres, [])}
@@ -420,9 +424,29 @@ class TestBatchedAgainstScalar:
             points = [regular(dims, rng) for _ in range(3)]
             points += [sampling.singular_config(dims, rng, index=i)
                        for i in range(1, n + 1)]
-            for q in points:
-                rep = fg.verify_flag(q)
-                ref = oracle_flag(q)
+            # A_1 ~ 3e-7: singular values between the 1e-8 span threshold
+            # and a rank threshold of 1e-6
+            near = sampling.singular_config(dims, rng, index=1)
+            z = near.z.copy()
+            z[1] += 3e-7 * z[0]
+            points.append(arm.AngularConfig(
+                dims=dims, x0=near.x0, z=z / np.linalg.norm(z, axis=1,
+                                                           keepdims=True)))
+            cases = [(q, tol, "projected") for q in points
+                     for tol in (1e-8, 1e-6)]
+            if k >= 2:
+                # the chart fields of sphere 0 have norms ~1e-7 next to a
+                # chart pole, so E^1 has such a relative singular value
+                base = regular(dims, rng, margin=0.2)
+                z = base.z.copy()
+                z[0] = np.eye(k + 1)[k] + 1e-7 * rng.normal(size=k + 1)
+                pole = arm.AngularConfig(dims=dims, x0=base.x0, z=z / (
+                    np.linalg.norm(z, axis=1, keepdims=True)))
+                cases += [(q, tol, "chart") for q in (points[0], pole)
+                          for tol in (1e-8, 1e-6)]
+            for q, tol, basis in cases:
+                rep = fg.verify_flag(q, tol=tol, basis=basis)
+                ref = oracle_flag(q, tol=tol, basis=basis)
                 assert rep.passed == ref["passed"]
                 assert rep.failures == ref["failures"]
                 if k >= 2:
@@ -463,3 +487,26 @@ class TestBatchedAgainstScalar:
                 for m, rank, _ in ref["derived"]:
                     assert fg.derived_rank(q, m) == rank
                 assert fg.sandwich_singular_indices(q) == ref["sandwich"]
+
+
+class TestOnePassPerPoint:
+    """`verify_flag` evaluates and differentiates each generating field once
+    and decomposes each level matrix and derived stack once."""
+
+    def test_field_and_svd_counts(self, monkeypatch):
+        labels, svds = [], []
+        call, svd = fl.Field.__call__, np.linalg.svd
+        monkeypatch.setattr(fl.Field, "__call__", lambda self, pts: (
+            labels.append(self.label), call(self, pts))[1])
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: (
+            svds.append(1), svd(*a, **kw))[1])
+        rng = np.random.default_rng(5)
+        for k, n in [(2, 2), (3, 4)]:
+            q = regular(arm.ArmDims(k, n), rng)
+            labels.clear()
+            svds.clear()
+            fg.verify_flag(q)
+            counts = Counter(labels)
+            assert len(counts) == (n + 1) * (k + 1)
+            assert set(counts.values()) == {2}
+            assert len(svds) == 7 * (n + 1)

@@ -112,14 +112,14 @@ class AngularConfig:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "z", z)
 
-    def angles(self, sphere: int, eps_dom: float = hs.EPS_DOM) -> hs.Angles:
+    def angles(self, sphere: int) -> hs.Angles:
         """Chart angles of sphere `sphere` (which carries z_{sphere+1}).
 
         Raises ChartDegenerate near the chart boundary.
         """
         if not 0 <= sphere <= self.dims.n:
             raise IndexError("sphere index out of range")
-        return hs.Angles(hs.angles_from_unit(self.z[sphere], eps=eps_dom)[0])
+        return hs.Angles(hs.angles_from_unit(self.z[sphere])[0])
 
     def angles_tolerant(self, sphere: int) -> hs.Angles:
         """Chart angles with undetermined components resolved canonically."""

@@ -82,6 +82,9 @@ def _simulate_trajectory(args) -> dyn.Trajectory:
     if not (math.isfinite(args.h) and args.h > 0):
         raise ValueError(f"--h must be a positive finite number, "
                          f"got {args.h!r}")
+    if args.T / args.h >= sys.maxsize:
+        raise ValueError(f"--T / --h = {args.T / args.h:g} steps do not fit "
+                         f"an index")
     for name, val in (("--vn", args.vn), ("--freq", args.freq)):
         if not math.isfinite(val):
             raise ValueError(f"{name} must be a finite number, got {val!r}")

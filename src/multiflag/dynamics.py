@@ -18,7 +18,7 @@ stacked states as base points, unit segment rows and head angles; one
 stepper (`_integrate`) and one recorder (`_record`) serve all three.  The
 recorder takes every joint velocity from one kernel batched over records
 (`_velocities`), which `collinearity_residuals` reuses, and the angular
-right-hand side shares its cascade arithmetic (`_cascade`).
+right-hand side shares its cascade arithmetic (`fields._cascade`).
 
 Every route carries the head-sphere chart angles as state (d theta/dt =
 w), so no route inverts a chart mid-run.  The angular right-hand side is
@@ -38,9 +38,12 @@ import numpy as np
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims, CartesianConfig
 from .errors import StepRejected
-from .fields import _a_chain, _f_products
+from .fields import _a_chain, _cascade, _f_products
 
 FMT = "%.17g"
+
+# Largest constraint drift one RK4 step may build up before projection.
+MAX_STEP_DRIFT = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,6 @@ class IntegratorSettings:
 
     h: float
     projection: bool = True
-    max_step_drift: float = 1e-6
 
     def __post_init__(self):
         if not 0.0 < self.h < np.inf:
@@ -181,16 +183,12 @@ class Trajectory:
                 f"n={self.dims.n} h={FMT % self.h} T={FMT % self.T} "
                 f"projection={'on' if self.projection else 'off'} "
                 f"seed={self.seed if self.seed is not None else 'none'}")
+        block = np.column_stack([self.times, self.x0,
+                                 self.z.reshape(len(self), -1), self.v])
         with open(path, "w", newline="") as fh:
             fh.write(meta + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.csv_header())
-            for j in range(len(self)):
-                row = [FMT % self.times[j]]
-                row += [FMT % x for x in self.x0[j]]
-                row += [FMT % x for x in self.z[j].reshape(-1)]
-                row += [FMT % x for x in self.v[j]]
-                writer.writerow(row)
+            csv.writer(fh).writerow(self.csv_header())
+            np.savetxt(fh, block, fmt=FMT, delimiter=",", newline="\r\n")
 
     def to_dict(self) -> dict:
         out = {
@@ -262,21 +260,6 @@ def _controls_at(u: ControlSignal, t: float,
     if w.size != k:
         raise ValueError(f"tangential control must have {k} components")
     return vn, w
-
-
-def _cascade(z: np.ndarray, vn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Base-point rate (B, k+1) and rates of the body rows z_1..z_n
-    (B, n, k+1) for batches of unit rows z (B, n+1, k+1) driven by the
-    normal head velocities vn (B,).
-
-    Joint i+1 moves along z_{i+1} at v_i = f_n^i vn, so sphere i turns
-    z_i at v_i times the projection of z_{i+1} onto its tangent.
-    """
-    a = _a_chain(z)
-    v = _f_products(a, z.shape[1] - 1) * vn[:, None]
-    dx0 = v[:, 0, None] * z[:, 0]
-    dz = v[:, 1:, None] * (z[:, 1:] - a[:, :, None] * z[:, :-1])
-    return dx0, dz
 
 
 def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
@@ -352,7 +335,7 @@ def _integrate(rhs, project, y0: np.ndarray, T: float,
         if not np.all(np.isfinite(y_raw)):
             raise StepRejected(f"non-finite state at t={t + h:g}")
         y, drift_pre[j] = project(y_raw, apply=settings.projection)
-        if drift_pre[j] > settings.max_step_drift:
+        if drift_pre[j] > MAX_STEP_DRIFT:
             raise StepRejected(
                 f"constraint drift {drift_pre[j]:.3e} in one step "
                 f"at t={t + h:g}")
@@ -571,18 +554,13 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
     dims = traj.dims
     if not 1 <= p < m <= dims.n:
         raise ValueError("need 1 <= p < m <= n")
-    mm = len(traj)
-    u0 = np.empty(mm)
-    wv = np.empty((mm, dims.k))
-    for j, (z, a, vn) in enumerate(zip(traj.z, _a_chain(traj.z), traj.vn)):
-        u0[j] = vn * np.prod(a[m:])            # v_m = vn * prod_{l=m+1}^n A_l
-        if m == dims.n:
-            wv[j] = traj.w[j]
-        else:
-            v_m1 = vn * np.prod(a[m + 1:])     # v_{m+1}
-            theta_m = hs.Angles(hs.angles_from_unit(z[m])[0])
-            _, b = hs.projection_coefficients(theta_m, z[m + 1])
-            wv[j] = v_m1 * b
+    v = _f_products(_a_chain(traj.z), dims.n) * traj.vn[:, None]  # v_0..v_n
+    u0 = v[:, m]
+    if m == dims.n:
+        wv = traj.w
+    else:
+        wv = v[:, m + 1, None] * hs.tangent_coefficients(traj.z[:, m],
+                                                          traj.z[:, m + 1])
 
     return ControlSignal(lambda t: float(u0[traj.index_of(t)]),
                          lambda t: wv[traj.index_of(t)].copy())

@@ -129,6 +129,21 @@ def _f_products(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _cascade(z: np.ndarray, vn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Base-point rate (B, k+1) and rates of the body rows z_1..z_m
+    (B, m, k+1) for batches of unit rows z_1..z_{m+1} (B, m+1, k+1) driven
+    by the normal velocities vn (B,) of the last row.
+
+    Joint i+1 moves along z_{i+1} at v_i = f_m^i vn, so sphere i turns
+    z_i at v_i times the projection of z_{i+1} onto its tangent.
+    """
+    a = _a_chain(z)
+    v = _f_products(a, z.shape[1] - 1) * vn[:, None]
+    dx0 = v[:, 0, None] * z[:, 0]
+    dz = v[:, 1:, None] * (z[:, 1:] - a[:, :, None] * z[:, :-1])
+    return dx0, dz
+
+
 # ---------------------------------------------------------------------------
 # angular (embedded) field constructors
 # ---------------------------------------------------------------------------
@@ -162,20 +177,17 @@ def x0_field(dims: ArmDims, m: int) -> Field:
     """Steering field of joint m+1: sum_i f_m^i Z_i.
 
     Its component on sphere i-1 is exactly f_m^i times the projected
-    direction Z_i, and the base-point component is f_m^0 z_1.
+    direction Z_i, and the base-point component is f_m^0 z_1: the cascade
+    of rows z_1..z_{m+1} at unit normal velocity.
     """
     if not 0 <= m <= dims.n:
         raise IndexError("X_m^0 needs 0 <= m <= n")
     def fn(y):
-        z = _blocks(y, dims)
-        a = _a_chain(z[:, 1:, :])  # A_1..A_n from the segment rows
-        f = _f_products(a, m)
+        dx0, dz = _cascade(_blocks(y, dims)[:, 1:m + 2], np.ones(y.shape[0]))
         out = np.zeros_like(y)
         ob = _blocks(out, dims)
-        ob[:, 0, :] = f[:, 0:1] * z[:, 1, :]
-        for i in range(1, m + 1):
-            ob[:, i, :] = f[:, i:i + 1] * (z[:, i + 1, :]
-                                           - a[:, i - 1:i] * z[:, i, :])
+        ob[:, 0] = dx0
+        ob[:, 1:m + 1] = dz
         return out
     return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^0")
 
@@ -357,10 +369,7 @@ def f_coeff(q: AngularConfig, r: int, m: int) -> float:
     """Cascade product f_m^r = prod_{j=r+1}^m A_j (1 when r = m)."""
     if not 0 <= r <= m <= q.dims.n:
         raise IndexError("f_m^r needs 0 <= r <= m <= n")
-    out = 1.0
-    for j in range(r + 1, m + 1):
-        out *= A_coeff(q, j)
-    return out
+    return float(_f_products(a_values(q)[None], m)[0, r])
 
 
 # ---------------------------------------------------------------------------
@@ -368,48 +377,31 @@ def f_coeff(q: AngularConfig, r: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 def embedded_to_chart(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
-    """Express an embedded tangent vector in chart coordinates
-    [x | theta_0 .. theta_n].  Raises ChartDegenerate where a sphere chart
-    is singular."""
-    dims = q.dims
-    k, k1 = dims.k, dims.ambient
+    """Express embedded tangent vectors (..., (k+1)(n+2)) in chart
+    coordinates [x | theta_0 .. theta_n].  Raises ChartDegenerate where a
+    sphere chart is singular."""
+    k1, spheres = q.dims.ambient, q.dims.n + 1
     vec = np.asarray(vec, dtype=float)
-    out = np.empty(dims.angular_dim)
-    out[:k1] = vec[:k1]
-    for s in range(dims.n + 1):
-        ang = q.angles(s)
-        rows = hs.jacobian_inverse(ang)[1:]  # drop the radial row
-        dz = vec[k1 * (s + 1):k1 * (s + 2)]
-        out[k1 + k * s:k1 + k * (s + 1)] = rows @ dz
-    return out
+    rows = hs.frame_inverse(hs.angles_from_unit(q.z))[:, 1:]  # no radial row
+    dz = vec[..., k1:].reshape(vec.shape[:-1] + (spheres, k1, 1))
+    dth = np.matmul(rows, dz).reshape(vec.shape[:-1] + (-1,))
+    return np.concatenate([vec[..., :k1], dth], axis=-1)
 
 
 def chart_to_embedded(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
-    """Inverse of `embedded_to_chart` (pushes theta components through the
-    chart frame)."""
+    """Inverse of `embedded_to_chart` for one vector (pushes theta
+    components through the chart frame)."""
     dims = q.dims
-    k, k1 = dims.k, dims.ambient
+    k1 = dims.ambient
     vec = np.asarray(vec, dtype=float)
-    out = np.zeros(dims.cartesian_dim)
-    out[:k1] = vec[:k1]
-    for s in range(dims.n + 1):
-        theta = hs.angles_from_unit(q.z[s], eps=1e-12, strict=True)
-        _, jac = hs.unit_and_jacobian(theta)
-        dth = vec[k1 + k * s:k1 + k * (s + 1)]
-        out[k1 * (s + 1):k1 * (s + 2)] = jac[0] @ dth
-    return out
+    _, jac = hs.unit_and_jacobian(hs.angles_from_unit(q.z, eps=1e-12))
+    dth = vec[k1:].reshape(dims.n + 1, dims.k, 1)
+    return np.concatenate([vec[:k1], np.matmul(jac, dth).reshape(-1)])
 
 
 # ---------------------------------------------------------------------------
 # public field evaluation at configurations
 # ---------------------------------------------------------------------------
-
-def _b_coeffs(q: AngularConfig, i: int) -> np.ndarray:
-    """Projection coefficients of z_{i+1} over the frame of sphere i-1."""
-    ang = q.angles(i - 1)
-    _, b = hs.projection_coefficients(ang, q.z[i])
-    return b
-
 
 def Z_field(q: AngularConfig, i: int, form: str = MODE_EMBEDDED) -> TangentVector:
     """Evaluate Z_i at q; i = 0 gives the base-point direction field.
@@ -430,7 +422,8 @@ def Z_field(q: AngularConfig, i: int, form: str = MODE_EMBEDDED) -> TangentVecto
         if i == 0:
             out[:k1] = q.z[0]
         else:
-            out[k1 + k * (i - 1):k1 + k * i] = _b_coeffs(q, i)
+            out[k1 + k * (i - 1):k1 + k * i] = hs.tangent_coefficients(
+                q.z[i - 1:i], q.z[i:i + 1])[0]
         return TangentVector(out, MODE_CHART)
     raise ValueError(f"unknown form {form!r}")
 
@@ -445,9 +438,10 @@ def X0_field(q: AngularConfig, m: int, form: str = MODE_EMBEDDED) -> TangentVect
     if form == MODE_CHART:
         out = np.zeros(dims.angular_dim)
         k1, k = dims.ambient, dims.k
-        out[:k1] = f_coeff(q, 0, m) * q.z[0]
-        for i in range(1, m + 1):
-            out[k1 + k * (i - 1):k1 + k * i] = f_coeff(q, i, m) * _b_coeffs(q, i)
+        f = _f_products(a_values(q)[None], m)[0]
+        out[:k1] = f[0] * q.z[0]
+        b = hs.tangent_coefficients(q.z[:m], q.z[1:m + 1])
+        out[k1:k1 + k * m] = (f[1:, None] * b).reshape(-1)
         return TangentVector(out, MODE_CHART)
     raise ValueError(f"unknown form {form!r}")
 
@@ -522,23 +516,10 @@ def pushforward_check(q: CartesianConfig, tol: float = 1e-8) -> float:
     """
     a = gamma(q)
     dims = q.dims
-    k, k1 = dims.k, dims.ambient
-    inv_rows = []
-    for s in range(dims.n + 1):
-        inv_rows.append(hs.jacobian_inverse(a.angles(s))[1:])
-
-    gs = cartesian_delta(q)
-    pushed = np.empty((dims.k + 1, dims.angular_dim))
-    for row, vec in enumerate(gs.matrix()):
-        joints = vec.reshape(dims.joints, k1)
-        dx0 = joints[0]
-        dz = np.diff(joints, axis=0)
-        out = np.empty(dims.angular_dim)
-        out[:k1] = dx0
-        for s in range(dims.n + 1):
-            out[k1 + k * s:k1 + k * (s + 1)] = inv_rows[s] @ dz[s]
-        pushed[row] = out
-
+    joints = cartesian_delta(q).matrix().reshape(dims.k + 1, dims.joints, -1)
+    pushed = embedded_to_chart(a, np.concatenate(
+        [joints[:, 0], np.diff(joints, axis=1).reshape(dims.k + 1, -1)],
+        axis=1))
     target = np.vstack(
         [X0_field(a, dims.n, form=MODE_CHART).coords]
         + [Xi_field(a, dims.n, i, form=MODE_CHART).coords

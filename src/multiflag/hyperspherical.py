@@ -10,7 +10,7 @@ loudly there instead of returning garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +120,36 @@ def interior_margin(z: np.ndarray) -> float:
     return float(np.min(np.abs(np.sin(theta[:, : k - 1]))))
 
 
+def frame_inverse(theta: np.ndarray) -> np.ndarray:
+    """Inverses (B, k+1, k+1) of the chart frames [phi | d phi / d theta]
+    at angles (B, k).
+
+    The frame columns are orthogonal with norms (1, 1, |sin t1|, ...), so
+    the inverse is the transpose over the squared column norms.  Note the
+    squared norm: a single norm factor would leave a diagonal of column
+    norms instead of the identity.  Raises ChartDegenerate when an interior
+    sine is at or below EPS_DOM.
+    """
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if theta.shape[1] > 1 and np.any(np.abs(np.sin(theta[:, :-1])) <= EPS_DOM):
+        raise ChartDegenerate("chart frame is singular: interior sine ~ 0")
+    val, jac = unit_and_jacobian(theta)
+    mat = np.concatenate([val[:, :, None], jac], axis=2)
+    norms2 = np.concatenate([np.ones((theta.shape[0], 1)),
+                             frame_norms(theta) ** 2], axis=1)
+    return mat.swapaxes(1, 2) / norms2[:, :, None]
+
+
+def tangent_coefficients(z: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Chart-tangent coefficients B (B, k) of targets (B, k+1) in the frames
+    at unit vectors z (B, k+1): target = A z + sum_j B^j Theta^j.
+
+    Raises ChartDegenerate where a chart of z is degenerate.
+    """
+    inv = frame_inverse(angles_from_unit(z))[:, 1:]
+    return np.matmul(inv, np.atleast_2d(target)[:, :, None])[:, :, 0]
+
+
 # ---------------------------------------------------------------------------
 # value types
 # ---------------------------------------------------------------------------
@@ -181,18 +211,13 @@ class TangentFrame:
 
     nu: UnitVector
     Theta: np.ndarray          # (k, k+1), row j-1 = d phi / d theta^j
-    norms: np.ndarray = field(default=None)  # type: ignore[assignment]
+    norms: np.ndarray          # (k,), |Theta^j|
 
     def __post_init__(self):
-        Theta = np.array(self.Theta, dtype=float)
-        Theta.setflags(write=False)
-        object.__setattr__(self, "Theta", Theta)
-        norms = self.norms
-        if norms is None:
-            norms = np.linalg.norm(Theta, axis=1)
-        norms = np.array(norms, dtype=float)
-        norms.setflags(write=False)
-        object.__setattr__(self, "norms", norms)
+        for name in ("Theta", "norms"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +262,9 @@ def jacobian_det(rho: float, angles: Angles) -> float:
     return float(sign * rho**k * prod)
 
 
-def jacobian_inverse(angles: Angles, eps_dom: float = EPS_DOM) -> np.ndarray:
-    """Inverse of jacobian(1, theta).
-
-    The Jacobian columns are orthogonal with norms (1, 1, |sin t1|, ...), so
-    the inverse is diag(1/norm^2) times the transpose.  Note the squared
-    norm: a single norm factor would leave a diagonal of column norms
-    instead of the identity.
-    """
-    th = angles.theta
-    k = th.size
-    if k > 1 and np.any(np.abs(np.sin(th[:-1])) <= eps_dom):
-        raise ChartDegenerate("chart Jacobian is singular: interior sine ~ 0")
-    val, jac = unit_and_jacobian(th)
-    mat = np.column_stack([val[0], jac[0]])
-    norms2 = np.concatenate([[1.0], frame_norms(th) ** 2])
-    return mat.T / norms2[:, None]
+def jacobian_inverse(angles: Angles) -> np.ndarray:
+    """Inverse of jacobian(1, theta); see `frame_inverse`."""
+    return frame_inverse(angles.theta)[0]
 
 
 def frame(angles: Angles) -> TangentFrame:
@@ -262,27 +274,19 @@ def frame(angles: Angles) -> TangentFrame:
                         norms=frame_norms(angles.theta))
 
 
-def projection_coefficients(angles: Angles, target: np.ndarray,
-                            eps_dom: float = EPS_DOM) -> tuple[float, np.ndarray]:
+def projection_coefficients(angles: Angles,
+                            target: np.ndarray) -> tuple[float, np.ndarray]:
     """Decompose `target` over the frame at `angles`:
     target = A * nu + sum_j B^j * Theta^j with B^j = <target, Theta^j> / |Theta^j|^2.
 
     Exact for any target in R^{k+1} because the frame is an orthogonal basis.
     """
-    th = angles.theta
-    k = th.size
-    if k > 1 and np.any(np.abs(np.sin(th[:-1])) <= eps_dom):
-        raise ChartDegenerate("frame is degenerate: interior sine ~ 0")
-    val, jac = unit_and_jacobian(th)
-    target = np.asarray(target, dtype=float)
-    a = float(val[0] @ target)
-    norms2 = frame_norms(th) ** 2
-    b = (jac[0].T @ target) / norms2
-    return a, b
+    coeffs = frame_inverse(angles.theta)[0] @ np.asarray(target, dtype=float)
+    return float(coeffs[0]), coeffs[1:]
 
 
-def frame_change(angles: Angles, angles_prime: Angles,
-                 eps_dom: float = EPS_DOM) -> tuple[float, np.ndarray]:
+def frame_change(angles: Angles,
+                 angles_prime: Angles) -> tuple[float, np.ndarray]:
     """Coefficients of nu' = phi(theta') in the frame at theta.
 
     A is the radial coefficient <nu, nu'>; B^j are orthogonal-projection
@@ -290,5 +294,4 @@ def frame_change(angles: Angles, angles_prime: Angles,
     nu' = A nu + sum B^j Theta^j is exact.  For k = 1 this reduces to
     (cos(t' - t), sin(t' - t)).
     """
-    nu_prime = unit_from_angles(angles_prime.theta)
-    return projection_coefficients(angles, nu_prime, eps_dom=eps_dom)
+    return projection_coefficients(angles, unit_from_angles(angles_prime.theta))

@@ -123,6 +123,19 @@ class TestSimulate:
         assert a.shape == b.shape == (2001, 1 + 3 + 2 * 3 + 2)
         assert np.abs(a - b).max() < 1e-10
 
+    def test_no_projection(self, tmp_path):
+        out = tmp_path / "free"
+        assert cli.main(["simulate", "--k", "2", "--n", "3", "--T", "0.5",
+                         "--preset", "random", "--controls", "sine",
+                         "--seed", "3", "--no-projection",
+                         "--out", str(out)]) == 0
+        meta = (tmp_path / "free.csv").read_text().splitlines()[0]
+        assert "projection=off" in meta.split()
+        data = json.loads((tmp_path / "free.json").read_text())
+        assert data["projection"] is False
+        assert data["drift_post"] == data["drift_pre"]
+        assert max(data["drift_pre"]) > 0.0  # the drift is really left in
+
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--T", "inf"),
         ("simulate", "--T", "nan"),
@@ -130,6 +143,7 @@ class TestSimulate:
         ("simulate", "--h", "inf"),
         ("simulate", "--h", "0"),
         ("simulate", "--h", "nan"),
+        ("simulate", "--h", "1e-300"),
         ("simulate", "--config", "{tmp}/missing.json"),
         ("simulate", "--controls-file", "{tmp}/missing.csv"),
         ("simulate", "--out", "{tmp}/no/such/dir/run"),
@@ -141,6 +155,7 @@ class TestSimulate:
         ("simulate", "--controls-file", "{tmp}/nan_controls.csv"),
         ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
         ("singular-scan", "--T", "inf"),
+        ("singular-scan", "--T", "1e300"),
         ("singular-scan", "--h", "-1e-3"),
         ("singular-scan", "--traj", "{tmp}/missing.json"),
         ("singular-scan", "--traj", "{tmp}/no_n.json"),

@@ -357,6 +357,56 @@ class TestScalarOracle:
                 tr.mode
 
 
+def loop_induced_controls(traj, m):
+    """Reference: the induced sub-arm controls (v_m, w) at every record,
+    one record at a time, with the head frame of sphere m."""
+    n = traj.dims.n
+    out = []
+    for z, vn, w in zip(traj.z, traj.vn, traj.w):
+        a = np.sum(z[:-1] * z[1:], axis=1)
+        if m == n:
+            wv = w
+        else:
+            theta_m = hs.Angles(hs.angles_from_unit(z[m])[0])
+            _, b = hs.projection_coefficients(theta_m, z[m + 1])
+            wv = vn * np.prod(a[m + 1:]) * b
+        out.append(np.concatenate([[vn * np.prod(a[m:])], wv]))
+    return np.array(out)
+
+
+class TestInducedControlsOracle:
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (2, 5), (3, 4)])
+    def test_batched_controls_match_per_record_loop(self, k, n):
+        rng = np.random.default_rng(40 + 10 * k + n)
+        q = sampling.random_regular_config(arm.ArmDims(k, n), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(k, vn_amp=0.8, w_amp=0.4, freq=0.4)
+        full = dyn.integrate_arm(q, u, 0.3, dyn.IntegratorSettings(h=1e-2))
+        for p in range(1, n):
+            for m in range(p + 1, n + 1):
+                c = dyn.induced_subarm_controls(full, p, m)
+                got = np.array([[c.v_n(t), *c.w(t)] for t in full.times])
+                want = loop_induced_controls(full, m)
+                assert np.abs(got - want).max() <= 1e-14, (p, m)
+
+    def test_degenerate_frame_raises_like_the_loop(self):
+        # z_3 sits at a pole of the sphere-2 chart, which only m = 2 reads
+        dims = arm.ArmDims(2, 4)
+        z = np.array([[1.0, 0, 0], [0.6, 0.8, 0], [0, 0, 1.0],
+                      [0, 0.6, 0.8], [0.8, 0, 0.6]])
+        q = arm.AngularConfig(dims, np.zeros(3), z)
+        u = dyn.ControlSignal.constant(0.5, [0.1, -0.2])
+        full = dyn.integrate_arm(q, u, 0.02, dyn.IntegratorSettings(h=1e-2))
+        with pytest.raises(ChartDegenerate):
+            loop_induced_controls(full, 2)
+        with pytest.raises(ChartDegenerate):
+            dyn.induced_subarm_controls(full, 1, 2)
+        for m in (3, 4):
+            c = dyn.induced_subarm_controls(full, 1, m)
+            got = np.array([[c.v_n(t), *c.w(t)] for t in full.times])
+            assert np.abs(got - loop_induced_controls(full, m)).max() <= 1e-14
+
+
 class TestHeadChartPole:
     """The head passes through a pole of its chart: with vn = 0 and
     w = (3, 0) the first head angle of a straight arm sweeps through pi."""

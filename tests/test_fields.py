@@ -4,6 +4,7 @@ import pytest
 from multiflag import arm
 from multiflag import dynamics as dyn
 from multiflag import fields as fl
+from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate
 from multiflag.numerics import subspace_angle
@@ -278,6 +279,92 @@ class TestPushforward:
         c = arm.gamma_inverse(arm.AngularConfig(dims, np.zeros(3), z))
         with pytest.raises(ChartDegenerate):
             fl.pushforward_check(c)
+
+
+def loop_embedded_to_chart(q, vec):
+    """Reference: embedded -> chart coordinates, one sphere at a time."""
+    dims = q.dims
+    k, k1 = dims.k, dims.ambient
+    out = np.empty(dims.angular_dim)
+    out[:k1] = vec[:k1]
+    for s in range(dims.n + 1):
+        rows = hs.jacobian_inverse(q.angles(s))[1:]
+        out[k1 + k * s:k1 + k * (s + 1)] = rows @ vec[k1 * (s + 1):
+                                                      k1 * (s + 2)]
+    return out
+
+
+def loop_pushforward_check(c, tol=1e-8):
+    """Reference: the pushforward angle with a per-sphere, per-generator
+    loop over the inverse chart Jacobians."""
+    a = arm.gamma(c)
+    dims = c.dims
+    k, k1 = dims.k, dims.ambient
+    inv_rows = [hs.jacobian_inverse(a.angles(s))[1:]
+                for s in range(dims.n + 1)]
+    pushed = np.empty((k + 1, dims.angular_dim))
+    for row, vec in enumerate(fl.cartesian_delta(c).matrix()):
+        joints = vec.reshape(dims.joints, k1)
+        dz = np.diff(joints, axis=0)
+        pushed[row, :k1] = joints[0]
+        for s in range(dims.n + 1):
+            pushed[row, k1 + k * s:k1 + k * (s + 1)] = inv_rows[s] @ dz[s]
+    target = np.vstack(
+        [fl.X0_field(a, dims.n, form="chart").coords]
+        + [fl.Xi_field(a, dims.n, i, form="chart").coords
+           for i in range(1, k + 1)])
+    return subspace_angle(pushed, target, tol)
+
+
+class TestPerSphereOracle:
+    SHAPES = [(1, 1), (1, 3), (2, 2), (3, 2), (3, 4), (2, 5)]
+
+    @pytest.mark.parametrize("k, n", SHAPES)
+    def test_batched_chart_maps_match_loops(self, k, n):
+        rng = np.random.default_rng(70 + 10 * k + n)
+        dims = arm.ArmDims(k, n)
+        for _ in range(5):
+            q = sampling.random_regular_config(dims, rng, chart_margin=0.1)
+            vecs = rng.normal(size=(3, dims.cartesian_dim))
+            want = np.array([loop_embedded_to_chart(q, v) for v in vecs])
+            assert np.abs(fl.embedded_to_chart(q, vecs[0])
+                          - want[0]).max() <= 1e-14
+            assert np.abs(fl.embedded_to_chart(q, vecs) - want).max() <= 1e-14
+            c = arm.gamma_inverse(q)
+            assert abs(fl.pushforward_check(c)
+                       - loop_pushforward_check(c)) <= 1e-14
+
+    def test_degenerate_sphere_raises_in_both(self):
+        dims = arm.ArmDims(2, 2)
+        z = np.array([[0.6, 0, 0.8], [0, 0, 1.0], [0, 0.6, 0.8]])
+        q = arm.AngularConfig(dims, np.zeros(3), z)
+        vec = np.ones(dims.cartesian_dim)
+        for fn in (loop_embedded_to_chart, fl.embedded_to_chart):
+            with pytest.raises(ChartDegenerate):
+                fn(q, vec)
+        for fn in (loop_pushforward_check, fl.pushforward_check):
+            with pytest.raises(ChartDegenerate):
+                fn(arm.gamma_inverse(q))
+
+    def test_chart_forms_read_only_their_spheres(self):
+        # sphere 1 (z_2) sits at a chart pole; Z_1 and X_1^0 read the
+        # frame of sphere 0 only, Z_2 and X_2^0 that of sphere 1 too
+        dims = arm.ArmDims(2, 2)
+        z = np.array([[0.6, 0, 0.8], [0, 0, 1.0], [0, 0.6, 0.8]])
+        q = arm.AngularConfig(dims, np.zeros(3), z)
+        _, b = hs.projection_coefficients(q.angles(0), q.z[1])
+        got = fl.Z_field(q, 1, form="chart").coords
+        assert np.array_equal(got[3:5], b)
+        assert np.abs(np.delete(got, [3, 4])).max() == 0.0
+        # f_1^1 = 1, so X_1^0 carries the same block
+        assert np.array_equal(fl.X0_field(q, 1, form="chart").coords[3:5], b)
+        for i in (0, 1):
+            fl.Z_field(q, i, form="chart")
+            fl.X0_field(q, i, form="chart")
+        with pytest.raises(ChartDegenerate):
+            fl.Z_field(q, 2, form="chart")
+        with pytest.raises(ChartDegenerate):
+            fl.X0_field(q, 2, form="chart")
 
 
 class TestGeneratorSet:

@@ -22,10 +22,8 @@ import numpy as np
 from . import hyperspherical as hs
 from .errors import ConstraintViolated
 
-# Segment length deviation accepted when *checking* stored invariants vs.
-# when *accepting* operation inputs; the looser gate keeps integrator drift
-# from tripping hard errors before projection.
-UNIT_TOL = 1e-10
+# Squared segment-length residual accepted by `gamma`: loose enough that
+# integrator drift does not trip it before projection.
 CONSTRAINT_TOL = 1e-8
 
 

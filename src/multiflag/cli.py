@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import dynamics as dyn
 from . import flags as fg
 from . import sampling
 from .arm import ArmDims, gamma_inverse, load_config
-from .errors import ChartDegenerate, ConstraintViolated, StepRejected
+from .errors import StepRejected
 from .fields import _a_chain
 
 EXIT_OK = 0
@@ -34,7 +35,21 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",") if x.strip() != ""])
 
 
-def _initial_config(args) -> "sampling.AngularConfig":
+def _start(args, *outputs) -> np.random.Generator:
+    """Refuse, before any work, a negative --seed and an output path (None
+    for none) whose directory is missing or not writable; return the run's
+    generator."""
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    for path in filter(None, outputs):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValueError(f"--out {path!r}: directory {folder!r} is "
+                             f"missing or not writable")
+    return np.random.default_rng(args.seed)
+
+
+def _initial_config(args, rng) -> "sampling.AngularConfig":
     dims = ArmDims(args.k, args.n)
     if args.config:
         q = load_config(args.config)
@@ -43,7 +58,6 @@ def _initial_config(args) -> "sampling.AngularConfig":
                 f"config file has (k={q.dims.k}, n={q.dims.n}), "
                 f"flags say (k={dims.k}, n={dims.n})")
         return q
-    rng = np.random.default_rng(args.seed)
     if args.preset == "straight":
         return sampling.collinear_config(dims)
     if args.preset == "random":
@@ -75,7 +89,7 @@ def _controls(args, k: int) -> dyn.ControlSignal:
     raise ValueError(f"unknown controls preset {args.controls!r}")
 
 
-def _simulate_trajectory(args) -> dyn.Trajectory:
+def _simulate_trajectory(args, rng) -> dyn.Trajectory:
     if not (math.isfinite(args.T) and args.T >= 0):
         raise ValueError(f"--T must be a nonnegative finite number, "
                          f"got {args.T!r}")
@@ -93,7 +107,7 @@ def _simulate_trajectory(args) -> dyn.Trajectory:
     if args.mode == "subarm" and (args.p is None or args.m is None):
         raise ValueError("--mode subarm requires --p and --m")
     u = _controls(args, args.k)
-    q0 = _initial_config(args)
+    q0 = _initial_config(args, rng)
     settings = dyn.IntegratorSettings(h=args.h,
                                       projection=not args.no_projection)
     if args.mode == "car":
@@ -110,9 +124,10 @@ def _simulate_trajectory(args) -> dyn.Trajectory:
 
 
 def cmd_simulate(args) -> int:
+    rng = _start(args, args.out + ".csv", args.out + ".json")
     try:
-        traj = _simulate_trajectory(args)
-    except (ValueError, ChartDegenerate, ConstraintViolated) as exc:
+        traj = _simulate_trajectory(args, rng)
+    except ValueError as exc:
         print(f"simulate: invalid run configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepRejected as exc:
@@ -139,9 +154,11 @@ def _verify_input_error(args) -> str | None:
                         ("--singular-samples", args.singular_samples)):
         if count < 0:
             return f"{name} must be >= 0, got {count}"
-    for name, val in (("--tol", args.tol), ("--bracket-h", args.bracket_h)):
-        if not (math.isfinite(val) and val > 0):
-            return f"{name} must be a positive finite number, got {val!r}"
+    if not 0 < args.tol < 1:
+        return f"--tol must be in (0, 1), got {args.tol!r}"
+    if not (math.isfinite(args.bracket_h) and args.bracket_h > 0):
+        return (f"--bracket-h must be a positive finite number, "
+                f"got {args.bracket_h!r}")
     return None
 
 
@@ -150,8 +167,8 @@ def cmd_verify(args) -> int:
     if error:
         print(f"verify: invalid input: {error}", file=sys.stderr)
         return EXIT_USAGE
+    rng = _start(args, args.out and args.out + "_reports.json")
     dims = ArmDims(args.k, args.n)
-    rng = np.random.default_rng(args.seed)
     regular = [sampling.random_regular_config(dims, rng)
                for _ in range(args.samples)]
     singular = []
@@ -208,12 +225,13 @@ def cmd_singular_scan(args) -> int:
     if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0):
         raise ValueError(f"--eps-sing must be a nonnegative finite number, "
                          f"got {args.eps_sing!r}")
+    rng = _start(args, args.out)
     if args.traj:
         traj = dyn.Trajectory.from_json(args.traj)
     else:
         try:
-            traj = _simulate_trajectory(args)
-        except (ValueError, ChartDegenerate, ConstraintViolated) as exc:
+            traj = _simulate_trajectory(args, rng)
+        except ValueError as exc:
             print(f"singular-scan: invalid run configuration: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE

@@ -151,9 +151,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def config_at(self, idx: int) -> AngularConfig:
-        return AngularConfig(dims=self.dims, x0=self.x0[idx], z=self.z[idx])
-
     def index_of(self, t: float) -> int:
         """Index of the recorded time closest to t; t must sit on the grid."""
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -191,26 +188,13 @@ class Trajectory:
             np.savetxt(fh, block, fmt=FMT, delimiter=",", newline="\r\n")
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "k": self.dims.k,
-            "n": self.dims.n,
-            "h": self.h,
-            "T": self.T,
-            "projection": self.projection,
-            "seed": self.seed,
-            "times": self.times.tolist(),
-            "x0": self.x0.tolist(),
-            "z": self.z.tolist(),
-            "theta_n": self.theta_n.tolist(),
-            "vn": self.vn.tolist(),
-            "w": self.w.tolist(),
-            "v": self.v.tolist(),
-            "drift_pre": self.drift_pre.tolist(),
-            "drift_post": self.drift_post.tolist(),
-        }
-        if self.points is not None:
-            out["points"] = self.points.tolist()
+        out = {"mode": self.mode, "k": self.dims.k, "n": self.dims.n,
+               "h": self.h, "T": self.T, "projection": self.projection,
+               "seed": self.seed}
+        for key in ("times", "x0", "z", "theta_n", "vn", "w", "v",
+                    "drift_pre", "drift_post", "points"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key).tolist()
         return out
 
     def to_json(self, path) -> None:
@@ -510,7 +494,7 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
         return y, drift
 
     head0 = q0.segments()[n]
-    theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0), eps=1e-12)
+    theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
     return _record("cartesian", dims, u, T, settings, seed,
                    _integrate(rhs, project, y0, T, settings), view)

@@ -207,7 +207,7 @@ def xi_field(dims: ArmDims, m: int, i: int) -> Field:
         z = _blocks(y, dims)
         zm = z[:, m + 1, :]
         rho = np.linalg.norm(zm, axis=1, keepdims=True)
-        theta = hs.angles_from_unit(zm / rho, eps=1e-12, strict=True)
+        theta = hs.angles_from_unit(zm / rho)
         _, jac = hs.unit_and_jacobian(theta)
         out = np.zeros_like(y)
         _blocks(out, dims)[:, m + 1, :] = rho * jac[:, :, i - 1]
@@ -382,7 +382,8 @@ def embedded_to_chart(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
     sphere chart is singular."""
     k1, spheres = q.dims.ambient, q.dims.n + 1
     vec = np.asarray(vec, dtype=float)
-    rows = hs.frame_inverse(hs.angles_from_unit(q.z))[:, 1:]  # no radial row
+    # the guard is frame_inverse's; [:, 1:] drops the radial row
+    rows = hs.frame_inverse(hs.angles_from_unit(q.z, strict=False))[:, 1:]
     dz = vec[..., k1:].reshape(vec.shape[:-1] + (spheres, k1, 1))
     dth = np.matmul(rows, dz).reshape(vec.shape[:-1] + (-1,))
     return np.concatenate([vec[..., :k1], dth], axis=-1)
@@ -390,11 +391,11 @@ def embedded_to_chart(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
 
 def chart_to_embedded(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
     """Inverse of `embedded_to_chart` for one vector (pushes theta
-    components through the chart frame)."""
+    components through the chart frame); raises where it does."""
     dims = q.dims
     k1 = dims.ambient
     vec = np.asarray(vec, dtype=float)
-    _, jac = hs.unit_and_jacobian(hs.angles_from_unit(q.z, eps=1e-12))
+    _, jac = hs.unit_and_jacobian(hs.angles_from_unit(q.z))
     dth = vec[k1:].reshape(dims.n + 1, dims.k, 1)
     return np.concatenate([vec[:k1], np.matmul(jac, dth).reshape(-1)])
 

@@ -5,7 +5,9 @@ the last Cartesian component is cos(theta^1), and for k = 1 the chart reduces
 to (sin t, cos t).  Angles theta^1..theta^{k-1} live in (0, pi); theta^k is
 periodic on [0, 2*pi).  The chart degenerates where some interior sine
 vanishes; operations that need the inverse or the frame normalization fail
-loudly there instead of returning garbage.
+loudly there instead of returning garbage.  One rule, in `_interior_sines`,
+decides where: every chart query of the package refuses an interior sine
+at or below EPS_DOM, so all routes share one domain.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from .errors import ChartDegenerate
 
-# Guard on sin(theta^j), j < k, below which chart-dependent quantities are
-# refused.  Chart degeneracy is a coordinate artifact, distinct from any
-# geometric singularity of the arm.
+# Guard on sin(theta^j), j < k, at or below which chart-dependent quantities
+# are refused.  Chart degeneracy is a coordinate artifact, distinct from any
+# geometric singularity of the arm.  It is the only chart threshold.
 EPS_DOM = 1e-8
 
 TWO_PI = 2.0 * np.pi
@@ -68,24 +70,32 @@ def unit_and_jacobian(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, jac
 
 
+def _interior_sines(theta, strict: bool = False) -> tuple[np.ndarray, bool]:
+    """Interior sines |sin theta^j|, j < k, of angles (..., k), and whether
+    all exceed EPS_DOM.  The one chart-degeneracy test: with strict=True a
+    degenerate chart raises ChartDegenerate instead."""
+    sines = np.abs(np.sin(np.asarray(theta, dtype=float)[..., :-1]))
+    inside = not np.any(sines <= EPS_DOM)
+    if strict and not inside:
+        raise ChartDegenerate(
+            f"chart is degenerate: an interior sine is <= {EPS_DOM:g}")
+    return sines, inside
+
+
 def frame_norms(theta: np.ndarray) -> np.ndarray:
     """Column norms of d phi / d theta: (1, |sin t1|, |sin t1 sin t2|, ...)."""
-    theta = np.asarray(theta, dtype=float)
-    k = theta.shape[-1]
-    out = np.ones(theta.shape[:-1] + (k,))
-    if k > 1:
-        out[..., 1:] = np.cumprod(np.abs(np.sin(theta[..., :-1])), axis=-1)
-    return out
+    sines, _ = _interior_sines(theta)
+    return np.concatenate([np.ones(sines.shape[:-1] + (1,)),
+                           np.cumprod(sines, axis=-1)], axis=-1)
 
 
-def angles_from_unit(z: np.ndarray, eps: float = EPS_DOM,
-                     strict: bool = True) -> np.ndarray:
+def angles_from_unit(z: np.ndarray, strict: bool = True) -> np.ndarray:
     """Invert the chart on unit vectors (B, k+1) -> angles (B, k).
 
-    strict=True raises ChartDegenerate when an interior sine falls at or
-    below eps; strict=False resolves the undetermined trailing angles to a
-    canonical representative instead (any representative maps back to the
-    same point).
+    strict=True raises ChartDegenerate where the chart is degenerate (see
+    `_interior_sines`); strict=False resolves the undetermined trailing
+    angles to a canonical representative instead (any representative maps
+    back to the same point).
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     b, kp1 = z.shape
@@ -95,15 +105,13 @@ def angles_from_unit(z: np.ndarray, eps: float = EPS_DOM,
     for j in range(k - 1):
         r = np.linalg.norm(v[:, :-1], axis=1)
         theta[:, j] = np.arctan2(r, v[:, -1])
-        if strict and np.any(r <= eps):
-            raise ChartDegenerate(
-                f"sin(theta^{j + 1}) <= {eps:g} while inverting the chart")
         safe = np.where(r > 1e-300, r, 1.0)
         v = v[:, :-1] / safe[:, None]
         fallback = np.zeros(v.shape[1])
         fallback[-1] = 1.0
         v = np.where((r > 1e-300)[:, None], v, fallback)
     theta[:, k - 1] = np.arctan2(v[:, 0], v[:, 1]) % TWO_PI
+    _interior_sines(theta, strict)
     return theta
 
 
@@ -112,12 +120,8 @@ def interior_margin(z: np.ndarray) -> float:
 
     Returns +inf for k = 1, where the chart has no interior angles.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    k = z.shape[1] - 1
-    if k == 1:
-        return float("inf")
-    theta = angles_from_unit(z, strict=False)
-    return float(np.min(np.abs(np.sin(theta[:, : k - 1]))))
+    sines, _ = _interior_sines(angles_from_unit(z, strict=False))
+    return float(np.min(sines, initial=np.inf))
 
 
 def frame_inverse(theta: np.ndarray) -> np.ndarray:
@@ -127,12 +131,11 @@ def frame_inverse(theta: np.ndarray) -> np.ndarray:
     The frame columns are orthogonal with norms (1, 1, |sin t1|, ...), so
     the inverse is the transpose over the squared column norms.  Note the
     squared norm: a single norm factor would leave a diagonal of column
-    norms instead of the identity.  Raises ChartDegenerate when an interior
-    sine is at or below EPS_DOM.
+    norms instead of the identity.  Raises ChartDegenerate where the chart
+    is degenerate (see `_interior_sines`).
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if theta.shape[1] > 1 and np.any(np.abs(np.sin(theta[:, :-1])) <= EPS_DOM):
-        raise ChartDegenerate("chart frame is singular: interior sine ~ 0")
+    _interior_sines(theta, strict=True)
     val, jac = unit_and_jacobian(theta)
     mat = np.concatenate([val[:, :, None], jac], axis=2)
     norms2 = np.concatenate([np.ones((theta.shape[0], 1)),
@@ -146,7 +149,7 @@ def tangent_coefficients(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Raises ChartDegenerate where a chart of z is degenerate.
     """
-    inv = frame_inverse(angles_from_unit(z))[:, 1:]
+    inv = frame_inverse(angles_from_unit(z, strict=False))[:, 1:]
     return np.matmul(inv, np.atleast_2d(target)[:, :, None])[:, :, 0]
 
 
@@ -175,11 +178,9 @@ class Angles:
     def k(self) -> int:
         return self.theta.size
 
-    def interior(self, eps: float = EPS_DOM) -> bool:
-        """True when every non-periodic angle stays away from {0, pi}."""
-        if self.k == 1:
-            return True
-        return bool(np.all(np.abs(np.sin(self.theta[:-1])) > eps))
+    def interior(self) -> bool:
+        """True when the chart is valid here (see `_interior_sines`)."""
+        return _interior_sines(self.theta)[1]
 
 
 @dataclass(frozen=True)
@@ -229,14 +230,10 @@ def phi(angles: Angles) -> UnitVector:
     return UnitVector(unit_from_angles(angles.theta))
 
 
-def phi_inverse(z: UnitVector, eps_dom: float = EPS_DOM) -> Angles:
-    """Recover chart angles from a sphere point.
-
-    Raises ChartDegenerate when a non-periodic angle is within eps_dom of
-    the chart boundary (measured on its sine).
-    """
-    theta = angles_from_unit(z.z, eps=eps_dom, strict=True)
-    return Angles(theta[0])
+def phi_inverse(z: UnitVector) -> Angles:
+    """Recover chart angles from a sphere point; raises ChartDegenerate
+    where the chart is degenerate."""
+    return Angles(angles_from_unit(z.z)[0])
 
 
 def jacobian(rho: float, angles: Angles) -> np.ndarray:

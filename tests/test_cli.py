@@ -154,6 +154,7 @@ class TestSimulate:
         ("simulate", "--freq", "inf"),
         ("simulate", "--controls-file", "{tmp}/nan_controls.csv"),
         ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
+        ("simulate", "--seed", "-1"),
         ("singular-scan", "--T", "inf"),
         ("singular-scan", "--T", "1e300"),
         ("singular-scan", "--h", "-1e-3"),
@@ -163,6 +164,8 @@ class TestSimulate:
         ("singular-scan", "--eps-sing", "-1e-9"),
         ("singular-scan", "--eps-sing", "nan"),
         ("singular-scan", "--eps-sing", "inf"),
+        ("singular-scan", "--seed", "-2"),
+        ("singular-scan", "--out", "{tmp}/no/such/dir/scan.json"),
     ])
     def test_bad_input_rejected(self, command, flag, value, tmp_path,
                                 capsys):
@@ -185,7 +188,8 @@ class TestSimulate:
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        if flag in ("--T", "--h", "--vn", "--wn", "--freq", "--eps-sing"):
+        if flag in ("--T", "--h", "--vn", "--wn", "--freq", "--eps-sing",
+                    "--seed", "--out"):
             assert flag in err
         assert not (tmp_path / "run.csv").exists()
 
@@ -239,6 +243,9 @@ class TestVerify:
         ("--bracket-h", "0"),
         ("--bracket-h", "nan"),
         ("--bracket-h", "-1e-5"),
+        ("--tol", "1"),
+        ("--tol", "2"),
+        ("--seed", "-1"),
     ])
     def test_bad_input_rejected(self, flag, value, tmp_path, capsys):
         rc = cli.main(["verify", "--k", "1", "--n", "1", "--samples", "2",
@@ -247,6 +254,27 @@ class TestVerify:
         err = capsys.readouterr().err
         assert flag in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "v_reports.json").exists()
+
+
+class TestOutputCheckedFirst:
+    """An output path in a missing directory is refused before any work."""
+
+    @pytest.mark.parametrize("argv, out", [
+        (["simulate", "--k", "2", "--n", "3", "--T", "5", "--out"], "run"),
+        (["verify", "--k", "1", "--n", "1", "--samples", "3", "--out"], "v"),
+        (["singular-scan", "--k", "1", "--n", "1", "--out"], "scan.json"),
+    ])
+    def test_missing_directory(self, argv, out, tmp_path, capsys,
+                               monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+        monkeypatch.setattr(cli.dyn, "integrate_arm", no_work)
+        monkeypatch.setattr(cli.fg, "verify_flag", no_work)
+        rc = cli.main(argv + [str(tmp_path / "missing" / out)])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--out" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSingularScan:

@@ -67,7 +67,7 @@ class TestPhiInverse:
     def test_round_trip_interior_angles(self, k, seed):
         rng = np.random.default_rng(abs(seed) % 2**31)
         ang = interior_angles(rng, k, margin=1e-3)
-        back = hs.phi_inverse(hs.phi(ang), eps_dom=1e-12)
+        back = hs.phi_inverse(hs.phi(ang))
         assert angle_diff(back.theta, ang.theta) < 1e-10
 
 

@@ -11,12 +11,12 @@ from .dynamics import (ControlSignal, IntegratorSettings, Trajectory,
                        integrate_cartesian, integrate_subarm, project_subarm,
                        velocity_report)
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
-from .fields import (A_coeff, FieldId, GeneratorSet, TangentVector, X0_field,
-                     Xi_field, Z_field, cartesian_Z, cartesian_delta, f_coeff,
+from .fields import (A_coeff, GeneratorSet, TangentVector, X0_field, Xi_field,
+                     Z_field, cartesian_Z, cartesian_delta, f_coeff,
                      pushforward_check)
 from .flags import (FlagReport, classify_point, build_level,
                     cauchy_inclusion_residual, derived_rank,
-                    involutivity_residual, lie_bracket, rank_of,
+                    involutivity_residual, lie_bracket,
                     sandwich_singular_indices, verify_flag)
 from .hyperspherical import (Angles, TangentFrame, UnitVector, frame,
                              frame_change, jacobian, jacobian_det,
@@ -30,14 +30,14 @@ __all__ = [
     "ArmDims", "CartesianConfig", "AngularConfig", "gamma", "gamma_inverse",
     "constraint_residuals", "normal_fields", "config_to_dict",
     "config_from_dict", "save_config", "load_config",
-    "FieldId", "TangentVector", "GeneratorSet", "A_coeff", "f_coeff",
+    "TangentVector", "GeneratorSet", "A_coeff", "f_coeff",
     "Z_field", "X0_field", "Xi_field", "cartesian_Z", "cartesian_delta",
     "pushforward_check",
     "ControlSignal", "IntegratorSettings", "Trajectory", "integrate_car",
     "integrate_arm", "integrate_cartesian", "integrate_subarm",
     "project_subarm", "induced_subarm_controls", "velocity_report",
     "collinearity_residuals", "cascade_residuals",
-    "lie_bracket", "build_level", "rank_of", "derived_rank",
+    "lie_bracket", "build_level", "derived_rank",
     "involutivity_residual", "cauchy_inclusion_residual", "classify_point",
     "sandwich_singular_indices", "verify_flag", "FlagReport",
     "ChartDegenerate", "ConstraintViolated", "StepRejected",

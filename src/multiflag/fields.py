@@ -49,23 +49,6 @@ class TangentVector:
         return float(np.linalg.norm(self.coords))
 
 
-@dataclass(frozen=True)
-class FieldId:
-    """Symbolic name of a field family plus its indices."""
-
-    family: str
-    i: Optional[int] = None
-    m: Optional[int] = None
-    r: Optional[int] = None
-
-    FAMILIES = ("Z0", "Zi", "X0_m", "Xi_m",
-                "cartesian_Zi", "cartesian_delta_r", "car_X1", "car_X2")
-
-    def __post_init__(self):
-        if self.family not in self.FAMILIES:
-            raise ValueError(f"unknown field family {self.family!r}")
-
-
 class Field:
     """Batch-evaluable vector field on a flat ambient space."""
 
@@ -318,35 +301,6 @@ def car_x2_field(n: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# field registry
-# ---------------------------------------------------------------------------
-
-def field_from_id(dims: ArmDims, fid: FieldId) -> Field:
-    fam = fid.family
-    if fam == "Z0":
-        return z0_field(dims)
-    if fam == "Zi":
-        return z_field(dims, fid.i)
-    if fam == "X0_m":
-        return x0_field(dims, fid.m)
-    if fam == "Xi_m":
-        return xi_field(dims, fid.m, fid.i)
-    if fam == "cartesian_Zi":
-        return cart_z_field(dims, fid.i)
-    if fam == "cartesian_delta_r":
-        return cart_delta_field(dims, fid.r)
-    if fam == "car_X1":
-        if dims.k != 1:
-            raise ValueError("car fields need k = 1")
-        return car_x1_field(dims.n)
-    if fam == "car_X2":
-        if dims.k != 1:
-            raise ValueError("car fields need k = 1")
-        return car_x2_field(dims.n)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-# ---------------------------------------------------------------------------
 # coefficient operations on configurations
 # ---------------------------------------------------------------------------
 
@@ -357,7 +311,7 @@ def A_coeff(q: AngularConfig, i: int) -> float:
         raise IndexError("A_i needs 1 <= i <= n+1")
     if i == q.dims.n + 1:
         return 1.0
-    return float(q.z[i - 1] @ q.z[i])
+    return float(a_values(q)[i - 1])
 
 
 def a_values(q: AngularConfig) -> np.ndarray:
@@ -482,10 +436,6 @@ class GeneratorSet:
         modes = {v.mode for v in self.vectors}
         if len(modes) > 1:
             raise ValueError(f"mixed tangent modes in one set: {modes}")
-
-    @property
-    def mode(self) -> str:
-        return self.vectors[0].mode if self.vectors else MODE_EMBEDDED
 
     def matrix(self) -> np.ndarray:
         if not self.vectors:

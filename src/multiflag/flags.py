@@ -13,7 +13,9 @@ and must agree wherever both are defined.
 
 All span computations run on embedded coordinates with tangency to the
 sphere factors enforced on bracket values; Jacobians for brackets use
-central differences.
+central differences.  A field is named by calling its constructor in
+`fields`; `bracket_field` is the single-pair bracket, and nesting it builds
+higher brackets.
 
 `verify_flag` makes one pass per point: each field value, Jacobian and
 bracket is computed once, one SVD of each level matrix or derived stack
@@ -23,15 +25,14 @@ gives its rank, span and angle side, and the sandwich test reuses them.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import fields as fl
 from .arm import AngularConfig, ArmDims, CartesianConfig, gamma, gamma_inverse
 from .dynamics import car_state_from_config
-from .fields import (Field, FieldId, GeneratorSet, TangentVector,
-                     field_from_id, field_jacobian)
+from .fields import Field, GeneratorSet, TangentVector, field_jacobian
 from .numerics import RowSpan, orthonormal_rows, subspace_angle, svd_rank
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
@@ -53,11 +54,9 @@ def expected_rank_e(dims: ArmDims, m: int) -> int:
 # bracket engine
 # ---------------------------------------------------------------------------
 
-BracketArg = Union[Field, FieldId, tuple]
-
-
 def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
-    """The bracket of two fields as a field itself (for nested brackets)."""
+    """[X, Y] = DY.X - DX.Y with central-difference Jacobians, as a field
+    itself, so brackets nest: bracket_field(bracket_field(x, y), z)."""
     if x.mode != y.mode or x.dim != y.dim:
         raise ValueError("bracket needs two fields on the same space")
 
@@ -70,17 +69,6 @@ def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
         return out
 
     return Field(x.mode, x.dim, fn, f"[{x.label},{y.label}]")
-
-
-def _resolve(arg: BracketArg, dims: ArmDims, h: float) -> Field:
-    if isinstance(arg, Field):
-        return arg
-    if isinstance(arg, FieldId):
-        return field_from_id(dims, arg)
-    if isinstance(arg, tuple) and len(arg) == 2:
-        return bracket_field(_resolve(arg[0], dims, h),
-                             _resolve(arg[1], dims, h), h)
-    raise TypeError(f"cannot interpret {arg!r} as a field")
 
 
 def _point_for_mode(q, mode: str) -> np.ndarray:
@@ -99,21 +87,16 @@ def _point_for_mode(q, mode: str) -> np.ndarray:
     raise ValueError(f"cannot evaluate fields of mode {mode!r}")
 
 
-def lie_bracket(x: BracketArg, y: BracketArg, q, h: float = BRACKET_H) -> TangentVector:
-    """[X, Y](q) = DY.X - DX.Y with central-difference Jacobians.
+def lie_bracket(x: Field, y: Field, q, h: float = BRACKET_H) -> TangentVector:
+    """`bracket_field(x, y, h)` evaluated at q.
 
-    Accepts Field objects, FieldIds, or nested pairs; q may be an angular or
-    Cartesian configuration and is converted to the fields' ambient space.
+    The fields come from their constructors (`fields.x0_field`,
+    `fields.xi_field`, `fields.car_x2_field`, ...); a nested bracket passes
+    `bracket_field(...)` as one of them.  q may be an angular or Cartesian
+    configuration and is converted to the fields' ambient space.
     """
-    dims = q.dims
-    fx = _resolve(x, dims, h)
-    fy = _resolve(y, dims, h)
-    if fx.mode != fy.mode:
-        raise ValueError(f"mixed field modes: {fx.mode} vs {fy.mode}")
-    point = _point_for_mode(q, fx.mode)
-    jx = field_jacobian(fx, point, h)
-    jy = field_jacobian(fy, point, h)
-    return TangentVector(jy @ fx.at(point) - jx @ fy.at(point), fx.mode)
+    return TangentVector(bracket_field(x, y, h).at(_point_for_mode(q, x.mode)),
+                         x.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +242,6 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
                          fields=flds[1:]))
 
 
-def rank_of(gs: GeneratorSet, tol: float = 1e-8) -> int:
-    """Numerical rank of the span (relative SVD threshold)."""
-    return gs.rank(tol)
-
-
 def derived_rank(q: AngularConfig, m: int, tol: float = 1e-8,
                  h: float = BRACKET_H, basis: str = "projected") -> int:
     """Rank of span(D^{m+1} together with its pairwise brackets), m = 0..n."""
@@ -312,20 +290,18 @@ class PointClassification:
     singular: bool
     indices: tuple[int, ...]   # i with A_i ~ 0, 1-based
     a_values: np.ndarray
-    eps: float
 
     @property
     def verdict(self) -> str:
         return "singular" if self.singular else "regular"
 
 
-def classify_point(q: AngularConfig, eps_sing: float = EPS_SING
-                   ) -> PointClassification:
-    """Singular iff some consecutive segments are (numerically) orthogonal."""
+def classify_point(q: AngularConfig) -> PointClassification:
+    """Singular iff some consecutive segments are (numerically) orthogonal:
+    |A_i| < EPS_SING."""
     a = fl.a_values(q)
-    idx = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(a) < eps_sing))
-    return PointClassification(singular=bool(idx), indices=idx,
-                               a_values=a, eps=eps_sing)
+    idx = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(a) < EPS_SING))
+    return PointClassification(singular=bool(idx), indices=idx, a_values=a)
 
 
 def sandwich_singular_indices(q: AngularConfig, tol: float = 1e-8,
@@ -455,9 +431,7 @@ class FlagReport:
 
 
 def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
-                basis: str = "projected",
-                residual_tol: float = RESIDUAL_TOL,
-                eps_sing: float = EPS_SING) -> FlagReport:
+                basis: str = "projected") -> FlagReport:
     """Measure ranks, derived spans, involutivity and inclusion residuals at
     q, classify the point, and aggregate pass/fail per condition.
 
@@ -468,7 +442,7 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
     dims = q.dims
     ctx = _FlagContext(q, basis=basis)
     pb = _PairBrackets(ctx.fields, q, h)
-    cls = classify_point(q, eps_sing)
+    cls = classify_point(q)
 
     failures: list[str] = []
     levels: list[LevelReport] = []
@@ -492,9 +466,9 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
             failures.append(f"rank D^{m} = {rank_d} != {lv.expected_rank_d}")
         if rank_e != lv.expected_rank_e:
             failures.append(f"rank E^{m} = {rank_e} != {lv.expected_rank_e}")
-        if inv >= residual_tol:
+        if inv >= RESIDUAL_TOL:
             failures.append(f"E^{m} involutivity residual {inv:.2e}")
-        if cauchy is not None and cauchy >= residual_tol:
+        if cauchy is not None and cauchy >= RESIDUAL_TOL:
             failures.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
     # top-level non-involutivity (bracket-generating witness, not a gate)
     delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), spans_d[-1].rows())
@@ -515,7 +489,7 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
             failures.append(
                 f"derived rank of [D^{m + 1},D^{m + 1}] = {rank} "
                 f"!= {dv.expected_rank}")
-        if angle >= residual_tol:
+        if angle >= RESIDUAL_TOL:
             failures.append(f"derived span angle at level {m}: {angle:.2e}")
 
     return FlagReport(
@@ -531,7 +505,7 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
         basis=basis,
         svd_tol=tol,
         bracket_h=h,
-        residual_tol=residual_tol,
+        residual_tol=RESIDUAL_TOL,
         passed=not failures,
         failures=failures)
 

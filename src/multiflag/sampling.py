@@ -29,7 +29,7 @@ def random_regular_config(dims: ArmDims, rng: np.random.Generator,
 
     chart_margin > 0 additionally keeps every sphere's chart angles away
     from the chart boundary (needed by chart-coefficient operations, not by
-    the embedded machinery).
+    the embedded machinery).  Raises ValueError when no draw passes.
     """
     for _ in range(max_tries):
         q = random_config(dims, rng)
@@ -40,7 +40,8 @@ def random_regular_config(dims: ArmDims, rng: np.random.Generator,
             if hs.interior_margin(q.z) <= chart_margin:
                 continue
         return q
-    raise RuntimeError("rejection sampling failed; loosen the margins")
+    raise ValueError(f"rejection sampling failed for {dims} in "
+                     f"{max_tries} tries; loosen the margins")
 
 
 def singular_config(dims: ArmDims, rng: np.random.Generator,

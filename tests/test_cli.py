@@ -277,6 +277,33 @@ class TestOutputCheckedFirst:
         assert not (tmp_path / "missing").exists()
 
 
+class TestSamplerExhaustion:
+    """A shape whose random draws never meet the sampler's margins is bad
+    input: one stderr line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "random", "--T", "0"],
+        ["singular-scan", "--preset", "random", "--T", "0"],
+        ["verify", "--samples", "1"],
+    ])
+    def test_one_line_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        from multiflag import arm
+
+        def orthogonal(dims, rng, x0_scale=1.0):
+            # consecutive segments orthogonal, so every draw has A_1 = 0
+            z = np.eye(dims.ambient)[np.arange(dims.n + 1) % 2]
+            return arm.AngularConfig(dims, np.zeros(dims.ambient), z)
+        monkeypatch.setattr(cli.sampling, "random_config", orthogonal)
+        rc = cli.main(argv[:1] + ["--k", "1", "--n", "3"] + argv[1:]
+                      + ["--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "rejection sampling failed" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestSingularScan:
     def test_constructed_crossing_detected_within_one_step(self, capsys):
         # steering alone sweeps the heading difference through pi/2 at

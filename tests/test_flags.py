@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from multiflag import arm
 from multiflag import dynamics as dyn
 from multiflag import fields as fl
@@ -19,8 +20,8 @@ class TestLieBracket:
         rng = np.random.default_rng(0)
         dims = arm.ArmDims(3, 2)
         q = regular(dims, rng, margin=0.2)
-        b = fg.lie_bracket(fl.FieldId("Xi_m", m=1, i=1),
-                           fl.FieldId("Xi_m", m=1, i=2), q)
+        b = fg.lie_bracket(fl.xi_field(dims, 1, 1), fl.xi_field(dims, 1, 2),
+                           q)
         assert b.norm < 1e-8
 
     def test_upper_sphere_fields_ignore_lower_steering(self):
@@ -28,8 +29,8 @@ class TestLieBracket:
         dims = arm.ArmDims(2, 3)
         q = regular(dims, rng, margin=0.2)
         for r, m in [(2, 1), (3, 0), (3, 2)]:
-            b = fg.lie_bracket(fl.FieldId("Xi_m", m=r, i=1),
-                               fl.FieldId("X0_m", m=m), q)
+            b = fg.lie_bracket(fl.xi_field(dims, r, 1), fl.x0_field(dims, m),
+                               q)
             assert b.norm < 1e-12
 
     def test_quadratic_convergence_against_closed_form(self):
@@ -50,21 +51,34 @@ class TestLieBracket:
         ])
         errs = {}
         for h in (1e-3, 1e-4, 1e-5):
-            b = fg.lie_bracket(fl.FieldId("car_X1"), fl.FieldId("car_X2"),
-                               q, h=h)
+            b = fg.lie_bracket(fl.car_x1_field(dims.n),
+                               fl.car_x2_field(dims.n), q, h=h)
             errs[h] = np.abs(b.coords - closed).max()
         c = 2.0 * errs[1e-3] / (1e-3) ** 2
         assert errs[1e-4] <= c * (1e-4) ** 2
         assert errs[1e-5] <= c * (1e-5) ** 2
         assert errs[1e-5] < 1e-9
 
+    def test_fields_on_different_spaces_refused(self):
+        rng = np.random.default_rng(3)
+        q = regular(arm.ArmDims(1, 2), rng)
+        x0 = fl.x0_field(q.dims, 1)
+        for other in (fl.car_x2_field(q.dims.n),            # mode differs
+                      fl.x0_field(arm.ArmDims(1, 3), 1)):   # dim differs
+            for x, y in ((x0, other), (other, x0)):
+                with pytest.raises(ValueError):
+                    fg.bracket_field(x, y)
+                with pytest.raises(ValueError):
+                    fg.lie_bracket(x, y, q)
+
     def test_nested_bracket_expression(self):
         rng = np.random.default_rng(3)
         dims = arm.ArmDims(1, 1)
         q = regular(dims, rng)
+        x0 = fl.x0_field(dims, 1)
         nested = fg.lie_bracket(
-            (fl.FieldId("Xi_m", m=1, i=1), fl.FieldId("X0_m", m=1)),
-            fl.FieldId("X0_m", m=1), q, h=1e-4)
+            fg.bracket_field(fl.xi_field(dims, 1, 1), x0, h=1e-4), x0, q,
+            h=1e-4)
         assert np.isfinite(nested.coords).all()
         assert nested.norm > 1e-6  # genuinely new direction on S^1 chains
 
@@ -75,8 +89,8 @@ class TestLieBracket:
             q = regular(dims, rng, margin=0.2)
             rows = [fl.X0_field(q, m).coords]
             for i in range(1, k + 1):
-                rows.append(fg.lie_bracket(fl.FieldId("Xi_m", m=m, i=i),
-                                           fl.FieldId("X0_m", m=m), q).coords)
+                rows.append(fg.lie_bracket(fl.xi_field(dims, m, i),
+                                           fl.x0_field(dims, m), q).coords)
             target = fg.chart_delta_basis(q, m).matrix()
             assert subspace_angle(np.vstack(rows), target) < 1e-6
 
@@ -102,15 +116,15 @@ class TestLevels:
                 q = regular(dims, rng)
                 for m in range(1, n + 2):
                     d, e = fg.build_level(q, m)
-                    assert fg.rank_of(d) == (n - m + 2) * k + 1
-                    assert fg.rank_of(e) == (n - m + 2) * k
+                    assert d.rank() == (n - m + 2) * k + 1
+                    assert e.rank() == (n - m + 2) * k
 
     def test_rank_of_edges(self):
         rng = np.random.default_rng(7)
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
         d, _ = fg.build_level(q, 3)
-        assert fg.rank_of(d) == dims.k + 1
+        assert d.rank() == dims.k + 1
         doubled = fl.GeneratorSet(point=q, vectors=list(d.vectors) * 2,
                                   labels=list(d.labels) * 2)
         assert doubled.rank() == d.rank()
@@ -136,7 +150,7 @@ class TestLevels:
         assert got == [3, 4, 5]
         # corank grows by exactly one per level
         dim = dims.angular_dim
-        d_ranks = [fg.rank_of(fg.build_level(q, m)[0]) for m in (1, 2, 3)]
+        d_ranks = [fg.build_level(q, m)[0].rank() for m in (1, 2, 3)]
         assert [dim - r for r in d_ranks] == [1, 2, 3]
 
     def test_derived_at_singular_recorded_without_assert(self):
@@ -189,7 +203,7 @@ class TestResiduals:
         for m in range(1, dims.n + 1):
             d_m, _ = fg.build_level(q, m)
             _, e_next = fg.build_level(q, m + 1)
-            assert fg.rank_of(e_next) == fg.rank_of(d_m) - 2
+            assert e_next.rank() == d_m.rank() - 2
 
     def test_top_level_has_no_characteristic_directions(self):
         # no combination of top-level generators brackets back into the

@@ -14,10 +14,8 @@ from .errors import ChartDegenerate, ConstraintViolated, StepRejected
 from .fields import (A_coeff, GeneratorSet, TangentVector, X0_field, Xi_field,
                      Z_field, cartesian_Z, cartesian_delta, f_coeff,
                      pushforward_check)
-from .flags import (FlagReport, classify_point, build_level,
-                    cauchy_inclusion_residual, derived_rank,
-                    involutivity_residual, lie_bracket,
-                    sandwich_singular_indices, verify_flag)
+from .flags import (FlagReport, build_level, classify_point, lie_bracket,
+                    verify_flag)
 from .hyperspherical import (Angles, TangentFrame, UnitVector, frame,
                              frame_change, jacobian, jacobian_det,
                              jacobian_inverse, phi, phi_inverse)
@@ -37,8 +35,7 @@ __all__ = [
     "integrate_arm", "integrate_cartesian", "integrate_subarm",
     "project_subarm", "induced_subarm_controls", "velocity_report",
     "collinearity_residuals", "cascade_residuals",
-    "lie_bracket", "build_level", "derived_rank",
-    "involutivity_residual", "cauchy_inclusion_residual", "classify_point",
-    "sandwich_singular_indices", "verify_flag", "FlagReport",
+    "lie_bracket", "build_level", "classify_point", "verify_flag",
+    "FlagReport",
     "ChartDegenerate", "ConstraintViolated", "StepRejected",
 ]

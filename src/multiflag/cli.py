@@ -156,9 +156,8 @@ def _verify_input_error(args) -> str | None:
             return f"{name} must be >= 0, got {count}"
     if not 0 < args.tol < 1:
         return f"--tol must be in (0, 1), got {args.tol!r}"
-    if not (math.isfinite(args.bracket_h) and args.bracket_h > 0):
-        return (f"--bracket-h must be a positive finite number, "
-                f"got {args.bracket_h!r}")
+    if not 0 < args.bracket_h < 1:
+        return f"--bracket-h must be in (0, 1), got {args.bracket_h!r}"
     return None
 
 

@@ -16,8 +16,8 @@ numerical brackets independent of the extension choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -430,7 +430,6 @@ class GeneratorSet:
     point: object
     vectors: Sequence[TangentVector]
     labels: Sequence[str]
-    fields: Optional[Sequence[Field]] = dc_field(default=None)
 
     def __post_init__(self):
         modes = {v.mode for v in self.vectors}
@@ -453,7 +452,7 @@ def cartesian_delta(q: CartesianConfig) -> GeneratorSet:
     flds = [cart_delta_field(dims, r) for r in range(dims.k + 1)]
     vecs = [TangentVector(f.at(q.flat()), MODE_CARTESIAN) for f in flds]
     return GeneratorSet(point=q, vectors=vecs,
-                        labels=[f.label for f in flds], fields=flds)
+                        labels=[f.label for f in flds])
 
 
 def pushforward_check(q: CartesianConfig, tol: float = 1e-8) -> float:

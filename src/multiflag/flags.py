@@ -20,6 +20,9 @@ higher brackets.
 `verify_flag` makes one pass per point: each field value, Jacobian and
 bracket is computed once, one SVD of each level matrix or derived stack
 gives its rank, span and angle side, and the sandwich test reuses them.
+Its report carries every per-level number (ranks, involutivity and
+inclusion residuals, derived ranks and angles, sandwich indices);
+`build_level` gives the generator sets (D^m, E^m) themselves.
 """
 
 from __future__ import annotations
@@ -186,8 +189,7 @@ class _PairBrackets:
     every sphere block.
     """
 
-    def __init__(self, flds: Sequence[Field], q: AngularConfig,
-                 h: float = BRACKET_H):
+    def __init__(self, flds: Sequence[Field], q: AngularConfig, h: float):
         point = q.flat()
         self.values = np.vstack([f.at(point) for f in flds])
         jacs = np.stack([field_jacobian(f, point, h) for f in flds])
@@ -220,7 +222,7 @@ class _PairBrackets:
 
 
 # ---------------------------------------------------------------------------
-# public level operations
+# generator sets of one level
 # ---------------------------------------------------------------------------
 
 def build_level(q: AngularConfig, m: int, basis: str = "projected"
@@ -237,48 +239,8 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
     vecs = [TangentVector(f.at(point), fl.MODE_EMBEDDED) for f in flds]
     labels = [f.label for f in flds]
     # E^m is D^m without its leading steering field
-    return (GeneratorSet(point=q, vectors=vecs, labels=labels, fields=flds),
-            GeneratorSet(point=q, vectors=vecs[1:], labels=labels[1:],
-                         fields=flds[1:]))
-
-
-def derived_rank(q: AngularConfig, m: int, tol: float = 1e-8,
-                 h: float = BRACKET_H, basis: str = "projected") -> int:
-    """Rank of span(D^{m+1} together with its pairwise brackets), m = 0..n."""
-    if not 0 <= m <= q.dims.n:
-        raise IndexError("derived level needs 0 <= m <= n")
-    ctx = _FlagContext(q, basis=basis)
-    flds = [ctx.fields[i] for i in ctx.d_index(m + 1)]
-    stack = _PairBrackets(flds, q, h).derived_stack(range(len(flds)))
-    return svd_rank(stack, tol)
-
-
-def involutivity_residual(gs: GeneratorSet, h: float = BRACKET_H) -> float:
-    """Worst normalized component of a pairwise bracket outside the span
-    (see `_PairBrackets.worst_residual` for the normalization)."""
-    if gs.fields is None:
-        raise ValueError("generator set carries no fields to differentiate")
-    if not isinstance(gs.point, AngularConfig):
-        raise ValueError("involutivity check expects an angular base point")
-    pb = _PairBrackets(gs.fields, gs.point, h)
-    return pb.worst_residual(range(len(gs.fields)),
-                             orthonormal_rows(gs.matrix()))
-
-
-def cauchy_inclusion_residual(q: AngularConfig, m: int,
-                              h: float = BRACKET_H,
-                              basis: str = "projected") -> float:
-    """Worst normalized component of [E^{m+1}, D^{m+1}] outside span(D^m),
-    for m = 1..n."""
-    if not 1 <= m <= q.dims.n:
-        raise IndexError("inclusion level needs 1 <= m <= n")
-    ctx = _FlagContext(q, basis=basis)
-    span_q = orthonormal_rows(
-        np.vstack([ctx.fields[i].at(q.flat()) for i in ctx.d_index(m)]))
-    # D^{m+1} = E^{m+1} plus one steering field, so the pairs of D^{m+1}
-    # are exactly [E^{m+1}, D^{m+1}]
-    flds = [ctx.fields[i] for i in ctx.d_index(m + 1)]
-    return _PairBrackets(flds, q, h).worst_residual(range(len(flds)), span_q)
+    return (GeneratorSet(point=q, vectors=vecs, labels=labels),
+            GeneratorSet(point=q, vectors=vecs[1:], labels=labels[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +264,6 @@ def classify_point(q: AngularConfig) -> PointClassification:
     a = fl.a_values(q)
     idx = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(a) < EPS_SING))
     return PointClassification(singular=bool(idx), indices=idx, a_values=a)
-
-
-def sandwich_singular_indices(q: AngularConfig, tol: float = 1e-8,
-                              basis: str = "projected") -> tuple[int, ...]:
-    """Independent singularity test from the sandwich relative position:
-    index l fails when the steering field of joint l already lies in the
-    sphere-tangent span of spheres l-1..n (no rank increase)."""
-    ctx = _FlagContext(q, basis=basis)
-    values = np.vstack([f.at(q.flat()) for f in ctx.fields])
-    return _sandwich(ctx, values, [svd_rank(values[ctx.e_index(l)], tol)
-                                   for l in range(1, q.dims.n + 1)], tol)
-
-
-def _sandwich(ctx: _FlagContext, values: np.ndarray, ranks_e: Sequence[int],
-              tol: float) -> tuple[int, ...]:
-    """The sandwich test on the stacked values of `ctx.fields`, given the
-    rank of E^l as `ranks_e[l - 1]`."""
-    return tuple(l for l in range(1, ctx.dims.n + 1)
-                 if svd_rank(values[ctx.e_index(l) + [l]], tol)
-                 == ranks_e[l - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +320,6 @@ class FlagReport:
     basis: str
     svd_tol: float
     bracket_h: float
-    residual_tol: float
     passed: bool
     failures: list[str] = dc_field(default_factory=list)
 
@@ -396,7 +337,7 @@ class FlagReport:
             "delta_involutivity": self.delta_involutivity,
             "basis": self.basis,
             "tolerances": {"svd": self.svd_tol, "bracket_h": self.bracket_h,
-                           "residual": self.residual_tol},
+                           "residual": RESIDUAL_TOL},
             "passed": self.passed,
             "failures": self.failures,
         }
@@ -472,7 +413,11 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
             failures.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
     # top-level non-involutivity (bracket-generating witness, not a gate)
     delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), spans_d[-1].rows())
-    sandwich = (_sandwich(ctx, pb.values, [lv.rank_e for lv in levels], tol)
+    # sandwich test: index l fails when the steering field of joint l
+    # already lies in E^l (no rank increase); at k = 1 the A_i decide
+    sandwich = (tuple(l for l in range(1, dims.n + 1)
+                      if svd_rank(pb.values[ctx.e_index(l) + [l]], tol)
+                      == levels[l - 1].rank_e)
                 if dims.k >= 2 else cls.indices)
 
     derived: list[DerivedReport] = []
@@ -505,7 +450,6 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
         basis=basis,
         svd_tol=tol,
         bracket_h=h,
-        residual_tol=RESIDUAL_TOL,
         passed=not failures,
         failures=failures)
 

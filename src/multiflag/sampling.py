@@ -8,40 +8,40 @@ from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
 from .fields import a_values
 
+MIN_ABS_A = 0.05     # regular draws keep every |A_i| at least this large
+MAX_TRIES = 10000    # draws before a shape's margins count as out of reach
+
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
 
-def random_config(dims: ArmDims, rng: np.random.Generator,
-                  x0_scale: float = 1.0) -> AngularConfig:
+def random_config(dims: ArmDims, rng: np.random.Generator) -> AngularConfig:
     """Uniform directions on each sphere, Gaussian base point."""
     z = np.vstack([random_unit(rng, dims.ambient) for _ in range(dims.n + 1)])
-    return AngularConfig(dims=dims, x0=x0_scale * rng.normal(size=dims.ambient), z=z)
+    return AngularConfig(dims=dims, x0=rng.normal(size=dims.ambient), z=z)
 
 
 def random_regular_config(dims: ArmDims, rng: np.random.Generator,
-                          min_abs_a: float = 0.05,
-                          chart_margin: float = 0.0,
-                          max_tries: int = 10000) -> AngularConfig:
-    """Rejection-sample a configuration with every |A_i| >= min_abs_a.
+                          chart_margin: float = 0.0) -> AngularConfig:
+    """Rejection-sample a configuration with every |A_i| >= MIN_ABS_A.
 
     chart_margin > 0 additionally keeps every sphere's chart angles away
     from the chart boundary (needed by chart-coefficient operations, not by
     the embedded machinery).  Raises ValueError when no draw passes.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         q = random_config(dims, rng)
         a = a_values(q)
-        if a.size and np.min(np.abs(a)) < min_abs_a:
+        if a.size and np.min(np.abs(a)) < MIN_ABS_A:
             continue
         if chart_margin > 0.0:
             if hs.interior_margin(q.z) <= chart_margin:
                 continue
         return q
     raise ValueError(f"rejection sampling failed for {dims} in "
-                     f"{max_tries} tries; loosen the margins")
+                     f"{MAX_TRIES} tries; loosen the margins")
 
 
 def singular_config(dims: ArmDims, rng: np.random.Generator,

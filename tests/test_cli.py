@@ -243,6 +243,8 @@ class TestVerify:
         ("--bracket-h", "0"),
         ("--bracket-h", "nan"),
         ("--bracket-h", "-1e-5"),
+        ("--bracket-h", "1"),
+        ("--bracket-h", "1e300"),
         ("--tol", "1"),
         ("--tol", "2"),
         ("--seed", "-1"),
@@ -289,7 +291,7 @@ class TestSamplerExhaustion:
     def test_one_line_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         from multiflag import arm
 
-        def orthogonal(dims, rng, x0_scale=1.0):
+        def orthogonal(dims, rng):
             # consecutive segments orthogonal, so every draw has A_1 = 0
             z = np.eye(dims.ambient)[np.arange(dims.n + 1) % 2]
             return arm.AngularConfig(dims, np.zeros(dims.ambient), z)

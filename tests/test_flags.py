@@ -139,14 +139,16 @@ class TestLevels:
         rng = np.random.default_rng(8)
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
-        got = [fg.derived_rank(q, m) for m in (2, 1, 0)]
+        ranks = {d.m: d.rank for d in fg.verify_flag(q).derived}
+        got = [ranks[m] for m in (2, 1, 0)]
         assert got == [5, 7, 9]
 
     def test_derived_ranks_goursat(self):
         rng = np.random.default_rng(9)
         dims = arm.ArmDims(1, 2)
         q = regular(dims, rng)
-        got = [fg.derived_rank(q, m) for m in (2, 1, 0)]
+        ranks = {d.m: d.rank for d in fg.verify_flag(q).derived}
+        got = [ranks[m] for m in (2, 1, 0)]
         assert got == [3, 4, 5]
         # corank grows by exactly one per level
         dim = dims.angular_dim
@@ -157,8 +159,9 @@ class TestLevels:
         rng = np.random.default_rng(10)
         dims = arm.ArmDims(2, 2)
         q = sampling.singular_config(dims, rng, index=dims.n)
-        ranks = [fg.derived_rank(q, m) for m in range(dims.n + 1)]
-        assert all(isinstance(r, int) for r in ranks)  # growth may stall
+        ranks = {d.m: d.rank for d in fg.verify_flag(q).derived}
+        assert sorted(ranks) == list(range(dims.n + 1))
+        assert all(isinstance(r, int) for r in ranks.values())  # may stall
 
 
 class TestResiduals:
@@ -167,16 +170,16 @@ class TestResiduals:
         for k, n in [(1, 2), (2, 2), (3, 1)]:
             dims = arm.ArmDims(k, n)
             q = regular(dims, rng)
+            levels = fg.verify_flag(q).levels
             for m in range(1, n + 2):
-                _, e = fg.build_level(q, m)
-                assert fg.involutivity_residual(e) < 1e-6
+                assert levels[m - 1].involutivity_e < 1e-6
 
     def test_coordinate_fields_near_zero_residual(self):
         rng = np.random.default_rng(12)
         dims = arm.ArmDims(2, 1)
         q = regular(dims, rng, margin=0.2)
-        _, e = fg.build_level(q, 1, basis="chart")
-        assert fg.involutivity_residual(e) < 1e-8
+        rep = fg.verify_flag(q, basis="chart")
+        assert rep.levels[0].involutivity_e < 1e-8
 
     def test_top_level_strongly_non_involutive(self):
         rng = np.random.default_rng(13)
@@ -184,16 +187,16 @@ class TestResiduals:
             dims = arm.ArmDims(k, n)
             for _ in range(10):
                 q = regular(dims, rng)
-                d, _ = fg.build_level(q, n + 1)
-                assert fg.involutivity_residual(d) > 1e-2
+                assert fg.verify_flag(q).delta_involutivity > 1e-2
 
     def test_cauchy_inclusion(self):
         rng = np.random.default_rng(14)
         dims = arm.ArmDims(2, 2)
         for _ in range(10):
             q = regular(dims, rng)
+            levels = fg.verify_flag(q).levels
             for m in range(1, dims.n + 1):
-                assert fg.cauchy_inclusion_residual(q, m) < 1e-6
+                assert levels[m - 1].cauchy_residual < 1e-6
 
     def test_goursat_sandwich_rank_drop(self):
         # width one: the characteristic sublevel sits two ranks below
@@ -211,11 +214,9 @@ class TestResiduals:
         rng = np.random.default_rng(16)
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
-        d, _ = fg.build_level(q, dims.n + 1)
-        flds = list(d.fields)
-        span = d.matrix()
-        from multiflag.numerics import orthonormal_rows
-        qn = orthonormal_rows(span)
+        flds = ([fl.x0_field(dims, dims.n)]
+                + fl.sphere_tangent_fields(dims, dims.n, q))
+        qn = orthonormal_rows(np.vstack([f.at(q.flat()) for f in flds]))
         rows = []
         for a, fa in enumerate(flds):
             outs = []
@@ -236,12 +237,12 @@ class TestClassification:
             q = sampling.singular_config(dims, rng, index=idx)
             cls = fg.classify_point(q)
             assert cls.singular and idx in cls.indices
-            assert idx in fg.sandwich_singular_indices(q)
+            assert idx in fg.verify_flag(q).sandwich_indices
 
     def test_collinear_regular(self):
         q = sampling.collinear_config(arm.ArmDims(2, 2))
         assert not fg.classify_point(q).singular
-        assert fg.sandwich_singular_indices(q) == ()
+        assert fg.verify_flag(q).sandwich_indices == ()
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(18)
@@ -260,7 +261,7 @@ class TestClassification:
         for _ in range(200):
             q = sampling.random_config(dims, rng)
             a_verdict = fg.classify_point(q).singular
-            s_verdict = bool(fg.sandwich_singular_indices(q))
+            s_verdict = bool(fg.verify_flag(q).sandwich_indices)
             assert a_verdict == s_verdict
 
 
@@ -480,28 +481,6 @@ class TestBatchedAgainstScalar:
                 assert abs(rep.delta_involutivity
                            - ref["delta_involutivity"]) <= self.TOL
 
-    def test_standalone_checks_match_scalar_reference(self):
-        rng = np.random.default_rng(27)
-        for k, n in [(1, 3), (2, 2), (3, 2)]:
-            dims = arm.ArmDims(k, n)
-            for q in (regular(dims, rng),
-                      sampling.singular_config(dims, rng, index=n)):
-                ref = oracle_flag(q)
-                for m in range(1, n + 2):
-                    _, e = fg.build_level(q, m)
-                    _, _, inv, cauchy = ref["levels"][m - 1]
-                    assert abs(fg.involutivity_residual(e) - inv) \
-                        <= self.TOL
-                    if cauchy is not None:
-                        assert abs(fg.cauchy_inclusion_residual(q, m)
-                                   - cauchy) <= self.TOL
-                top, _ = fg.build_level(q, n + 1)
-                assert abs(fg.involutivity_residual(top)
-                           - ref["delta_involutivity"]) <= self.TOL
-                for m, rank, _ in ref["derived"]:
-                    assert fg.derived_rank(q, m) == rank
-                assert fg.sandwich_singular_indices(q) == ref["sandwich"]
-
 
 class TestOnePassPerPoint:
     """`verify_flag` evaluates and differentiates each generating field once
@@ -524,3 +503,11 @@ class TestOnePassPerPoint:
             assert len(counts) == (n + 1) * (k + 1)
             assert set(counts.values()) == {2}
             assert len(svds) == 7 * (n + 1)
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        import multiflag
+        assert [name for name in multiflag.__all__
+                if not hasattr(multiflag, name)] == []
+        assert len(set(multiflag.__all__)) == len(multiflag.__all__)

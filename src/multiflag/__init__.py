@@ -11,31 +11,32 @@ from .dynamics import (ControlSignal, IntegratorSettings, Trajectory,
                        integrate_cartesian, integrate_subarm, project_subarm,
                        velocity_report)
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
-from .fields import (A_coeff, GeneratorSet, TangentVector, X0_field, Xi_field,
-                     Z_field, cartesian_Z, cartesian_delta, f_coeff,
-                     pushforward_check)
-from .flags import (FlagReport, build_level, classify_point, lie_bracket,
+from .fields import (A_coeff, cart_z_field, cartesian_delta, f_coeff,
+                     pushforward_check, x0_chart, x0_field, xi_field,
+                     z0_field, z_chart, z_field)
+from .flags import (FlagReport, bracket_field, build_level, classify_point,
                     verify_flag)
-from .hyperspherical import (Angles, TangentFrame, UnitVector, frame,
-                             frame_change, jacobian, jacobian_det,
-                             jacobian_inverse, phi, phi_inverse)
+from .hyperspherical import (angles_from_unit, frame_change, frame_inverse,
+                             frame_norms, jacobian, jacobian_det,
+                             unit_and_jacobian, unit_from_angles)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angles", "UnitVector", "TangentFrame", "phi", "phi_inverse", "jacobian",
-    "jacobian_det", "jacobian_inverse", "frame", "frame_change",
+    "unit_from_angles", "angles_from_unit", "unit_and_jacobian",
+    "frame_norms", "frame_inverse", "jacobian", "jacobian_det",
+    "frame_change",
     "ArmDims", "CartesianConfig", "AngularConfig", "gamma", "gamma_inverse",
     "constraint_residuals", "normal_fields", "config_to_dict",
     "config_from_dict", "save_config", "load_config",
-    "TangentVector", "GeneratorSet", "A_coeff", "f_coeff",
-    "Z_field", "X0_field", "Xi_field", "cartesian_Z", "cartesian_delta",
+    "A_coeff", "f_coeff", "z0_field", "z_field", "x0_field", "xi_field",
+    "z_chart", "x0_chart", "cart_z_field", "cartesian_delta",
     "pushforward_check",
     "ControlSignal", "IntegratorSettings", "Trajectory", "integrate_car",
     "integrate_arm", "integrate_cartesian", "integrate_subarm",
     "project_subarm", "induced_subarm_controls", "velocity_report",
     "collinearity_residuals", "cascade_residuals",
-    "lie_bracket", "build_level", "classify_point", "verify_flag",
+    "bracket_field", "build_level", "classify_point", "verify_flag",
     "FlagReport",
     "ChartDegenerate", "ConstraintViolated", "StepRejected",
 ]

@@ -110,20 +110,14 @@ class AngularConfig:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "z", z)
 
-    def angles(self, sphere: int) -> hs.Angles:
-        """Chart angles of sphere `sphere` (which carries z_{sphere+1}).
+    def angles(self, sphere: int) -> np.ndarray:
+        """Chart angles (k,) of sphere `sphere` (which carries z_{sphere+1}).
 
         Raises ChartDegenerate near the chart boundary.
         """
         if not 0 <= sphere <= self.dims.n:
             raise IndexError("sphere index out of range")
-        return hs.Angles(hs.angles_from_unit(self.z[sphere])[0])
-
-    def angles_tolerant(self, sphere: int) -> hs.Angles:
-        """Chart angles with undetermined components resolved canonically."""
-        if not 0 <= sphere <= self.dims.n:
-            raise IndexError("sphere index out of range")
-        return hs.Angles(hs.angles_from_unit(self.z[sphere], strict=False)[0])
+        return hs.angles_from_unit(self.z[sphere])[0]
 
     def flat(self) -> np.ndarray:
         """Embedded ambient coordinates [x0, z_1, ..., z_{n+1}]."""
@@ -136,14 +130,14 @@ def constraint_residuals(c: CartesianConfig) -> np.ndarray:
     return np.sum(seg * seg, axis=1) - 1.0
 
 
-def gamma(c: CartesianConfig, tol: float = CONSTRAINT_TOL) -> AngularConfig:
+def gamma(c: CartesianConfig) -> AngularConfig:
     """Cartesian -> angular: keep x_0, take unit segment directions.
 
-    Raises ConstraintViolated when a segment length is off by more than tol
-    (on the squared-length residual).
+    Raises ConstraintViolated when a segment length is off by more than
+    CONSTRAINT_TOL (on the squared-length residual).
     """
     res = constraint_residuals(c)
-    if np.any(np.abs(res) > tol):
+    if np.any(np.abs(res) > CONSTRAINT_TOL):
         worst = int(np.argmax(np.abs(res)))
         raise ConstraintViolated(
             f"segment {worst} violates the unit constraint: residual {res[worst]:.3e}")

@@ -390,8 +390,7 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
             y[body] = unit.reshape(-1)
         return y, drift
 
-    y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1),
-                         q0.angles(n).theta])
+    y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
     return _record(mode, dims, u, T, settings, seed,
                    _integrate(rhs, project, y0, T, settings), view)
 

@@ -16,37 +16,18 @@ numerical brackets independent of the extension choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims, CartesianConfig, gamma
-from .numerics import subspace_angle, svd_rank
+from .numerics import subspace_angle
 
-# Modes of a tangent vector's coordinate representation.
+# The flat ambient spaces a Field lives on.
 MODE_EMBEDDED = "embedded"    # [x0 | z_1 .. z_{n+1}], dim (k+1)(n+2)
-MODE_CHART = "chart"          # [x | theta_0 .. theta_n], dim k(n+2)+1
 MODE_CARTESIAN = "cartesian"  # [x_0 | .. | x_{n+1}], dim (k+1)(n+2)
 MODE_CAR = "car"              # [x, y, theta_0 .. theta_n], dim n+3
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Coordinates of a tangent vector plus the layout they refer to."""
-
-    coords: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        coords = np.array(self.coords, dtype=float).reshape(-1)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
 
 
 class Field:
@@ -316,7 +297,7 @@ def A_coeff(q: AngularConfig, i: int) -> float:
 
 def a_values(q: AngularConfig) -> np.ndarray:
     """A_1..A_n as an array (empty for n = 0)."""
-    return np.sum(q.z[:-1] * q.z[1:], axis=1)
+    return _a_chain(q.z[None])[0]
 
 
 def f_coeff(q: AngularConfig, r: int, m: int) -> float:
@@ -355,123 +336,67 @@ def chart_to_embedded(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public field evaluation at configurations
+# chart forms, on [x | theta_0 .. theta_n]
 # ---------------------------------------------------------------------------
 
-def Z_field(q: AngularConfig, i: int, form: str = MODE_EMBEDDED) -> TangentVector:
-    """Evaluate Z_i at q; i = 0 gives the base-point direction field.
+def z_chart(q: AngularConfig, i: int) -> np.ndarray:
+    """Chart form of Z_i at q; i = 0 gives the base-point direction field.
 
-    The chart form carries the projection coefficients B_i^j on the theta
-    block of sphere i-1 and is refused at degenerate charts; the embedded
-    form is available everywhere.
+    Carries the projection coefficients B_i^j on the theta block of sphere
+    i-1 and is refused where that sphere's chart is degenerate; the
+    embedded forms (`z0_field`, `z_field`) are available everywhere.
     """
     dims = q.dims
     if not 0 <= i <= dims.n:
         raise IndexError("Z_i needs 0 <= i <= n")
-    if form == MODE_EMBEDDED:
-        f = z0_field(dims) if i == 0 else z_field(dims, i)
-        return TangentVector(f.at(q.flat()), MODE_EMBEDDED)
-    if form == MODE_CHART:
-        out = np.zeros(dims.angular_dim)
-        k1, k = dims.ambient, dims.k
-        if i == 0:
-            out[:k1] = q.z[0]
-        else:
-            out[k1 + k * (i - 1):k1 + k * i] = hs.tangent_coefficients(
-                q.z[i - 1:i], q.z[i:i + 1])[0]
-        return TangentVector(out, MODE_CHART)
-    raise ValueError(f"unknown form {form!r}")
+    out = np.zeros(dims.angular_dim)
+    k1, k = dims.ambient, dims.k
+    if i == 0:
+        out[:k1] = q.z[0]
+    else:
+        out[k1 + k * (i - 1):k1 + k * i] = hs.tangent_coefficients(
+            q.z[i - 1:i], q.z[i:i + 1])[0]
+    return out
 
 
-def X0_field(q: AngularConfig, m: int, form: str = MODE_EMBEDDED) -> TangentVector:
-    """Evaluate X_m^0 = sum_i f_m^i Z_i at q."""
+def x0_chart(q: AngularConfig, m: int) -> np.ndarray:
+    """Chart form of X_m^0 = sum_i f_m^i Z_i at q; reads the frames of
+    spheres 0..m-1 only."""
     dims = q.dims
     if not 0 <= m <= dims.n:
         raise IndexError("X_m^0 needs 0 <= m <= n")
-    if form == MODE_EMBEDDED:
-        return TangentVector(x0_field(dims, m).at(q.flat()), MODE_EMBEDDED)
-    if form == MODE_CHART:
-        out = np.zeros(dims.angular_dim)
-        k1, k = dims.ambient, dims.k
-        f = _f_products(a_values(q)[None], m)[0]
-        out[:k1] = f[0] * q.z[0]
-        b = hs.tangent_coefficients(q.z[:m], q.z[1:m + 1])
-        out[k1:k1 + k * m] = (f[1:, None] * b).reshape(-1)
-        return TangentVector(out, MODE_CHART)
-    raise ValueError(f"unknown form {form!r}")
+    out = np.zeros(dims.angular_dim)
+    k1, k = dims.ambient, dims.k
+    f = _f_products(a_values(q)[None], m)[0]
+    out[:k1] = f[0] * q.z[0]
+    b = hs.tangent_coefficients(q.z[:m], q.z[1:m + 1])
+    out[k1:k1 + k * m] = (f[1:, None] * b).reshape(-1)
+    return out
 
 
-def Xi_field(q: AngularConfig, m: int, i: int,
-             form: str = MODE_EMBEDDED) -> TangentVector:
-    """Evaluate the chart coordinate field X_m^i = d/d theta_m^i at q."""
-    dims = q.dims
-    if form == MODE_EMBEDDED:
-        return TangentVector(xi_field(dims, m, i).at(q.flat()), MODE_EMBEDDED)
-    if form == MODE_CHART:
-        if not 0 <= m <= dims.n:
-            raise IndexError("X_m^i needs 0 <= m <= n")
-        if not 1 <= i <= dims.k:
-            raise IndexError("X_m^i needs 1 <= i <= k")
-        out = np.zeros(dims.angular_dim)
-        out[dims.ambient + dims.k * m + (i - 1)] = 1.0
-        return TangentVector(out, MODE_CHART)
-    raise ValueError(f"unknown form {form!r}")
+def cartesian_delta(q: CartesianConfig) -> np.ndarray:
+    """The k+1 generators (k+1, (k+1)(n+2)) of the constrained distribution
+    at q, each orthogonal to every constraint normal."""
+    return np.vstack([cart_delta_field(q.dims, r).at(q.flat())
+                      for r in range(q.dims.k + 1)])
 
 
-def cartesian_Z(q: CartesianConfig, i: int) -> TangentVector:
-    """Evaluate the Cartesian segment field at q."""
-    return TangentVector(cart_z_field(q.dims, i).at(q.flat()), MODE_CARTESIAN)
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Ordered tangent vectors at one configuration, with rank machinery."""
-
-    point: object
-    vectors: Sequence[TangentVector]
-    labels: Sequence[str]
-
-    def __post_init__(self):
-        modes = {v.mode for v in self.vectors}
-        if len(modes) > 1:
-            raise ValueError(f"mixed tangent modes in one set: {modes}")
-
-    def matrix(self) -> np.ndarray:
-        if not self.vectors:
-            return np.zeros((0, 0))
-        return np.vstack([v.coords for v in self.vectors])
-
-    def rank(self, tol: float = 1e-8) -> int:
-        return svd_rank(self.matrix(), tol)
-
-
-def cartesian_delta(q: CartesianConfig) -> GeneratorSet:
-    """The k+1 generators of the constrained distribution at q, each
-    orthogonal to every constraint normal."""
-    dims = q.dims
-    flds = [cart_delta_field(dims, r) for r in range(dims.k + 1)]
-    vecs = [TangentVector(f.at(q.flat()), MODE_CARTESIAN) for f in flds]
-    return GeneratorSet(point=q, vectors=vecs,
-                        labels=[f.label for f in flds])
-
-
-def pushforward_check(q: CartesianConfig, tol: float = 1e-8) -> float:
+def pushforward_check(q: CartesianConfig) -> float:
     """Largest principal angle between the pushforward of the Cartesian
     generators and the angular-chart span {X_n^0, X_n^1..X_n^k} at the
     image configuration.
 
     The pushforward is assembled in closed form: the bidiagonal difference
     map on joint blocks composed with each sphere's inverse chart Jacobian.
+    The chart form of X_n^i is the coordinate unit vector of theta_n^i.
     Raises ChartDegenerate when the image hits a chart boundary.
     """
     a = gamma(q)
     dims = q.dims
-    joints = cartesian_delta(q).matrix().reshape(dims.k + 1, dims.joints, -1)
+    joints = cartesian_delta(q).reshape(dims.k + 1, dims.joints, -1)
     pushed = embedded_to_chart(a, np.concatenate(
         [joints[:, 0], np.diff(joints, axis=1).reshape(dims.k + 1, -1)],
         axis=1))
-    target = np.vstack(
-        [X0_field(a, dims.n, form=MODE_CHART).coords]
-        + [Xi_field(a, dims.n, i, form=MODE_CHART).coords
-           for i in range(1, dims.k + 1)])
-    return subspace_angle(pushed, target, tol)
+    target = np.vstack([x0_chart(a, dims.n),
+                        np.eye(dims.angular_dim)[-dims.k:]])
+    return subspace_angle(pushed, target)

@@ -14,15 +14,16 @@ and must agree wherever both are defined.
 All span computations run on embedded coordinates with tangency to the
 sphere factors enforced on bracket values; Jacobians for brackets use
 central differences.  A field is named by calling its constructor in
-`fields`; `bracket_field` is the single-pair bracket, and nesting it builds
-higher brackets.
+`fields`; `bracket_field` is the single-pair bracket, evaluated at a point
+of the fields' space with `.at(point)`, and nesting it builds higher
+brackets.
 
 `verify_flag` makes one pass per point: each field value, Jacobian and
 bracket is computed once, one SVD of each level matrix or derived stack
 gives its rank, span and angle side, and the sandwich test reuses them.
 Its report carries every per-level number (ranks, involutivity and
 inclusion residuals, derived ranks and angles, sandwich indices);
-`build_level` gives the generator sets (D^m, E^m) themselves.
+`build_level` gives the generating fields of (D^m, E^m) themselves.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fields as fl
-from .arm import AngularConfig, ArmDims, CartesianConfig, gamma, gamma_inverse
-from .dynamics import car_state_from_config
-from .fields import Field, GeneratorSet, TangentVector, field_jacobian
+from . import hyperspherical as hs
+from .arm import AngularConfig, ArmDims
+from .fields import Field, field_jacobian
 from .numerics import RowSpan, orthonormal_rows, subspace_angle, svd_rank
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
@@ -72,34 +73,6 @@ def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
         return out
 
     return Field(x.mode, x.dim, fn, f"[{x.label},{y.label}]")
-
-
-def _point_for_mode(q, mode: str) -> np.ndarray:
-    if mode == fl.MODE_EMBEDDED:
-        if isinstance(q, CartesianConfig):
-            q = gamma(q)
-        return q.flat()
-    if mode == fl.MODE_CARTESIAN:
-        if isinstance(q, AngularConfig):
-            q = gamma_inverse(q)
-        return q.flat()
-    if mode == fl.MODE_CAR:
-        if isinstance(q, CartesianConfig):
-            q = gamma(q)
-        return car_state_from_config(q)
-    raise ValueError(f"cannot evaluate fields of mode {mode!r}")
-
-
-def lie_bracket(x: Field, y: Field, q, h: float = BRACKET_H) -> TangentVector:
-    """`bracket_field(x, y, h)` evaluated at q.
-
-    The fields come from their constructors (`fields.x0_field`,
-    `fields.xi_field`, `fields.car_x2_field`, ...); a nested bracket passes
-    `bracket_field(...)` as one of them.  q may be an angular or Cartesian
-    configuration and is converted to the fields' ambient space.
-    """
-    return TangentVector(bracket_field(x, y, h).at(_point_for_mode(q, x.mode)),
-                         x.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +195,20 @@ class _PairBrackets:
 
 
 # ---------------------------------------------------------------------------
-# generator sets of one level
+# generating fields of one level
 # ---------------------------------------------------------------------------
 
 def build_level(q: AngularConfig, m: int, basis: str = "projected"
-                ) -> tuple[GeneratorSet, GeneratorSet]:
-    """Generator sets (D^m, E^m) at q, for m = 1..n+1.
+                ) -> tuple[list[Field], list[Field]]:
+    """Generating fields of (D^m, E^m) at q, for m = 1..n+1.
 
     E^m spans the sphere tangents of spheres m-1..n; D^m adds the steering
-    field of joint m.  basis="chart" uses the chart coordinate fields as
-    the sphere-tangent family and fails at degenerate charts.
+    field of joint m in front.  basis="chart" uses the chart coordinate
+    fields as the sphere-tangent family and fails at degenerate charts.
     """
     ctx = _FlagContext(q, basis=basis)
     flds = [ctx.fields[i] for i in ctx.d_index(m)]
-    point = q.flat()
-    vecs = [TangentVector(f.at(point), fl.MODE_EMBEDDED) for f in flds]
-    labels = [f.label for f in flds]
-    # E^m is D^m without its leading steering field
-    return (GeneratorSet(point=q, vectors=vecs, labels=labels),
-            GeneratorSet(point=q, vectors=vecs[1:], labels=labels[1:]))
+    return flds, flds[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +426,23 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
 # chart-built basis of the steering plane (used by tests as a cross-check)
 # ---------------------------------------------------------------------------
 
-def chart_delta_basis(q: AngularConfig, m: int) -> GeneratorSet:
-    """The k+1 combinations of {X_{m-1}^0, X_{m-1}^r} with chart-frame
-    coefficients that span the steering plane of joint m-1; the span is what
-    matters (coefficient normalization drops out of it)."""
+def chart_delta_basis(q: AngularConfig, m: int) -> np.ndarray:
+    """The k+1 combinations (k+1, D) of {X_{m-1}^0, X_{m-1}^r} with
+    chart-frame coefficients that span the steering plane of joint m-1; the
+    span is what matters (coefficient normalization drops out of it)."""
     if not 1 <= m <= q.dims.n:
         raise IndexError("needs 1 <= m <= n")
     dims = q.dims
-    from . import hyperspherical as hs
-    ang = q.angles(m - 1)
-    val, jac = hs.unit_and_jacobian(ang.theta)
-    norms = hs.frame_norms(ang.theta)
-    x0v = fl.X0_field(q, m - 1).coords
-    xiv = [fl.Xi_field(q, m - 1, i).coords for i in range(1, dims.k + 1)]
+    point = q.flat()
+    theta = q.angles(m - 1)
+    val, jac = hs.unit_and_jacobian(theta)
+    norms = hs.frame_norms(theta)
+    x0v = fl.x0_field(dims, m - 1).at(point)
+    xiv = [fl.xi_field(dims, m - 1, i).at(point) for i in range(1, dims.k + 1)]
     vecs = []
     for j in range(dims.k + 1):
         v = val[0][j] * x0v
         for r in range(dims.k):
             v = v + (jac[0][j, r] / norms[r]) * xiv[r]
-        vecs.append(TangentVector(v, fl.MODE_EMBEDDED))
-    return GeneratorSet(point=q, vectors=vecs,
-                        labels=[f"Y{m - 1}^{j + 1}" for j in range(dims.k + 1)])
+        vecs.append(v)
+    return np.vstack(vecs)

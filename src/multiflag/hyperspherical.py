@@ -12,8 +12,6 @@ at or below EPS_DOM, so all routes share one domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ChartDegenerate
@@ -90,7 +88,8 @@ def frame_norms(theta: np.ndarray) -> np.ndarray:
 
 
 def angles_from_unit(z: np.ndarray, strict: bool = True) -> np.ndarray:
-    """Invert the chart on unit vectors (B, k+1) -> angles (B, k).
+    """Invert the chart on unit vectors (B, k+1) -> angles (B, k), the
+    periodic angle in [0, 2*pi).
 
     strict=True raises ChartDegenerate where the chart is degenerate (see
     `_interior_sines`); strict=False resolves the undetermined trailing
@@ -110,7 +109,9 @@ def angles_from_unit(z: np.ndarray, strict: bool = True) -> np.ndarray:
         fallback = np.zeros(v.shape[1])
         fallback[-1] = 1.0
         v = np.where((r > 1e-300)[:, None], v, fallback)
-    theta[:, k - 1] = np.arctan2(v[:, 0], v[:, 1]) % TWO_PI
+    last = np.arctan2(v[:, 0], v[:, 1]) % TWO_PI
+    # a negative arctan2 of magnitude below ~4e-16 rounds up to 2*pi
+    theta[:, k - 1] = np.where(last < TWO_PI, last, 0.0)
     _interior_sines(theta, strict)
     return theta
 
@@ -154,103 +155,24 @@ def tangent_coefficients(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# value types
+# the paper's chart formulas on one angle array (k,)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Angles:
-    """Chart angles (theta^1..theta^k); the periodic angle is stored
-    reduced to [0, 2*pi)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        theta = np.array(self.theta, dtype=float).reshape(-1)
-        if theta.size < 1:
-            raise ValueError("need at least one angle")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("angles must be finite")
-        theta[-1] = theta[-1] % TWO_PI
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-
-    @property
-    def k(self) -> int:
-        return self.theta.size
-
-    def interior(self) -> bool:
-        """True when the chart is valid here (see `_interior_sines`)."""
-        return _interior_sines(self.theta)[1]
-
-
-@dataclass(frozen=True)
-class UnitVector:
-    """Point on S^k, renormalized on construction."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float).reshape(-1)
-        if z.size < 2:
-            raise ValueError("need a vector in R^{k+1}, k >= 1")
-        nrm = np.linalg.norm(z)
-        if not np.isfinite(nrm) or nrm < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        z = z / nrm
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
-    @property
-    def k(self) -> int:
-        return self.z.size - 1
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """Moving frame at phi(theta): the radial unit vector nu plus the k
-    chart tangent vectors Theta^j, with their closed-form norms."""
-
-    nu: UnitVector
-    Theta: np.ndarray          # (k, k+1), row j-1 = d phi / d theta^j
-    norms: np.ndarray          # (k,), |Theta^j|
-
-    def __post_init__(self):
-        for name in ("Theta", "norms"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-# ---------------------------------------------------------------------------
-# chart operations
-# ---------------------------------------------------------------------------
-
-def phi(angles: Angles) -> UnitVector:
-    """Evaluate the chart at unit radius."""
-    return UnitVector(unit_from_angles(angles.theta))
-
-
-def phi_inverse(z: UnitVector) -> Angles:
-    """Recover chart angles from a sphere point; raises ChartDegenerate
-    where the chart is degenerate."""
-    return Angles(angles_from_unit(z.z)[0])
-
-
-def jacobian(rho: float, angles: Angles) -> np.ndarray:
+def jacobian(rho: float, theta: np.ndarray) -> np.ndarray:
     """Jacobian of (rho, theta) -> rho * phi(theta).
 
     Column 0 is phi(theta); column j is rho * d phi / d theta^j.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    val, jac = unit_and_jacobian(angles.theta)
+    val, jac = unit_and_jacobian(theta)
     return np.column_stack([val[0], rho * jac[0]])
 
 
-def jacobian_det(rho: float, angles: Angles) -> float:
+def jacobian_det(rho: float, theta: np.ndarray) -> float:
     """Closed-form determinant of `jacobian`:
     (-1)^floor((k+1)/2) * rho^k * prod_{i=1}^{k-1} sin(theta^{k-i})^i."""
-    th = angles.theta
+    th = np.asarray(theta, dtype=float)
     k = th.size
     sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
     prod = 1.0
@@ -259,31 +181,19 @@ def jacobian_det(rho: float, angles: Angles) -> float:
     return float(sign * rho**k * prod)
 
 
-def jacobian_inverse(angles: Angles) -> np.ndarray:
-    """Inverse of jacobian(1, theta); see `frame_inverse`."""
-    return frame_inverse(angles.theta)[0]
-
-
-def frame(angles: Angles) -> TangentFrame:
-    """Moving frame {nu, Theta^1..Theta^k} at phi(theta)."""
-    val, jac = unit_and_jacobian(angles.theta)
-    return TangentFrame(nu=UnitVector(val[0]), Theta=jac[0].T,
-                        norms=frame_norms(angles.theta))
-
-
-def projection_coefficients(angles: Angles,
+def projection_coefficients(theta: np.ndarray,
                             target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Decompose `target` over the frame at `angles`:
+    """Decompose `target` over the frame at angles `theta`:
     target = A * nu + sum_j B^j * Theta^j with B^j = <target, Theta^j> / |Theta^j|^2.
 
     Exact for any target in R^{k+1} because the frame is an orthogonal basis.
     """
-    coeffs = frame_inverse(angles.theta)[0] @ np.asarray(target, dtype=float)
+    coeffs = frame_inverse(theta)[0] @ np.asarray(target, dtype=float)
     return float(coeffs[0]), coeffs[1:]
 
 
-def frame_change(angles: Angles,
-                 angles_prime: Angles) -> tuple[float, np.ndarray]:
+def frame_change(theta: np.ndarray,
+                 theta_prime: np.ndarray) -> tuple[float, np.ndarray]:
     """Coefficients of nu' = phi(theta') in the frame at theta.
 
     A is the radial coefficient <nu, nu'>; B^j are orthogonal-projection
@@ -291,4 +201,4 @@ def frame_change(angles: Angles,
     nu' = A nu + sum B^j Theta^j is exact.  For k = 1 this reduces to
     (cos(t' - t), sin(t' - t)).
     """
-    return projection_coefficients(angles, unit_from_angles(angles_prime.theta))
+    return projection_coefficients(theta, unit_from_angles(theta_prime))

@@ -18,8 +18,13 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_config(dims: ArmDims, rng: np.random.Generator) -> AngularConfig:
-    """Uniform directions on each sphere, Gaussian base point."""
-    z = np.vstack([random_unit(rng, dims.ambient) for _ in range(dims.n + 1)])
+    """Uniform directions on each sphere, Gaussian base point.
+
+    The n+1 directions come from one draw; each row's norm is a stacked
+    `@`, so it rounds like `random_unit`'s per-row `np.linalg.norm`.
+    """
+    v = rng.normal(size=(dims.n + 1, dims.ambient))
+    z = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
     return AngularConfig(dims=dims, x0=rng.normal(size=dims.ambient), z=z)
 
 
@@ -62,14 +67,12 @@ def singular_config(dims: ArmDims, rng: np.random.Generator,
     return AngularConfig(dims=dims, x0=q.x0, z=z)
 
 
-def collinear_config(dims: ArmDims, direction: np.ndarray | None = None,
-                     x0: np.ndarray | None = None) -> AngularConfig:
-    """Perfectly straight arm; defaults to the first ambient axis, which is
-    interior for every chart."""
+def collinear_config(dims: ArmDims,
+                     direction: np.ndarray | None = None) -> AngularConfig:
+    """Perfectly straight arm based at the origin; defaults to the first
+    ambient axis, which is interior for every chart."""
     if direction is None:
         direction = np.zeros(dims.ambient)
         direction[0] = 1.0
-    if x0 is None:
-        x0 = np.zeros(dims.ambient)
     z = np.tile(np.asarray(direction, dtype=float), (dims.n + 1, 1))
-    return AngularConfig(dims=dims, x0=x0, z=z)
+    return AngularConfig(dims=dims, x0=np.zeros(dims.ambient), z=z)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from multiflag import arm
 from multiflag import fields as fl
+from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate, ConstraintViolated
 
@@ -38,7 +39,7 @@ class TestGamma:
         a = arm.gamma(c)
         assert np.allclose(a.x0, [0, 0])
         assert np.allclose(a.z[0], [0, 1])
-        assert np.allclose(a.angles(0).theta, [0.0])
+        assert np.allclose(a.angles(0), [0.0])
 
     def test_collinear_along_last_axis_is_chart_degenerate(self):
         dims = arm.ArmDims(2, 1)
@@ -48,8 +49,8 @@ class TestGamma:
         with pytest.raises(ChartDegenerate):
             a.angles(0)
         # tolerant recovery still maps back to the same point
-        ang = a.angles_tolerant(0)
-        assert np.allclose(np.sin(ang.theta[0]), 0, atol=1e-12)
+        ang = hs.angles_from_unit(a.z[0], strict=False)[0]
+        assert np.allclose(np.sin(ang[0]), 0, atol=1e-12)
 
     def test_violated_constraint_raises(self):
         dims = arm.ArmDims(1, 0)
@@ -86,7 +87,7 @@ class TestGamma:
         rng = np.random.default_rng(1)
         dims = arm.ArmDims(1, 3)
         a = sampling.random_config(dims, rng)
-        thetas = [a.angles(s).theta[0] for s in range(4)]
+        thetas = [a.angles(s)[0] for s in range(4)]
         c = arm.gamma_inverse(a)
         for r in range(1, 5):
             expect = a.x0 + np.sum(
@@ -171,9 +172,9 @@ class TestAlignmentIdentity:
         rng = np.random.default_rng(7)
         dims = arm.ArmDims(3, 2)
         a = sampling.random_regular_config(dims, rng, chart_margin=0.05)
-        from multiflag import hyperspherical as hs
         for s in range(dims.n + 1):
-            assert np.abs(hs.phi(a.angles(s)).z - a.z[s]).max() < 1e-9
+            assert np.abs(hs.unit_from_angles(a.angles(s))
+                          - a.z[s]).max() < 1e-9
 
 
 class TestSerialization:
@@ -203,3 +204,44 @@ class TestSerialization:
         a = sampling.collinear_config(arm.ArmDims(1, 1))
         text = json.dumps(arm.config_to_dict(a))
         assert '"k": 1' in text
+
+
+def loop_random_config(dims, rng):
+    """Reference: one `random_unit` draw per sphere, then the base point."""
+    z = np.vstack([sampling.random_unit(rng, dims.ambient)
+                   for _ in range(dims.n + 1)])
+    return arm.AngularConfig(dims=dims, x0=rng.normal(size=dims.ambient), z=z)
+
+
+def loop_random_regular_config(dims, rng, chart_margin=0.0):
+    """Reference: rejection sampling on per-sphere draws."""
+    for _ in range(sampling.MAX_TRIES):
+        q = loop_random_config(dims, rng)
+        a = np.sum(q.z[:-1] * q.z[1:], axis=1)
+        if a.size and np.min(np.abs(a)) < sampling.MIN_ABS_A:
+            continue
+        if chart_margin > 0.0 and hs.interior_margin(q.z) <= chart_margin:
+            continue
+        return q
+    raise ValueError("no draw passed")
+
+
+class TestSampler:
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
+                                      (3, 4), (2, 5), (4, 6)])
+    def test_draws_match_per_sphere_loop(self, k, n):
+        dims = arm.ArmDims(k, n)
+        for seed in range(15):
+            for margin in (0.0, 0.1):
+                rng, ref = (np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+                for _ in range(3):
+                    got = sampling.random_regular_config(dims, rng,
+                                                         chart_margin=margin)
+                    want = loop_random_regular_config(dims, ref, margin)
+                    assert np.array_equal(got.z, want.z)
+                    assert np.array_equal(got.x0, want.x0)
+                    assert np.array_equal(fl.a_values(got),
+                                          np.sum(got.z[:-1] * got.z[1:],
+                                                 axis=1))
+                assert rng.bit_generator.state == ref.bit_generator.state

@@ -58,7 +58,7 @@ def test_conversions_and_fields_share_one_domain(k, n, j, s):
         assert raises(fl.chart_to_embedded, q,
                       rng.normal(size=dims.angular_dim)) == refused
         for i in range(1, k + 1):
-            assert raises(fl.Xi_field, q, m, i) == refused
+            assert raises(fl.xi_field(dims, m, i).at, q.flat()) == refused
 
 
 @pytest.mark.parametrize("k, n, j, s", CASES)

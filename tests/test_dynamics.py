@@ -367,7 +367,7 @@ def loop_induced_controls(traj, m):
         if m == n:
             wv = w
         else:
-            theta_m = hs.Angles(hs.angles_from_unit(z[m])[0])
+            theta_m = hs.angles_from_unit(z[m])[0]
             _, b = hs.projection_coefficients(theta_m, z[m + 1])
             wv = vn * np.prod(a[m + 1:]) * b
         out.append(np.concatenate([[vn * np.prod(a[m:])], wv]))
@@ -422,3 +422,16 @@ class TestHeadChartPole:
         assert np.abs(tx.z - ta.z).max() < 1e-10
         assert np.abs(tx.x0 - ta.x0).max() < 1e-10
         assert np.abs(tx.v - ta.v).max() < 1e-10
+
+    def test_head_angle_read_back_below_two_pi(self):
+        # arctan2 of (-1e-17, 1) is -1e-17, which % 2 pi rounds up to
+        # exactly 2 pi; the head's periodic angle must read back as 0
+        head = np.array([-1e-17, 1.0])
+        assert hs.angles_from_unit(head)[0, 0] == 0.0
+        q = arm.AngularConfig(arm.ArmDims(1, 1), np.zeros(2),
+                              [[0.0, 1.0], head])
+        u = dyn.ControlSignal.constant(0.5, [0.3])
+        s = dyn.IntegratorSettings(h=1e-3)
+        ta = dyn.integrate_arm(q, u, 0.0, s)
+        tx = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 0.0, s)
+        assert ta.theta_n[0, 0] == tx.theta_n[0, 0] == 0.0

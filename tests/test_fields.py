@@ -7,7 +7,7 @@ from multiflag import fields as fl
 from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate
-from multiflag.numerics import subspace_angle
+from multiflag.numerics import subspace_angle, svd_rank
 
 
 def rotate_pair(rng, dims):
@@ -30,7 +30,7 @@ class TestCoefficients:
         rng = np.random.default_rng(0)
         dims = arm.ArmDims(1, 3)
         q = sampling.random_config(dims, rng)
-        th = [q.angles(s).theta[0] for s in range(4)]
+        th = [q.angles(s)[0] for s in range(4)]
         for i in range(1, 4):
             assert fl.A_coeff(q, i) == pytest.approx(
                 np.cos(th[i] - th[i - 1]), abs=1e-12)
@@ -74,7 +74,7 @@ class TestCoefficients:
         rng = np.random.default_rng(4)
         dims = arm.ArmDims(1, 3)
         q = sampling.random_config(dims, rng)
-        th = [q.angles(s).theta[0] for s in range(4)]
+        th = [q.angles(s)[0] for s in range(4)]
         want = np.prod([np.cos(th[j] - th[j - 1]) for j in range(1, 4)])
         assert fl.f_coeff(q, 0, 3) == pytest.approx(want, abs=1e-12)
 
@@ -83,15 +83,15 @@ class TestZFields:
     def test_aligned_gives_zero(self):
         dims = arm.ArmDims(2, 1)
         q = sampling.collinear_config(dims)
-        assert fl.Z_field(q, 1).norm < 1e-15
+        assert np.linalg.norm(fl.z_field(dims, 1).at(q.flat())) < 1e-15
 
     def test_k1_chart_coefficient(self):
         rng = np.random.default_rng(5)
         dims = arm.ArmDims(1, 2)
         q = sampling.random_config(dims, rng)
-        th = [q.angles(s).theta[0] for s in range(3)]
+        th = [q.angles(s)[0] for s in range(3)]
         for i in (1, 2):
-            ch = fl.Z_field(q, i, form="chart").coords
+            ch = fl.z_chart(q, i)
             block = ch[2 + (i - 1):2 + i]
             assert block[0] == pytest.approx(np.sin(th[i] - th[i - 1]),
                                              abs=1e-12)
@@ -102,7 +102,8 @@ class TestZFields:
         for _ in range(30):
             q = sampling.random_config(dims, rng)
             for i in range(1, dims.n + 1):
-                nrm2 = fl.Z_field(q, i).coords @ fl.Z_field(q, i).coords
+                zi = fl.z_field(dims, i).at(q.flat())
+                nrm2 = zi @ zi
                 assert abs(nrm2 - (1 - fl.A_coeff(q, i) ** 2)) < 1e-10
 
     def test_chart_form_degenerate_raises(self):
@@ -110,22 +111,22 @@ class TestZFields:
         z = np.array([[0.0, 0, 1], [1.0, 0, 0]])  # sphere 0 at the pole
         q = arm.AngularConfig(dims, np.zeros(3), z)
         with pytest.raises(ChartDegenerate):
-            fl.Z_field(q, 1, form="chart")
+            fl.z_chart(q, 1)
         # embedded form stays available
-        assert np.isfinite(fl.Z_field(q, 1).coords).all()
+        assert np.isfinite(fl.z_field(dims, 1).at(q.flat())).all()
 
 
 class TestX0Fields:
     def test_m0_is_z0(self):
         rng = np.random.default_rng(7)
         q = sampling.random_config(arm.ArmDims(2, 2), rng)
-        assert np.allclose(fl.X0_field(q, 0).coords,
-                           fl.Z_field(q, 0).coords, atol=1e-15)
+        assert np.allclose(fl.x0_field(q.dims, 0).at(q.flat()),
+                           fl.z0_field(q.dims).at(q.flat()), atol=1e-15)
 
     def test_collinear_reduces_to_base_block(self):
         dims = arm.ArmDims(2, 3)
         q = sampling.collinear_config(dims)
-        vec = fl.X0_field(q, dims.n).coords
+        vec = fl.x0_field(dims, dims.n).at(q.flat())
         assert np.allclose(vec[:3], q.z[0], atol=1e-15)
         assert np.abs(vec[3:]).max() < 1e-15
 
@@ -136,7 +137,7 @@ class TestX0Fields:
         dims = arm.ArmDims(1, 3)
         for _ in range(20):
             q = sampling.random_config(dims, rng)
-            ch = fl.X0_field(q, dims.n, form="chart").coords
+            ch = fl.x0_chart(q, dims.n)
             car = fl.car_x2_field(dims.n).at(dyn.car_state_from_config(q))
             # car layout: (x, y, theta_0..theta_n); chart: (x^1, x^2, ...)
             assert abs(ch[0] - car[1]) < 1e-12
@@ -149,9 +150,11 @@ class TestX0Fields:
         dims = arm.ArmDims(2, 3)
         q = sampling.random_config(dims, rng)
         m = 2
-        vec = fl.X0_field(q, m).coords.reshape(dims.joints, dims.ambient)
+        vec = fl.x0_field(dims, m).at(q.flat()).reshape(dims.joints,
+                                                        dims.ambient)
         for i in range(1, m + 1):
-            zi = fl.Z_field(q, i).coords.reshape(dims.joints, dims.ambient)
+            zi = fl.z_field(dims, i).at(q.flat()).reshape(dims.joints,
+                                                          dims.ambient)
             assert np.allclose(vec[i], fl.f_coeff(q, i, m) * zi[i],
                                atol=1e-12)
         assert np.abs(vec[m + 1:]).max() == 0.0
@@ -162,23 +165,33 @@ class TestXiFields:
         rng = np.random.default_rng(10)
         dims = arm.ArmDims(2, 2)
         q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
-        from multiflag import hyperspherical as hs
         for m in range(3):
-            fr = hs.frame(q.angles(m))
+            _, jac = hs.unit_and_jacobian(q.angles(m))
             for i in (1, 2):
-                vec = fl.Xi_field(q, m, i).coords.reshape(
+                vec = fl.xi_field(dims, m, i).at(q.flat()).reshape(
                     dims.joints, dims.ambient)
-                assert np.allclose(vec[m + 1], fr.Theta[i - 1], atol=1e-12)
+                assert np.allclose(vec[m + 1], jac[0][:, i - 1], atol=1e-12)
                 assert np.abs(np.delete(vec, m + 1, axis=0)).max() == 0.0
 
     def test_k1_is_heading_rate(self):
         rng = np.random.default_rng(11)
         dims = arm.ArmDims(1, 2)
         q = sampling.random_config(dims, rng)
-        ch = fl.Xi_field(q, dims.n, 1, form="chart").coords
+        ch = fl.embedded_to_chart(q, fl.xi_field(dims, dims.n, 1).at(q.flat()))
         expect = np.zeros(dims.angular_dim)
         expect[-1] = 1.0
         assert np.allclose(ch, expect)
+
+    def test_projected_family_spans_sphere_tangent(self):
+        rng = np.random.default_rng(19)
+        dims = arm.ArmDims(3, 2)
+        q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
+        for s in range(dims.n + 1):
+            flds = fl.sphere_tangent_fields(dims, s, q)
+            mat = np.vstack([f.at(q.flat()) for f in flds])
+            chart = np.vstack([fl.xi_field(dims, s, i).at(q.flat())
+                               for i in range(1, dims.k + 1)])
+            assert subspace_angle(mat, chart) < 1e-9
 
 
 class TestDuality:
@@ -187,19 +200,22 @@ class TestDuality:
         for k, n in [(1, 2), (2, 2), (3, 2)]:
             dims = arm.ArmDims(k, n)
             q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
+            point = q.flat()
             for i in range(n + 1):
-                emb = fl.Z_field(q, i).coords
-                ch = fl.Z_field(q, i, form="chart").coords
+                emb = (fl.z0_field(dims) if i == 0
+                       else fl.z_field(dims, i)).at(point)
+                ch = fl.z_chart(q, i)
                 assert np.abs(fl.chart_to_embedded(q, ch) - emb).max() < 1e-9
             for m in range(n + 1):
-                emb = fl.X0_field(q, m).coords
-                ch = fl.X0_field(q, m, form="chart").coords
+                emb = fl.x0_field(dims, m).at(point)
+                ch = fl.x0_chart(q, m)
                 assert np.abs(fl.chart_to_embedded(q, ch) - emb).max() < 1e-9
                 back = fl.embedded_to_chart(q, emb)
                 assert np.abs(back - ch).max() < 1e-9
                 for i in range(1, k + 1):
-                    emb = fl.Xi_field(q, m, i).coords
-                    ch = fl.Xi_field(q, m, i, form="chart").coords
+                    emb = fl.xi_field(dims, m, i).at(point)
+                    # the chart form of X_m^i is a coordinate unit vector
+                    ch = np.eye(dims.angular_dim)[dims.ambient + k * m + i - 1]
                     assert np.abs(fl.chart_to_embedded(q, ch)
                                   - emb).max() < 1e-9
 
@@ -208,7 +224,7 @@ class TestCartesianFields:
     def test_segment_field_example(self):
         dims = arm.ArmDims(1, 0)
         c = arm.CartesianConfig(dims, [[0.0, 0.0], [1.0, 0.0]])
-        assert np.allclose(fl.cartesian_Z(c, 0).coords, [1, 0, 0, 0])
+        assert np.allclose(fl.cart_z_field(dims, 0).at(c.flat()), [1, 0, 0, 0])
 
     def test_unit_norm_and_normal_pairing(self):
         rng = np.random.default_rng(13)
@@ -216,7 +232,7 @@ class TestCartesianFields:
         q, c = rotate_pair(rng, dims)
         nf = arm.normal_fields(c)
         for i in range(dims.n + 1):
-            zv = fl.cartesian_Z(c, i).coords
+            zv = fl.cart_z_field(dims, i).at(c.flat())
             assert abs(np.linalg.norm(zv) - 1.0) < 1e-12
             assert abs(zv @ nf[i] + 1.0) < 1e-12
 
@@ -226,7 +242,7 @@ class TestCartesianFields:
             dims = arm.ArmDims(k, n)
             for _ in range(20):
                 _, c = rotate_pair(rng, dims)
-                mat = fl.cartesian_delta(c).matrix()
+                mat = fl.cartesian_delta(c)
                 nf = arm.normal_fields(c)
                 assert np.abs(mat @ nf.T).max() < 1e-10
 
@@ -237,7 +253,7 @@ class TestCartesianFields:
         nf = arm.normal_fields(c)
         for j in range(1, dims.n + 1):
             from_normals = -(nf[j] @ nf[j - 1])
-            from_segments = fl.cartesian_Z(c, j).coords @ nf[j - 1]
+            from_segments = fl.cart_z_field(dims, j).at(c.flat()) @ nf[j - 1]
             assert abs(from_normals - fl.A_coeff(q, j)) < 1e-12
             assert abs(from_segments - fl.A_coeff(q, j)) < 1e-12
 
@@ -245,7 +261,7 @@ class TestCartesianFields:
         dims = arm.ArmDims(2, 2)
         q = sampling.collinear_config(dims)  # every segment along axis 0
         c = arm.gamma_inverse(q)
-        mat = fl.cartesian_delta(c).matrix()
+        mat = fl.cartesian_delta(c)
         k1 = dims.ambient
         for r in range(dims.k + 1):
             vec = mat[r].reshape(dims.joints, k1)
@@ -260,7 +276,7 @@ class TestCartesianFields:
         rng = np.random.default_rng(16)
         dims = arm.ArmDims(3, 2)
         _, c = rotate_pair(rng, dims)
-        assert fl.cartesian_delta(c).rank() == dims.k + 1
+        assert svd_rank(fl.cartesian_delta(c)) == dims.k + 1
 
 
 class TestPushforward:
@@ -288,7 +304,7 @@ def loop_embedded_to_chart(q, vec):
     out = np.empty(dims.angular_dim)
     out[:k1] = vec[:k1]
     for s in range(dims.n + 1):
-        rows = hs.jacobian_inverse(q.angles(s))[1:]
+        rows = hs.frame_inverse(q.angles(s))[0, 1:]
         out[k1 + k * s:k1 + k * (s + 1)] = rows @ vec[k1 * (s + 1):
                                                       k1 * (s + 2)]
     return out
@@ -300,19 +316,18 @@ def loop_pushforward_check(c, tol=1e-8):
     a = arm.gamma(c)
     dims = c.dims
     k, k1 = dims.k, dims.ambient
-    inv_rows = [hs.jacobian_inverse(a.angles(s))[1:]
+    inv_rows = [hs.frame_inverse(a.angles(s))[0, 1:]
                 for s in range(dims.n + 1)]
     pushed = np.empty((k + 1, dims.angular_dim))
-    for row, vec in enumerate(fl.cartesian_delta(c).matrix()):
+    for row, vec in enumerate(fl.cartesian_delta(c)):
         joints = vec.reshape(dims.joints, k1)
         dz = np.diff(joints, axis=0)
         pushed[row, :k1] = joints[0]
         for s in range(dims.n + 1):
             pushed[row, k1 + k * s:k1 + k * (s + 1)] = inv_rows[s] @ dz[s]
-    target = np.vstack(
-        [fl.X0_field(a, dims.n, form="chart").coords]
-        + [fl.Xi_field(a, dims.n, i, form="chart").coords
-           for i in range(1, k + 1)])
+    # the chart forms of X_n^1..X_n^k are the last k coordinate vectors
+    target = np.vstack([fl.x0_chart(a, dims.n),
+                        np.eye(dims.angular_dim)[-k:]])
     return subspace_angle(pushed, target, tol)
 
 
@@ -353,37 +368,15 @@ class TestPerSphereOracle:
         z = np.array([[0.6, 0, 0.8], [0, 0, 1.0], [0, 0.6, 0.8]])
         q = arm.AngularConfig(dims, np.zeros(3), z)
         _, b = hs.projection_coefficients(q.angles(0), q.z[1])
-        got = fl.Z_field(q, 1, form="chart").coords
+        got = fl.z_chart(q, 1)
         assert np.array_equal(got[3:5], b)
         assert np.abs(np.delete(got, [3, 4])).max() == 0.0
         # f_1^1 = 1, so X_1^0 carries the same block
-        assert np.array_equal(fl.X0_field(q, 1, form="chart").coords[3:5], b)
+        assert np.array_equal(fl.x0_chart(q, 1)[3:5], b)
         for i in (0, 1):
-            fl.Z_field(q, i, form="chart")
-            fl.X0_field(q, i, form="chart")
+            fl.z_chart(q, i)
+            fl.x0_chart(q, i)
         with pytest.raises(ChartDegenerate):
-            fl.Z_field(q, 2, form="chart")
+            fl.z_chart(q, 2)
         with pytest.raises(ChartDegenerate):
-            fl.X0_field(q, 2, form="chart")
-
-
-class TestGeneratorSet:
-    def test_mixed_modes_rejected(self):
-        rng = np.random.default_rng(18)
-        dims = arm.ArmDims(1, 1)
-        q = sampling.random_config(dims, rng)
-        v1 = fl.Z_field(q, 0)
-        v2 = fl.Z_field(q, 0, form="chart")
-        with pytest.raises(ValueError):
-            fl.GeneratorSet(point=q, vectors=[v1, v2], labels=["a", "b"])
-
-    def test_projected_family_spans_sphere_tangent(self):
-        rng = np.random.default_rng(19)
-        dims = arm.ArmDims(3, 2)
-        q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
-        for s in range(dims.n + 1):
-            flds = fl.sphere_tangent_fields(dims, s, q)
-            mat = np.vstack([f.at(q.flat()) for f in flds])
-            chart = np.vstack([fl.Xi_field(q, s, i).coords
-                               for i in range(1, dims.k + 1)])
-            assert subspace_angle(mat, chart) < 1e-9
+            fl.x0_chart(q, 2)

@@ -13,7 +13,13 @@ def interior_angles(rng, k, margin=0.1):
     th = np.empty(k)
     th[: k - 1] = rng.uniform(margin, np.pi - margin, k - 1)
     th[k - 1] = rng.uniform(0.0, TWO_PI)
-    return hs.Angles(th)
+    return th
+
+
+def frame(theta):
+    """The unit vector nu and the rows Theta^j of the chart frame."""
+    val, jac = hs.unit_and_jacobian(theta)
+    return val[0], jac[0].T
 
 
 def angle_diff(a, b):
@@ -24,14 +30,15 @@ def angle_diff(a, b):
 
 class TestPhi:
     def test_north_pole_k3(self):
-        assert np.allclose(hs.phi(hs.Angles([0, 0, 0])).z, [0, 0, 0, 1])
+        assert np.allclose(hs.unit_from_angles([0, 0, 0]), [0, 0, 0, 1])
 
     def test_equator_k2(self):
-        z = hs.phi(hs.Angles([np.pi / 2, np.pi / 2])).z
+        z = hs.unit_from_angles([np.pi / 2, np.pi / 2])
         assert np.allclose(z, [1, 0, 0], atol=1e-15)
 
     def test_circle_k1(self):
-        assert np.allclose(hs.phi(hs.Angles([np.pi / 2])).z, [1, 0], atol=1e-15)
+        assert np.allclose(hs.unit_from_angles([np.pi / 2]), [1, 0],
+                           atol=1e-15)
 
     def test_unit_norm_everywhere(self):
         rng = np.random.default_rng(0)
@@ -44,36 +51,35 @@ class TestPhi:
 class TestPhiInverse:
     def test_pole_is_degenerate_for_k2(self):
         with pytest.raises(ChartDegenerate):
-            hs.phi_inverse(hs.UnitVector([0.0, 0.0, 1.0]))
+            hs.angles_from_unit([0.0, 0.0, 1.0])
 
     def test_equator_k2(self):
-        ang = hs.phi_inverse(hs.UnitVector([1.0, 0.0, 0.0]))
-        assert np.allclose(ang.theta, [np.pi / 2, np.pi / 2])
+        ang = hs.angles_from_unit([1.0, 0.0, 0.0])[0]
+        assert np.allclose(ang, [np.pi / 2, np.pi / 2])
 
     def test_round_trip_random_k3(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             z = rng.normal(size=4)
             z /= np.linalg.norm(z)
-            uv = hs.UnitVector(z)
             try:
-                ang = hs.phi_inverse(uv)
+                ang = hs.angles_from_unit(z)[0]
             except ChartDegenerate:
                 continue
-            assert np.allclose(hs.phi(ang).z, uv.z, atol=1e-10)
+            assert np.allclose(hs.unit_from_angles(ang), z, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=4), st.integers())
     def test_round_trip_interior_angles(self, k, seed):
         rng = np.random.default_rng(abs(seed) % 2**31)
         ang = interior_angles(rng, k, margin=1e-3)
-        back = hs.phi_inverse(hs.phi(ang))
-        assert angle_diff(back.theta, ang.theta) < 1e-10
+        back = hs.angles_from_unit(hs.unit_from_angles(ang))[0]
+        assert angle_diff(back, ang) < 1e-10
 
 
 class TestJacobian:
     def test_k1_at_zero(self):
-        assert np.allclose(hs.jacobian(1.0, hs.Angles([0.0])),
+        assert np.allclose(hs.jacobian(1.0, [0.0]),
                            [[0, 1], [1, 0]])
 
     def test_matches_finite_differences(self):
@@ -85,12 +91,12 @@ class TestJacobian:
                 rho = rng.uniform(0.3, 2.5)
                 jac = hs.jacobian(rho, ang)
                 # radial column
-                fd0 = ((rho + h) * hs.unit_from_angles(ang.theta)
-                       - (rho - h) * hs.unit_from_angles(ang.theta)) / (2 * h)
+                fd0 = ((rho + h) * hs.unit_from_angles(ang)
+                       - (rho - h) * hs.unit_from_angles(ang)) / (2 * h)
                 assert np.allclose(jac[:, 0], fd0, atol=1e-6)
                 for j in range(k):
-                    tp = np.array(ang.theta)
-                    tm = np.array(ang.theta)
+                    tp = np.array(ang)
+                    tm = np.array(ang)
                     tp[j] += h
                     tm[j] -= h
                     fd = rho * (hs.unit_from_angles(tp)
@@ -124,59 +130,59 @@ class TestJacobian:
                              - hs.unit_from_angles(tm)) / (2 * h))
             det = np.linalg.det(np.column_stack(cols))
             assert abs(abs(det) - 1.0) < 1e-4
-            assert abs(det - hs.jacobian_det(1.0, hs.Angles(th))) < 1e-4
+            assert abs(det - hs.jacobian_det(1.0, th)) < 1e-4
 
     def test_inverse_is_inverse(self):
         rng = np.random.default_rng(5)
         for k in (1, 2, 3, 4):
             for _ in range(50):
                 ang = interior_angles(rng, k, margin=5e-2)
-                prod = hs.jacobian_inverse(ang) @ hs.jacobian(1.0, ang)
+                prod = hs.frame_inverse(ang)[0] @ hs.jacobian(1.0, ang)
                 assert np.abs(prod - np.eye(k + 1)).max() < 1e-8
 
     def test_k1_inverse_self(self):
-        assert np.allclose(hs.jacobian_inverse(hs.Angles([0.0])),
+        assert np.allclose(hs.frame_inverse([0.0])[0],
                            [[0, 1], [1, 0]])
 
     def test_inverse_degenerate_raises(self):
         th = np.array([1e-12, 0.3, 1.0])  # sin(theta^1) ~ 1e-12
         with pytest.raises(ChartDegenerate):
-            hs.jacobian_inverse(hs.Angles(th))
+            hs.frame_inverse(th)
 
 
 class TestFrame:
     def test_k1(self):
-        fr = hs.frame(hs.Angles([np.pi / 2]))
-        assert np.allclose(fr.nu.z, [1, 0], atol=1e-15)
-        assert np.allclose(fr.Theta[0], [0, -1], atol=1e-15)
+        nu, theta = frame([np.pi / 2])
+        assert np.allclose(nu, [1, 0], atol=1e-15)
+        assert np.allclose(theta[0], [0, -1], atol=1e-15)
 
     def test_k2_example(self):
-        fr = hs.frame(hs.Angles([np.pi / 2, 0.0]))
-        assert np.allclose(fr.nu.z, [0, 1, 0], atol=1e-15)
-        assert np.allclose(fr.Theta[0], [0, 0, -1], atol=1e-15)
-        assert np.allclose(fr.Theta[1], [1, 0, 0], atol=1e-15)
+        nu, theta = frame([np.pi / 2, 0.0])
+        assert np.allclose(nu, [0, 1, 0], atol=1e-15)
+        assert np.allclose(theta[0], [0, 0, -1], atol=1e-15)
+        assert np.allclose(theta[1], [1, 0, 0], atol=1e-15)
 
     def test_orthogonality_and_norms(self):
         rng = np.random.default_rng(6)
         for k in (1, 2, 3, 4):
             for _ in range(40):
                 ang = interior_angles(rng, k)
-                fr = hs.frame(ang)
-                mat = np.vstack([fr.nu.z, fr.Theta])
+                nu, theta = frame(ang)
+                mat = np.vstack([nu, theta])
                 gram = mat @ mat.T
                 off = gram - np.diag(np.diag(gram))
                 assert np.abs(off).max() < 1e-10
-                got = np.linalg.norm(fr.Theta, axis=1)
-                sines = np.abs(np.sin(ang.theta))
+                got = np.linalg.norm(theta, axis=1)
+                sines = np.abs(np.sin(ang))
                 want = np.concatenate(
                     [[1.0], np.cumprod(sines[:-1])]) if k > 1 else np.ones(1)
                 assert np.abs(got - want).max() < 1e-10
-                assert np.abs(fr.norms - want).max() < 1e-12
+                assert np.abs(hs.frame_norms(ang) - want).max() < 1e-12
 
 
 class TestFrameChange:
     def test_identity(self):
-        ang = hs.Angles([0.7, 1.1, 2.2])
+        ang = np.array([0.7, 1.1, 2.2])
         a, b = hs.frame_change(ang, ang)
         assert abs(a - 1.0) < 1e-12
         assert np.abs(b).max() < 1e-12
@@ -185,7 +191,7 @@ class TestFrameChange:
         rng = np.random.default_rng(7)
         for _ in range(100):
             t, tp = rng.uniform(0, TWO_PI, 2)
-            a, b = hs.frame_change(hs.Angles([t]), hs.Angles([tp]))
+            a, b = hs.frame_change([t], [tp])
             assert abs(a - np.cos(tp - t)) < 1e-12
             assert abs(b[0] - np.sin(tp - t)) < 1e-12
 
@@ -196,10 +202,10 @@ class TestFrameChange:
                 ang = interior_angles(rng, k, margin=5e-2)
                 ang2 = interior_angles(rng, k, margin=0.0)
                 a, b = hs.frame_change(ang, ang2)
-                fr = hs.frame(ang)
-                rec = a * fr.nu.z + b @ fr.Theta
-                assert np.abs(rec - hs.phi(ang2).z).max() < 1e-9
-                tang2 = np.sum(b**2 * fr.norms**2)
+                nu, theta = frame(ang)
+                rec = a * nu + b @ theta
+                assert np.abs(rec - hs.unit_from_angles(ang2)).max() < 1e-9
+                tang2 = np.sum(b**2 * hs.frame_norms(ang)**2)
                 assert abs(a**2 + tang2 - 1.0) < 1e-9
 
     @settings(max_examples=50, deadline=None)
@@ -209,23 +215,19 @@ class TestFrameChange:
         ang = interior_angles(rng, 3, margin=1e-2)
         ang2 = interior_angles(rng, 3, margin=0.0)
         a, b = hs.frame_change(ang, ang2)
-        fr = hs.frame(ang)
-        rec = a * fr.nu.z + b @ fr.Theta
-        assert np.abs(rec - hs.phi(ang2).z).max() < 1e-9
+        nu, theta = frame(ang)
+        rec = a * nu + b @ theta
+        assert np.abs(rec - hs.unit_from_angles(ang2)).max() < 1e-9
 
 
 class TestAngles:
     def test_periodic_angle_reduced(self):
-        ang = hs.Angles([0.5, 7.0])
-        assert 0.0 <= ang.theta[-1] < TWO_PI
-        ang1 = hs.Angles([-np.pi])
-        assert abs(ang1.theta[0] - np.pi) < 1e-15
+        ang = hs.angles_from_unit(hs.unit_from_angles([0.5, 7.0]))[0]
+        assert 0.0 <= ang[-1] < TWO_PI
+        ang1 = hs.angles_from_unit(hs.unit_from_angles([-np.pi]))[0]
+        assert abs(ang1[0] - np.pi) < 1e-15
 
     def test_interior_flag(self):
-        assert hs.Angles([1e-12]).interior()          # k=1: always interior
-        assert not hs.Angles([1e-12, 0.3]).interior()
-        assert hs.Angles([0.5, 0.3]).interior()
-
-    def test_unit_vector_normalizes(self):
-        uv = hs.UnitVector([3.0, 4.0])
-        assert abs(np.linalg.norm(uv.z) - 1.0) <= 1e-12
+        assert hs._interior_sines([1e-12])[1]          # k=1: always interior
+        assert not hs._interior_sines([1e-12, 0.3])[1]
+        assert hs._interior_sines([0.5, 0.3])[1]

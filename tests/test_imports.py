@@ -1,0 +1,68 @@
+"""Import hygiene of the package, read from the source with `ast`.
+
+Every name a module imports is used in it, and the layers below the
+integrators and the command line import neither.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "multiflag"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+BELOW_DYNAMICS = ["hyperspherical", "numerics", "arm", "fields", "flags",
+                  "sampling"]
+
+
+def parse(module):
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def imports(tree):
+    """(bound name, imported module path) for every import statement; a
+    relative path keeps its leading dots."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [(a.asname or a.name.split(".")[0], a.name)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = "." * node.level + (node.module or "")
+            out += [(a.asname or a.name,
+                     base if node.module else base + a.name)
+                    for a in node.names]
+    return out
+
+
+def package_module(path):
+    """The `multiflag` module an import path names, or None."""
+    parts = path.lstrip(".").split(".")
+    if path.startswith("."):
+        return parts[0]
+    return parts[1] if parts[0] == "multiflag" and len(parts) > 1 else None
+
+
+def used_names(tree):
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # `__all__` re-exports count as uses
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = parse(module)
+    unused = sorted({name for name, _ in imports(tree)} - used_names(tree))
+    assert unused == [], f"{module} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("module", BELOW_DYNAMICS)
+def test_lower_layers_skip_dynamics_and_cli(module):
+    upper = [path for _, path in imports(parse(module))
+             if package_module(path) in ("dynamics", "cli")]
+    assert upper == [], f"{module} imports {upper}"

@@ -177,9 +177,8 @@ def cmd_verify(args) -> int:
         singular.append(sampling.singular_config(dims, rng,
                                                  index=1 + j % dims.n))
 
-    reports = [fg.verify_flag(q, tol=args.tol, h=args.bracket_h,
-                              basis=args.basis)
-               for q in regular + singular]
+    reports = fg.verify_flags(regular + singular, tol=args.tol,
+                              h=args.bracket_h, basis=args.basis)
 
     if args.out:
         payload = {

@@ -201,16 +201,24 @@ def sphere_axis_field(dims: ArmDims, sphere: int, axis: int) -> Field:
     return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{axis}]")
 
 
-def sphere_tangent_fields(dims: ArmDims, sphere: int,
-                          at: AngularConfig) -> list[Field]:
-    """k projected-axis fields spanning the tangent of `sphere` near `at`.
+def tangent_axes(z: np.ndarray) -> np.ndarray:
+    """The k ambient axes (..., k), in increasing order, whose projections
+    span the sphere tangent at unit rows z (..., k+1).
 
     Drops the ambient axis most aligned with the segment direction, which
     keeps the remaining projections uniformly well conditioned.
     """
-    drop = int(np.argmax(np.abs(at.z[sphere])))
-    return [sphere_axis_field(dims, sphere, a)
-            for a in range(dims.k + 1) if a != drop]
+    k1 = z.shape[-1]
+    keep = np.arange(k1) != np.argmax(np.abs(z), axis=-1)[..., None]
+    return np.nonzero(keep)[-1].reshape(z.shape[:-1] + (k1 - 1,))
+
+
+def sphere_tangent_fields(dims: ArmDims, sphere: int,
+                          at: AngularConfig) -> list[Field]:
+    """k projected-axis fields spanning the tangent of `sphere` near `at`
+    (the axes of `tangent_axes`)."""
+    return [sphere_axis_field(dims, sphere, int(a))
+            for a in tangent_axes(at.z[sphere])]
 
 
 # ---------------------------------------------------------------------------

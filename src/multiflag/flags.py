@@ -18,17 +18,22 @@ central differences.  A field is named by calling its constructor in
 of the fields' space with `.at(point)`, and nesting it builds higher
 brackets.
 
-`verify_flag` makes one pass per point: each field value, Jacobian and
-bracket is computed once, one SVD of each level matrix or derived stack
-gives its rank, span and angle side, and the sandwich test reuses them.
-Its report carries every per-level number (ranks, involutivity and
-inclusion residuals, derived ranks and angles, sandwich indices);
-`build_level` gives the generating fields of (D^m, E^m) themselves.
+`verify_flags` measures the points of one shape together, one block of
+points at a time: each field is evaluated in one call at the block's
+points and in one at their difference points, every bracket is computed
+once, and one stacked SVD of each level matrix or derived stack gives every
+point its rank, span and angle side; the sandwich test reuses them.  Points
+whose ranks differ are read in groups of equal rank, so each gets exactly
+the numbers it gets alone.  `verify_flag` is the one-point call.  A report
+carries every per-level number (ranks, involutivity and inclusion
+residuals, derived ranks and angles, sandwich indices); `build_level`
+gives the generating fields of (D^m, E^m) themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+import functools
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,11 +42,15 @@ from . import fields as fl
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
 from .fields import Field, field_jacobian
-from .numerics import RowSpan, orthonormal_rows, subspace_angle, svd_rank
+from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
+                       svd_rank)
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step for bracket Jacobians
+# Byte budget of one block of points, counted as a (points, F, F, D)
+# float64 tensor: about twice the pair tensor of brackets the block holds.
+BLOCK_BYTES = 512 * 1024
 
 
 def expected_rank_d(dims: ArmDims, m: int) -> int:
@@ -76,36 +85,49 @@ def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# generating family and its pairwise brackets at one point
+# generating family and its pairwise brackets at a batch of points
 # ---------------------------------------------------------------------------
 
 class _FlagContext:
-    """The (n+1)(k+1) generating fields at one configuration, indexed as
-    the steering fields X_0^0..X_n^0 followed by k tangent fields for each
-    sphere 0..n.  Levels are index lists into `fields`."""
+    """The generating family of one (k,n) shape at a batch of
+    configurations with segment rows z (B, n+1, k+1).
 
-    def __init__(self, q: AngularConfig, basis: str = "projected"):
+    Each sample's family is (n+1)(k+1) fields: the steering fields
+    X_0^0..X_n^0 followed by k tangent fields for each sphere 0..n.  Levels
+    are index lists into that family.  `fields` holds every field any
+    sample uses; `keep` (B, F) gives each sample's family as indices into
+    it.  The projected basis holds all k+1 axes of each sphere and keeps,
+    per sample, the k of `fields.tangent_axes`.
+    """
+
+    def __init__(self, dims: ArmDims, z: np.ndarray,
+                 basis: str = "projected"):
         if basis not in ("projected", "chart"):
             raise ValueError("basis must be 'projected' or 'chart'")
-        dims = q.dims
         self.dims = dims
+        n1, k = dims.n + 1, dims.k
+        steering = [fl.x0_field(dims, m) for m in range(n1)]
         if basis == "projected":
-            spheres = [fl.sphere_tangent_fields(dims, j, q)
-                       for j in range(dims.n + 1)]
+            self.fields = steering + [fl.sphere_axis_field(dims, j, a)
+                                      for j in range(n1)
+                                      for a in range(k + 1)]
+            spheres = (n1 + (k + 1) * np.arange(n1)[:, None]
+                       + fl.tangent_axes(z)).reshape(len(z), -1)
         else:
-            spheres = [[fl.xi_field(dims, j, i)
-                        for i in range(1, dims.k + 1)]
-                       for j in range(dims.n + 1)]
-        self.fields: list[Field] = (
-            [fl.x0_field(dims, m) for m in range(dims.n + 1)]
-            + [f for sphere in spheres for f in sphere])
+            self.fields = steering + [fl.xi_field(dims, j, i)
+                                      for j in range(n1)
+                                      for i in range(1, k + 1)]
+            spheres = np.broadcast_to(np.arange(n1, len(self.fields)),
+                                      (len(z), n1 * k))
+        self.keep = np.hstack([np.broadcast_to(np.arange(n1), (len(z), n1)),
+                               spheres])
 
     def e_index(self, m: int) -> list[int]:
         """Generators of the integrable sublevel: sphere tangents m-1..n."""
         if not 1 <= m <= self.dims.n + 1:
             raise IndexError("level needs 1 <= m <= n+1")
         first = self.dims.n + 1 + (m - 1) * self.dims.k
-        return list(range(first, len(self.fields)))
+        return list(range(first, self.keep.shape[1]))
 
     def d_index(self, m: int) -> list[int]:
         """Generators of level m: the steering field of joint m plus the
@@ -113,10 +135,27 @@ class _FlagContext:
         return [m - 1] + self.e_index(m)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(size, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a family of `size` fields: the number (size, size) of the pair
+    {a, b}, a != b, in the row-major order of `_pairs`, and the others
+    (size, size-1) of each position in increasing order."""
+    a, b = _upper(size)
+    number = np.zeros((size, size), dtype=int)
+    number[a, b] = number[b, a] = np.arange(a.size)
+    rest = np.arange(size - 1)
+    return number, rest + (rest >= np.arange(size)[:, None])
+
+
 def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Both members of every pair a < b of `idx`, in row-major order."""
     idx = np.asarray(idx, dtype=int)
-    upper = np.triu_indices(idx.size, 1)
+    upper = _upper(idx.size)
     return idx[upper[0]], idx[upper[1]]
 
 
@@ -130,68 +169,104 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def _tangent_project(vecs: np.ndarray, q: AngularConfig) -> np.ndarray:
+def _tangent_project(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Remove, in place, the radial component on each sphere block of the
-    last axis of `vecs` (finite-difference noise: every field is tangent
-    to the spheres)."""
-    dims = q.dims
-    blocks = vecs.reshape(*vecs.shape[:-1], dims.joints,
-                          dims.ambient)[..., 1:, :]
-    blocks -= _rowdot(blocks, q.z)[..., None] * q.z
+    last axis of `vecs` (B, ..., D), with segment rows z (B, n+1, k+1)
+    (finite-difference noise: every field is tangent to the spheres)."""
+    b, spheres, k1 = z.shape
+    blocks = vecs.reshape(vecs.shape[:-1] + (spheres + 1, k1))[..., 1:, :]
+    z = z.reshape((b,) + (1,) * (vecs.ndim - 2) + (spheres, k1))
+    blocks -= _rowdot(blocks, z)[..., None] * z
     return vecs
 
 
-def _tangent_basis(q: AngularConfig) -> np.ndarray:
-    """Orthonormal rows spanning the whole tangent space at q."""
-    dims = q.dims
-    k1 = dims.ambient
-    rows = [np.eye(dims.cartesian_dim)[:k1]]
-    for i, zi in enumerate(q.z, start=1):
-        basis = orthonormal_rows(np.eye(k1) - np.outer(zi, zi))
-        rows.append(np.zeros((basis.shape[0], dims.cartesian_dim)))
-        rows[-1][:, k1 * i:k1 * (i + 1)] = basis
-    return np.vstack(rows)
+def _tangent_basis(dims: ArmDims, z: np.ndarray) -> np.ndarray:
+    """Orthonormal rows (B, angular_dim, D) spanning the whole tangent
+    space at each configuration of segment rows z (B, n+1, k+1)."""
+    k, k1 = dims.k, dims.ambient
+    sphere = orthonormal_rows(np.eye(k1) - z[..., :, None] * z[..., None, :])
+    out = np.zeros((len(z), dims.angular_dim, dims.cartesian_dim))
+    out[:, :k1, :k1] = np.eye(k1)
+    for i in range(dims.n + 1):
+        out[:, k1 + k * i:k1 + k * (i + 1),
+            k1 * (i + 1):k1 * (i + 2)] = sphere[:, i]
+    return out
 
 
 class _PairBrackets:
-    """Values, central-difference Jacobians and every pairwise bracket of a
-    field family at one configuration.
+    """Values, central-difference Jacobians and every pairwise bracket of
+    the generating family at a batch of points (B, D).
 
-    With V (F, D) the stacked values and J (F, D, D) the Jacobians,
-    `brackets[a, b] = J_b V_a - J_a V_b` is built as one tensor, tangent to
-    every sphere block.
+    With V (B, F, D) the family's values and J_c the Jacobian of field c,
+    the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
+    sphere block; `brackets` (B, F(F-1)/2, D) holds them in the row-major
+    pair order of `_pairs`, numbered by `pair`.  Each field is evaluated in
+    one call at the points and in one call at the 2D difference points of
+    the points whose family keeps it; its Jacobians (B, D, D) go at once
+    into J_c V (B, F, D), whose rows are added to or subtracted from their
+    pairs, so no tensor of all Jacobians or all products is ever held.
     """
 
-    def __init__(self, flds: Sequence[Field], q: AngularConfig, h: float):
-        point = q.flat()
-        self.values = np.vstack([f.at(point) for f in flds])
-        jacs = np.stack([field_jacobian(f, point, h) for f in flds])
-        # jv[a, b] = J_b V_a
-        jv = np.matmul(jacs[None], self.values[:, None, :, None])[..., 0]
-        self.brackets = _tangent_project(jv - jv.transpose(1, 0, 2), q)
+    def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray,
+                 h: float):
+        b, d = points.shape
+        self.values = np.take_along_axis(
+            np.stack([f(points) for f in ctx.fields], axis=1),
+            ctx.keep[:, :, None], axis=1)
+        step = np.eye(d) * h
+        probes = np.concatenate([points[:, None] + step,
+                                 points[:, None] - step], axis=1)
+        self.pair, others = _pair_tables(ctx.keep.shape[1])
+        self.brackets = np.zeros((b, others.size // 2, d))
+        for c, fld in enumerate(ctx.fields):
+            rows, pos = np.nonzero(ctx.keep == c)
+            if not rows.size:
+                continue
+            vals = fld(probes[rows].reshape(-1, d)).reshape(-1, 2 * d, d)
+            # transposed like `field_jacobian`'s result, so the products
+            # below run the same BLAS kernel and round alike
+            jac = ((vals[:, :d] - vals[:, d:]) / (2.0 * h)).swapaxes(1, 2)
+            jv = np.matmul(jac[:, None], self.values[rows][..., None])[..., 0]
+            # J_p V_a enters the pair of a and p with + if a < p, else
+            # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
+            # which rounds like the difference itself
+            other = others[pos]
+            terms = np.take_along_axis(jv, other[..., None], axis=1)
+            terms[other > pos[:, None]] *= -1.0
+            self.brackets[rows[:, None],
+                          self.pair[other, pos[:, None]]] += terms
+        _tangent_project(self.brackets, z)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
-    def worst_residual(self, idx: Sequence[int], span_q: np.ndarray) -> float:
-        """Worst normalized component of a bracket of two fields of `idx`
-        outside the row span of the orthonormal rows `span_q`.
+    def worst_residual(self, idx: Sequence[int], span: RowSpan) -> np.ndarray:
+        """Per point, the worst normalized component of a bracket of two
+        fields of `idx` outside the span's rows kept at 1e-8.
 
         Normalization floors at the product of the generator norms so that
         commuting pairs (bracket = pure finite-difference noise) report
         noise, not noise divided by noise.
         """
         a, b = _pairs(idx)
+        out = np.zeros(len(self.values))
         if a.size == 0:
-            return 0.0
-        br = self.brackets[a, b]
-        resid = br - (br[:, None, :] @ span_q.T @ span_q)[:, 0]
+            return out
+        br = self.brackets[:, self.pair[a, b]]
         scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
-                                      self.norms[a] * self.norms[b]), 1e-300)
-        return float(np.max(np.sqrt(_rowdot(resid, resid)) / scale))
+                                      self.norms[:, a] * self.norms[:, b]),
+                           1e-300)
+        for (r,), sel in rank_groups(span.rank()):
+            q = span.vt[sel, :r]
+            resid = br[sel] - (br[sel][:, :, None, :] @ q.swapaxes(1, 2)[
+                :, None] @ q[:, None])[:, :, 0]
+            out[sel] = np.max(np.sqrt(_rowdot(resid, resid)) / scale[sel],
+                              axis=1)
+        return out
 
     def derived_stack(self, idx: Sequence[int]) -> np.ndarray:
         """The fields of `idx` together with all their pairwise brackets."""
         a, b = _pairs(idx)
-        return np.vstack([self.values[idx], self.brackets[a, b]])
+        return np.concatenate([self.values[:, idx],
+                               self.brackets[:, self.pair[a, b]]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +281,8 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
     field of joint m in front.  basis="chart" uses the chart coordinate
     fields as the sphere-tangent family and fails at degenerate charts.
     """
-    ctx = _FlagContext(q, basis=basis)
-    flds = [ctx.fields[i] for i in ctx.d_index(m)]
+    ctx = _FlagContext(q.dims, q.z[None], basis=basis)
+    flds = [ctx.fields[i] for i in ctx.keep[0, ctx.d_index(m)]]
     return flds, flds[1:]
 
 
@@ -268,13 +343,14 @@ class DerivedReport:
     angle: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"m": self.m, "rank": self.rank,
+                "expected_rank": self.expected_rank, "angle": self.angle}
 
 
 @dataclass
 class FlagReport:
-    """Everything `verify_flag` measured at one configuration; the verdicts
-    are recomputable from the recorded numbers alone."""
+    """Everything `verify_flags` measured at one configuration; the
+    verdicts are recomputable from the recorded numbers alone."""
 
     dims: ArmDims
     point: dict
@@ -339,87 +415,116 @@ class FlagReport:
         return "\n".join(lines)
 
 
-def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
-                basis: str = "projected") -> FlagReport:
+def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
+                 h: float = BRACKET_H,
+                 basis: str = "projected") -> list[FlagReport]:
     """Measure ranks, derived spans, involutivity and inclusion residuals at
-    q, classify the point, and aggregate pass/fail per condition.
+    each configuration of one (k,n) shape, classify the points, and
+    aggregate pass/fail per condition; one report per configuration.
 
-    The structural conditions are asserted by the caller only at regular
+    The points are measured together, in blocks sized by BLOCK_BYTES.  The
+    structural conditions are asserted by the caller only at regular
     points; singular points get the same measurements recorded with a
     `singular` verdict and never raise.
     """
-    dims = q.dims
-    ctx = _FlagContext(q, basis=basis)
-    pb = _PairBrackets(ctx.fields, q, h)
-    cls = classify_point(q)
+    qs = list(qs)
+    if not qs:
+        return []
+    dims = qs[0].dims
+    if any(q.dims != dims for q in qs):
+        raise ValueError("verify_flags needs configurations of one shape")
+    family = (dims.n + 1) * dims.ambient
+    size = max(1, BLOCK_BYTES // (8 * family ** 2 * dims.cartesian_dim))
+    return [rep for start in range(0, len(qs), size)
+            for rep in _verify_block(qs[start:start + size], tol, h, basis)]
 
-    failures: list[str] = []
-    levels: list[LevelReport] = []
-    # one SVD per level matrix: ranks at tol, residual spans at 1e-8; the
-    # D^m spans are also the targets of the derived-span angles
-    spans_d = [RowSpan(pb.values[ctx.d_index(m)])
-               for m in range(1, dims.n + 2)]
-    for m, span_d in enumerate(spans_d, start=1):
-        e_idx = ctx.e_index(m)
-        span_e = RowSpan(pb.values[e_idx])
-        rank_d, rank_e = span_d.rank(tol), span_e.rank(tol)
-        inv = pb.worst_residual(e_idx, span_e.rows())
-        cauchy = (pb.worst_residual(ctx.d_index(m + 1), span_d.rows())
-                  if m <= dims.n else None)
-        lv = LevelReport(m=m, rank_d=rank_d, rank_e=rank_e,
-                         expected_rank_d=expected_rank_d(dims, m),
-                         expected_rank_e=expected_rank_e(dims, m),
-                         involutivity_e=inv, cauchy_residual=cauchy)
-        levels.append(lv)
-        if rank_d != lv.expected_rank_d:
-            failures.append(f"rank D^{m} = {rank_d} != {lv.expected_rank_d}")
-        if rank_e != lv.expected_rank_e:
-            failures.append(f"rank E^{m} = {rank_e} != {lv.expected_rank_e}")
-        if inv >= RESIDUAL_TOL:
-            failures.append(f"E^{m} involutivity residual {inv:.2e}")
-        if cauchy is not None and cauchy >= RESIDUAL_TOL:
-            failures.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
+
+def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
+                basis: str = "projected") -> FlagReport:
+    """`verify_flags` at the one configuration q."""
+    return verify_flags([q], tol=tol, h=h, basis=basis)[0]
+
+
+def _verify_block(qs: list[AngularConfig], tol: float, h: float,
+                  basis: str) -> list[FlagReport]:
+    dims = qs[0].dims
+    n = dims.n
+    z = np.stack([q.z for q in qs])
+    ctx = _FlagContext(dims, z, basis=basis)
+    pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z, h)
+
+    # one stacked SVD per level matrix: ranks at tol, residual spans at
+    # 1e-8; the D^m spans are also the targets of the derived-span angles
+    spans_d = [RowSpan(pb.values[:, ctx.d_index(m)]) for m in range(1, n + 2)]
+    spans_e = [RowSpan(pb.values[:, ctx.e_index(m)]) for m in range(1, n + 2)]
+    ranks_d = [s.rank(tol) for s in spans_d]
+    ranks_e = [s.rank(tol) for s in spans_e]
+    inv = [pb.worst_residual(ctx.e_index(m), spans_e[m - 1])
+           for m in range(1, n + 2)]
+    cauchy = [pb.worst_residual(ctx.d_index(m + 1), spans_d[m - 1])
+              for m in range(1, n + 1)]
     # top-level non-involutivity (bracket-generating witness, not a gate)
-    delta_inv = pb.worst_residual(ctx.d_index(dims.n + 1), spans_d[-1].rows())
+    delta_inv = pb.worst_residual(ctx.d_index(n + 1), spans_d[-1])
     # sandwich test: index l fails when the steering field of joint l
     # already lies in E^l (no rank increase); at k = 1 the A_i decide
-    sandwich = (tuple(l for l in range(1, dims.n + 1)
-                      if svd_rank(pb.values[ctx.e_index(l) + [l]], tol)
-                      == levels[l - 1].rank_e)
-                if dims.k >= 2 else cls.indices)
+    stalls = ([svd_rank(pb.values[:, ctx.e_index(l) + [l]], tol)
+               == ranks_e[l - 1] for l in range(1, n + 1)]
+              if dims.k >= 2 else None)
+    # brackets of level m+1 against level m (level 0: the tangent space)
+    stacks = [RowSpan(pb.derived_stack(ctx.d_index(m + 1)))
+              for m in range(n + 1)]
+    derived_rank = [s.rank(tol) for s in stacks]
+    derived_angle = [subspace_angle(s, spans_d[m - 1] if m else
+                                    _tangent_basis(dims, z), tol)
+                     for m, s in enumerate(stacks)]
 
-    derived: list[DerivedReport] = []
-    for m in range(dims.n, -1, -1):
-        stack = RowSpan(pb.derived_stack(ctx.d_index(m + 1)))
-        rank = stack.rank(tol)
-        target = spans_d[m - 1] if m >= 1 else _tangent_basis(q)
-        angle = subspace_angle(stack, target, tol)
-        dv = DerivedReport(m=m, rank=rank,
-                           expected_rank=expected_rank_d(dims, m),
-                           angle=angle)
-        derived.append(dv)
-        if rank != dv.expected_rank:
-            failures.append(
-                f"derived rank of [D^{m + 1},D^{m + 1}] = {rank} "
-                f"!= {dv.expected_rank}")
-        if angle >= RESIDUAL_TOL:
-            failures.append(f"derived span angle at level {m}: {angle:.2e}")
+    reports = []
+    for j, q in enumerate(qs):
+        cls = classify_point(q)
+        levels = [LevelReport(m, int(ranks_d[m - 1][j]),
+                              int(ranks_e[m - 1][j]),
+                              expected_rank_d(dims, m),
+                              expected_rank_e(dims, m), float(inv[m - 1][j]),
+                              float(cauchy[m - 1][j]) if m <= n else None)
+                  for m in range(1, n + 2)]
+        derived = [DerivedReport(m, int(derived_rank[m][j]),
+                                 expected_rank_d(dims, m),
+                                 float(derived_angle[m][j]))
+                   for m in range(n + 1)]
+        failures = _failures(levels, derived)
+        reports.append(FlagReport(
+            dims, {"x0": q.x0.tolist(), "z": q.z.tolist()},
+            cls.a_values.tolist(), cls.verdict, cls.indices,
+            (tuple(l for l in range(1, n + 1) if stalls[l - 1][j])
+             if stalls is not None else cls.indices),
+            levels, derived, float(delta_inv[j]), basis, tol, h,
+            not failures, failures))
+    return reports
 
-    return FlagReport(
-        dims=dims,
-        point={"x0": q.x0.tolist(), "z": q.z.tolist()},
-        a_values=cls.a_values.tolist(),
-        verdict=cls.verdict,
-        singular_indices=cls.indices,
-        sandwich_indices=sandwich,
-        levels=levels,
-        derived=sorted(derived, key=lambda d: d.m),
-        delta_involutivity=delta_inv,
-        basis=basis,
-        svd_tol=tol,
-        bracket_h=h,
-        passed=not failures,
-        failures=failures)
+
+def _failures(levels: list[LevelReport],
+              derived: list[DerivedReport]) -> list[str]:
+    """The failed conditions: level by level, then the derived spans from
+    the top level down."""
+    out = []
+    for lv in levels:
+        m, cauchy = lv.m, lv.cauchy_residual
+        if lv.rank_d != lv.expected_rank_d:
+            out.append(f"rank D^{m} = {lv.rank_d} != {lv.expected_rank_d}")
+        if lv.rank_e != lv.expected_rank_e:
+            out.append(f"rank E^{m} = {lv.rank_e} != {lv.expected_rank_e}")
+        if lv.involutivity_e >= RESIDUAL_TOL:
+            out.append(f"E^{m} involutivity residual {lv.involutivity_e:.2e}")
+        if cauchy is not None and cauchy >= RESIDUAL_TOL:
+            out.append(f"Cauchy inclusion at level {m}: {cauchy:.2e}")
+    for dv in derived[::-1]:
+        m = dv.m
+        if dv.rank != dv.expected_rank:
+            out.append(f"derived rank of [D^{m + 1},D^{m + 1}] = {dv.rank} "
+                       f"!= {dv.expected_rank}")
+        if dv.angle >= RESIDUAL_TOL:
+            out.append(f"derived span angle at level {m}: {dv.angle:.2e}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -181,17 +181,6 @@ def jacobian_det(rho: float, theta: np.ndarray) -> float:
     return float(sign * rho**k * prod)
 
 
-def projection_coefficients(theta: np.ndarray,
-                            target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Decompose `target` over the frame at angles `theta`:
-    target = A * nu + sum_j B^j * Theta^j with B^j = <target, Theta^j> / |Theta^j|^2.
-
-    Exact for any target in R^{k+1} because the frame is an orthogonal basis.
-    """
-    coeffs = frame_inverse(theta)[0] @ np.asarray(target, dtype=float)
-    return float(coeffs[0]), coeffs[1:]
-
-
 def frame_change(theta: np.ndarray,
                  theta_prime: np.ndarray) -> tuple[float, np.ndarray]:
     """Coefficients of nu' = phi(theta') in the frame at theta.
@@ -201,4 +190,5 @@ def frame_change(theta: np.ndarray,
     nu' = A nu + sum B^j Theta^j is exact.  For k = 1 this reduces to
     (cos(t' - t), sin(t' - t)).
     """
-    return projection_coefficients(theta, unit_from_angles(theta_prime))
+    coeffs = frame_inverse(theta)[0] @ unit_from_angles(theta_prime)
+    return float(coeffs[0]), coeffs[1:]

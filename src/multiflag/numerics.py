@@ -1,62 +1,104 @@
-"""Dense linear-algebra helpers used by the field and flag machinery."""
+"""Dense linear-algebra helpers used by the field and flag machinery.
+
+Every helper takes one matrix or a stack of them (..., r, D) and decomposes
+a stack with one stacked SVD, which gives each member exactly the numbers
+its own SVD would.  Members whose ranks differ are read in groups of equal
+rank (`rank_groups`), so each still gets exactly its own kept rows.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Count of the descending singular values `s` above tol * largest."""
-    return int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] else 0
+def _ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Count of the descending singular values `s` (..., K) above tol *
+    largest, over the leading axes (0 where the largest is 0)."""
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
-def svd_rank(mat: np.ndarray, tol: float = 1e-8) -> int:
+def _scalar(x: np.ndarray, kind):
+    """A 0-d result as a plain `kind`, a stacked one as the array."""
+    return kind(x) if np.ndim(x) == 0 else x
+
+
+def rank_groups(*ranks: np.ndarray):
+    """Yield (ranks, indices): one group per distinct tuple of the given
+    per-member rank arrays, in increasing order."""
+    keys = np.stack(ranks, axis=-1)
+    if np.all(keys == keys[:1]):  # the usual case: one group
+        yield tuple(int(r) for r in keys[0]), np.arange(len(keys))
+        return
+    keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    for g, key in enumerate(keys):
+        yield tuple(int(r) for r in key), np.flatnonzero(inverse == g)
+
+
+def svd_rank(mat: np.ndarray, tol: float = 1e-8):
     """Rank of the row span: count singular values above tol * largest."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return _rank(np.linalg.svd(mat, compute_uv=False), tol) if mat.size else 0
+    mat = np.asarray(mat, dtype=float)
+    mat = np.atleast_2d(mat) if mat.ndim < 2 else mat
+    if not mat.size:
+        return _scalar(np.zeros(mat.shape[:-2], dtype=int), int)
+    return _scalar(_ranks(np.linalg.svd(mat, compute_uv=False), tol), int)
 
 
 class RowSpan:
-    """One SVD of a matrix, from which its rank and an orthonormal basis of
-    its row space are read at any relative threshold."""
+    """One SVD of a matrix or of each matrix of a stack, from which ranks
+    and orthonormal bases of the row spaces are read at any relative
+    threshold."""
 
     def __init__(self, mat: np.ndarray):
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        self.s, self.vt = np.zeros(0), np.zeros((0, mat.shape[1]))
+        mat = np.asarray(mat, dtype=float)
+        mat = np.atleast_2d(mat) if mat.ndim < 2 else mat
+        lead = mat.shape[:-2]
+        self.s = np.zeros(lead + (0,))
+        self.vt = np.zeros(lead + (0, mat.shape[-1]))
         if mat.size:
             _, self.s, self.vt = np.linalg.svd(mat, full_matrices=False)
 
-    def rank(self, tol: float = 1e-8) -> int:
-        return _rank(self.s, tol)
+    def rank(self, tol: float = 1e-8):
+        return _scalar(_ranks(self.s, tol), int)
 
     def rows(self, tol: float = 1e-8) -> np.ndarray:
-        """Orthonormal rows of the singular directions kept at tol."""
-        return self.vt[:self.rank(tol)]
+        """Orthonormal rows (..., r, D) of the singular directions kept at
+        tol; the members of a stack must share the rank r."""
+        ranks = _ranks(self.s, tol).reshape(-1)
+        if np.any(ranks != ranks[:1]):
+            raise ValueError("stack members differ in rank; read them by "
+                             "rank_groups")
+        return self.vt[..., :int(ranks[0]) if ranks.size else 0, :]
 
 
 def orthonormal_rows(mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of `mat`."""
+    """Orthonormal basis (as rows) of the row space of `mat`, or of each
+    matrix of a stack of them sharing one rank."""
     return RowSpan(mat).rows(tol)
 
 
-def subspace_angle(a, b, tol: float = 1e-8) -> float:
+def subspace_angle(a, b, tol: float = 1e-8):
     """Largest principal angle (radians) between the row spans of a and b,
-    each a matrix or its `RowSpan`.
+    each a matrix or its `RowSpan`, or a stack of them (one angle each).
 
     Computed through the sine of the angle, which stays accurate when the
-    spans nearly coincide (arccos loses half the digits there).
+    spans nearly coincide (arccos loses half the digits there).  An empty
+    span makes the angle pi/2 against a nonempty one and 0 against another
+    empty one.
     """
-    qa, qb = ((x if isinstance(x, RowSpan) else RowSpan(x)).rows(tol)
-              for x in (a, b))
-    if qa.shape[0] == 0 and qb.shape[0] == 0:
-        return 0.0
-    if qa.shape[0] == 0 or qb.shape[0] == 0:
-        return float(np.pi / 2)
+    sa, sb = (x if isinstance(x, RowSpan) else RowSpan(x) for x in (a, b))
+    ra, rb = sa.rank(tol), sb.rank(tol)
+    angles = np.empty(np.size(ra))
 
-    def one_sided(q1: np.ndarray, q2: np.ndarray) -> float:
-        resid = q2 - (q2 @ q1.T) @ q1
-        s = np.linalg.svd(resid, compute_uv=False)
-        top = float(s[0]) if s.size else 0.0
-        return float(np.arcsin(min(1.0, top)))
+    def one_sided(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+        resid = q2 - (q2 @ q1.swapaxes(-1, -2)) @ q1
+        return np.arcsin(np.minimum(1.0, np.linalg.svd(
+            resid, compute_uv=False)[:, 0]))
 
-    return max(one_sided(qa, qb), one_sided(qb, qa))
+    for (r1, r2), sel in rank_groups(np.reshape(ra, -1), np.reshape(rb, -1)):
+        if r1 == 0 or r2 == 0:
+            angles[sel] = 0.0 if r1 == r2 else np.pi / 2
+            continue
+        qa = sa.vt.reshape((-1,) + sa.vt.shape[-2:])[sel, :r1]
+        qb = sb.vt.reshape((-1,) + sb.vt.shape[-2:])[sel, :r2]
+        angles[sel] = np.maximum(one_sided(qa, qb), one_sided(qb, qa))
+    return _scalar(angles.reshape(np.shape(ra)), float)

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
-from .fields import a_values
+from .fields import _a_chain
 
 MIN_ABS_A = 0.05     # regular draws keep every |A_i| at least this large
 MAX_TRIES = 10000    # draws before a shape's margins count as out of reach
@@ -17,15 +17,22 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_config(dims: ArmDims, rng: np.random.Generator) -> AngularConfig:
-    """Uniform directions on each sphere, Gaussian base point.
+def _draw(dims: ArmDims, rng: np.random.Generator
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """A Gaussian base point and n+1 uniform directions (rows).
 
-    The n+1 directions come from one draw; each row's norm is a stacked
-    `@`, so it rounds like `random_unit`'s per-row `np.linalg.norm`.
+    The directions come from one draw; each row's norm is a stacked `@`,
+    so it rounds like `random_unit`'s per-row `np.linalg.norm`.
     """
     v = rng.normal(size=(dims.n + 1, dims.ambient))
     z = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
-    return AngularConfig(dims=dims, x0=rng.normal(size=dims.ambient), z=z)
+    return rng.normal(size=dims.ambient), z
+
+
+def random_config(dims: ArmDims, rng: np.random.Generator) -> AngularConfig:
+    """Uniform directions on each sphere, Gaussian base point."""
+    x0, z = _draw(dims, rng)
+    return AngularConfig(dims=dims, x0=x0, z=z)
 
 
 def random_regular_config(dims: ArmDims, rng: np.random.Generator,
@@ -34,17 +41,19 @@ def random_regular_config(dims: ArmDims, rng: np.random.Generator,
 
     chart_margin > 0 additionally keeps every sphere's chart angles away
     from the chart boundary (needed by chart-coefficient operations, not by
-    the embedded machinery).  Raises ValueError when no draw passes.
+    the embedded machinery).  Raises ValueError when no draw passes.  Each
+    draw is judged on its rows renormalized as `AngularConfig` stores them,
+    and only the accepted draw becomes one.
     """
     for _ in range(MAX_TRIES):
-        q = random_config(dims, rng)
-        a = a_values(q)
+        x0, drawn = _draw(dims, rng)
+        z = drawn / np.linalg.norm(drawn, axis=1)[:, None]
+        a = _a_chain(z[None])[0]
         if a.size and np.min(np.abs(a)) < MIN_ABS_A:
             continue
-        if chart_margin > 0.0:
-            if hs.interior_margin(q.z) <= chart_margin:
-                continue
-        return q
+        if chart_margin > 0.0 and hs.interior_margin(z) <= chart_margin:
+            continue
+        return AngularConfig(dims=dims, x0=x0, z=drawn)
     raise ValueError(f"rejection sampling failed for {dims} in "
                      f"{MAX_TRIES} tries; loosen the margins")
 

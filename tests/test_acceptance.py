@@ -24,7 +24,7 @@ def announce(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def flag_reports():
-    """verify_flag at 100 regular samples per shape, plus the wall time of
+    """verify_flags at 100 regular samples per shape, plus the wall time of
     the rank computations alone."""
     reports = {}
     rng = np.random.default_rng(2024)
@@ -40,7 +40,7 @@ def flag_reports():
                 for flds in (d, e):
                     svd_rank(np.vstack([f.at(q.flat()) for f in flds]))
         rank_seconds += time.perf_counter() - t0
-        reports[(k, n)] = [fg.verify_flag(q) for q in qs]
+        reports[(k, n)] = fg.verify_flags(qs)
     return reports, rank_seconds
 
 

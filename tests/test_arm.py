@@ -245,3 +245,29 @@ class TestSampler:
                                           np.sum(got.z[:-1] * got.z[1:],
                                                  axis=1))
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("k, n, margin", [(1, 30, 0.0), (2, 6, 0.1)])
+    def test_only_the_accepted_draw_is_built(self, k, n, margin,
+                                             monkeypatch):
+        # shapes where most draws are rejected; the reference loop builds
+        # an AngularConfig for every draw, the sampler for the accepted one
+        dims = arm.ArmDims(k, n)
+        built, rejected = [], 0
+        init = arm.AngularConfig.__post_init__
+        monkeypatch.setattr(arm.AngularConfig, "__post_init__",
+                            lambda self: (built.append(1), init(self)))
+        for seed in range(5):
+            rng, ref = (np.random.default_rng(seed),
+                        np.random.default_rng(seed))
+            for _ in range(3):
+                built.clear()
+                want = loop_random_regular_config(dims, ref, margin)
+                rejected += len(built) - 1
+                built.clear()
+                got = sampling.random_regular_config(dims, rng,
+                                                     chart_margin=margin)
+                assert len(built) == 1
+                assert np.array_equal(got.z, want.z)
+                assert np.array_equal(got.x0, want.x0)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert rejected > 0

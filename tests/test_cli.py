@@ -272,6 +272,7 @@ class TestOutputCheckedFirst:
             raise AssertionError("work started before --out was checked")
         monkeypatch.setattr(cli.dyn, "integrate_arm", no_work)
         monkeypatch.setattr(cli.fg, "verify_flag", no_work)
+        monkeypatch.setattr(cli.fg, "verify_flags", no_work)
         rc = cli.main(argv + [str(tmp_path / "missing" / out)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -289,13 +290,11 @@ class TestSamplerExhaustion:
         ["verify", "--samples", "1"],
     ])
     def test_one_line_exit_2(self, argv, tmp_path, capsys, monkeypatch):
-        from multiflag import arm
-
         def orthogonal(dims, rng):
             # consecutive segments orthogonal, so every draw has A_1 = 0
             z = np.eye(dims.ambient)[np.arange(dims.n + 1) % 2]
-            return arm.AngularConfig(dims, np.zeros(dims.ambient), z)
-        monkeypatch.setattr(cli.sampling, "random_config", orthogonal)
+            return np.zeros(dims.ambient), z
+        monkeypatch.setattr(cli.sampling, "_draw", orthogonal)
         rc = cli.main(argv[:1] + ["--k", "1", "--n", "3"] + argv[1:]
                       + ["--out", str(tmp_path / "run")])
         assert rc == cli.EXIT_USAGE

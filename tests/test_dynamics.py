@@ -368,7 +368,7 @@ def loop_induced_controls(traj, m):
             wv = w
         else:
             theta_m = hs.angles_from_unit(z[m])[0]
-            _, b = hs.projection_coefficients(theta_m, z[m + 1])
+            b = (hs.frame_inverse(theta_m)[0] @ z[m + 1])[1:]
             wv = vn * np.prod(a[m + 1:]) * b
         out.append(np.concatenate([[vn * np.prod(a[m:])], wv]))
     return np.array(out)

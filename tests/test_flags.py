@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from multiflag import dynamics as dyn
 from multiflag import fields as fl
 from multiflag import flags as fg
 from multiflag import sampling
+from multiflag.errors import ChartDegenerate
 from multiflag.numerics import orthonormal_rows, subspace_angle, svd_rank
 
 
@@ -483,26 +485,142 @@ class TestBatchedAgainstScalar:
 
 
 class TestOnePassPerPoint:
-    """`verify_flag` evaluates and differentiates each generating field once
-    and decomposes each level matrix and derived stack once."""
+    """`verify_flags` evaluates each generating field once at a block's
+    points and once at their difference points, and decomposes each level
+    matrix, derived stack and angle side with one stacked SVD, however many
+    points the block holds."""
 
     def test_field_and_svd_counts(self, monkeypatch):
-        labels, svds = [], []
+        calls, svds = [], []
         call, svd = fl.Field.__call__, np.linalg.svd
         monkeypatch.setattr(fl.Field, "__call__", lambda self, pts: (
-            labels.append(self.label), call(self, pts))[1])
+            calls.append((self.label, len(pts))), call(self, pts))[1])
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: (
             svds.append(1), svd(*a, **kw))[1])
         rng = np.random.default_rng(5)
         for k, n in [(2, 2), (3, 4)]:
-            q = regular(arm.ArmDims(k, n), rng)
-            labels.clear()
-            svds.clear()
-            fg.verify_flag(q)
-            counts = Counter(labels)
-            assert len(counts) == (n + 1) * (k + 1)
-            assert set(counts.values()) == {2}
-            assert len(svds) == 7 * (n + 1)
+            dims = arm.ArmDims(k, n)
+            block = fg.BLOCK_BYTES // (
+                8 * ((n + 1) * (k + 1)) ** 2 * dims.cartesian_dim)
+            qs = [regular(dims, rng) for _ in range(block)]
+            for size in (1, 2, block):
+                calls.clear()
+                svds.clear()
+                fg.verify_flags(qs[:size])
+                counts = Counter(label for label, _ in calls)
+                # the steering fields and all k+1 axes of every sphere
+                assert len(counts) == (n + 1) * (k + 2)
+                assert set(counts.values()) <= {1, 2}
+                assert all(rows == size or rows % (2 * dims.cartesian_dim)
+                           == 0 and rows <= 2 * dims.cartesian_dim * size
+                           for _, rows in calls)
+                assert len(svds) == 6 * (n + 1) + 1
+
+
+class TestBatch:
+    """`verify_flags` on a mix of points gives each point the report that
+    `verify_flag` gives it alone."""
+
+    FLOAT_TOL = 1e-13
+
+    @staticmethod
+    def mix(dims, rng):
+        """Regular, singular and near-singular points, and (k >= 2) a
+        point next to a chart pole with the chart basis."""
+        k, n = dims.k, dims.n
+        points = [regular(dims, rng) for _ in range(3)]
+        points += [sampling.singular_config(dims, rng, index=i)
+                   for i in range(1, n + 1)]
+        near = sampling.singular_config(dims, rng, index=1)
+        z = near.z.copy()
+        z[1] += 3e-7 * z[0]
+        points.append(arm.AngularConfig(dims, near.x0, z))
+        chart = [points[0]]
+        if k >= 2:
+            base = regular(dims, rng, margin=0.2)
+            z = base.z.copy()
+            z[0] = np.eye(k + 1)[k] + 1e-7 * rng.normal(size=k + 1)
+            chart.append(arm.AngularConfig(dims, base.x0, z))
+        return [(points, "projected"), (chart + points[3:4], "chart")]
+
+    @staticmethod
+    def assert_same(got, want, tol):
+        assert (got.verdict, got.passed, got.failures) == \
+            (want.verdict, want.passed, want.failures)
+        assert got.singular_indices == want.singular_indices
+        assert got.sandwich_indices == want.sandwich_indices
+        assert got.point == want.point and got.a_values == want.a_values
+        for a, b in zip(got.levels, want.levels):
+            assert (a.m, a.rank_d, a.rank_e) == (b.m, b.rank_d, b.rank_e)
+            assert abs(a.involutivity_e - b.involutivity_e) <= tol
+            assert (a.cauchy_residual is None) == (b.cauchy_residual is None)
+            if a.cauchy_residual is not None:
+                assert abs(a.cauchy_residual - b.cauchy_residual) <= tol
+        assert [(d.m, d.rank) for d in got.derived] == \
+            [(d.m, d.rank) for d in want.derived]
+        for a, b in zip(got.derived, want.derived):
+            assert abs(a.angle - b.angle) <= tol
+        assert abs(got.delta_involutivity - want.delta_involutivity) <= tol
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
+                                      (3, 4)])
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_batch_equals_per_point(self, k, n, block, monkeypatch):
+        dims = arm.ArmDims(k, n)
+        if block is not None:  # blocks of 3 points, so batches span several
+            monkeypatch.setattr(fg, "BLOCK_BYTES", block * 8 * (
+                (n + 1) * (k + 1)) ** 2 * dims.cartesian_dim)
+        rng = np.random.default_rng(27 + 10 * k + n)
+        for points, basis in self.mix(dims, rng):
+            for tol in (1e-8, 1e-6):
+                reports = fg.verify_flags(points, tol=tol, basis=basis)
+                assert len(reports) == len(points)
+                for q, rep in zip(points, reports):
+                    self.assert_same(rep, fg.verify_flag(q, tol=tol,
+                                                         basis=basis),
+                                     self.FLOAT_TOL)
+
+    def test_default_blocks_split_a_large_shape(self):
+        # the mix at (3,4) is larger than one block there
+        dims = arm.ArmDims(3, 4)
+        block = fg.BLOCK_BYTES // (8 * 20 ** 2 * dims.cartesian_dim)
+        points, _ = self.mix(dims, np.random.default_rng(0))[0]
+        assert 1 < block < len(points)
+
+    def test_chart_degenerate_point_ends_the_batch(self):
+        dims = arm.ArmDims(2, 2)
+        rng = np.random.default_rng(28)
+        pole = arm.AngularConfig(dims, np.zeros(3), np.array(
+            [[0.6, 0, 0.8], [0, 0, 1.0], [0, 0.6, 0.8]]))
+        with pytest.raises(ChartDegenerate) as alone:
+            fg.verify_flag(pole, basis="chart")
+        with pytest.raises(ChartDegenerate) as batch:
+            fg.verify_flags([regular(dims, rng), pole], basis="chart")
+        assert str(batch.value) == str(alone.value)
+
+    def test_empty_and_mixed_shapes(self):
+        assert fg.verify_flags([]) == []
+        rng = np.random.default_rng(29)
+        with pytest.raises(ValueError):
+            fg.verify_flags([regular(arm.ArmDims(1, 1), rng),
+                             regular(arm.ArmDims(1, 2), rng)])
+
+    def test_peak_memory_is_bounded(self):
+        # numpy buffers are traced; one block's tensors stay far below
+        # what holding the whole batch's Jacobians would take (~6 MiB)
+        dims = arm.ArmDims(3, 4)
+        rng = np.random.default_rng(30)
+        points = [regular(dims, rng) for _ in range(20)]
+        points += [sampling.singular_config(dims, rng, index=i)
+                   for i in (1, 2)]
+        fg.verify_flags(points[:1])
+        tracemalloc.start()
+        try:
+            fg.verify_flags(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 class TestExports:

@@ -189,6 +189,33 @@ def config_from_dict(d: dict) -> AngularConfig:
     return AngularConfig(dims=dims, x0=x0, z=z)
 
 
+JSON_ROWS = 256  # rows of an array per `json.dumps` call in `_write_json`
+
+
+def _write_json(path, obj: dict) -> None:
+    """Write the bytes of `json.dump(obj, fh, sort_keys=True)` and a newline
+    through the C encoder (`json.dumps`) in bounded pieces: one call per
+    top-level value, per list item and per JSON_ROWS rows of an array."""
+    def pieces(val):
+        if isinstance(val, np.ndarray):
+            return (json.dumps(val[i:i + JSON_ROWS].tolist())[1:-1]
+                    for i in range(0, len(val), JSON_ROWS))
+        return (json.dumps(item, sort_keys=True) for item in val)
+
+    with open(path, "w") as fh:
+        fh.write("{")
+        for j, key in enumerate(sorted(obj)):
+            fh.write((", " if j else "") + json.dumps(key) + ": ")
+            if not isinstance(obj[key], (list, np.ndarray)):
+                fh.write(json.dumps(obj[key], sort_keys=True))
+                continue
+            fh.write("[")
+            for i, piece in enumerate(pieces(obj[key])):
+                fh.write((", " if i else "") + piece)
+            fh.write("]")
+        fh.write("}\n")
+
+
 def save_config(a: AngularConfig, path) -> None:
     with open(path, "w") as fh:
         json.dump(config_to_dict(a), fh, indent=2, sort_keys=True)

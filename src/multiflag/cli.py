@@ -12,7 +12,6 @@ floats are printed with 17 significant digits, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import flags as fg
 from . import sampling
-from .arm import ArmDims, gamma_inverse, load_config
+from .arm import ArmDims, _write_json, gamma_inverse, load_config
 from .errors import StepRejected
 from .fields import _a_chain
 
@@ -188,9 +187,7 @@ def cmd_verify(args) -> int:
             "basis": args.basis,
             "reports": [r.to_dict() for r in reports],
         }
-        with open(args.out + "_reports.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out + "_reports.json", payload)
 
     if args.render and reports:
         print(reports[0].render())
@@ -256,10 +253,8 @@ def cmd_singular_scan(args) -> int:
                 })
         events.sort(key=lambda e: (e["t"], e["index"]))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"events": events, "eps_sing": args.eps_sing,
-                       "seed": args.seed}, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, {"events": events, "eps_sing": args.eps_sing,
+                               "seed": args.seed})
     if not events:
         print("no alignment degeneracies found")
     for e in events:

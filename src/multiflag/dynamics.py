@@ -13,12 +13,13 @@ cross-check each other:
   generators on raw joint positions.
 
 The routes differ only in their state variables.  Each supplies a
-right-hand side, a projection, an initial state and a batched view of its
-stacked states as base points, unit segment rows and head angles; one
-stepper (`_integrate`) and one recorder (`_record`) serve all three.  The
-recorder takes every joint velocity from one kernel batched over records
-(`_velocities`), which `collinearity_residuals` reuses, and the angular
-right-hand side shares its cascade arithmetic (`fields._cascade`).
+right-hand side `rhs(y, vn, w)` writing into buffers allocated once, its
+unit rows with their in-place normalization, an initial state and a
+batched view of its states as base points, unit segment rows and head
+angles; one stepper (`_integrate`) and one recorder (`_record`) serve all
+three.  The controls are tabled at every stage time once per run, and
+joint velocities come from one kernel batched over records
+(`_velocities`), which `collinearity_residuals` reuses.
 
 Every route carries the head-sphere chart angles as state (d theta/dt =
 w), so no route inverts a chart mid-run.  The angular right-hand side is
@@ -36,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hyperspherical as hs
-from .arm import AngularConfig, ArmDims, CartesianConfig
+from .arm import AngularConfig, ArmDims, CartesianConfig, _write_json
 from .errors import StepRejected
 from .fields import _a_chain, _cascade, _f_products
 
@@ -54,16 +55,21 @@ MAX_STEP_DRIFT = 1e-6
 class ControlSignal:
     """Head controls: normal velocity v_n(t) and tangential rates w(t).
 
-    w returns the k chart rates of the head sphere; for k = 1 this is the
-    single angular velocity of the classical car."""
+    Both take an array of times (M,) and return (M,) and (M, k); a single
+    time gives a scalar and (k,).  The integrators call each once per run,
+    on every stage time at once.  w returns the k chart rates of the head
+    sphere; for k = 1 this is the single angular velocity of the classical
+    car."""
 
-    v_n: Callable[[float], float]
-    w: Callable[[float], np.ndarray]
+    v_n: Callable[[np.ndarray], np.ndarray]
+    w: Callable[[np.ndarray], np.ndarray]
 
     @staticmethod
     def constant(vn: float, w) -> "ControlSignal":
+        vn = float(vn)
         wv = np.atleast_1d(np.asarray(w, dtype=float)).copy()
-        return ControlSignal(lambda t: float(vn), lambda t: wv)
+        return ControlSignal(lambda t: np.full(np.shape(t), vn),
+                             lambda t: np.tile(wv, np.shape(t) + (1,)))
 
     @staticmethod
     def sinusoid(k: int, vn_amp: float = 1.0, w_amp=0.5,
@@ -73,10 +79,11 @@ class ControlSignal:
         w_amp = np.broadcast_to(np.asarray(w_amp, dtype=float), (k,)).copy()
         om = 2.0 * np.pi * freq
 
-        def vn(t: float) -> float:
-            return float(vn_amp * np.cos(om * t + phase))
+        def vn(t):
+            return vn_amp * np.cos(om * np.asarray(t, dtype=float) + phase)
 
-        def w(t: float) -> np.ndarray:
+        def w(t):
+            t = np.asarray(t, dtype=float)[..., None]
             return w_amp * np.sin(om * t + phase + np.arange(1, k + 1))
 
         return ControlSignal(vn, w)
@@ -97,11 +104,11 @@ class ControlSignal:
             raise ValueError("control table times must strictly increase")
         cols = [w_values[:, j] for j in range(w_values.shape[1])]
 
-        def vn(t: float) -> float:
-            return float(np.interp(t, times, vn_values))
+        def vn(t):
+            return np.interp(t, times, vn_values)
 
-        def w(t: float) -> np.ndarray:
-            return np.array([np.interp(t, times, c) for c in cols])
+        def w(t):
+            return np.stack([np.interp(t, times, c) for c in cols], axis=-1)
 
         return ControlSignal(vn, w)
 
@@ -151,12 +158,17 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def index_of(self, t: float) -> int:
-        """Index of the recorded time closest to t; t must sit on the grid."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
-            raise ValueError(f"time {t} is not on the recorded grid")
-        return idx
+    def index_of(self, t):
+        """Index of the recorded time closest to t, or an index array for
+        an array of times; every t must sit on the grid."""
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(0.5 * (self.times[1:] + self.times[:-1]), t)
+        off = np.abs(self.times[idx] - t) > (
+            1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12)
+        if np.any(off):
+            raise ValueError(f"time {float(t[off][0])} is not on the "
+                             f"recorded grid")
+        return int(idx) if t.ndim == 0 else idx
 
     def min_abs_a(self) -> float:
         """Smallest |A_i| seen along the trajectory (inf when n = 0)."""
@@ -187,20 +199,23 @@ class Trajectory:
             csv.writer(fh).writerow(self.csv_header())
             np.savetxt(fh, block, fmt=FMT, delimiter=",", newline="\r\n")
 
-    def to_dict(self) -> dict:
+    def _payload(self) -> dict:
+        """The JSON form, each recorded array still an array."""
         out = {"mode": self.mode, "k": self.dims.k, "n": self.dims.n,
                "h": self.h, "T": self.T, "projection": self.projection,
                "seed": self.seed}
         for key in ("times", "x0", "z", "theta_n", "vn", "w", "v",
                     "drift_pre", "drift_post", "points"):
             if getattr(self, key) is not None:
-                out[key] = getattr(self, key).tolist()
+                out[key] = getattr(self, key)
         return out
 
+    def to_dict(self) -> dict:
+        return {key: val.tolist() if isinstance(val, np.ndarray) else val
+                for key, val in self._payload().items()}
+
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self._payload())
 
     @staticmethod
     def from_dict(d: dict) -> "Trajectory":
@@ -236,16 +251,6 @@ class Trajectory:
 # shared kinematic quantities
 # ---------------------------------------------------------------------------
 
-def _controls_at(u: ControlSignal, t: float,
-                 k: int) -> tuple[float, np.ndarray]:
-    """The head controls at time t, with the k tangential rates checked."""
-    vn = float(u.v_n(t))
-    w = np.asarray(u.w(t), dtype=float).reshape(-1)
-    if w.size != k:
-        raise ValueError(f"tangential control must have {k} components")
-    return vn, w
-
-
 def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> (B, n+1) and the norms
@@ -267,82 +272,105 @@ def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
     return v, resid
 
 
-def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rows scaled to unit length, and the largest | |row| - 1 |."""
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None], float(np.max(np.abs(norms - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # stepping and recording
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _steps(T: float, h: float) -> list[float]:
+def _steps(T: float, h: float) -> np.ndarray:
     if not 0.0 <= T < np.inf:
         raise ValueError("horizon must be finite and nonnegative")
     if T == 0.0:
-        return []
+        return np.empty(0)
     if h >= T:
-        return [T]
+        return np.array([T])
     full = int(np.floor(T / h + 1e-12))
     rem = T - full * h
-    out = [h] * full
-    if rem > 1e-12 * max(1.0, T):
-        out.append(rem)
-    return out
+    return np.append(np.full(full, h),
+                     [rem] if rem > 1e-12 * max(1.0, T) else [])
 
 
-def _integrate(rhs, project, y0: np.ndarray, T: float,
-               settings: IntegratorSettings):
+def _integrate(rhs, rows, normalize, y0: np.ndarray, u: ControlSignal,
+               k: int, T: float, settings: IntegratorSettings):
     """Run the stepper from y0.
 
-    Returns times (M,), states (M, D) and the constraint drift of each step
-    before and after its projection (M,); record 0 is the initial state.
+    `rhs(y, vn, w)` returns the rates at state y in a buffer of its own;
+    `rows(states)` gives the rows (M, r, k+1) of stacked states that must
+    stay unit (None: no constraint), and `normalize(y, rows, norms)`
+    rescales them in place in the state y.  Each step's stage times are
+    t, t + h/2 and t + h, with t = t + h; the controls at all of them
+    are evaluated in one call before the first step.
+
+    Returns times (M,), states (M, D), the constraint drift of each step
+    before and after its projection (M,), and the controls at the
+    recorded times, vn (M,) and w (M, k); record 0 is the initial state.
     """
     steps = _steps(T, settings.h)
-    times = np.zeros(len(steps) + 1)
-    states = np.empty((times.size, y0.size))
-    drift_pre = np.zeros(times.size)
-    drift_post = np.zeros(times.size)
+    s = steps.size
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    stage = np.column_stack([times[:-1], times[:-1] + 0.5 * steps,
+                             times[1:]])
+    at = np.append(stage.ravel(), times[-1])
+    vn = np.asarray(u.v_n(at), dtype=float)
+    w = np.asarray(u.w(at), dtype=float)
+    if vn.shape != at.shape or w.shape[:1] != at.shape:
+        raise ValueError("controls must map an array of M times to arrays "
+                         "of shape (M,) and (M, k)")
+    if w.shape != at.shape + (k,):
+        raise ValueError(f"tangential control must have {k} components")
+    stage_vn = vn[:-1].reshape(s, 3).tolist()
+    stage_w = w[:-1].reshape(s, 3, k)
+
+    states = np.empty((s + 1, y0.size))
     states[0] = y0
-    t, y = 0.0, y0
-    for j, h in enumerate(steps, start=1):
-        y_raw = _rk4_step(rhs, t, y, h)
-        if not np.all(np.isfinite(y_raw)):
-            raise StepRejected(f"non-finite state at t={t + h:g}")
-        y, drift_pre[j] = project(y_raw, apply=settings.projection)
-        if drift_pre[j] > MAX_STEP_DRIFT:
+    drift_pre = np.zeros(s + 1)
+    acc, ys = np.empty((2, y0.size))
+    for j, h in enumerate(steps.tolist()):
+        y, y_new = states[j], states[j + 1]
+        (v1, v2, v4), (w1, w2, w4) = stage_vn[j], stage_w[j]
+        rates = rhs(y, v1, w1)
+        np.copyto(acc, rates)
+        for dt, weight, vn_, w_ in ((0.5 * h, 2.0, v2, w2),
+                                    (0.5 * h, 2.0, v2, w2), (h, 1.0, v4, w4)):
+            np.multiply(rates, dt, out=ys)
+            ys += y
+            rates = rhs(ys, vn_, w_)
+            np.multiply(rates, weight, out=ys)  # ys is free until next stage
+            acc += ys
+        acc *= h / 6.0
+        np.add(y, acc, out=y_new)
+        if not np.isfinite(y_new).all():
+            raise StepRejected(f"non-finite state at t={times[j + 1]:g}")
+        if rows is None:
+            continue
+        seg = rows(y_new[None])[0]
+        # the norms as np.linalg.norm computes them, cheaper per call
+        norms = np.sqrt(np.add.reduce(seg * seg, axis=1))
+        drift_pre[j + 1] = np.abs(norms - 1.0).max(initial=0.0)
+        if settings.projection:
+            normalize(y_new, seg, norms)
+        if drift_pre[j + 1] > MAX_STEP_DRIFT:
             raise StepRejected(
-                f"constraint drift {drift_pre[j]:.3e} in one step "
-                f"at t={t + h:g}")
-        _, drift_post[j] = project(y, apply=False)
-        t = t + h
-        times[j], states[j] = t, y
-    return times, states, drift_pre, drift_post
+                f"constraint drift {drift_pre[j + 1]:.3e} in one step "
+                f"at t={times[j + 1]:g}")
+    drift_post = np.zeros(s + 1)
+    if rows is not None:
+        drift_post[1:] = np.max(np.abs(np.linalg.norm(
+            rows(states[1:]), axis=-1) - 1.0), axis=-1, initial=0.0)
+    # the recorded times: every step's start, then the last step's end
+    return (times, states, drift_pre, drift_post, vn[::3].copy(),
+            w[::3].copy())
 
 
-def _record(mode: str, dims: ArmDims, u: ControlSignal, T: float,
+def _record(mode: str, dims: ArmDims, T: float,
             settings: IntegratorSettings, seed: Optional[int], run,
             view) -> Trajectory:
     """Build the trajectory of a stepped route.
 
     `run` is what `_integrate` returned; `view` maps its stacked states to
-    the recorded arrays x0, z, theta_n (and points, Cartesian route).  The
-    controls are evaluated at every recorded time.
+    the recorded arrays x0, z, theta_n (and points, Cartesian route).
     """
-    times, states, drift_pre, drift_post = run
+    times, states, drift_pre, drift_post, vn, w = run
     recorded = view(states)
-    controls = [_controls_at(u, t, dims.k) for t in times]
-    vn = np.array([c[0] for c in controls])
-    w = np.array([c[1] for c in controls])
     v, _ = _velocities(recorded["z"], recorded["theta_n"], vn, w)
     return Trajectory(mode=mode, dims=dims, times=times, vn=vn, w=w, v=v,
                       drift_pre=drift_pre, drift_post=drift_post,
@@ -366,7 +394,7 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
     start would make their meaning ambiguous.
     """
     dims = q0.dims
-    k1, n = dims.ambient, dims.n
+    k, k1, n = dims.k, dims.ambient, dims.n
     body = slice(k1, k1 + n * k1)
 
     def view(states: np.ndarray) -> dict:
@@ -376,23 +404,48 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
         z = np.concatenate([states[:, body].reshape(m, n, k1), head], axis=1)
         return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        vn, w = _controls_at(u, t, dims.k)
-        dx0, dz = _cascade(view(y[None])["z"], np.array([vn]))
-        return np.concatenate([dx0[0], dz[0].reshape(-1), w])
+    # buffers of the right-hand side, and the views of them it uses
+    z, rate = np.empty((n + 1, k1)), np.empty(body.stop + k)
+    prod, a, f, v = np.empty((n, k1)), np.empty(n), np.ones(n + 1), \
+        np.empty(n + 1)
+    sin, cos, prefix = np.empty(k), np.empty(k), np.ones(k1)
+    z_body, z_head, z_lo, z_hi = z.reshape(-1)[:-k1], z[n], z[:-1], z[1:]
+    sin_prods, head_tail, rev_prefix, rev_cos = (prefix[1:], z_head[1:],
+                                                 prefix[-2::-1], cos[::-1])
+    rev_a, rev_f, a_col, v_head, v_col = (a[::-1], f[-2::-1], a[:, None],
+                                          v[:1], v[1:, None])
+    dx0, dz, dtheta = rate[:k1], rate[body].reshape(n, k1), rate[body.stop:]
 
-    def project(y: np.ndarray, apply: bool):
-        if n == 0:
-            return y, 0.0
-        unit, drift = _unit_rows(y[body].reshape(n, k1))
-        if apply:
-            y = y.copy()
-            y[body] = unit.reshape(-1)
-        return y, drift
+    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
+        # the rows z_1..z_{n+1}; the head row as in hs.unit_from_angles
+        theta = y[body.stop:]
+        z_body[:] = y[body]
+        np.sin(theta, out=sin)
+        np.cos(theta, out=cos)
+        np.multiply.accumulate(sin, out=sin_prods)
+        z_head[0] = prefix[k]
+        np.multiply(rev_prefix, rev_cos, out=head_tail)
+        # the rates as in fields._cascade, in place
+        np.multiply(z_lo, z_hi, out=prod)
+        np.add.reduce(prod, axis=1, out=a)
+        np.multiply.accumulate(rev_a, out=rev_f)
+        np.multiply(f, vn, out=v)
+        np.multiply(v_head, z[0], out=dx0)
+        np.multiply(a_col, z_lo, out=prod)
+        np.subtract(z_hi, prod, out=prod)
+        np.multiply(v_col, prod, out=dz)
+        dtheta[:] = w
+        return rate
+
+    def rows(states: np.ndarray) -> np.ndarray:
+        return states[:, body].reshape(states.shape[0], n, k1)
+
+    def normalize(y: np.ndarray, seg: np.ndarray, norms: np.ndarray):
+        seg /= norms[:, None]
 
     y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
-    return _record(mode, dims, u, T, settings, seed,
-                   _integrate(rhs, project, y0, T, settings), view)
+    run = _integrate(rhs, rows, normalize, y0, u, k, T, settings)
+    return _record(mode, dims, T, settings, seed, run, view)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +485,21 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     if dims.k != 1:
         raise ValueError("integrate_car needs k = 1")
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        vn, w = _controls_at(u, t, 1)
+    rate = np.empty(dims.n + 3)
+
+    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
         th = y[2:]
         diffs = th[1:] - th[:-1]
         v = _f_products(np.cos(diffs)[None], dims.n)[0] * vn
-        return np.concatenate([[v[0] * np.cos(th[0]), v[0] * np.sin(th[0])],
-                               v[1:] * np.sin(diffs), w])
+        rate[0], rate[1] = v[0] * np.cos(th[0]), v[0] * np.sin(th[0])
+        np.multiply(v[1:], np.sin(diffs), out=rate[2:-1])
+        rate[-1:] = w
+        return rate
 
-    def project(y: np.ndarray, apply: bool):
-        return y, 0.0  # headings carry no constraint to drift from
-
-    run = _integrate(rhs, project, car_state_from_config(q0), T, settings)
-    return _record("car", dims, u, T, settings, seed, run, _car_view)
+    # headings carry no constraint to drift from
+    run = _integrate(rhs, None, None, car_state_from_config(q0), u, 1, T,
+                     settings)
+    return _record("car", dims, T, settings, seed, run, _car_view)
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +529,42 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
                 "z": z / np.linalg.norm(z, axis=2)[:, :, None],
                 "theta_n": states[:, positions.stop:], "points": x}
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        vn, w = _controls_at(u, t, dims.k)
-        z = np.diff(y[positions].reshape(dims.joints, k1), axis=0)
-        _, jac = hs.unit_and_jacobian(y[positions.stop:])
-        head = vn * (z[n] / np.linalg.norm(z[n])) + jac[0] @ w
-        f = _f_products(_a_chain(z[None]), n)[0]
-        lead = float(head @ z[n])
-        return np.concatenate([(lead * f[:, None] * z).reshape(-1), head, w])
+    z = np.empty((n + 1, k1))
+    z_lo, z_hi, z_head = z[:-1], z[1:], z[n]
+    prod, a, f = np.empty((n, k1)), np.empty(n), np.ones(n + 1)
+    rate = np.empty(positions.stop + dims.k)
+    dx = rate[:positions.stop - k1].reshape(n + 1, k1)
+    head = rate[positions.stop - k1:positions.stop]
 
-    def project(y: np.ndarray, apply: bool):
+    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
         x = y[positions].reshape(dims.joints, k1)
-        unit, drift = _unit_rows(np.diff(x, axis=0))
-        if apply:
-            y = y.copy()
-            y[positions] = np.vstack([x[0], x[0] + np.cumsum(unit, axis=0)]
-                                  ).reshape(-1)
-        return y, drift
+        np.subtract(x[1:], x[:-1], out=z)
+        _, jac = hs.unit_and_jacobian(y[positions.stop:])
+        # vn * z_{n+1} / |z_{n+1}| + jac w, the norm as np.linalg.norm
+        np.divide(z_head, np.sqrt(z_head.dot(z_head)), out=head)
+        np.multiply(head, vn, out=head)
+        np.add(head, jac[0] @ w, out=head)
+        # the rates of joints 1..n+1, as fields._a_chain and _f_products
+        np.multiply(z_lo, z_hi, out=prod)
+        np.add.reduce(prod, axis=1, out=a)
+        np.multiply.accumulate(a[::-1], out=f[-2::-1])
+        np.multiply(float(head @ z_head) * f[:, None], z, out=dx)
+        rate[positions.stop:] = w
+        return rate
+
+    def rows(states: np.ndarray) -> np.ndarray:
+        return np.diff(states[:, positions].reshape(
+            states.shape[0], dims.joints, k1), axis=1)
+
+    def normalize(y: np.ndarray, seg: np.ndarray, norms: np.ndarray):
+        x = y[positions].reshape(dims.joints, k1)
+        x[1:] = x[0] + np.cumsum(seg / norms[:, None], axis=0)
 
     head0 = q0.segments()[n]
     theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
-    return _record("cartesian", dims, u, T, settings, seed,
-                   _integrate(rhs, project, y0, T, settings), view)
+    run = _integrate(rhs, rows, normalize, y0, u, dims.k, T, settings)
+    return _record("cartesian", dims, T, settings, seed, run, view)
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +613,8 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
         wv = v[:, m + 1, None] * hs.tangent_coefficients(traj.z[:, m],
                                                           traj.z[:, m + 1])
 
-    return ControlSignal(lambda t: float(u0[traj.index_of(t)]),
-                         lambda t: wv[traj.index_of(t)].copy())
-
-
-def project_subarm_states(traj: Trajectory, p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sub-arm view (x0', z') of every recorded state of a full run."""
-    x0 = traj.x0 + np.sum(traj.z[:, :p - 1, :], axis=1)
-    return x0, traj.z[:, p - 1:m + 1, :]
+    return ControlSignal(lambda t: u0[traj.index_of(t)],
+                         lambda t: np.take(wv, traj.index_of(t), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -213,14 +213,6 @@ def tangent_axes(z: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[-1].reshape(z.shape[:-1] + (k1 - 1,))
 
 
-def sphere_tangent_fields(dims: ArmDims, sphere: int,
-                          at: AngularConfig) -> list[Field]:
-    """k projected-axis fields spanning the tangent of `sphere` near `at`
-    (the axes of `tangent_axes`)."""
-    return [sphere_axis_field(dims, sphere, int(a))
-            for a in tangent_axes(at.z[sphere])]
-
-
 # ---------------------------------------------------------------------------
 # Cartesian fields
 # ---------------------------------------------------------------------------

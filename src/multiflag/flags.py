@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import fields as fl
-from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
 from .fields import Field, field_jacobian
 from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
@@ -48,8 +47,11 @@ from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step for bracket Jacobians
-# Byte budget of one block of points, counted as a (points, F, F, D)
-# float64 tensor: about twice the pair tensor of brackets the block holds.
+# Byte budget of one block of points.  It bounds the bracket tensor only,
+# counted as (points, F, F, D) float64, about twice the pair tensor the
+# block holds; the probe-row temporaries of the field evaluations come on
+# top of it (one 42-point block at (k,n) = (2,2) holds a 142 KiB pair
+# tensor and peaks at about 816 KiB under tracemalloc).
 BLOCK_BYTES = 512 * 1024
 
 
@@ -525,29 +527,3 @@ def _failures(levels: list[LevelReport],
         if dv.angle >= RESIDUAL_TOL:
             out.append(f"derived span angle at level {m}: {dv.angle:.2e}")
     return out
-
-
-# ---------------------------------------------------------------------------
-# chart-built basis of the steering plane (used by tests as a cross-check)
-# ---------------------------------------------------------------------------
-
-def chart_delta_basis(q: AngularConfig, m: int) -> np.ndarray:
-    """The k+1 combinations (k+1, D) of {X_{m-1}^0, X_{m-1}^r} with
-    chart-frame coefficients that span the steering plane of joint m-1; the
-    span is what matters (coefficient normalization drops out of it)."""
-    if not 1 <= m <= q.dims.n:
-        raise IndexError("needs 1 <= m <= n")
-    dims = q.dims
-    point = q.flat()
-    theta = q.angles(m - 1)
-    val, jac = hs.unit_and_jacobian(theta)
-    norms = hs.frame_norms(theta)
-    x0v = fl.x0_field(dims, m - 1).at(point)
-    xiv = [fl.xi_field(dims, m - 1, i).at(point) for i in range(1, dims.k + 1)]
-    vecs = []
-    for j in range(dims.k + 1):
-        v = val[0][j] * x0v
-        for r in range(dims.k):
-            v = v + (jac[0][j, r] / norms[r]) * xiv[r]
-        vecs.append(v)
-    return np.vstack(vecs)

@@ -257,7 +257,9 @@ def test_criterion_10_subarm_consistency():
     induced = dyn.induced_subarm_controls(full, p, m)
     sub = dyn.integrate_subarm(q, p, m, induced, 1.0,
                                dyn.IntegratorSettings(h=1e-3))
-    x0p, zp = dyn.project_subarm_states(full, p, m)
+    # the sub-arm view (x0', z') of every recorded state
+    x0p = full.x0 + np.sum(full.z[:, :p - 1], axis=1)
+    zp = full.z[:, p - 1:m + 1]
     idx = [full.index_of(t) for t in sub.times]
     gap = max(np.abs(x0p[idx] - sub.x0).max(),
               np.abs(zp[idx] - sub.z).max())

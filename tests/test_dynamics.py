@@ -1,11 +1,16 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from multiflag import arm
+from multiflag import arm, cli, flags
 from multiflag import dynamics as dyn
 from multiflag import hyperspherical as hs
 from multiflag import sampling
+from multiflag.arm import JSON_ROWS, _write_json
 from multiflag.errors import ChartDegenerate, StepRejected
+from multiflag.fields import _a_chain, _cascade, _f_products
 
 
 def endpoint_gap(ta, tb):
@@ -263,7 +268,9 @@ class TestSubarm:
         induced = dyn.induced_subarm_controls(full, 2, 3)
         sub = dyn.integrate_subarm(q, 2, 3, induced, 1.0,
                                    dyn.IntegratorSettings(h=1e-3))
-        x0p, zp = dyn.project_subarm_states(full, 2, 3)
+        # the sub-arm view (x0', z') of every recorded state
+        x0p = full.x0 + np.sum(full.z[:, :1], axis=1)
+        zp = full.z[:, 1:4]
         idx = [full.index_of(t) for t in sub.times]
         assert np.abs(x0p[idx] - sub.x0).max() < 1e-6
         assert np.abs(zp[idx] - sub.z).max() < 1e-6
@@ -435,3 +442,388 @@ class TestHeadChartPole:
         ta = dyn.integrate_arm(q, u, 0.0, s)
         tx = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 0.0, s)
         assert ta.theta_n[0, 0] == tx.theta_n[0, 0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference stepper: the control calls, right-hand sides and projections of
+# one stage at a time, as the stepper worked before it tabled the controls
+# ---------------------------------------------------------------------------
+
+def ref_controls_at(u, t, k):
+    vn = float(u.v_n(t))
+    w = np.asarray(u.w(t), dtype=float).reshape(-1)
+    if w.size != k:
+        raise ValueError(f"tangential control must have {k} components")
+    return vn, w
+
+
+def ref_unit_rows(rows):
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None], float(np.max(np.abs(norms - 1.0)))
+
+
+def ref_rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_steps(T, h):
+    if T == 0.0:
+        return []
+    if h >= T:
+        return [T]
+    full = int(np.floor(T / h + 1e-12))
+    rem = T - full * h
+    return [h] * full + ([rem] if rem > 1e-12 * max(1.0, T) else [])
+
+
+def ref_arm_route(q0, u):
+    dims = q0.dims
+    k1, n = dims.ambient, dims.n
+    body = slice(k1, k1 + n * k1)
+
+    def view(states):
+        m = states.shape[0]
+        theta_n = states[:, body.stop:]
+        head = hs.unit_from_angles(theta_n)[:, None]
+        z = np.concatenate([states[:, body].reshape(m, n, k1), head], axis=1)
+        return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
+
+    def rhs(t, y):
+        vn, w = ref_controls_at(u, t, dims.k)
+        dx0, dz = _cascade(view(y[None])["z"], np.array([vn]))
+        return np.concatenate([dx0[0], dz[0].reshape(-1), w])
+
+    def project(y, apply):
+        if n == 0:
+            return y, 0.0
+        unit, drift = ref_unit_rows(y[body].reshape(n, k1))
+        if apply:
+            y = y.copy()
+            y[body] = unit.reshape(-1)
+        return y, drift
+
+    y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
+    return rhs, project, y0, view
+
+
+def ref_car_route(q0, u):
+    n = q0.dims.n
+
+    def rhs(t, y):
+        vn, w = ref_controls_at(u, t, 1)
+        th = y[2:]
+        diffs = th[1:] - th[:-1]
+        v = _f_products(np.cos(diffs)[None], n)[0] * vn
+        return np.concatenate([[v[0] * np.cos(th[0]), v[0] * np.sin(th[0])],
+                               v[1:] * np.sin(diffs), w])
+
+    def project(y, apply):
+        return y, 0.0
+
+    return rhs, project, dyn.car_state_from_config(q0), dyn._car_view
+
+
+def ref_cartesian_route(q0, u):
+    dims = q0.dims
+    k1, n = dims.ambient, dims.n
+    positions = slice(0, dims.cartesian_dim)
+
+    def view(states):
+        x = states[:, positions].reshape(states.shape[0], dims.joints, k1)
+        z = np.diff(x, axis=1)
+        return {"x0": x[:, 0],
+                "z": z / np.linalg.norm(z, axis=2)[:, :, None],
+                "theta_n": states[:, positions.stop:], "points": x}
+
+    def rhs(t, y):
+        vn, w = ref_controls_at(u, t, dims.k)
+        z = np.diff(y[positions].reshape(dims.joints, k1), axis=0)
+        _, jac = hs.unit_and_jacobian(y[positions.stop:])
+        head = vn * (z[n] / np.linalg.norm(z[n])) + jac[0] @ w
+        f = _f_products(_a_chain(z[None]), n)[0]
+        lead = float(head @ z[n])
+        return np.concatenate([(lead * f[:, None] * z).reshape(-1), head, w])
+
+    def project(y, apply):
+        x = y[positions].reshape(dims.joints, k1)
+        unit, drift = ref_unit_rows(np.diff(x, axis=0))
+        if apply:
+            y = y.copy()
+            y[positions] = np.vstack([x[0], x[0] + np.cumsum(unit, axis=0)]
+                                     ).reshape(-1)
+        return y, drift
+
+    head0 = q0.segments()[n]
+    theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
+    return rhs, project, np.concatenate([q0.flat(), theta0[0]]), view
+
+
+def ref_run(route, q0, u, T, settings):
+    """The recorded arrays of a run of the reference stepper."""
+    rhs, project, y0, view = route(q0, u)
+    steps = ref_steps(T, settings.h)
+    times = np.zeros(len(steps) + 1)
+    states = np.empty((times.size, y0.size))
+    drift_pre = np.zeros(times.size)
+    drift_post = np.zeros(times.size)
+    states[0] = y0
+    t, y = 0.0, y0
+    for j, h in enumerate(steps, start=1):
+        y_raw = ref_rk4_step(rhs, t, y, h)
+        if not np.all(np.isfinite(y_raw)):
+            raise StepRejected(f"non-finite state at t={t + h:g}")
+        y, drift_pre[j] = project(y_raw, apply=settings.projection)
+        if drift_pre[j] > dyn.MAX_STEP_DRIFT:
+            raise StepRejected(
+                f"constraint drift {drift_pre[j]:.3e} in one step "
+                f"at t={t + h:g}")
+        _, drift_post[j] = project(y, apply=False)
+        t = t + h
+        times[j], states[j] = t, y
+    out = view(states)
+    k = out["theta_n"].shape[1]
+    controls = [ref_controls_at(u, t, k) for t in times]
+    out.update(times=times, drift_pre=drift_pre, drift_post=drift_post,
+               vn=np.array([c[0] for c in controls]),
+               w=np.array([c[1] for c in controls]))
+    out["v"], _ = dyn._velocities(out["z"], out["theta_n"], out["vn"],
+                                  out["w"])
+    return out
+
+
+def table_controls(k, rng):
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.3, 6)), [0.31]])
+    return dyn.ControlSignal.from_table(t, rng.uniform(-1, 1, t.size),
+                                        rng.uniform(-1, 1, (t.size, k)))
+
+
+ROUTES = {
+    "arm": (2, 3, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
+            ref_arm_route, lambda q: q),
+    "arm-n0": (3, 0, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
+               ref_arm_route, lambda q: q),
+    "car": (1, 3, lambda q, u, T, s: dyn.integrate_car(q, u, T, s),
+            ref_car_route, lambda q: q),
+    "cartesian": (2, 2, lambda q, u, T, s: dyn.integrate_cartesian(
+        arm.gamma_inverse(q), u, T, s), ref_cartesian_route,
+        arm.gamma_inverse),
+    "subarm": (2, 4, lambda q, u, T, s: dyn.integrate_subarm(
+        q, 2, 3, u, T, s), ref_arm_route,
+        lambda q: dyn.project_subarm(q, 2, 3)),
+}
+RECORDED = ("times", "x0", "z", "theta_n", "vn", "w", "v", "drift_pre",
+            "drift_post", "points")
+
+
+def assert_same_run(tr, ref):
+    for key in RECORDED:
+        if key in ref or getattr(tr, key) is not None:
+            assert np.array_equal(getattr(tr, key), ref[key]), key
+
+
+class TestReferenceStepper:
+    """The tabled-control core against the stage-at-a-time stepper: every
+    recorded array equal, bit for bit."""
+
+    @pytest.mark.parametrize("T", [0.1, 0.1037, 0.0])
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("controls", ["constant", "sine", "table"])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_runs_match(self, route, controls, projection, T):
+        k, n, run, ref_route, ref_start = ROUTES[route]
+        rng = np.random.default_rng(len(route) + 7 * len(controls))
+        q = sampling.random_regular_config(arm.ArmDims(k, n), rng,
+                                           chart_margin=0.1)
+        u = {"constant": lambda: dyn.ControlSignal.constant(
+                 0.7, rng.uniform(-1, 1, k)),
+             "sine": lambda: dyn.ControlSignal.sinusoid(
+                 k, vn_amp=0.9, w_amp=rng.uniform(-1, 1, k), freq=0.7,
+                 phase=0.3),
+             "table": lambda: table_controls(k, rng)}[controls]()
+        s = dyn.IntegratorSettings(h=1e-2, projection=projection)
+        tr = run(q, u, T, s)
+        assert len(tr) == {0.1: 11, 0.1037: 12, 0.0: 1}[T]
+        assert_same_run(tr, ref_run(ref_route, ref_start(q), u, T, s))
+
+    def test_subarm_with_induced_controls(self):
+        rng = np.random.default_rng(21)
+        q = sampling.random_regular_config(arm.ArmDims(2, 4), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.4)
+        full = dyn.integrate_arm(q, u, 0.2, dyn.IntegratorSettings(h=5e-3))
+        induced = dyn.induced_subarm_controls(full, 2, 3)
+        s = dyn.IntegratorSettings(h=1e-2)
+        tr = dyn.integrate_subarm(q, 2, 3, induced, 0.2, s)
+        assert_same_run(tr, ref_run(ref_arm_route, dyn.project_subarm(q, 2, 3),
+                                    induced, 0.2, s))
+
+    @pytest.mark.parametrize("route, vn, message", [
+        ("arm", 1e4, "constraint drift"),
+        ("cartesian", 1e4, "constraint drift"),
+        ("arm", np.inf, "non-finite state"),
+        ("cartesian", np.inf, "non-finite state"),
+        ("car", np.inf, "non-finite state")])
+    def test_rejections_match(self, route, vn, message):
+        # the speed jumps after t = 0.03: the step ending at 0.04 is refused
+        k, n, run, ref_route, ref_start = ROUTES[route]
+        rng = np.random.default_rng(22)
+        q = sampling.random_regular_config(arm.ArmDims(k, n), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal(
+            lambda t: np.where(np.asarray(t) > 0.03, vn, 0.5),
+            lambda t: np.full(np.shape(t) + (k,), 0.2))
+        s = dyn.IntegratorSettings(h=1e-2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(StepRejected) as got:
+                run(q, u, 0.1, s)
+            with pytest.raises(StepRejected) as want:
+                ref_run(ref_route, ref_start(q), u, 0.1, s)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(message)
+        assert str(got.value).endswith("at t=0.04")
+
+
+def stage_times(T, h):
+    """Every stage time of a run, in stepping order: t, t + h/2, t + h."""
+    out, t = [], 0.0
+    for step in ref_steps(T, h):
+        out += [t, t + 0.5 * step, t + step]
+        t = t + step
+    return np.array(out)
+
+
+class TestControlContract:
+    """One call on an array of times gives exactly the per-time calls."""
+
+    def assert_array_call_is_scalar_calls(self, u, times, k):
+        vn, w = u.v_n(times), u.w(times)
+        assert vn.shape == times.shape and w.shape == times.shape + (k,)
+        assert np.array_equal(vn, [float(u.v_n(t)) for t in times.tolist()])
+        assert np.array_equal(w, [u.w(t) for t in times.tolist()])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_presets_and_table(self, k):
+        rng = np.random.default_rng(30 + k)
+        times = stage_times(1.3337, 1e-3)  # 4,002 stage times
+        assert times.size > 4000
+        signals = [
+            dyn.ControlSignal.constant(rng.uniform(-1, 1),
+                                       rng.uniform(-1, 1, k)),
+            dyn.ControlSignal.sinusoid(k, vn_amp=0.8,
+                                       w_amp=[0.4, 0.3, 0.2][:k], freq=0.5),
+            dyn.ControlSignal.sinusoid(k, vn_amp=rng.uniform(0.3, 1),
+                                       w_amp=rng.uniform(-1, 1, k),
+                                       freq=rng.uniform(0.2, 3),
+                                       phase=rng.uniform(0, 6)),
+            table_controls(k, rng)]
+        for u in signals:
+            self.assert_array_call_is_scalar_calls(u, times, k)
+
+    def test_induced_subarm_controls(self):
+        rng = np.random.default_rng(34)
+        q = sampling.random_regular_config(arm.ArmDims(2, 4), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.4)
+        full = dyn.integrate_arm(q, u, 0.3337, dyn.IntegratorSettings(h=5e-4))
+        for p, m in [(1, 2), (2, 3), (2, 4)]:
+            induced = dyn.induced_subarm_controls(full, p, m)
+            self.assert_array_call_is_scalar_calls(
+                induced, stage_times(0.3, 1e-3), 2)
+            with pytest.raises(ValueError, match="not on the recorded grid"):
+                induced.v_n(0.0707)
+            with pytest.raises(ValueError, match="time 0.0707 is not"):
+                induced.w(np.array([0.0, 0.0005, 0.0707, 0.1001]))
+
+    def test_wrong_width_refused(self, tmp_path, monkeypatch, capsys):
+        q = sampling.collinear_config(arm.ArmDims(2, 1))
+        u = dyn.ControlSignal.constant(1.0, [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError,
+                           match="tangential control must have 2 components"):
+            dyn.integrate_arm(q, u, 0.1, dyn.IntegratorSettings(h=1e-2))
+        per_time = dyn.ControlSignal(lambda t: 1.0, lambda t: np.zeros(2))
+        with pytest.raises(ValueError, match="array of M times"):
+            dyn.integrate_arm(q, per_time, 0.1, dyn.IntegratorSettings(h=1e-2))
+        monkeypatch.setattr(dyn.ControlSignal, "sinusoid", staticmethod(
+            lambda k, **kw: dyn.ControlSignal.constant(1.0, np.ones(k + 1))))
+        rc = cli.main(["simulate", "--k", "2", "--n", "1", "--controls",
+                       "sine", "--T", "0.1", "--out", str(tmp_path / "w")])
+        assert rc == 2
+        assert "tangential control must have 2 components" in \
+            capsys.readouterr().err
+
+    def test_controls_are_tabled_once_per_run(self):
+        # a return to per-stage control calls would make 4,000 of each
+        base = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.5)
+        calls = {"v_n": 0, "w": 0}
+
+        def counted(name, fn):
+            def call(t):
+                calls[name] += 1
+                return fn(t)
+            return call
+
+        u = dyn.ControlSignal(counted("v_n", base.v_n), counted("w", base.w))
+        q = sampling.collinear_config(arm.ArmDims(2, 2))
+        tr = dyn.integrate_arm(q, u, 1.0, dyn.IntegratorSettings(h=1e-3))
+        assert len(tr) == 1001
+        assert calls["v_n"] <= 2 and calls["w"] <= 2
+
+
+class TestJsonWriter:
+    """`to_json` and the report writer stream through the C encoder and
+    write the bytes of `json.dump(..., sort_keys=True)`."""
+
+    @staticmethod
+    def dumped(obj, path):
+        with open(path, "w") as fh:
+            json.dump(obj, fh, sort_keys=True)
+            fh.write("\n")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("route", ["arm", "cartesian"])
+    def test_trajectory_bytes(self, tmp_path, route):
+        rng = np.random.default_rng(35)
+        q = sampling.random_regular_config(arm.ArmDims(2, 3), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.5)
+        tr = ROUTES[route][2](q, u, 0.6, dyn.IntegratorSettings(h=1e-3))
+        assert len(tr) > 2 * JSON_ROWS
+        tr.to_json(tmp_path / "run.json")
+        assert (tmp_path / "run.json").read_bytes() == \
+            self.dumped(tr.to_dict(), tmp_path / "ref.json")
+
+    def test_verify_payload_bytes(self, tmp_path):
+        rng = np.random.default_rng(36)
+        dims = arm.ArmDims(2, 2)
+        qs = [sampling.random_regular_config(dims, rng) for _ in range(3)]
+        qs.append(sampling.singular_config(dims, rng, index=1))
+        payload = {"k": 2, "n": 2, "seed": None, "samples": 3,
+                   "basis": "projected", "singular_samples": 1,
+                   "reports": [r.to_dict() for r in flags.verify_flags(qs)]}
+        _write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == \
+            self.dumped(payload, tmp_path / "ref.json")
+
+    def test_peak_memory_bounded(self, tmp_path):
+        rng = np.random.default_rng(37)
+        q = sampling.random_regular_config(arm.ArmDims(2, 5), rng,
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.5)
+        tr = dyn.integrate_arm(q, u, 1.0, dyn.IntegratorSettings(h=1e-3))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for write in (lambda: self.dumped(tr.to_dict(),
+                                              tmp_path / "ref.json"),
+                          lambda: tr.to_json(tmp_path / "run.json")):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.25 * 2**20

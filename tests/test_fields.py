@@ -187,7 +187,8 @@ class TestXiFields:
         dims = arm.ArmDims(3, 2)
         q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
         for s in range(dims.n + 1):
-            flds = fl.sphere_tangent_fields(dims, s, q)
+            flds = [fl.sphere_axis_field(dims, s, int(a))
+                    for a in fl.tangent_axes(q.z[s])]
             mat = np.vstack([f.at(q.flat()) for f in flds])
             chart = np.vstack([fl.xi_field(dims, s, i).at(q.flat())
                                for i in range(1, dims.k + 1)])

@@ -8,9 +8,40 @@ from multiflag import arm
 from multiflag import dynamics as dyn
 from multiflag import fields as fl
 from multiflag import flags as fg
+from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate
 from multiflag.numerics import orthonormal_rows, subspace_angle, svd_rank
+
+
+def sphere_tangent_fields(dims, sphere, at):
+    """k projected-axis fields spanning the tangent of `sphere` near `at`
+    (the axes of `fields.tangent_axes`)."""
+    return [fl.sphere_axis_field(dims, sphere, int(a))
+            for a in fl.tangent_axes(at.z[sphere])]
+
+
+def chart_delta_basis(q, m):
+    """Cross-check basis of the steering plane of joint m-1: the k+1
+    combinations (k+1, D) of {X_{m-1}^0, X_{m-1}^r} with chart-frame
+    coefficients; the span is what matters (coefficient normalization drops
+    out of it)."""
+    if not 1 <= m <= q.dims.n:
+        raise IndexError("needs 1 <= m <= n")
+    dims = q.dims
+    point = q.flat()
+    theta = q.angles(m - 1)
+    val, jac = hs.unit_and_jacobian(theta)
+    norms = hs.frame_norms(theta)
+    x0v = fl.x0_field(dims, m - 1).at(point)
+    xiv = [fl.xi_field(dims, m - 1, i).at(point) for i in range(1, dims.k + 1)]
+    vecs = []
+    for j in range(dims.k + 1):
+        v = val[0][j] * x0v
+        for r in range(dims.k):
+            v = v + (jac[0][j, r] / norms[r]) * xiv[r]
+        vecs.append(v)
+    return np.vstack(vecs)
 
 
 def regular(dims, rng, margin=0.0):
@@ -98,7 +129,7 @@ class TestLieBracket:
                 rows.append(fg.bracket_field(fl.xi_field(dims, m, i),
                                              fl.x0_field(dims, m)
                                              ).at(q.flat()))
-            target = fg.chart_delta_basis(q, m)
+            target = chart_delta_basis(q, m)
             assert subspace_angle(np.vstack(rows), target) < 1e-6
 
 
@@ -217,7 +248,7 @@ class TestResiduals:
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
         flds = ([fl.x0_field(dims, dims.n)]
-                + fl.sphere_tangent_fields(dims, dims.n, q))
+                + sphere_tangent_fields(dims, dims.n, q))
         qn = orthonormal_rows(np.vstack([f.at(q.flat()) for f in flds]))
         rows = []
         for a, fa in enumerate(flds):
@@ -338,7 +369,7 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
     n, k1 = dims.n, dims.ambient
     point = q.flat()
     x0 = [fl.x0_field(dims, m) for m in range(n + 1)]
-    spheres = [fl.sphere_tangent_fields(dims, j, q) if basis == "projected"
+    spheres = [sphere_tangent_fields(dims, j, q) if basis == "projected"
                else [fl.xi_field(dims, j, i) for i in range(1, dims.k + 1)]
                for j in range(n + 1)]
     val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}

@@ -230,6 +230,9 @@ def cmd_singular_scan(args) -> int:
             print(f"singular-scan: invalid run configuration: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE
+        except StepRejected as exc:
+            print(f"singular-scan: {exc}", file=sys.stderr)
+            return EXIT_FAIL
     n = traj.dims.n
     events = []
     if n >= 1:

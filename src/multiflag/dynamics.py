@@ -19,7 +19,10 @@ batched view of its states as base points, unit segment rows and head
 angles; one stepper (`_integrate`) and one recorder (`_record`) serve all
 three.  The controls are tabled at every stage time once per run, and
 joint velocities come from one kernel batched over records
-(`_velocities`), which `collinearity_residuals` reuses.
+(`_velocities`), which `collinearity_residuals` reuses.  The Cartesian
+right-hand side forms the head frame on its buffers from the factor plan
+of `hyperspherical.unit_and_jacobian`, so the one batched call is the
+recorder's.
 
 Every route carries the head-sphere chart angles as state (d theta/dt =
 w), so no route inverts a chart mid-run.  The angular right-hand side is
@@ -289,6 +292,7 @@ def _steps(T: float, h: float) -> np.ndarray:
                      [rem] if rem > 1e-12 * max(1.0, T) else [])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _integrate(rhs, rows, normalize, y0: np.ndarray, u: ControlSignal,
                k: int, T: float, settings: IntegratorSettings):
     """Run the stepper from y0.
@@ -298,7 +302,8 @@ def _integrate(rhs, rows, normalize, y0: np.ndarray, u: ControlSignal,
     stay unit (None: no constraint), and `normalize(y, rows, norms)`
     rescales them in place in the state y.  Each step's stage times are
     t, t + h/2 and t + h, with t = t + h; the controls at all of them
-    are evaluated in one call before the first step.
+    are evaluated in one call before the first step.  Numpy warns of no
+    overflow: the non-finite and drift gates reject what it leads to.
 
     Returns times (M,), states (M, D), the constraint drift of each step
     before and after its projection (M,), and the controls at the
@@ -519,51 +524,61 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     map.
     """
     dims = q0.dims
-    k1, n = dims.ambient, dims.n
-    positions = slice(0, dims.cartesian_dim)
+    k, k1, n, p = dims.k, dims.ambient, dims.n, dims.cartesian_dim
 
     def view(states: np.ndarray) -> dict:
-        x = states[:, positions].reshape(states.shape[0], dims.joints, k1)
-        z = np.diff(x, axis=1)
+        x = states[:, :p].reshape(states.shape[0], n + 2, k1)
+        z = rows(states)
         return {"x0": x[:, 0],
                 "z": z / np.linalg.norm(z, axis=2)[:, :, None],
-                "theta_n": states[:, positions.stop:], "points": x}
+                "theta_n": states[:, p:], "points": x}
 
-    z = np.empty((n + 1, k1))
-    z_lo, z_hi, z_head = z[:-1], z[1:], z[n]
+    # buffers of the right-hand side, and the views of them it uses; the
+    # head frame is formed from the plan and table of hs.unit_and_jacobian
+    _, jac_idx = hs._jacobian_plan(k)
+    jac, table = np.empty((k1, k)), np.zeros((5, k))
+    table[0] = 1.0
+    factors, (sin, cos, nsin) = table.reshape(-1), table[2:]
+    z, lead = np.empty((n + 1, k1)), np.empty((n + 1, 1))
     prod, a, f = np.empty((n, k1)), np.empty(n), np.ones(n + 1)
-    rate = np.empty(positions.stop + dims.k)
-    dx = rate[:positions.stop - k1].reshape(n + 1, k1)
-    head = rate[positions.stop - k1:positions.stop]
+    z_flat, z_lo, z_hi, z_head = z.reshape(-1), z[:-1], z[1:], z[n]
+    rev_a, rev_f, f_col = a[::-1], f[-2::-1], f[:, None]
+    rate = np.empty(p + k)
+    dx, head = rate[:p - k1].reshape(n + 1, k1), rate[p - k1:p]
 
     def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
-        x = y[positions].reshape(dims.joints, k1)
-        np.subtract(x[1:], x[:-1], out=z)
-        _, jac = hs.unit_and_jacobian(y[positions.stop:])
+        # the segments x_{i+1} - x_i, as np.diff of the joint rows
+        np.subtract(y[k1:p], y[:p - k1], out=z_flat)
+        np.sin(y[p:], out=sin)
+        np.cos(y[p:], out=cos)
+        np.negative(sin, out=nsin)
+        np.multiply.reduce(factors[jac_idx], axis=0, out=jac)
         # vn * z_{n+1} / |z_{n+1}| + jac w, the norm as np.linalg.norm
         np.divide(z_head, np.sqrt(z_head.dot(z_head)), out=head)
         np.multiply(head, vn, out=head)
-        np.add(head, jac[0] @ w, out=head)
+        np.add(head, jac @ w, out=head)
         # the rates of joints 1..n+1, as fields._a_chain and _f_products
         np.multiply(z_lo, z_hi, out=prod)
         np.add.reduce(prod, axis=1, out=a)
-        np.multiply.accumulate(a[::-1], out=f[-2::-1])
-        np.multiply(float(head @ z_head) * f[:, None], z, out=dx)
-        rate[positions.stop:] = w
+        np.multiply.accumulate(rev_a, out=rev_f)
+        np.multiply(f_col, float(head @ z_head), out=lead)
+        np.multiply(lead, z, out=dx)
+        rate[p:] = w
         return rate
 
     def rows(states: np.ndarray) -> np.ndarray:
-        return np.diff(states[:, positions].reshape(
-            states.shape[0], dims.joints, k1), axis=1)
+        return np.subtract(states[:, k1:p], states[:, :p - k1]).reshape(
+            states.shape[0], n + 1, k1)
 
     def normalize(y: np.ndarray, seg: np.ndarray, norms: np.ndarray):
-        x = y[positions].reshape(dims.joints, k1)
-        x[1:] = x[0] + np.cumsum(seg / norms[:, None], axis=0)
+        np.divide(seg, norms[:, None], out=seg)
+        np.add.accumulate(seg, axis=0, out=seg)  # np.cumsum's arithmetic
+        np.add(y[:k1], seg, out=y[k1:p].reshape(n + 1, k1))
 
     head0 = q0.segments()[n]
     theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
-    run = _integrate(rhs, rows, normalize, y0, u, dims.k, T, settings)
+    run = _integrate(rhs, rows, normalize, y0, u, k, T, settings)
     return _record("cartesian", dims, T, settings, seed, run, view)
 
 

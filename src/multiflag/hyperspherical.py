@@ -7,10 +7,14 @@ periodic on [0, 2*pi).  The chart degenerates where some interior sine
 vanishes; operations that need the inverse or the frame normalization fail
 loudly there instead of returning garbage.  One rule, in `_interior_sines`,
 decides where: every chart query of the package refuses an interior sine
-at or below EPS_DOM, so all routes share one domain.
+at or below EPS_DOM, so all routes share one domain.  The frame
+d phi / d theta is one kernel: a factor table of sines and cosines, read
+through a per-k plan (`_jacobian_plan`) that buffered callers reuse.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,30 +46,45 @@ def unit_from_angles(theta: np.ndarray) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=None)
+def _jacobian_plan(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices (k, k+1) for phi and (k, k+1, k) for its Jacobian
+    into the flat factor table (5, k) of rows 1, 0, sin, cos and -sin of
+    theta: along axis 0, the factors the recursion of `unit_and_jacobian`
+    multiplies into each entry, innermost angle first, led by 1s."""
+    one, zero, sin, cos, nsin = (r * k for r in range(5))
+    rows = [[[]]]  # the factors of each entry of the frame [phi | d phi]
+    for j in range(k - 1, -1, -1):
+        rows = ([[v + [sin + j], v + [cos + j]] + [d + [sin + j] for d in ds]
+                 for v, *ds in rows]
+                + [[[cos + j], [nsin + j]] + [[zero + j]] * (k - 1 - j)])
+    idx = np.array([[one] * (k - len(f)) + f for f in sum(rows, [])])
+    idx = idx.T.reshape(k, k + 1, k + 1)
+    idx.setflags(write=False)
+    return idx[..., 0], idx[..., 1:]
+
+
 def unit_and_jacobian(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (phi, d phi / d theta) with shapes (B, k+1) and (B, k+1, k).
 
-    Built by unrolling the recursion
-    Phi_k(t, rest) = (sin t * Phi_{k-1}(rest), cos t) from the innermost angle
-    outward, which keeps every entry a product of stored sines/cosines.
+    The recursion Phi_k(t, rest) = (sin t * Phi_{k-1}(rest), cos t),
+    unrolled from the innermost angle outward, makes each entry a product
+    of sines and cosines, which `_jacobian_plan` lists in the order the
+    recursion multiplies them.  The product along the factor axis runs in
+    that order (1 * x is exact, x * y = y * x), so every entry, and the
+    sign of every zero, is the recursion's to the last bit.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     b, k = theta.shape
-    val = np.ones((b, 1))
-    jac = np.zeros((b, 1, 0))
-    for j in range(k - 1, -1, -1):
-        s = np.sin(theta[:, j])
-        c = np.cos(theta[:, j])
-        m = val.shape[1]
-        a = jac.shape[2]
-        nval = np.concatenate([s[:, None] * val, c[:, None]], axis=1)
-        njac = np.zeros((b, m + 1, a + 1))
-        njac[:, :m, 0] = c[:, None] * val
-        njac[:, m, 0] = -s
-        if a:
-            njac[:, :m, 1:] = s[:, None, None] * jac
-        val, jac = nval, njac
-    return val, jac
+    table = np.empty((5, k, b))
+    table[0], table[1] = 1.0, 0.0
+    np.sin(theta.T, out=table[2])
+    np.cos(theta.T, out=table[3])
+    np.negative(table[2], out=table[4])
+    val, jac = (np.multiply.reduce(table.reshape(5 * k, b)[idx], axis=0)
+                for idx in _jacobian_plan(k))
+    return (np.ascontiguousarray(val.T),
+            np.ascontiguousarray(np.moveaxis(jac, -1, 0)))
 
 
 def _interior_sines(theta, strict: bool = False) -> tuple[np.ndarray, bool]:

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,21 @@ class TestSimulate:
         assert data["projection"] is False
         assert data["drift_post"] == data["drift_pre"]
         assert max(data["drift_pre"]) > 0.0  # the drift is really left in
+
+    @pytest.mark.parametrize("mode", ["arm", "cartesian"])
+    def test_rejected_run_prints_one_line(self, mode, tmp_path, capsys):
+        # the overflow that ends the run raises no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--k", "2", "--n", "2", "--mode", mode,
+                           "--preset", "random", "--vn", "1e300", "--h",
+                           "0.01", "--T", "0.1", "--seed", "1",
+                           "--out", str(tmp_path / "x")])
+        assert rc == cli.EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == "simulate: non-finite state at t=0.01\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--T", "inf"),
@@ -334,6 +351,25 @@ class TestSingularScan:
         report = json.loads((tmp_path / "scan.json").read_text())
         events = [e for e in report["events"] if e["index"] == 2]
         assert events and events[0]["zero_velocity_joints"] == [0, 1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--vn", "300", "--wn", "200,-150", "--h", "0.5"],
+         r"constraint drift \S+ in one step at t=0\.5"),
+        (["--mode", "cartesian", "--vn", "1e300", "--h", "0.01",
+          "--T", "0.1"], r"non-finite state at t=0\.01")],
+        ids=["arm-drift", "cartesian-non-finite"])
+    def test_rejected_step_one_line_exit_1(self, argv, message, tmp_path,
+                                           capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["singular-scan", "--k", "2", "--n", "2",
+                           "--preset", "random", "--seed", "1",
+                           "--out", str(tmp_path / "scan.json")] + argv)
+        assert rc == cli.EXIT_FAIL
+        captured = capsys.readouterr()
+        assert re.fullmatch(f"singular-scan: {message}\n", captured.err)
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_scan_from_trajectory_file(self, tmp_path, capsys):
         assert cli.main(["simulate", "--k", "1", "--n", "1",

@@ -11,6 +11,7 @@ from multiflag import sampling
 from multiflag.arm import JSON_ROWS, _write_json
 from multiflag.errors import ChartDegenerate, StepRejected
 from multiflag.fields import _a_chain, _cascade, _f_products
+from test_hyperspherical import ref_unit_and_jacobian
 
 
 def endpoint_gap(ta, tb):
@@ -30,7 +31,7 @@ def scalar_block_rates(z, theta_n, vn, w):
     dz = np.empty_like(z)
     if z.shape[0] > 1:
         dz[:-1] = v[1:, None] * (z[1:] - a[:, None] * z[:-1])
-    _, jac = hs.unit_and_jacobian(theta_n)
+    _, jac = ref_unit_and_jacobian(theta_n)
     dz[-1] = jac[0] @ w
     return dx0, dz
 
@@ -197,6 +198,23 @@ class TestCartesian:
         tr = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 1.0,
                                      dyn.IntegratorSettings(h=1e-3))
         assert dyn.collinearity_residuals(tr).max() < 1e-8
+
+    def test_head_frame_formed_in_place(self, monkeypatch):
+        # only the recorder's batched call; a return to one call per
+        # stage would make 4,001
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return ref_unit_and_jacobian(theta)
+
+        monkeypatch.setattr(hs, "unit_and_jacobian", counted)
+        u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.5)
+        q = sampling.collinear_config(arm.ArmDims(2, 2))
+        tr = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 1.0,
+                                     dyn.IntegratorSettings(h=1e-3))
+        assert len(tr) == 1001
+        assert calls == [(1001, 2)]
 
 
 class TestVelocities:
@@ -542,7 +560,7 @@ def ref_cartesian_route(q0, u):
     def rhs(t, y):
         vn, w = ref_controls_at(u, t, dims.k)
         z = np.diff(y[positions].reshape(dims.joints, k1), axis=0)
-        _, jac = hs.unit_and_jacobian(y[positions.stop:])
+        _, jac = ref_unit_and_jacobian(y[positions.stop:])
         head = vn * (z[n] / np.linalg.norm(z[n])) + jac[0] @ w
         f = _f_products(_a_chain(z[None]), n)[0]
         lead = float(head @ z[n])
@@ -601,6 +619,12 @@ def table_controls(k, rng):
                                         rng.uniform(-1, 1, (t.size, k)))
 
 
+def cartesian_route(k, n):
+    return (k, n, lambda q, u, T, s: dyn.integrate_cartesian(
+        arm.gamma_inverse(q), u, T, s), ref_cartesian_route,
+        arm.gamma_inverse)
+
+
 ROUTES = {
     "arm": (2, 3, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
             ref_arm_route, lambda q: q),
@@ -608,9 +632,12 @@ ROUTES = {
                ref_arm_route, lambda q: q),
     "car": (1, 3, lambda q, u, T, s: dyn.integrate_car(q, u, T, s),
             ref_car_route, lambda q: q),
-    "cartesian": (2, 2, lambda q, u, T, s: dyn.integrate_cartesian(
-        arm.gamma_inverse(q), u, T, s), ref_cartesian_route,
-        arm.gamma_inverse),
+    # the head-frame plan differs with k: one Cartesian run per sphere
+    "cartesian": cartesian_route(2, 2),
+    "cartesian-k1n3": cartesian_route(1, 3),
+    "cartesian-k3n2": cartesian_route(3, 2),
+    "cartesian-k4n1": cartesian_route(4, 1),
+    "cartesian-k5n0": cartesian_route(5, 0),
     "subarm": (2, 4, lambda q, u, T, s: dyn.integrate_subarm(
         q, 2, 3, u, T, s), ref_arm_route,
         lambda q: dyn.project_subarm(q, 2, 3)),

@@ -16,6 +16,29 @@ def interior_angles(rng, k, margin=0.1):
     return th
 
 
+def ref_unit_and_jacobian(theta):
+    """Reference (phi, d phi / d theta): the recursion
+    Phi_k(t, rest) = (sin t * Phi_{k-1}(rest), cos t) unrolled from the
+    innermost angle outward, one angle at a time."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    b, k = theta.shape
+    val = np.ones((b, 1))
+    jac = np.zeros((b, 1, 0))
+    for j in range(k - 1, -1, -1):
+        s = np.sin(theta[:, j])
+        c = np.cos(theta[:, j])
+        m = val.shape[1]
+        a = jac.shape[2]
+        nval = np.concatenate([s[:, None] * val, c[:, None]], axis=1)
+        njac = np.zeros((b, m + 1, a + 1))
+        njac[:, :m, 0] = c[:, None] * val
+        njac[:, m, 0] = -s
+        if a:
+            njac[:, :m, 1:] = s[:, None, None] * jac
+        val, jac = nval, njac
+    return val, jac
+
+
 def frame(theta):
     """The unit vector nu and the rows Theta^j of the chart frame."""
     val, jac = hs.unit_and_jacobian(theta)
@@ -75,6 +98,30 @@ class TestPhiInverse:
         ang = interior_angles(rng, k, margin=1e-3)
         back = hs.angles_from_unit(hs.unit_from_angles(ang))[0]
         assert angle_diff(back, ang) < 1e-10
+
+
+class TestUnitAndJacobian:
+    """The factor-plan kernel against the recursion, bit for bit."""
+
+    # exact chart boundaries, the last step below 2 pi, and an interior
+    # sine at the chart threshold
+    SPECIAL = (0.0, np.pi / 2, np.pi, 1.5 * np.pi, TWO_PI - 1e-15,
+               hs.EPS_DOM)
+
+    @pytest.mark.parametrize("b", [1, 7, 1001])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_recursion(self, k, b):
+        rng = np.random.default_rng(10 * k + b)
+        theta = rng.uniform(-TWO_PI, TWO_PI, (b, k))
+        for i, (angle, j) in enumerate(
+                (a, j) for a in self.SPECIAL for j in range(k)):
+            theta[i % b, j] = angle
+        val, jac = hs.unit_and_jacobian(theta)
+        ref_val, ref_jac = ref_unit_and_jacobian(theta)
+        assert val.shape == (b, k + 1) and jac.shape == (b, k + 1, k)
+        for got, want in ((val, ref_val), (jac, ref_jac)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestJacobian:

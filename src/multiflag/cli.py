@@ -316,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tol", type=float, default=1e-8,
                      help="relative SVD rank threshold")
-    ver.add_argument("--bracket-h", type=float, default=fg.BRACKET_H)
+    ver.add_argument("--bracket-h", type=float, default=fg.BRACKET_H,
+                     help="central-difference step; steers --basis chart "
+                     "only (projected brackets take an exact complex step)")
     ver.add_argument("--basis", default="projected",
                      choices=["projected", "chart"])
     ver.add_argument("--out", default=None, help="report path prefix")

@@ -7,11 +7,11 @@ smooth across chart boundaries.  Chart-coefficient forms (coordinates on
 [x | theta_0 | ... | theta_n]) are derived on demand and fail loudly at
 degenerate chart points.
 
-Fields are batch-evaluable callables on ambient points so that the
-finite-difference Jacobians of the bracket engine run as single vectorized
-calls.  Off the constraint manifold each field follows a fixed smooth
-extension that remains tangent to the manifold along it, which makes the
-numerical brackets independent of the extension choice.
+Fields are batch-evaluable callables on real or complex ambient points, so
+the bracket engine's derivatives (complex steps where a field is analytic)
+run as single vectorized calls.  Off the constraint manifold each field
+follows a fixed smooth extension, tangent to the manifold along it, which
+makes the numerical brackets independent of the extension choice.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ MODE_CAR = "car"              # [x, y, theta_0 .. theta_n], dim n+3
 
 
 class Field:
-    """Batch-evaluable vector field on a flat ambient space."""
+    """Batch-evaluable vector field on real or complex ambient points."""
 
     def __init__(self, mode: str, dim: int,
                  fn: Callable[[np.ndarray], np.ndarray], label: str):
@@ -41,13 +41,14 @@ class Field:
         self.label = label
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(np.asarray(
+            points, dtype=complex if np.iscomplexobj(points) else float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"{self.label}: expected points in R^{self.dim}")
         return self._fn(pts)
 
     def at(self, point: np.ndarray) -> np.ndarray:
-        return self(np.asarray(point, dtype=float)[None])[0]
+        return self(np.asarray(point)[None])[0]
 
     def __repr__(self):  # pragma: no cover
         return f"Field({self.label}, mode={self.mode})"
@@ -74,7 +75,8 @@ def _blocks(y: np.ndarray, dims: ArmDims) -> np.ndarray:
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    """v over its length sqrt(sum v^2), analytic in complex v."""
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
 
 def _a_chain(z: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def _f_products(a: np.ndarray, m: int) -> np.ndarray:
     a holds A_1..A_n (B, n); f_m^m = 1.  The running product starts at
     A_m and multiplies in A_{m-1}, ..., A_1 one at a time.
     """
-    out = np.ones((a.shape[0], m + 1))
+    out = np.ones((a.shape[0], m + 1), dtype=a.dtype)
     out[:, :m] = np.cumprod(a[:, :m][:, ::-1], axis=1)[:, ::-1]
     return out
 

@@ -1,39 +1,34 @@
 """Numerical verification of the nested bracket-generated structure of the
 arm's control distribution.
 
-At a sampled configuration the levels are generated by the steering field
-of joint m plus the sphere-tangent fields of all spheres above it; dropping
+At a sampled configuration level m is generated by the steering field of
+joint m plus the sphere-tangent fields of all spheres above it; dropping
 the steering field gives the integrable sublevel.  The checks are all
 distribution-level (ranks, spans of brackets, inclusion residuals), so any
-smooth generating family with the same pointwise span may be used: the
-default family replaces the chart coordinate fields on each sphere with
-projections of fixed ambient axes, which stay smooth across chart
-boundaries.  The chart fields themselves remain available (`basis="chart"`)
-and must agree wherever both are defined.
-
-All span computations run on embedded coordinates with tangency to the
-sphere factors enforced on bracket values; Jacobians for brackets use
-central differences.  A field is named by calling its constructor in
-`fields`; `bracket_field` is the single-pair bracket, evaluated at a point
-of the fields' space with `.at(point)`, and nesting it builds higher
-brackets.
+smooth generating family with the same pointwise span serves: the default
+projects fixed ambient axes onto each sphere, smooth across chart
+boundaries, and the chart fields (`basis="chart"`) must agree wherever both
+are defined.  Spans are computed on embedded coordinates, with tangency to
+the spheres enforced on bracket values.  The default family is analytic,
+so its brackets take complex-step derivatives, exact to rounding; the chart
+fields take central differences, as does `bracket_field`, the single-pair
+bracket, which nests: bracket_field(bracket_field(x, y), z).
 
 `verify_flags` measures the points of one shape together, one block of
 points at a time: each field is evaluated in one call at the block's
-points and in one at their difference points, every bracket is computed
-once, and one stacked SVD of each level matrix or derived stack gives every
-point its rank, span and angle side; the sandwich test reuses them.  Points
-whose ranks differ are read in groups of equal rank, so each gets exactly
-the numbers it gets alone.  `verify_flag` is the one-point call.  A report
-carries every per-level number (ranks, involutivity and inclusion
-residuals, derived ranks and angles, sandwich indices); `build_level`
-gives the generating fields of (D^m, E^m) themselves.
+points and in one at their probe rows, every bracket is computed once, and
+one stacked SVD of each level matrix or derived stack gives every point its
+rank, span and angle side; the sandwich test reuses them.  Points whose
+ranks differ are read in groups of equal rank, so each gets exactly the
+numbers it gets alone.  `verify_flag` is the one-point call; a report
+carries every per-level number, and `build_level` gives the generating
+fields of (D^m, E^m) themselves.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,12 +41,11 @@ from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
-BRACKET_H = 1e-5      # central-difference step for bracket Jacobians
-# Byte budget of one block of points.  It bounds the bracket tensor only,
-# counted as (points, F, F, D) float64, about twice the pair tensor the
-# block holds; the probe-row temporaries of the field evaluations come on
-# top of it (one 42-point block at (k,n) = (2,2) holds a 142 KiB pair
-# tensor and peaks at about 816 KiB under tracemalloc).
+BRACKET_H = 1e-5      # central-difference step (chart basis, bracket_field)
+COMPLEX_STEP = 1e-30  # imaginary step of the projected basis's brackets
+# Byte budget of one block of points: its pair tensor (points, F(F-1)/2, D)
+# float64.  Probe rows and one residual's brackets come on top (the 22-point
+# (3,4) batch runs in blocks of 14 and peaks at 1.6 MiB under tracemalloc).
 BLOCK_BYTES = 512 * 1024
 
 
@@ -174,7 +168,7 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _tangent_project(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Remove, in place, the radial component on each sphere block of the
     last axis of `vecs` (B, ..., D), with segment rows z (B, n+1, k+1)
-    (finite-difference noise: every field is tangent to the spheres)."""
+    (derivative noise: every field is tangent to the spheres)."""
     b, spheres, k1 = z.shape
     blocks = vecs.reshape(vecs.shape[:-1] + (spheres + 1, k1))[..., 1:, :]
     z = z.reshape((b,) + (1,) * (vecs.ndim - 2) + (spheres, k1))
@@ -196,44 +190,48 @@ def _tangent_basis(dims: ArmDims, z: np.ndarray) -> np.ndarray:
 
 
 class _PairBrackets:
-    """Values, central-difference Jacobians and every pairwise bracket of
-    the generating family at a batch of points (B, D).
+    """Values, directional derivatives and every pairwise bracket of the
+    generating family at a batch of points (B, D).
 
     With V (B, F, D) the family's values and J_c the Jacobian of field c,
     the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
     sphere block; `brackets` (B, F(F-1)/2, D) holds them in the row-major
-    pair order of `_pairs`, numbered by `pair`.  Each field is evaluated in
-    one call at the points and in one call at the 2D difference points of
-    the points whose family keeps it; its Jacobians (B, D, D) go at once
-    into J_c V (B, F, D), whose rows are added to or subtracted from their
-    pairs, so no tensor of all Jacobians or all products is ever held.
+    pair order of `_pairs`, numbered by `pair`.  With h None each field is
+    evaluated in one call at the points and in one at the F complex rows
+    p + i t V_a of each point keeping it, which give every J_c V_a =
+    Im X_c / t, exact to rounding (complex step, Squire-Trapp 1998); else
+    at the 2D rows p +- h e_i of central differences, for fields like the
+    chart ones, whose `arctan2` has no complex form.  Rows of J_c V
+    (B, F, D) go straight into their pairs; no tensor of all is held.
     """
 
     def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray,
-                 h: float):
-        b, d = points.shape
+                 h: Optional[float]):
+        (b, d), f = points.shape, ctx.keep.shape[1]
         self.values = np.take_along_axis(
-            np.stack([f(points) for f in ctx.fields], axis=1),
+            np.stack([fld(points) for fld in ctx.fields], axis=1),
             ctx.keep[:, :, None], axis=1)
-        step = np.eye(d) * h
-        probes = np.concatenate([points[:, None] + step,
-                                 points[:, None] - step], axis=1)
-        self.pair, others = _pair_tables(ctx.keep.shape[1])
+        probes = points[:, None] + 1j * COMPLEX_STEP * self.values
+        self.pair, others = _pair_tables(f)
         self.brackets = np.zeros((b, others.size // 2, d))
         for c, fld in enumerate(ctx.fields):
             rows, pos = np.nonzero(ctx.keep == c)
             if not rows.size:
                 continue
-            vals = fld(probes[rows].reshape(-1, d)).reshape(-1, 2 * d, d)
-            # transposed like `field_jacobian`'s result, so the products
-            # below run the same BLAS kernel and round alike
-            jac = ((vals[:, :d] - vals[:, d:]) / (2.0 * h)).swapaxes(1, 2)
-            jv = np.matmul(jac[:, None], self.values[rows][..., None])[..., 0]
+            if h is None:
+                jv = fld(probes[rows].reshape(-1, d)).imag / COMPLEX_STEP
+            else:  # transposed like `field_jacobian`'s result: rounds alike
+                step = np.vstack([np.eye(d), -np.eye(d)]) * h
+                vals = fld((points[rows, None] + step).reshape(-1, d))
+                vals = vals.reshape(-1, 2 * d, d)
+                jac = ((vals[:, :d] - vals[:, d:]) / (2.0 * h)).swapaxes(1, 2)
+                jv = jac[:, None] @ self.values[rows][..., None]
             # J_p V_a enters the pair of a and p with + if a < p, else
             # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
             # which rounds like the difference itself
             other = others[pos]
-            terms = np.take_along_axis(jv, other[..., None], axis=1)
+            terms = np.take_along_axis(jv.reshape(-1, f, d), other[..., None],
+                                       axis=1)
             terms[other > pos[:, None]] *= -1.0
             self.brackets[rows[:, None],
                           self.pair[other, pos[:, None]]] += terms
@@ -245,24 +243,21 @@ class _PairBrackets:
         fields of `idx` outside the span's rows kept at 1e-8.
 
         Normalization floors at the product of the generator norms so that
-        commuting pairs (bracket = pure finite-difference noise) report
-        noise, not noise divided by noise.
+        commuting pairs (bracket = pure derivative noise) report noise, not
+        noise divided by noise.
         """
         a, b = _pairs(idx)
-        out = np.zeros(len(self.values))
         if a.size == 0:
-            return out
+            return np.zeros(len(self.values))
         br = self.brackets[:, self.pair[a, b]]
         scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
                                       self.norms[:, a] * self.norms[:, b]),
                            1e-300)
         for (r,), sel in rank_groups(span.rank()):
             q = span.vt[sel, :r]
-            resid = br[sel] - (br[sel][:, :, None, :] @ q.swapaxes(1, 2)[
-                :, None] @ q[:, None])[:, :, 0]
-            out[sel] = np.max(np.sqrt(_rowdot(resid, resid)) / scale[sel],
-                              axis=1)
-        return out
+            br[sel] -= (br[sel][:, :, None, :] @ q.swapaxes(1, 2)[:, None]
+                        @ q[:, None])[:, :, 0]
+        return np.max(np.sqrt(_rowdot(br, br)) / scale, axis=1)
 
     def derived_stack(self, idx: Sequence[int]) -> np.ndarray:
         """The fields of `idx` together with all their pairwise brackets."""
@@ -326,15 +321,11 @@ class LevelReport:
     cauchy_residual: Optional[float]  # None at the top level
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "rank_D": self.rank_d,
-            "rank_E": self.rank_e,
-            "expected_rank_D": self.expected_rank_d,
-            "expected_rank_E": self.expected_rank_e,
-            "involutivity_E": self.involutivity_e,
-            "cauchy_residual": self.cauchy_residual,
-        }
+        return {"m": self.m, "rank_D": self.rank_d, "rank_E": self.rank_e,
+                "expected_rank_D": self.expected_rank_d,
+                "expected_rank_E": self.expected_rank_e,
+                "involutivity_E": self.involutivity_e,
+                "cauchy_residual": self.cauchy_residual}
 
 
 @dataclass
@@ -345,8 +336,7 @@ class DerivedReport:
     angle: float
 
     def to_dict(self) -> dict:
-        return {"m": self.m, "rank": self.rank,
-                "expected_rank": self.expected_rank, "angle": self.angle}
+        return asdict(self)
 
 
 @dataclass
@@ -365,7 +355,7 @@ class FlagReport:
     delta_involutivity: float
     basis: str
     svd_tol: float
-    bracket_h: float
+    bracket_h: Optional[float]   # None: complex step, no step to choose
     passed: bool
     failures: list[str] = dc_field(default_factory=list)
 
@@ -383,6 +373,8 @@ class FlagReport:
             "delta_involutivity": self.delta_involutivity,
             "basis": self.basis,
             "tolerances": {"svd": self.svd_tol, "bracket_h": self.bracket_h,
+                           "bracket_derivative": "central-difference"
+                           if self.basis == "chart" else "complex-step",
                            "residual": RESIDUAL_TOL},
             "passed": self.passed,
             "failures": self.failures,
@@ -424,10 +416,11 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     each configuration of one (k,n) shape, classify the points, and
     aggregate pass/fail per condition; one report per configuration.
 
-    The points are measured together, in blocks sized by BLOCK_BYTES.  The
-    structural conditions are asserted by the caller only at regular
-    points; singular points get the same measurements recorded with a
-    `singular` verdict and never raise.
+    The points are measured together, in blocks sized by BLOCK_BYTES.  h
+    is the central-difference step of the chart basis; the projected one
+    takes exact complex steps.  The caller asserts the conditions only at
+    regular points; singular ones get the same measurements recorded with
+    a `singular` verdict and never raise.
     """
     qs = list(qs)
     if not qs:
@@ -435,8 +428,8 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     dims = qs[0].dims
     if any(q.dims != dims for q in qs):
         raise ValueError("verify_flags needs configurations of one shape")
-    family = (dims.n + 1) * dims.ambient
-    size = max(1, BLOCK_BYTES // (8 * family ** 2 * dims.cartesian_dim))
+    pairs = _upper((dims.n + 1) * dims.ambient)[0].size
+    size = max(1, BLOCK_BYTES // (8 * pairs * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
             for rep in _verify_block(qs[start:start + size], tol, h, basis)]
 
@@ -451,6 +444,7 @@ def _verify_block(qs: list[AngularConfig], tol: float, h: float,
                   basis: str) -> list[FlagReport]:
     dims = qs[0].dims
     n = dims.n
+    h = h if basis == "chart" else None  # the projected family is analytic
     z = np.stack([q.z for q in qs])
     ctx = _FlagContext(dims, z, basis=basis)
     pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z, h)
@@ -480,9 +474,11 @@ def _verify_block(qs: list[AngularConfig], tol: float, h: float,
                                     _tangent_basis(dims, z), tol)
                      for m, s in enumerate(stacks)]
 
+    a_values = fl._a_chain(z)
+    sing = [tuple(int(i) + 1 for i in np.flatnonzero(row))
+            for row in np.abs(a_values) < EPS_SING]
     reports = []
     for j, q in enumerate(qs):
-        cls = classify_point(q)
         levels = [LevelReport(m, int(ranks_d[m - 1][j]),
                               int(ranks_e[m - 1][j]),
                               expected_rank_d(dims, m),
@@ -496,9 +492,9 @@ def _verify_block(qs: list[AngularConfig], tol: float, h: float,
         failures = _failures(levels, derived)
         reports.append(FlagReport(
             dims, {"x0": q.x0.tolist(), "z": q.z.tolist()},
-            cls.a_values.tolist(), cls.verdict, cls.indices,
-            (tuple(l for l in range(1, n + 1) if stalls[l - 1][j])
-             if stalls is not None else cls.indices),
+            a_values[j].tolist(), "singular" if sing[j] else "regular",
+            sing[j], (tuple(l for l in range(1, n + 1) if stalls[l - 1][j])
+                      if stalls is not None else sing[j]),
             levels, derived, float(delta_inv[j]), basis, tol, h,
             not failures, failures))
     return reports

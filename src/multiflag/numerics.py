@@ -23,11 +23,11 @@ def _scalar(x: np.ndarray, kind):
 
 
 def rank_groups(*ranks: np.ndarray):
-    """Yield (ranks, indices): one group per distinct tuple of the given
-    per-member rank arrays, in increasing order."""
+    """Yield (ranks, indices) per distinct tuple of the given per-member
+    rank arrays, in increasing order; a lone group's are `slice(None)`."""
     keys = np.stack(ranks, axis=-1)
     if np.all(keys == keys[:1]):  # the usual case: one group
-        yield tuple(int(r) for r in keys[0]), np.arange(len(keys))
+        yield tuple(int(r) for r in keys[0]), slice(None)
         return
     keys, inverse = np.unique(keys, axis=0, return_inverse=True)
     for g, key in enumerate(keys):

@@ -251,6 +251,21 @@ class TestVerify:
         assert (tmp_path / "threads_reports.json").read_bytes() == plain
         assert len(json.loads(plain)["reports"]) == 5
 
+    def test_projected_report_ignores_bracket_h(self, tmp_path):
+        # the projected basis takes exact complex-step brackets: the step
+        # steers only --basis chart
+        argv = ["verify", "--k", "2", "--n", "3", "--samples", "3",
+                "--singular-samples", "1", "--seed", "5"]
+        blobs = []
+        for h in ("1e-5", "0.9"):
+            out = tmp_path / f"h{h}"
+            assert cli.main(argv + ["--bracket-h", h, "--out", str(out)]) == 0
+            blobs.append((tmp_path / f"h{h}_reports.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        tol = json.loads(blobs[0])["reports"][0]["tolerances"]
+        assert tol["bracket_derivative"] == "complex-step"
+        assert tol["bracket_h"] is None
+
     @pytest.mark.parametrize("flag, value", [
         ("--samples", "-3"),
         ("--singular-samples", "-1"),

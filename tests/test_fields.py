@@ -79,6 +79,57 @@ class TestCoefficients:
         assert fl.f_coeff(q, 0, 3) == pytest.approx(want, abs=1e-12)
 
 
+class TestComplexInputs:
+    """The analytic field helpers carry a complex input's imaginary part
+    through, so Im f(x + i t dx) / t is the derivative of f along dx
+    (complex step); real inputs keep float64."""
+
+    T = 1e-30
+
+    def step(self, fn, x, dx):
+        return fn(x + 1j * self.T * dx).imag / self.T
+
+    @staticmethod
+    def central(fn, x, dx, h=1e-6):
+        return (fn(x + h * dx) - fn(x - h * dx)) / (2.0 * h)
+
+    def test_f_products(self):
+        rng = np.random.default_rng(6)
+        a, da = rng.uniform(-1.0, 1.0, (2, 5, 4))
+        for m in range(5):
+            fn = lambda x: fl._f_products(x, m)
+            assert fn(a).dtype == np.float64
+            assert fn(a + 0j).dtype == np.complex128
+            got = self.step(fn, a, da)
+            assert np.abs(got - self.central(fn, a, da)).max() < 1e-9
+            if m:
+                assert np.abs(got[:, :m]).min() > 0.0
+
+    def test_normalized(self):
+        rng = np.random.default_rng(7)
+        v, dv = rng.normal(size=(2, 6, 4))
+        u = fl._normalized(v)
+        # d(v/|v|) = (I - u u^T) dv / |v|
+        want = (dv - np.sum(u * dv, axis=1, keepdims=True) * u) / (
+            np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.abs(self.step(fl._normalized, v, dv) - want).max() < 1e-15
+
+    @pytest.mark.parametrize("make", [
+        lambda dims: fl.x0_field(dims, dims.n),
+        lambda dims: fl.sphere_axis_field(dims, 1, 0)])
+    def test_fields(self, make):
+        rng = np.random.default_rng(8)
+        dims = arm.ArmDims(2, 3)
+        fld = make(dims)
+        points = np.vstack([sampling.random_config(dims, rng).flat()
+                            for _ in range(4)])
+        dx = rng.normal(size=points.shape)
+        assert fld(points + 0j).dtype == np.complex128
+        got = self.step(fld, points, dx)
+        assert np.abs(got).max() > 0.1
+        assert np.abs(got - self.central(fld, points, dx)).max() < 1e-9
+
+
 class TestZFields:
     def test_aligned_gives_zero(self):
         dims = arm.ArmDims(2, 1)

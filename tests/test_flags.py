@@ -364,7 +364,9 @@ class TestVerifyFlag:
 def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
                 basis="projected"):
     """The flag measurements of `verify_flag`, with every bracket and every
-    pair residual computed one at a time."""
+    pair residual computed one at a time.  Each J_g V_f is taken at the one
+    point: by complex step on the projected basis, from the
+    central-difference Jacobian on the chart one."""
     dims = q.dims
     n, k1 = dims.n, dims.ambient
     point = q.flat()
@@ -374,7 +376,13 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
                for j in range(n + 1)]
     val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}
     jac = {id(f): fg.field_jacobian(f, point, h)
-           for f in x0 + sum(spheres, [])}
+           for f in x0 + sum(spheres, [])} if basis == "chart" else {}
+
+    def deriv(g, f):
+        if basis == "chart":
+            return jac[id(g)] @ val[id(f)]
+        t = fg.COMPLEX_STEP
+        return g.at(point + 1j * t * val[id(f)]).imag / t
 
     def e_fields(m):
         return [f for j in range(m - 1, n + 1) for f in spheres[j]]
@@ -386,7 +394,7 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
         return np.vstack([val[id(f)] for f in flds])
 
     def bracket(f, g):
-        b = jac[id(g)] @ val[id(f)] - jac[id(f)] @ val[id(g)]
+        b = deriv(g, f) - deriv(f, g)
         for i in range(1, n + 2):
             zi = q.z[i - 1]
             blk = b[k1 * i:k1 * (i + 1)]
@@ -462,6 +470,39 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
     return out
 
 
+class TestComplexStep:
+    """The projected family's brackets take J_c V as Im X_c(p + i t V) / t,
+    exact to rounding; central differences agree to their own error."""
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (3, 4)])
+    def test_agrees_with_central_differences(self, k, n):
+        dims = arm.ArmDims(k, n)
+        rng = np.random.default_rng(40 + k + n)
+        t = fg.COMPLEX_STEP
+        for q in [regular(dims, rng) for _ in range(3)]:
+            point, z = q.flat(), q.z[None]
+            ctx = fg._FlagContext(dims, z)
+            flds = [ctx.fields[i] for i in ctx.keep[0]]
+            vals = values(flds, q)
+            for fld in flds:
+                exact = fld(point + 1j * t * vals).imag / t
+                # no subtraction: another step gives the same numbers
+                wider = fld(point + 1e-20j * vals).imag / 1e-20
+                assert np.abs(exact - wider).max() <= 1e-14
+                diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
+                assert np.abs(exact - diff).max() <= 1e-9
+            brackets = [fg._PairBrackets(ctx, point[None], z, h).brackets
+                        for h in (None, 1e-5)]
+            assert np.abs(brackets[0] - brackets[1]).max() <= 1e-9
+
+    def test_reports_name_their_derivative(self):
+        q = regular(arm.ArmDims(2, 2), np.random.default_rng(41), margin=0.2)
+        got = [fg.verify_flag(q, h=1e-4, basis=basis).to_dict()["tolerances"]
+               for basis in ("projected", "chart")]
+        assert [(t["bracket_derivative"], t["bracket_h"]) for t in got] == \
+            [("complex-step", None), ("central-difference", 1e-4)]
+
+
 class TestBatchedAgainstScalar:
     TOL = 1e-13
 
@@ -515,11 +556,24 @@ class TestBatchedAgainstScalar:
                            - ref["delta_involutivity"]) <= self.TOL
 
 
+def pair_bytes(dims):
+    """Bytes of one point's pair tensor (F(F-1)/2, D) float64, the count by
+    which `verify_flags` sizes its blocks."""
+    family = (dims.n + 1) * dims.ambient
+    return 8 * family * (family - 1) // 2 * dims.cartesian_dim
+
+
+def sweep_batch(dims, rng):
+    """20 regular and 2 singular points, the verify-sweep batch."""
+    return ([regular(dims, rng) for _ in range(20)]
+            + [sampling.singular_config(dims, rng, index=i) for i in (1, 2)])
+
+
 class TestOnePassPerPoint:
     """`verify_flags` evaluates each generating field once at a block's
-    points and once at their difference points, and decomposes each level
-    matrix, derived stack and angle side with one stacked SVD, however many
-    points the block holds."""
+    points and once at their F complex probe rows each, and decomposes each
+    level matrix, derived stack and angle side with one stacked SVD, however
+    many points the block holds."""
 
     def test_field_and_svd_counts(self, monkeypatch):
         calls, svds = [], []
@@ -531,8 +585,8 @@ class TestOnePassPerPoint:
         rng = np.random.default_rng(5)
         for k, n in [(2, 2), (3, 4)]:
             dims = arm.ArmDims(k, n)
-            block = fg.BLOCK_BYTES // (
-                8 * ((n + 1) * (k + 1)) ** 2 * dims.cartesian_dim)
+            family = (n + 1) * (k + 1)
+            block = fg.BLOCK_BYTES // pair_bytes(dims)
             qs = [regular(dims, rng) for _ in range(block)]
             for size in (1, 2, block):
                 calls.clear()
@@ -542,9 +596,8 @@ class TestOnePassPerPoint:
                 # the steering fields and all k+1 axes of every sphere
                 assert len(counts) == (n + 1) * (k + 2)
                 assert set(counts.values()) <= {1, 2}
-                assert all(rows == size or rows % (2 * dims.cartesian_dim)
-                           == 0 and rows <= 2 * dims.cartesian_dim * size
-                           for _, rows in calls)
+                assert all(rows == size or rows % family == 0
+                           and rows <= family * size for _, rows in calls)
                 assert len(svds) == 6 * (n + 1) + 1
 
 
@@ -599,8 +652,7 @@ class TestBatch:
     def test_batch_equals_per_point(self, k, n, block, monkeypatch):
         dims = arm.ArmDims(k, n)
         if block is not None:  # blocks of 3 points, so batches span several
-            monkeypatch.setattr(fg, "BLOCK_BYTES", block * 8 * (
-                (n + 1) * (k + 1)) ** 2 * dims.cartesian_dim)
+            monkeypatch.setattr(fg, "BLOCK_BYTES", block * pair_bytes(dims))
         rng = np.random.default_rng(27 + 10 * k + n)
         for points, basis in self.mix(dims, rng):
             for tol in (1e-8, 1e-6):
@@ -611,12 +663,15 @@ class TestBatch:
                                                          basis=basis),
                                      self.FLOAT_TOL)
 
-    def test_default_blocks_split_a_large_shape(self):
-        # the mix at (3,4) is larger than one block there
+    def test_default_blocks_split_a_large_shape(self, monkeypatch):
+        # the verify-sweep batch at (3,4) is larger than one block there
         dims = arm.ArmDims(3, 4)
-        block = fg.BLOCK_BYTES // (8 * 20 ** 2 * dims.cartesian_dim)
-        points, _ = self.mix(dims, np.random.default_rng(0))[0]
-        assert 1 < block < len(points)
+        assert fg.BLOCK_BYTES // pair_bytes(dims) == 14
+        sizes, block = [], fg._verify_block
+        monkeypatch.setattr(fg, "_verify_block", lambda qs, *a: (
+            sizes.append(len(qs)), block(qs, *a))[1])
+        fg.verify_flags(sweep_batch(dims, np.random.default_rng(0)))
+        assert sizes == [14, 8]
 
     def test_chart_degenerate_point_ends_the_batch(self):
         dims = arm.ArmDims(2, 2)
@@ -640,10 +695,7 @@ class TestBatch:
         # numpy buffers are traced; one block's tensors stay far below
         # what holding the whole batch's Jacobians would take (~6 MiB)
         dims = arm.ArmDims(3, 4)
-        rng = np.random.default_rng(30)
-        points = [regular(dims, rng) for _ in range(20)]
-        points += [sampling.singular_config(dims, rng, index=i)
-                   for i in (1, 2)]
+        points = sweep_batch(dims, np.random.default_rng(30))
         fg.verify_flags(points[:1])
         tracemalloc.start()
         try:

@@ -155,8 +155,6 @@ def _verify_input_error(args) -> str | None:
             return f"{name} must be >= 0, got {count}"
     if not 0 < args.tol < 1:
         return f"--tol must be in (0, 1), got {args.tol!r}"
-    if not 0 < args.bracket_h < 1:
-        return f"--bracket-h must be in (0, 1), got {args.bracket_h!r}"
     return None
 
 
@@ -177,7 +175,7 @@ def cmd_verify(args) -> int:
                                                  index=1 + j % dims.n))
 
     reports = fg.verify_flags(regular + singular, tol=args.tol,
-                              h=args.bracket_h, basis=args.basis)
+                              basis=args.basis)
 
     if args.out:
         payload = {
@@ -316,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tol", type=float, default=1e-8,
                      help="relative SVD rank threshold")
-    ver.add_argument("--bracket-h", type=float, default=fg.BRACKET_H,
-                     help="central-difference step; steers --basis chart "
-                     "only (projected brackets take an exact complex step)")
     ver.add_argument("--basis", default="projected",
                      choices=["projected", "chart"])
     ver.add_argument("--out", default=None, help="report path prefix")

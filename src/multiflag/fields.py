@@ -161,22 +161,33 @@ def x0_field(dims: ArmDims, m: int) -> Field:
 def xi_field(dims: ArmDims, m: int, i: int) -> Field:
     """Chart coordinate field d/d theta_m^i of sphere m, in embedded form.
 
-    Extended off the unit sphere as the coordinate field of the radial
-    chart (rho, theta) -> rho * phi(theta); evaluation raises
-    ChartDegenerate at chart-singular directions.
+    Closed form on the segment row z, with no angles: theta^i turns the
+    components 0..c-1 against component c = k-i+1, so the field is
+    (z_0 z_c / P, .., z_{c-1} z_c / P, -P, 0, ..) with P the length
+    sqrt(z_0^2 + .. + z_{c-1}^2), and (z_1, -z_0, 0, ..) for the periodic
+    angle i = k.  Homogeneous of degree 1, it is off the unit sphere the
+    coordinate field of the radial chart (rho, theta) -> rho * phi(theta);
+    analytic, it carries complex points through.  The strict chart guard,
+    on the direction of the real part, raises ChartDegenerate at
+    chart-singular directions.
     """
     if not 0 <= m <= dims.n:
         raise IndexError("X_m^i needs 0 <= m <= n")
     if not 1 <= i <= dims.k:
         raise IndexError("X_m^i needs 1 <= i <= k")
+    c = dims.k - i + 1
     def fn(y):
-        z = _blocks(y, dims)
-        zm = z[:, m + 1, :]
-        rho = np.linalg.norm(zm, axis=1, keepdims=True)
-        theta = hs.angles_from_unit(zm / rho)
-        _, jac = hs.unit_and_jacobian(theta)
+        zm = _blocks(y, dims)[:, m + 1, :]
+        real = zm.real
+        hs.angles_from_unit(real / np.linalg.norm(real, axis=1, keepdims=True))
         out = np.zeros_like(y)
-        _blocks(out, dims)[:, m + 1, :] = rho * jac[:, :, i - 1]
+        row = _blocks(out, dims)[:, m + 1, :]
+        if c == 1:
+            row[:, 0], row[:, 1] = zm[:, 1], -zm[:, 0]
+        else:
+            p = np.sqrt(np.sum(zm[:, :c] * zm[:, :c], axis=1, keepdims=True))
+            row[:, :c] = zm[:, :c] * (zm[:, c:c + 1] / p)
+            row[:, c:c + 1] = -p
         return out
     return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^{i}")
 

@@ -9,10 +9,10 @@ smooth generating family with the same pointwise span serves: the default
 projects fixed ambient axes onto each sphere, smooth across chart
 boundaries, and the chart fields (`basis="chart"`) must agree wherever both
 are defined.  Spans are computed on embedded coordinates, with tangency to
-the spheres enforced on bracket values.  The default family is analytic,
-so its brackets take complex-step derivatives, exact to rounding; the chart
-fields take central differences, as does `bracket_field`, the single-pair
-bracket, which nests: bracket_field(bracket_field(x, y), z).
+the spheres enforced on bracket values.  Both families are analytic, so
+their brackets take complex-step derivatives, exact to rounding;
+`bracket_field`, the single-pair bracket, takes central differences, since
+it nests: bracket_field(bracket_field(x, y), z).
 
 `verify_flags` measures the points of one shape together, one block of
 points at a time: each field is evaluated in one call at the block's
@@ -41,8 +41,8 @@ from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
-BRACKET_H = 1e-5      # central-difference step (chart basis, bracket_field)
-COMPLEX_STEP = 1e-30  # imaginary step of the projected basis's brackets
+BRACKET_H = 1e-5      # central-difference step of bracket_field
+COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
 # Byte budget of one block of points: its pair tensor (points, F(F-1)/2, D)
 # float64.  Probe rows and one residual's brackets come on top (the 22-point
 # (3,4) batch runs in blocks of 14 and peaks at 1.6 MiB under tracemalloc).
@@ -196,17 +196,14 @@ class _PairBrackets:
     With V (B, F, D) the family's values and J_c the Jacobian of field c,
     the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
     sphere block; `brackets` (B, F(F-1)/2, D) holds them in the row-major
-    pair order of `_pairs`, numbered by `pair`.  With h None each field is
-    evaluated in one call at the points and in one at the F complex rows
-    p + i t V_a of each point keeping it, which give every J_c V_a =
-    Im X_c / t, exact to rounding (complex step, Squire-Trapp 1998); else
-    at the 2D rows p +- h e_i of central differences, for fields like the
-    chart ones, whose `arctan2` has no complex form.  Rows of J_c V
-    (B, F, D) go straight into their pairs; no tensor of all is held.
+    pair order of `_pairs`, numbered by `pair`.  Each field is evaluated
+    in one call at the points and in one at the F complex rows p + i t V_a
+    of each point keeping it, which give every J_c V_a = Im X_c / t, exact
+    to rounding (complex step, Squire-Trapp 1998).  Rows of J_c V (B, F, D)
+    go straight into their pairs; no tensor of all is held.
     """
 
-    def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray,
-                 h: Optional[float]):
+    def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray):
         (b, d), f = points.shape, ctx.keep.shape[1]
         self.values = np.take_along_axis(
             np.stack([fld(points) for fld in ctx.fields], axis=1),
@@ -218,14 +215,7 @@ class _PairBrackets:
             rows, pos = np.nonzero(ctx.keep == c)
             if not rows.size:
                 continue
-            if h is None:
-                jv = fld(probes[rows].reshape(-1, d)).imag / COMPLEX_STEP
-            else:  # transposed like `field_jacobian`'s result: rounds alike
-                step = np.vstack([np.eye(d), -np.eye(d)]) * h
-                vals = fld((points[rows, None] + step).reshape(-1, d))
-                vals = vals.reshape(-1, 2 * d, d)
-                jac = ((vals[:, :d] - vals[:, d:]) / (2.0 * h)).swapaxes(1, 2)
-                jv = jac[:, None] @ self.values[rows][..., None]
+            jv = fld(probes[rows].reshape(-1, d)).imag / COMPLEX_STEP
             # J_p V_a enters the pair of a and p with + if a < p, else
             # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
             # which rounds like the difference itself
@@ -355,7 +345,6 @@ class FlagReport:
     delta_involutivity: float
     basis: str
     svd_tol: float
-    bracket_h: Optional[float]   # None: complex step, no step to choose
     passed: bool
     failures: list[str] = dc_field(default_factory=list)
 
@@ -372,9 +361,8 @@ class FlagReport:
             "derived": [dv.to_dict() for dv in self.derived],
             "delta_involutivity": self.delta_involutivity,
             "basis": self.basis,
-            "tolerances": {"svd": self.svd_tol, "bracket_h": self.bracket_h,
-                           "bracket_derivative": "central-difference"
-                           if self.basis == "chart" else "complex-step",
+            "tolerances": {"svd": self.svd_tol, "bracket_h": None,
+                           "bracket_derivative": "complex-step",
                            "residual": RESIDUAL_TOL},
             "passed": self.passed,
             "failures": self.failures,
@@ -410,17 +398,15 @@ class FlagReport:
 
 
 def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
-                 h: float = BRACKET_H,
                  basis: str = "projected") -> list[FlagReport]:
     """Measure ranks, derived spans, involutivity and inclusion residuals at
     each configuration of one (k,n) shape, classify the points, and
     aggregate pass/fail per condition; one report per configuration.
 
-    The points are measured together, in blocks sized by BLOCK_BYTES.  h
-    is the central-difference step of the chart basis; the projected one
-    takes exact complex steps.  The caller asserts the conditions only at
-    regular points; singular ones get the same measurements recorded with
-    a `singular` verdict and never raise.
+    The points are measured together, in blocks sized by BLOCK_BYTES.  The
+    caller asserts the conditions only at regular points; singular ones get
+    the same measurements recorded with a `singular` verdict and never
+    raise.
     """
     qs = list(qs)
     if not qs:
@@ -431,23 +417,22 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     pairs = _upper((dims.n + 1) * dims.ambient)[0].size
     size = max(1, BLOCK_BYTES // (8 * pairs * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
-            for rep in _verify_block(qs[start:start + size], tol, h, basis)]
+            for rep in _verify_block(qs[start:start + size], tol, basis)]
 
 
-def verify_flag(q: AngularConfig, tol: float = 1e-8, h: float = BRACKET_H,
+def verify_flag(q: AngularConfig, tol: float = 1e-8,
                 basis: str = "projected") -> FlagReport:
     """`verify_flags` at the one configuration q."""
-    return verify_flags([q], tol=tol, h=h, basis=basis)[0]
+    return verify_flags([q], tol=tol, basis=basis)[0]
 
 
-def _verify_block(qs: list[AngularConfig], tol: float, h: float,
+def _verify_block(qs: list[AngularConfig], tol: float,
                   basis: str) -> list[FlagReport]:
     dims = qs[0].dims
     n = dims.n
-    h = h if basis == "chart" else None  # the projected family is analytic
     z = np.stack([q.z for q in qs])
     ctx = _FlagContext(dims, z, basis=basis)
-    pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z, h)
+    pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
 
     # one stacked SVD per level matrix: ranks at tol, residual spans at
     # 1e-8; the D^m spans are also the targets of the derived-span angles
@@ -495,7 +480,7 @@ def _verify_block(qs: list[AngularConfig], tol: float, h: float,
             a_values[j].tolist(), "singular" if sing[j] else "regular",
             sing[j], (tuple(l for l in range(1, n + 1) if stalls[l - 1][j])
                       if stalls is not None else sing[j]),
-            levels, derived, float(delta_inv[j]), basis, tol, h,
+            levels, derived, float(delta_inv[j]), basis, tol,
             not failures, failures))
     return reports
 

@@ -29,12 +29,6 @@ def _draw(dims: ArmDims, rng: np.random.Generator
     return rng.normal(size=dims.ambient), z
 
 
-def random_config(dims: ArmDims, rng: np.random.Generator) -> AngularConfig:
-    """Uniform directions on each sphere, Gaussian base point."""
-    x0, z = _draw(dims, rng)
-    return AngularConfig(dims=dims, x0=x0, z=z)
-
-
 def random_regular_config(dims: ArmDims, rng: np.random.Generator,
                           chart_margin: float = 0.0) -> AngularConfig:
     """Rejection-sample a configuration with every |A_i| >= MIN_ABS_A.

@@ -251,20 +251,16 @@ class TestVerify:
         assert (tmp_path / "threads_reports.json").read_bytes() == plain
         assert len(json.loads(plain)["reports"]) == 5
 
-    def test_projected_report_ignores_bracket_h(self, tmp_path):
-        # the projected basis takes exact complex-step brackets: the step
-        # steers only --basis chart
-        argv = ["verify", "--k", "2", "--n", "3", "--samples", "3",
-                "--singular-samples", "1", "--seed", "5"]
-        blobs = []
-        for h in ("1e-5", "0.9"):
-            out = tmp_path / f"h{h}"
-            assert cli.main(argv + ["--bracket-h", h, "--out", str(out)]) == 0
-            blobs.append((tmp_path / f"h{h}_reports.json").read_bytes())
-        assert blobs[0] == blobs[1]
-        tol = json.loads(blobs[0])["reports"][0]["tolerances"]
-        assert tol["bracket_derivative"] == "complex-step"
-        assert tol["bracket_h"] is None
+    def test_bracket_step_is_not_an_option(self, tmp_path, capsys):
+        # every flag bracket takes an exact complex step: there is no step
+        # to choose, and argparse refuses the option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "2", "--n", "2", "--samples", "2",
+                      "--bracket-h", "1e-5", "--out", str(tmp_path / "v")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--bracket-h" in err and "Traceback" not in err
+        assert not (tmp_path / "v_reports.json").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--samples", "-3"),
@@ -272,11 +268,6 @@ class TestVerify:
         ("--tol", "-1"),
         ("--tol", "0"),
         ("--tol", "inf"),
-        ("--bracket-h", "0"),
-        ("--bracket-h", "nan"),
-        ("--bracket-h", "-1e-5"),
-        ("--bracket-h", "1"),
-        ("--bracket-h", "1e300"),
         ("--tol", "1"),
         ("--tol", "2"),
         ("--seed", "-1"),

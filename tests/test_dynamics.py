@@ -11,6 +11,7 @@ from multiflag import sampling
 from multiflag.arm import JSON_ROWS, _write_json
 from multiflag.errors import ChartDegenerate, StepRejected
 from multiflag.fields import _a_chain, _cascade, _f_products
+from test_arm import random_config
 from test_hyperspherical import ref_unit_and_jacobian
 
 
@@ -295,7 +296,7 @@ class TestSubarm:
 
     def test_bad_indices_rejected(self):
         rng = np.random.default_rng(14)
-        q = sampling.random_config(arm.ArmDims(2, 3), rng)
+        q = random_config(arm.ArmDims(2, 3), rng)
         u = dyn.ControlSignal.constant(1.0, np.zeros(2))
         with pytest.raises(ValueError):
             dyn.integrate_subarm(q, 2, 2, u, 1.0,

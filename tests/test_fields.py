@@ -8,10 +8,11 @@ from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate
 from multiflag.numerics import subspace_angle, svd_rank
+from test_arm import random_config
 
 
 def rotate_pair(rng, dims):
-    q = sampling.random_config(dims, rng)
+    q = random_config(dims, rng)
     return q, arm.gamma_inverse(q)
 
 
@@ -29,7 +30,7 @@ class TestCoefficients:
     def test_k1_cosine_of_heading_difference(self):
         rng = np.random.default_rng(0)
         dims = arm.ArmDims(1, 3)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         th = [q.angles(s)[0] for s in range(4)]
         for i in range(1, 4):
             assert fl.A_coeff(q, i) == pytest.approx(
@@ -38,7 +39,7 @@ class TestCoefficients:
     def test_f_products(self):
         rng = np.random.default_rng(1)
         dims = arm.ArmDims(2, 3)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         for m in range(4):
             assert fl.f_coeff(q, m, m) == 1.0
         expect = fl.A_coeff(q, 2) * fl.A_coeff(q, 3)
@@ -57,7 +58,7 @@ class TestCoefficients:
 
     def test_f_telescopes(self):
         rng = np.random.default_rng(2)
-        q = sampling.random_config(arm.ArmDims(3, 3), rng)
+        q = random_config(arm.ArmDims(3, 3), rng)
         for m in range(1, 4):
             for r in range(m):
                 assert fl.f_coeff(q, r, m) == pytest.approx(
@@ -73,7 +74,7 @@ class TestCoefficients:
     def test_k1_matches_cosine_cascade(self):
         rng = np.random.default_rng(4)
         dims = arm.ArmDims(1, 3)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         th = [q.angles(s)[0] for s in range(4)]
         want = np.prod([np.cos(th[j] - th[j - 1]) for j in range(1, 4)])
         assert fl.f_coeff(q, 0, 3) == pytest.approx(want, abs=1e-12)
@@ -114,14 +115,17 @@ class TestComplexInputs:
             np.linalg.norm(v, axis=1, keepdims=True))
         assert np.abs(self.step(fl._normalized, v, dv) - want).max() < 1e-15
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("make", [
         lambda dims: fl.x0_field(dims, dims.n),
-        lambda dims: fl.sphere_axis_field(dims, 1, 0)])
+        lambda dims: fl.sphere_axis_field(dims, 1, 0),
+        lambda dims: fl.xi_field(dims, 1, 1),
+        lambda dims: fl.xi_field(dims, 2, dims.k)])
     def test_fields(self, make):
         rng = np.random.default_rng(8)
         dims = arm.ArmDims(2, 3)
         fld = make(dims)
-        points = np.vstack([sampling.random_config(dims, rng).flat()
+        points = np.vstack([random_config(dims, rng).flat()
                             for _ in range(4)])
         dx = rng.normal(size=points.shape)
         assert fld(points + 0j).dtype == np.complex128
@@ -139,7 +143,7 @@ class TestZFields:
     def test_k1_chart_coefficient(self):
         rng = np.random.default_rng(5)
         dims = arm.ArmDims(1, 2)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         th = [q.angles(s)[0] for s in range(3)]
         for i in (1, 2):
             ch = fl.z_chart(q, i)
@@ -151,7 +155,7 @@ class TestZFields:
         rng = np.random.default_rng(6)
         dims = arm.ArmDims(3, 3)
         for _ in range(30):
-            q = sampling.random_config(dims, rng)
+            q = random_config(dims, rng)
             for i in range(1, dims.n + 1):
                 zi = fl.z_field(dims, i).at(q.flat())
                 nrm2 = zi @ zi
@@ -170,7 +174,7 @@ class TestZFields:
 class TestX0Fields:
     def test_m0_is_z0(self):
         rng = np.random.default_rng(7)
-        q = sampling.random_config(arm.ArmDims(2, 2), rng)
+        q = random_config(arm.ArmDims(2, 2), rng)
         assert np.allclose(fl.x0_field(q.dims, 0).at(q.flat()),
                            fl.z0_field(q.dims).at(q.flat()), atol=1e-15)
 
@@ -187,7 +191,7 @@ class TestX0Fields:
         rng = np.random.default_rng(8)
         dims = arm.ArmDims(1, 3)
         for _ in range(20):
-            q = sampling.random_config(dims, rng)
+            q = random_config(dims, rng)
             ch = fl.x0_chart(q, dims.n)
             car = fl.car_x2_field(dims.n).at(dyn.car_state_from_config(q))
             # car layout: (x, y, theta_0..theta_n); chart: (x^1, x^2, ...)
@@ -199,7 +203,7 @@ class TestX0Fields:
     def test_component_per_sphere(self):
         rng = np.random.default_rng(9)
         dims = arm.ArmDims(2, 3)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         m = 2
         vec = fl.x0_field(dims, m).at(q.flat()).reshape(dims.joints,
                                                         dims.ambient)
@@ -211,7 +215,60 @@ class TestX0Fields:
         assert np.abs(vec[m + 1:]).max() == 0.0
 
 
+def chart_route_xi(z, i):
+    """The chart route to d/d theta^i at rows z (B, k+1): the frame column
+    at the angles of z / rho, times rho."""
+    rho = np.linalg.norm(z, axis=1, keepdims=True)
+    return rho * hs.unit_and_jacobian(hs.angles_from_unit(z / rho))[1][
+        ..., i - 1]
+
+
 class TestXiFields:
+    @staticmethod
+    def row(dims, m, i, points):
+        """Sphere m's row of X_m^i at points (B, D)."""
+        return fl.xi_field(dims, m, i)(points).reshape(
+            len(points), dims.joints, dims.ambient)[:, m + 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_closed_form_matches_chart_route(self, k):
+        # on the unit sphere and off it (degree-1 homogeneous extension)
+        rng = np.random.default_rng(30 + k)
+        dims = arm.ArmDims(k, 1)
+        for scale in (1.0, 0.3, 2.5):
+            qs = [random_config(dims, rng) for _ in range(20)]
+            points = np.vstack([q.flat() for q in qs])
+            blocks = points.reshape(len(qs), dims.joints, dims.ambient)
+            blocks[:, 1:] *= scale
+            for m in (0, 1):
+                for i in range(1, k + 1):
+                    want = chart_route_xi(blocks[:, m + 1], i)
+                    got = self.row(dims, m, i, points)
+                    assert np.abs(got - want).max() <= 2e-15 * scale
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_component_zero_is_inside_the_chart(self):
+        # z_0 = 0 exactly: theta^2 = 0, the interior sine is 0.6
+        dims = arm.ArmDims(2, 0)
+        point = np.array([0.3, -0.2, 0.1, 0.0, 0.6, 0.8])
+        z = point[None, 3:]
+        assert hs.interior_margin(z) == pytest.approx(0.6, abs=1e-15)
+        dx = np.random.default_rng(13).normal(size=point.size)
+        t, h = 1e-30, 1e-6
+        for i in (1, 2):
+            want = chart_route_xi(z, i)
+            val = self.row(dims, 0, i, point[None])
+            probe = self.row(dims, 0, i, point[None] + 1j * t * dx[None])
+            for got in (val, probe.real):
+                assert np.isfinite(got).all()
+                assert np.abs(got - want).max() <= 2e-15
+            # the chart route wraps theta^2 through 2 pi along dx; its
+            # central difference still sees the smooth field
+            diff = (chart_route_xi(z + h * dx[None, 3:], i)
+                    - chart_route_xi(z - h * dx[None, 3:], i)) / (2.0 * h)
+            assert np.isfinite(probe.imag).all()
+            assert np.abs(probe.imag / t - diff).max() <= 1e-9
+
     def test_embedded_equals_frame_vector(self):
         rng = np.random.default_rng(10)
         dims = arm.ArmDims(2, 2)
@@ -227,7 +284,7 @@ class TestXiFields:
     def test_k1_is_heading_rate(self):
         rng = np.random.default_rng(11)
         dims = arm.ArmDims(1, 2)
-        q = sampling.random_config(dims, rng)
+        q = random_config(dims, rng)
         ch = fl.embedded_to_chart(q, fl.xi_field(dims, dims.n, 1).at(q.flat()))
         expect = np.zeros(dims.angular_dim)
         expect[-1] = 1.0

@@ -12,6 +12,7 @@ from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.errors import ChartDegenerate
 from multiflag.numerics import orthonormal_rows, subspace_angle, svd_rank
+from test_arm import random_config
 
 
 def sphere_tangent_fields(dims, sphere, at):
@@ -292,7 +293,7 @@ class TestClassification:
         rng = np.random.default_rng(19)
         dims = arm.ArmDims(2, 2)
         for _ in range(200):
-            q = sampling.random_config(dims, rng)
+            q = random_config(dims, rng)
             a_verdict = fg.classify_point(q).singular
             s_verdict = bool(fg.verify_flag(q).sandwich_indices)
             assert a_verdict == s_verdict
@@ -361,12 +362,11 @@ class TestVerifyFlag:
 # reference: the scalar one-pair-at-a-time flag check
 # ---------------------------------------------------------------------------
 
-def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
+def oracle_flag(q, tol=1e-8, residual_tol=fg.RESIDUAL_TOL,
                 basis="projected"):
     """The flag measurements of `verify_flag`, with every bracket and every
     pair residual computed one at a time.  Each J_g V_f is taken at the one
-    point: by complex step on the projected basis, from the
-    central-difference Jacobian on the chart one."""
+    point by complex step."""
     dims = q.dims
     n, k1 = dims.n, dims.ambient
     point = q.flat()
@@ -375,12 +375,8 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
                else [fl.xi_field(dims, j, i) for i in range(1, dims.k + 1)]
                for j in range(n + 1)]
     val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}
-    jac = {id(f): fg.field_jacobian(f, point, h)
-           for f in x0 + sum(spheres, [])} if basis == "chart" else {}
 
     def deriv(g, f):
-        if basis == "chart":
-            return jac[id(g)] @ val[id(f)]
         t = fg.COMPLEX_STEP
         return g.at(point + 1j * t * val[id(f)]).imag / t
 
@@ -471,8 +467,8 @@ def oracle_flag(q, tol=1e-8, h=fg.BRACKET_H, residual_tol=fg.RESIDUAL_TOL,
 
 
 class TestComplexStep:
-    """The projected family's brackets take J_c V as Im X_c(p + i t V) / t,
-    exact to rounding; central differences agree to their own error."""
+    """Both families' brackets take J_c V as Im X_c(p + i t V) / t, exact
+    to rounding; central differences agree to their own error."""
 
     @pytest.mark.parametrize("k, n", [(1, 3), (2, 2), (3, 4)])
     def test_agrees_with_central_differences(self, k, n):
@@ -481,26 +477,29 @@ class TestComplexStep:
         t = fg.COMPLEX_STEP
         for q in [regular(dims, rng) for _ in range(3)]:
             point, z = q.flat(), q.z[None]
-            ctx = fg._FlagContext(dims, z)
-            flds = [ctx.fields[i] for i in ctx.keep[0]]
-            vals = values(flds, q)
-            for fld in flds:
-                exact = fld(point + 1j * t * vals).imag / t
-                # no subtraction: another step gives the same numbers
-                wider = fld(point + 1e-20j * vals).imag / 1e-20
-                assert np.abs(exact - wider).max() <= 1e-14
-                diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
-                assert np.abs(exact - diff).max() <= 1e-9
-            brackets = [fg._PairBrackets(ctx, point[None], z, h).brackets
-                        for h in (None, 1e-5)]
-            assert np.abs(brackets[0] - brackets[1]).max() <= 1e-9
+            for basis in ("projected", "chart"):
+                ctx = fg._FlagContext(dims, z, basis=basis)
+                flds = [ctx.fields[i] for i in ctx.keep[0]]
+                vals = values(flds, q)
+                for fld in flds:
+                    exact = fld(point + 1j * t * vals).imag / t
+                    # no subtraction: another step gives the same numbers
+                    wider = fld(point + 1e-20j * vals).imag / 1e-20
+                    assert np.abs(exact - wider).max() <= 1e-14
+                    diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
+                    assert np.abs(exact - diff).max() <= 1e-9
+                brackets = fg._PairBrackets(ctx, point[None], z).brackets[0]
+                for pair, (a, b) in enumerate(zip(*fg._pairs(
+                        range(len(flds))))):
+                    want = fg.bracket_field(flds[a], flds[b], 1e-5).at(point)
+                    assert np.abs(brackets[pair] - want).max() <= 1e-9
 
     def test_reports_name_their_derivative(self):
         q = regular(arm.ArmDims(2, 2), np.random.default_rng(41), margin=0.2)
-        got = [fg.verify_flag(q, h=1e-4, basis=basis).to_dict()["tolerances"]
+        got = [fg.verify_flag(q, basis=basis).to_dict()["tolerances"]
                for basis in ("projected", "chart")]
         assert [(t["bracket_derivative"], t["bracket_h"]) for t in got] == \
-            [("complex-step", None), ("central-difference", 1e-4)]
+            [("complex-step", None)] * 2
 
 
 class TestBatchedAgainstScalar:

@@ -8,14 +8,12 @@ from .arm import (AngularConfig, ArmDims, CartesianConfig, config_from_dict,
 from .dynamics import (ControlSignal, IntegratorSettings, Trajectory,
                        cascade_residuals, collinearity_residuals,
                        induced_subarm_controls, integrate_arm, integrate_car,
-                       integrate_cartesian, integrate_subarm, project_subarm,
-                       velocity_report)
+                       integrate_cartesian, integrate_subarm, project_subarm)
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
-from .fields import (A_coeff, cart_z_field, cartesian_delta, f_coeff,
+from .fields import (a_chain, cart_z_field, cartesian_delta, f_products,
                      pushforward_check, x0_chart, x0_field, xi_field,
                      z0_field, z_chart, z_field)
-from .flags import (FlagReport, bracket_field, build_level, classify_point,
-                    verify_flag)
+from .flags import FlagReport, bracket_field, build_level, verify_flag
 from .hyperspherical import (angles_from_unit, frame_change, frame_inverse,
                              frame_norms, jacobian, jacobian_det,
                              unit_and_jacobian, unit_from_angles)
@@ -29,14 +27,14 @@ __all__ = [
     "ArmDims", "CartesianConfig", "AngularConfig", "gamma", "gamma_inverse",
     "constraint_residuals", "normal_fields", "config_to_dict",
     "config_from_dict", "save_config", "load_config",
-    "A_coeff", "f_coeff", "z0_field", "z_field", "x0_field", "xi_field",
+    "a_chain", "f_products", "z0_field", "z_field", "x0_field", "xi_field",
     "z_chart", "x0_chart", "cart_z_field", "cartesian_delta",
     "pushforward_check",
     "ControlSignal", "IntegratorSettings", "Trajectory", "integrate_car",
     "integrate_arm", "integrate_cartesian", "integrate_subarm",
-    "project_subarm", "induced_subarm_controls", "velocity_report",
+    "project_subarm", "induced_subarm_controls",
     "collinearity_residuals", "cascade_residuals",
-    "bracket_field", "build_level", "classify_point", "verify_flag",
+    "bracket_field", "build_level", "verify_flag",
     "FlagReport",
     "ChartDegenerate", "ConstraintViolated", "StepRejected",
 ]

@@ -23,7 +23,7 @@ from . import flags as fg
 from . import sampling
 from .arm import ArmDims, _write_json, gamma_inverse, load_config
 from .errors import StepRejected
-from .fields import _a_chain
+from .fields import a_chain
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,9 +95,6 @@ def _simulate_trajectory(args, rng) -> dyn.Trajectory:
     if not (math.isfinite(args.h) and args.h > 0):
         raise ValueError(f"--h must be a positive finite number, "
                          f"got {args.h!r}")
-    if args.T / args.h >= sys.maxsize:
-        raise ValueError(f"--T / --h = {args.T / args.h:g} steps do not fit "
-                         f"an index")
     for name, val in (("--vn", args.vn), ("--freq", args.freq)):
         if not math.isfinite(val):
             raise ValueError(f"{name} must be a finite number, got {val!r}")
@@ -109,16 +106,22 @@ def _simulate_trajectory(args, rng) -> dyn.Trajectory:
     q0 = _initial_config(args, rng)
     settings = dyn.IntegratorSettings(h=args.h,
                                       projection=not args.no_projection)
-    if args.mode == "car":
-        return dyn.integrate_car(q0, u, args.T, settings, seed=args.seed)
-    if args.mode == "arm":
-        return dyn.integrate_arm(q0, u, args.T, settings, seed=args.seed)
-    if args.mode == "cartesian":
-        return dyn.integrate_cartesian(gamma_inverse(q0), u, args.T,
-                                       settings, seed=args.seed)
-    if args.mode == "subarm":
-        return dyn.integrate_subarm(q0, args.p, args.m, u, args.T,
-                                    settings, seed=args.seed)
+    steps = args.T / args.h
+    try:
+        if steps >= sys.maxsize:
+            raise MemoryError  # no array index reaches that many steps
+        if args.mode == "car":
+            return dyn.integrate_car(q0, u, args.T, settings, seed=args.seed)
+        if args.mode == "arm":
+            return dyn.integrate_arm(q0, u, args.T, settings, seed=args.seed)
+        if args.mode == "cartesian":
+            return dyn.integrate_cartesian(gamma_inverse(q0), u, args.T,
+                                           settings, seed=args.seed)
+        if args.mode == "subarm":
+            return dyn.integrate_subarm(q0, args.p, args.m, u, args.T,
+                                        settings, seed=args.seed)
+    except MemoryError:
+        raise ValueError(f"--T / --h = {steps:g} steps do not fit in memory")
     raise ValueError(f"unknown mode {args.mode!r}")
 
 
@@ -221,6 +224,10 @@ def cmd_singular_scan(args) -> int:
     rng = _start(args, args.out)
     if args.traj:
         traj = dyn.Trajectory.from_json(args.traj)
+        if traj.dims != ArmDims(args.k, args.n):
+            raise ValueError(
+                f"trajectory file has (k={traj.dims.k}, n={traj.dims.n}), "
+                f"flags say (k={args.k}, n={args.n})")
     else:
         try:
             traj = _simulate_trajectory(args, rng)
@@ -234,7 +241,7 @@ def cmd_singular_scan(args) -> int:
     n = traj.dims.n
     events = []
     if n >= 1:
-        a = _a_chain(traj.z)  # (M, n)
+        a = a_chain(traj.z)  # (M, n)
         for i in range(n):
             col = a[:, i]
             hits = np.abs(col) < args.eps_sing

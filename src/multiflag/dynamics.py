@@ -42,7 +42,7 @@ import numpy as np
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims, CartesianConfig, _write_json
 from .errors import StepRejected
-from .fields import _a_chain, _cascade, _f_products
+from .fields import _cascade, a_chain, f_products
 
 FMT = "%.17g"
 
@@ -177,7 +177,7 @@ class Trajectory:
         """Smallest |A_i| seen along the trajectory (inf when n = 0)."""
         if self.dims.n == 0:
             return float("inf")
-        return float(np.min(np.abs(_a_chain(self.z))))
+        return float(np.min(np.abs(a_chain(self.z))))
 
     # -- export ------------------------------------------------------------
 
@@ -495,7 +495,7 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
         th = y[2:]
         diffs = th[1:] - th[:-1]
-        v = _f_products(np.cos(diffs)[None], dims.n)[0] * vn
+        v = f_products(np.cos(diffs), dims.n) * vn
         rate[0], rate[1] = v[0] * np.cos(th[0]), v[0] * np.sin(th[0])
         np.multiply(v[1:], np.sin(diffs), out=rate[2:-1])
         rate[-1:] = w
@@ -557,7 +557,7 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
         np.divide(z_head, np.sqrt(z_head.dot(z_head)), out=head)
         np.multiply(head, vn, out=head)
         np.add(head, jac @ w, out=head)
-        # the rates of joints 1..n+1, as fields._a_chain and _f_products
+        # the rates of joints 1..n+1, as fields.a_chain and f_products
         np.multiply(z_lo, z_hi, out=prod)
         np.add.reduce(prod, axis=1, out=a)
         np.multiply.accumulate(rev_a, out=rev_f)
@@ -620,7 +620,7 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
     dims = traj.dims
     if not 1 <= p < m <= dims.n:
         raise ValueError("need 1 <= p < m <= n")
-    v = _f_products(_a_chain(traj.z), dims.n) * traj.vn[:, None]  # v_0..v_n
+    v = f_products(a_chain(traj.z), dims.n) * traj.vn[:, None]  # v_0..v_n
     u0 = v[:, m]
     if m == dims.n:
         wv = traj.w
@@ -636,14 +636,6 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
 # velocity diagnostics
 # ---------------------------------------------------------------------------
 
-def velocity_report(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Normal velocities (v_0..v_n) and the tangential head rates at a
-    recorded time.  v_i is the projection of the velocity of joint i+1 on
-    the outward direction z_{i+1}."""
-    idx = traj.index_of(t)
-    return traj.v[idx].copy(), traj.w[idx].copy()
-
-
 def collinearity_residuals(traj: Trajectory) -> np.ndarray:
     """Per record, the norm of each joint velocity's component off the
     segment ahead of it (the nonholonomic constraint), shape (M, n+1)."""
@@ -652,4 +644,4 @@ def collinearity_residuals(traj: Trajectory) -> np.ndarray:
 
 def cascade_residuals(traj: Trajectory) -> np.ndarray:
     """Per record, |v_{i-1} - A_i v_i| for i = 1..n, shape (M, n)."""
-    return np.abs(traj.v[:, :-1] - _a_chain(traj.z) * traj.v[:, 1:])
+    return np.abs(traj.v[:, :-1] - a_chain(traj.z) * traj.v[:, 1:])

@@ -79,19 +79,20 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
 
-def _a_chain(z: np.ndarray) -> np.ndarray:
-    """A_1..A_n from segment rows (B, n+1, k+1): A_j = <z_j, z_{j+1}>."""
-    return np.sum(z[:, :-1, :] * z[:, 1:, :], axis=2)
+def a_chain(z: np.ndarray) -> np.ndarray:
+    """A_1..A_n (..., n) from rows (..., n+1, k+1): A_j = <z_j, z_{j+1}>."""
+    return np.sum(z[..., :-1, :] * z[..., 1:, :], axis=-1)
 
 
-def _f_products(a: np.ndarray, m: int) -> np.ndarray:
-    """f_m^r = prod_{j=r+1}^m A_j for r = 0..m, as columns (B, m+1).
+def f_products(a: np.ndarray, m: int) -> np.ndarray:
+    """The cascade products f_m^r = prod_{j=r+1}^m A_j for r = 0..m
+    (..., m+1) of alignments A_1..A_n (..., n); f_m^m = 1.
 
-    a holds A_1..A_n (B, n); f_m^m = 1.  The running product starts at
-    A_m and multiplies in A_{m-1}, ..., A_1 one at a time.
+    The running product starts at A_m and multiplies in A_{m-1}, ..., A_1
+    one at a time; the result keeps the dtype of a.
     """
-    out = np.ones((a.shape[0], m + 1), dtype=a.dtype)
-    out[:, :m] = np.cumprod(a[:, :m][:, ::-1], axis=1)[:, ::-1]
+    out = np.ones(a.shape[:-1] + (m + 1,), dtype=a.dtype)
+    out[..., :m] = np.cumprod(a[..., :m][..., ::-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -103,8 +104,8 @@ def _cascade(z: np.ndarray, vn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Joint i+1 moves along z_{i+1} at v_i = f_m^i vn, so sphere i turns
     z_i at v_i times the projection of z_{i+1} onto its tangent.
     """
-    a = _a_chain(z)
-    v = _f_products(a, z.shape[1] - 1) * vn[:, None]
+    a = a_chain(z)
+    v = f_products(a, z.shape[1] - 1) * vn[:, None]
     dx0 = v[:, 0, None] * z[:, 0]
     dz = v[:, 1:, None] * (z[:, 1:] - a[:, :, None] * z[:, :-1])
     return dx0, dz
@@ -251,8 +252,8 @@ def cart_delta_field(dims: ArmDims, r: int) -> Field:
     def fn(y):
         x = _blocks(y, dims)
         z = np.diff(x, axis=1)  # (B, n+1, k+1), rows z_1..z_{n+1}
-        a = _a_chain(z)         # A_1..A_n from consecutive segments
-        f = _f_products(a, n)   # f_n^0..f_n^n
+        a = a_chain(z)          # A_1..A_n from consecutive segments
+        f = f_products(a, n)    # f_n^0..f_n^n
         lead = z[:, n, r][:, None]  # component r of z_{n+1}
         out = np.zeros_like(y)
         ob = _blocks(out, dims)
@@ -284,7 +285,7 @@ def car_x2_field(n: int) -> Field:
     def fn(y):
         th = y[:, 2:]
         diffs = th[:, 1:] - th[:, :-1]           # (B, n)
-        f = _f_products(np.cos(diffs), n)        # f[r] = prod_{j=r+1}^n cos
+        f = f_products(np.cos(diffs), n)         # f[r] = prod_{j=r+1}^n cos
         out = np.zeros_like(y)
         out[:, 0] = np.cos(th[:, 0]) * f[:, 0]
         out[:, 1] = np.sin(th[:, 0]) * f[:, 0]
@@ -292,32 +293,6 @@ def car_x2_field(n: int) -> Field:
             out[:, 2:-1] = np.sin(diffs) * f[:, 1:]
         return out
     return Field(MODE_CAR, dim, fn, "carX2")
-
-
-# ---------------------------------------------------------------------------
-# coefficient operations on configurations
-# ---------------------------------------------------------------------------
-
-def A_coeff(q: AngularConfig, i: int) -> float:
-    """Alignment of consecutive segments: <z_i, z_{i+1}> for i <= n, and 1
-    for the conventional top index i = n+1."""
-    if not 1 <= i <= q.dims.n + 1:
-        raise IndexError("A_i needs 1 <= i <= n+1")
-    if i == q.dims.n + 1:
-        return 1.0
-    return float(a_values(q)[i - 1])
-
-
-def a_values(q: AngularConfig) -> np.ndarray:
-    """A_1..A_n as an array (empty for n = 0)."""
-    return _a_chain(q.z[None])[0]
-
-
-def f_coeff(q: AngularConfig, r: int, m: int) -> float:
-    """Cascade product f_m^r = prod_{j=r+1}^m A_j (1 when r = m)."""
-    if not 0 <= r <= m <= q.dims.n:
-        raise IndexError("f_m^r needs 0 <= r <= m <= n")
-    return float(_f_products(a_values(q)[None], m)[0, r])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +355,7 @@ def x0_chart(q: AngularConfig, m: int) -> np.ndarray:
         raise IndexError("X_m^0 needs 0 <= m <= n")
     out = np.zeros(dims.angular_dim)
     k1, k = dims.ambient, dims.k
-    f = _f_products(a_values(q)[None], m)[0]
+    f = f_products(a_chain(q.z), m)
     out[:k1] = f[0] * q.z[0]
     b = hs.tangent_coefficients(q.z[:m], q.z[1:m + 1])
     out[k1:k1 + k * m] = (f[1:, None] * b).reshape(-1)

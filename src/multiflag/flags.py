@@ -274,29 +274,6 @@ def build_level(q: AngularConfig, m: int, basis: str = "projected"
 
 
 # ---------------------------------------------------------------------------
-# point classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointClassification:
-    singular: bool
-    indices: tuple[int, ...]   # i with A_i ~ 0, 1-based
-    a_values: np.ndarray
-
-    @property
-    def verdict(self) -> str:
-        return "singular" if self.singular else "regular"
-
-
-def classify_point(q: AngularConfig) -> PointClassification:
-    """Singular iff some consecutive segments are (numerically) orthogonal:
-    |A_i| < EPS_SING."""
-    a = fl.a_values(q)
-    idx = tuple(int(i) + 1 for i in np.flatnonzero(np.abs(a) < EPS_SING))
-    return PointClassification(singular=bool(idx), indices=idx, a_values=a)
-
-
-# ---------------------------------------------------------------------------
 # full verification
 # ---------------------------------------------------------------------------
 
@@ -459,7 +436,8 @@ def _verify_block(qs: list[AngularConfig], tol: float,
                                     _tangent_basis(dims, z), tol)
                      for m, s in enumerate(stacks)]
 
-    a_values = fl._a_chain(z)
+    # the one singular-point rule: the i (1-based) with |A_i| < EPS_SING
+    a_values = fl.a_chain(z)
     sing = [tuple(int(i) + 1 for i in np.flatnonzero(row))
             for row in np.abs(a_values) < EPS_SING]
     reports = []

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims
-from .fields import _a_chain
+from .fields import a_chain
 
 MIN_ABS_A = 0.05     # regular draws keep every |A_i| at least this large
 MAX_TRIES = 10000    # draws before a shape's margins count as out of reach
@@ -42,7 +42,7 @@ def random_regular_config(dims: ArmDims, rng: np.random.Generator,
     for _ in range(MAX_TRIES):
         x0, drawn = _draw(dims, rng)
         z = drawn / np.linalg.norm(drawn, axis=1)[:, None]
-        a = _a_chain(z[None])[0]
+        a = a_chain(z)
         if a.size and np.min(np.abs(a)) < MIN_ABS_A:
             continue
         if chart_margin > 0.0 and hs.interior_margin(z) <= chart_margin:

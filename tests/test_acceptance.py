@@ -200,7 +200,7 @@ def test_criterion_8_velocity_cascade():
     qs = sampling.singular_config(dims3, rng, index=j)
     us = dyn.ControlSignal.constant(1.0, [0.4, -0.3])
     tr0 = dyn.integrate_arm(qs, us, 0.0, dyn.IntegratorSettings(h=1e-3))
-    v, _ = dyn.velocity_report(tr0, 0.0)
+    v = tr0.v[tr0.index_of(0.0)]
     stalled = np.abs(v[:j]).max()
     ok = cascade < 1e-8 and stalled < 1e-9
     announce(8, "normal-velocity cascade and stalled joints", ok,

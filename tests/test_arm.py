@@ -166,7 +166,7 @@ class TestAlignmentIdentity:
             c = arm.gamma_inverse(a)
             seg = c.segments()
             for i in range(1, dims.n + 1):
-                assert abs(seg[i - 1] @ seg[i] - fl.A_coeff(a, i)) < 1e-9
+                assert abs(seg[i - 1] @ seg[i] - fl.a_chain(a.z)[i - 1]) < 1e-9
 
     def test_angles_reproduce_directions(self):
         rng = np.random.default_rng(7)
@@ -248,7 +248,7 @@ class TestSampler:
                     want = loop_random_regular_config(dims, ref, margin)
                     assert np.array_equal(got.z, want.z)
                     assert np.array_equal(got.x0, want.x0)
-                    assert np.array_equal(fl.a_values(got),
+                    assert np.array_equal(fl.a_chain(got.z),
                                           np.sum(got.z[:-1] * got.z[1:],
                                                  axis=1))
                 assert rng.bit_generator.state == ref.bit_generator.state

@@ -172,8 +172,10 @@ class TestSimulate:
         ("simulate", "--controls-file", "{tmp}/nan_controls.csv"),
         ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
         ("simulate", "--seed", "-1"),
+        ("simulate", "--T", "1e15"),
         ("singular-scan", "--T", "inf"),
         ("singular-scan", "--T", "1e300"),
+        ("singular-scan", "--T", "1e15"),
         ("singular-scan", "--h", "-1e-3"),
         ("singular-scan", "--traj", "{tmp}/missing.json"),
         ("singular-scan", "--traj", "{tmp}/no_n.json"),
@@ -386,3 +388,17 @@ class TestSingularScan:
                        "--traj", str(tmp_path / "tr.json")])
         assert rc == 0
         assert "A_1" in capsys.readouterr().out
+
+    def test_trajectory_shape_must_match_flags(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--T", "0.01",
+                         "--out", str(tmp_path / "tr")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["singular-scan", "--k", "3", "--n", "4",
+                       "--traj", str(tmp_path / "tr.json"),
+                       "--out", str(tmp_path / "scan.json")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("multiflag: trajectory file has (k=1, n=1), "
+                                "flags say (k=3, n=4)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "scan.json").exists()

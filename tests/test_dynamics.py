@@ -10,7 +10,7 @@ from multiflag import hyperspherical as hs
 from multiflag import sampling
 from multiflag.arm import JSON_ROWS, _write_json
 from multiflag.errors import ChartDegenerate, StepRejected
-from multiflag.fields import _a_chain, _cascade, _f_products
+from multiflag.fields import _cascade, a_chain, f_products
 from test_arm import random_config
 from test_hyperspherical import ref_unit_and_jacobian
 
@@ -79,7 +79,7 @@ class TestCar:
         q = arm.AngularConfig(dims, np.zeros(2), z)
         u = dyn.ControlSignal.constant(1.0, 0.0)
         tr = dyn.integrate_car(q, u, 0.01, dyn.IntegratorSettings(h=1e-3))
-        v, _ = dyn.velocity_report(tr, 0.0)
+        v = tr.v[tr.index_of(0.0)]
         assert abs(v[0]) < 1e-15
         assert abs(v[-1] - 1.0) < 1e-15
         assert np.abs(tr.x0 - tr.x0[0]).max() < 1e-4
@@ -92,7 +92,7 @@ class TestCar:
         q = arm.AngularConfig(dims, np.zeros(2), z)
         u = dyn.ControlSignal.constant(1.0, 0.0)
         tr = dyn.integrate_car(q, u, 0.1, dyn.IntegratorSettings(h=1e-2))
-        v, _ = dyn.velocity_report(tr, 0.0)
+        v = tr.v[tr.index_of(0.0)]
         assert v[0] == pytest.approx(0.5, abs=1e-12)
         assert v[-1] == pytest.approx(1.0, abs=1e-15)
 
@@ -224,7 +224,7 @@ class TestVelocities:
         q = sampling.collinear_config(dims)
         u = dyn.ControlSignal.constant(1.0, np.zeros(2))
         tr = dyn.integrate_arm(q, u, 0.0, dyn.IntegratorSettings(h=1e-3))
-        v, w = dyn.velocity_report(tr, 0.0)
+        v, w = tr.v[tr.index_of(0.0)], tr.w[tr.index_of(0.0)]
         assert np.abs(v - 1.0).max() < 1e-12
         assert np.abs(w).max() == 0.0
 
@@ -235,7 +235,7 @@ class TestVelocities:
         q = sampling.singular_config(dims, rng, index=j)
         u = dyn.ControlSignal.constant(1.0, [0.3, -0.2])
         tr = dyn.integrate_arm(q, u, 0.0, dyn.IntegratorSettings(h=1e-3))
-        v, _ = dyn.velocity_report(tr, 0.0)
+        v = tr.v[tr.index_of(0.0)]
         assert np.abs(v[:j]).max() < 1e-9
         assert abs(v[-1] - 1.0) < 1e-12
 
@@ -254,7 +254,7 @@ class TestVelocities:
         u = dyn.ControlSignal.constant(1.0, 0.0)
         tr = dyn.integrate_arm(q, u, 1.0, dyn.IntegratorSettings(h=1e-2))
         with pytest.raises(ValueError):
-            dyn.velocity_report(tr, 0.0051)
+            tr.index_of(0.0051)
 
 
 class TestSubarm:
@@ -536,7 +536,7 @@ def ref_car_route(q0, u):
         vn, w = ref_controls_at(u, t, 1)
         th = y[2:]
         diffs = th[1:] - th[:-1]
-        v = _f_products(np.cos(diffs)[None], n)[0] * vn
+        v = f_products(np.cos(diffs), n) * vn
         return np.concatenate([[v[0] * np.cos(th[0]), v[0] * np.sin(th[0])],
                                v[1:] * np.sin(diffs), w])
 
@@ -563,7 +563,7 @@ def ref_cartesian_route(q0, u):
         z = np.diff(y[positions].reshape(dims.joints, k1), axis=0)
         _, jac = ref_unit_and_jacobian(y[positions.stop:])
         head = vn * (z[n] / np.linalg.norm(z[n])) + jac[0] @ w
-        f = _f_products(_a_chain(z[None]), n)[0]
+        f = f_products(a_chain(z), n)
         lead = float(head @ z[n])
         return np.concatenate([(lead * f[:, None] * z).reshape(-1), head, w])
 

@@ -21,11 +21,10 @@ class TestCoefficients:
         dims = arm.ArmDims(2, 1)
         z = np.array([[1.0, 0, 0], [1.0, 0, 0]])
         q = arm.AngularConfig(dims, np.zeros(3), z)
-        assert fl.A_coeff(q, 1) == pytest.approx(1.0)
+        assert fl.a_chain(q.z)[0] == pytest.approx(1.0)
         z2 = np.array([[1.0, 0, 0], [0.0, 1.0, 0]])
         q2 = arm.AngularConfig(dims, np.zeros(3), z2)
-        assert fl.A_coeff(q2, 1) == pytest.approx(0.0)
-        assert fl.A_coeff(q2, 2) == 1.0  # conventional top value
+        assert fl.a_chain(q2.z)[0] == pytest.approx(0.0)
 
     def test_k1_cosine_of_heading_difference(self):
         rng = np.random.default_rng(0)
@@ -33,17 +32,17 @@ class TestCoefficients:
         q = random_config(dims, rng)
         th = [q.angles(s)[0] for s in range(4)]
         for i in range(1, 4):
-            assert fl.A_coeff(q, i) == pytest.approx(
+            assert fl.a_chain(q.z)[i - 1] == pytest.approx(
                 np.cos(th[i] - th[i - 1]), abs=1e-12)
 
     def test_f_products(self):
         rng = np.random.default_rng(1)
         dims = arm.ArmDims(2, 3)
-        q = random_config(dims, rng)
+        a = fl.a_chain(random_config(dims, rng).z)
         for m in range(4):
-            assert fl.f_coeff(q, m, m) == 1.0
-        expect = fl.A_coeff(q, 2) * fl.A_coeff(q, 3)
-        assert fl.f_coeff(q, 1, 3) == pytest.approx(expect, abs=1e-14)
+            assert fl.f_products(a, m)[m] == 1.0
+        expect = a[1] * a[2]
+        assert fl.f_products(a, 3)[1] == pytest.approx(expect, abs=1e-14)
 
     def test_batched_f_products_match_running_loop(self):
         # reference: f_m^m = 1, then f_m^r = f_m^{r+1} * A_{r+1} downward
@@ -54,22 +53,32 @@ class TestCoefficients:
                 want = np.ones((7, m + 1))
                 for r in range(m - 1, -1, -1):
                     want[:, r] = want[:, r + 1] * a[:, r]
-                assert np.array_equal(fl._f_products(a, m), want)
+                assert np.array_equal(fl.f_products(a, m), want)
+        # one configuration's rows (n+1, k+1) give, bit for bit, the
+        # matching row of the batched (B, n+1, k+1) call
+        for n in (0, 1, 3):
+            z = rng.normal(size=(5, n + 1, 3))
+            a = fl.a_chain(z)
+            for zb, ab, fb in zip(z, a, fl.f_products(a, n)):
+                a1 = fl.a_chain(zb)
+                f1 = fl.f_products(a1, n)
+                assert a1.shape == (n,) and np.array_equal(a1, ab)
+                assert f1.shape == (n + 1,) and np.array_equal(f1, fb)
 
     def test_f_telescopes(self):
         rng = np.random.default_rng(2)
-        q = random_config(arm.ArmDims(3, 3), rng)
+        a = fl.a_chain(random_config(arm.ArmDims(3, 3), rng).z)
         for m in range(1, 4):
+            f = fl.f_products(a, m)
             for r in range(m):
-                assert fl.f_coeff(q, r, m) == pytest.approx(
-                    fl.A_coeff(q, r + 1) * fl.f_coeff(q, r + 1, m), abs=1e-13)
+                assert f[r] == pytest.approx(a[r] * f[r + 1], abs=1e-13)
 
     def test_zero_propagates(self):
         dims = arm.ArmDims(2, 2)
         rng = np.random.default_rng(3)
-        q = sampling.singular_config(dims, rng, index=1)
-        assert abs(fl.f_coeff(q, 0, 2)) < 1e-15
-        assert abs(fl.f_coeff(q, 0, 1)) < 1e-15
+        a = fl.a_chain(sampling.singular_config(dims, rng, index=1).z)
+        assert abs(fl.f_products(a, 2)[0]) < 1e-15
+        assert abs(fl.f_products(a, 1)[0]) < 1e-15
 
     def test_k1_matches_cosine_cascade(self):
         rng = np.random.default_rng(4)
@@ -77,7 +86,8 @@ class TestCoefficients:
         q = random_config(dims, rng)
         th = [q.angles(s)[0] for s in range(4)]
         want = np.prod([np.cos(th[j] - th[j - 1]) for j in range(1, 4)])
-        assert fl.f_coeff(q, 0, 3) == pytest.approx(want, abs=1e-12)
+        assert fl.f_products(fl.a_chain(q.z), 3)[0] == pytest.approx(
+            want, abs=1e-12)
 
 
 class TestComplexInputs:
@@ -98,7 +108,7 @@ class TestComplexInputs:
         rng = np.random.default_rng(6)
         a, da = rng.uniform(-1.0, 1.0, (2, 5, 4))
         for m in range(5):
-            fn = lambda x: fl._f_products(x, m)
+            fn = lambda x: fl.f_products(x, m)
             assert fn(a).dtype == np.float64
             assert fn(a + 0j).dtype == np.complex128
             got = self.step(fn, a, da)
@@ -159,7 +169,7 @@ class TestZFields:
             for i in range(1, dims.n + 1):
                 zi = fl.z_field(dims, i).at(q.flat())
                 nrm2 = zi @ zi
-                assert abs(nrm2 - (1 - fl.A_coeff(q, i) ** 2)) < 1e-10
+                assert abs(nrm2 - (1 - fl.a_chain(q.z)[i - 1] ** 2)) < 1e-10
 
     def test_chart_form_degenerate_raises(self):
         dims = arm.ArmDims(2, 1)
@@ -207,11 +217,11 @@ class TestX0Fields:
         m = 2
         vec = fl.x0_field(dims, m).at(q.flat()).reshape(dims.joints,
                                                         dims.ambient)
+        f = fl.f_products(fl.a_chain(q.z), m)
         for i in range(1, m + 1):
             zi = fl.z_field(dims, i).at(q.flat()).reshape(dims.joints,
                                                           dims.ambient)
-            assert np.allclose(vec[i], fl.f_coeff(q, i, m) * zi[i],
-                               atol=1e-12)
+            assert np.allclose(vec[i], f[i] * zi[i], atol=1e-12)
         assert np.abs(vec[m + 1:]).max() == 0.0
 
 
@@ -360,11 +370,12 @@ class TestCartesianFields:
         dims = arm.ArmDims(2, 3)
         q, c = rotate_pair(rng, dims)
         nf = arm.normal_fields(c)
+        a = fl.a_chain(q.z)
         for j in range(1, dims.n + 1):
             from_normals = -(nf[j] @ nf[j - 1])
             from_segments = fl.cart_z_field(dims, j).at(c.flat()) @ nf[j - 1]
-            assert abs(from_normals - fl.A_coeff(q, j)) < 1e-12
-            assert abs(from_segments - fl.A_coeff(q, j)) < 1e-12
+            assert abs(from_normals - a[j - 1]) < 1e-12
+            assert abs(from_segments - a[j - 1]) < 1e-12
 
     def test_collinear_delta_structure(self):
         dims = arm.ArmDims(2, 2)

@@ -269,14 +269,14 @@ class TestClassification:
         dims = arm.ArmDims(2, 3)
         for idx in (1, 2, 3):
             q = sampling.singular_config(dims, rng, index=idx)
-            cls = fg.classify_point(q)
-            assert cls.singular and idx in cls.indices
-            assert idx in fg.verify_flag(q).sandwich_indices
+            rep = fg.verify_flag(q)
+            assert rep.verdict == "singular" and idx in rep.singular_indices
+            assert idx in rep.sandwich_indices
 
     def test_collinear_regular(self):
-        q = sampling.collinear_config(arm.ArmDims(2, 2))
-        assert not fg.classify_point(q).singular
-        assert fg.verify_flag(q).sandwich_indices == ()
+        rep = fg.verify_flag(sampling.collinear_config(arm.ArmDims(2, 2)))
+        assert rep.verdict == "regular"
+        assert rep.sandwich_indices == ()
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(18)
@@ -286,17 +286,15 @@ class TestClassification:
             mat = rng.normal(size=(3, 3))
             rot, _ = np.linalg.qr(mat)
             q2 = arm.AngularConfig(dims, rot @ q.x0, (rot @ q.z.T).T)
-            assert fg.classify_point(q2).indices == \
-                fg.classify_point(q).indices
+            rep, rep2 = fg.verify_flags([q, q2])
+            assert rep2.singular_indices == rep.singular_indices
 
     def test_methods_agree_on_random_samples(self):
         rng = np.random.default_rng(19)
         dims = arm.ArmDims(2, 2)
-        for _ in range(200):
-            q = random_config(dims, rng)
-            a_verdict = fg.classify_point(q).singular
-            s_verdict = bool(fg.verify_flag(q).sandwich_indices)
-            assert a_verdict == s_verdict
+        for rep in fg.verify_flags([random_config(dims, rng)
+                                    for _ in range(200)]):
+            assert (rep.verdict == "singular") == bool(rep.sandwich_indices)
 
 
 class TestVerifyFlag:

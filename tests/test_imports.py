@@ -1,7 +1,8 @@
 """Import hygiene of the package, read from the source with `ast`.
 
-Every name a module imports is used in it, and the layers below the
-integrators and the command line import neither.
+Every name a module imports is used in it, the layers below the
+integrators and the command line import neither, and a module reads
+another's underscore names only where `PRIVATE_READS` lists it.
 """
 
 import ast
@@ -13,6 +14,12 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "multiflag"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 BELOW_DYNAMICS = ["hyperspherical", "numerics", "arm", "fields", "flags",
                   "sampling"]
+# (reader, owner, name): the only underscore names one package module reads
+# from another; a new one is added here on purpose or made public
+PRIVATE_READS = {("dynamics", "fields", "_cascade"),
+                 ("dynamics", "arm", "_write_json"),
+                 ("dynamics", "hyperspherical", "_jacobian_plan"),
+                 ("cli", "arm", "_write_json")}
 
 
 def parse(module):
@@ -66,3 +73,23 @@ def test_lower_layers_skip_dynamics_and_cli(module):
     upper = [path for _, path in imports(parse(module))
              if package_module(path) in ("dynamics", "cli")]
     assert upper == [], f"{module} imports {upper}"
+
+
+def private_reads(module):
+    """(reader, owner, name) for every underscore name `module` takes from
+    another package module, by `from .m import _x` or as `m._x` on a name
+    it imported from there."""
+    tree = parse(module)
+    owners = {name: package_module(path) for name, path in imports(tree)}
+    out = {(module, owner, name) for name, owner in owners.items()
+           if owner and name.startswith("_")}
+    return out | {(module, owners[n.value.id], n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)
+                  and isinstance(n.value, ast.Name)
+                  and owners.get(n.value.id)
+                  and n.attr.startswith("_") and not n.attr.startswith("__")}
+
+
+def test_private_names_stay_private():
+    reads = set().union(*(private_reads(m) for m in MODULES))
+    assert reads == PRIVATE_READS

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -48,10 +49,18 @@ def _start(args, *outputs) -> np.random.Generator:
     return np.random.default_rng(args.seed)
 
 
+def _read(flag: str, path: str, read, *extra):
+    """read(path, *extra), its ValueError naming the flag and the file."""
+    try:
+        return read(path, *extra)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path!r}: {exc}") from None
+
+
 def _initial_config(args, rng) -> "sampling.AngularConfig":
     dims = ArmDims(args.k, args.n)
     if args.config:
-        q = load_config(args.config)
+        q = _read("--config", args.config, load_config)
         if q.dims != dims:
             raise ValueError(
                 f"config file has (k={q.dims.k}, n={q.dims.n}), "
@@ -64,15 +73,19 @@ def _initial_config(args, rng) -> "sampling.AngularConfig":
     raise ValueError(f"unknown preset {args.preset!r}")
 
 
+def _control_table(path: str, k: int) -> dyn.ControlSignal:
+    with warnings.catch_warnings():
+        # a file without data rows is refused below, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != 2 + k:
+        raise ValueError(f"controls file needs columns t, vn, w1..w{k}")
+    return dyn.ControlSignal.from_table(data[:, 0], data[:, 1], data[:, 2:])
+
+
 def _controls(args, k: int) -> dyn.ControlSignal:
     if args.controls_file:
-        data = np.loadtxt(args.controls_file, delimiter=",", skiprows=1,
-                          ndmin=2)
-        if data.shape[1] != 2 + k:
-            raise ValueError(
-                f"controls file needs columns t, vn, w1..w{k}")
-        return dyn.ControlSignal.from_table(data[:, 0], data[:, 1],
-                                            data[:, 2:])
+        return _read("--controls-file", args.controls_file, _control_table, k)
     wn = _parse_floats(args.wn) if args.wn else np.zeros(k)
     if wn.size == 1 and k > 1:
         wn = np.full(k, wn[0])
@@ -132,9 +145,6 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"simulate: invalid run configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except StepRejected as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     traj.to_csv(args.out + ".csv")
     traj.to_json(args.out + ".json")
     summary = {
@@ -223,7 +233,18 @@ def cmd_singular_scan(args) -> int:
                          f"got {args.eps_sing!r}")
     rng = _start(args, args.out)
     if args.traj:
-        traj = dyn.Trajectory.from_json(args.traj)
+        # a recorded run replaces every simulation flag but the shape and
+        # --seed, which the scan report records
+        sim = argparse.ArgumentParser()
+        _add_sim_args(sim)
+        unused = ["--" + name.replace("_", "-") for name, val
+                  in vars(sim.parse_args(["--k", "1", "--n", "0"])).items()
+                  if name not in ("k", "n", "seed")
+                  and getattr(args, name) != val]
+        if unused:
+            raise ValueError(f"--traj scans a recorded run and takes no "
+                             f"simulation flags: {', '.join(unused)}")
+        traj = _read("--traj", args.traj, dyn.Trajectory.from_json)
         if traj.dims != ArmDims(args.k, args.n):
             raise ValueError(
                 f"trajectory file has (k={traj.dims.k}, n={traj.dims.n}), "
@@ -235,9 +256,6 @@ def cmd_singular_scan(args) -> int:
             print(f"singular-scan: invalid run configuration: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE
-        except StepRejected as exc:
-            print(f"singular-scan: {exc}", file=sys.stderr)
-            return EXIT_FAIL
     n = traj.dims.n
     events = []
     if n >= 1:
@@ -343,6 +361,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except StepRejected as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, OSError) as exc:
         print(f"multiflag: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,8 +4,11 @@ Every angular field is evaluable in an embedded form that lives in the flat
 ambient space [x0 | z_1 | ... | z_{n+1}] of R^{(k+1)(n+2)} and never touches
 a chart; this is the form the bracket engine differentiates, and it stays
 smooth across chart boundaries.  Chart-coefficient forms (coordinates on
-[x | theta_0 | ... | theta_n]) are derived on demand and fail loudly at
-degenerate chart points.
+[x | theta_0 | ... | theta_n]) are derived on demand through one map,
+`hyperspherical.tangent_coefficients`, and fail loudly at degenerate chart
+points.  The Cartesian generators of the constrained distribution are one
+closed form on the segment rows (`cartesian_delta`); the planar car's
+formula lives only in the right-hand side of `dynamics.integrate_car`.
 
 Fields are batch-evaluable callables on real or complex ambient points, so
 the bracket engine's derivatives (complex steps where a field is analytic)
@@ -27,7 +30,6 @@ from .numerics import subspace_angle
 # The flat ambient spaces a Field lives on.
 MODE_EMBEDDED = "embedded"    # [x0 | z_1 .. z_{n+1}], dim (k+1)(n+2)
 MODE_CARTESIAN = "cartesian"  # [x_0 | .. | x_{n+1}], dim (k+1)(n+2)
-MODE_CAR = "car"              # [x, y, theta_0 .. theta_n], dim n+3
 
 
 class Field:
@@ -243,89 +245,34 @@ def cart_z_field(dims: ArmDims, i: int) -> Field:
     return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"cZ{i}")
 
 
-def cart_delta_field(dims: ArmDims, r: int) -> Field:
-    """Generator r of the constrained distribution in Cartesian form:
+def cartesian_delta(q: CartesianConfig) -> np.ndarray:
+    """The k+1 generators (k+1, (k+1)(n+2)) of the constrained distribution
+    at q, each orthogonal to every constraint normal: generator r is
     (x_{n+1} - x_n)^r * sum_i f_n^i cZ_i + d/dx_{n+1}^r."""
-    if not 0 <= r <= dims.k:
-        raise IndexError("generator index needs 0 <= r <= k")
-    n = dims.n
-    def fn(y):
-        x = _blocks(y, dims)
-        z = np.diff(x, axis=1)  # (B, n+1, k+1), rows z_1..z_{n+1}
-        a = a_chain(z)          # A_1..A_n from consecutive segments
-        f = f_products(a, n)    # f_n^0..f_n^n
-        lead = z[:, n, r][:, None]  # component r of z_{n+1}
-        out = np.zeros_like(y)
-        ob = _blocks(out, dims)
-        for i in range(n + 1):
-            ob[:, i, :] = lead * f[:, i:i + 1] * z[:, i, :]
-        ob[:, n + 1, r] += 1.0
-        return out
-    return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"delta{r}")
+    dims = q.dims
+    z = q.segments()  # rows z_1..z_{n+1}
+    f = f_products(a_chain(z), dims.n)
+    out = np.zeros((dims.k + 1, dims.joints, dims.ambient))
+    out[:, :-1] = z[-1][:, None, None] * f[:, None] * z
+    out[:, -1] = np.eye(dims.k + 1)
+    return out.reshape(dims.k + 1, -1)
 
 
 # ---------------------------------------------------------------------------
-# planar car fields on [x, y, theta_0 .. theta_n]
-# ---------------------------------------------------------------------------
-
-def car_x1_field(n: int) -> Field:
-    """Angular-velocity input: d/d theta_n."""
-    dim = n + 3
-    def fn(y):
-        out = np.zeros_like(y)
-        out[:, -1] = 1.0
-        return out
-    return Field(MODE_CAR, dim, fn, "carX1")
-
-
-def car_x2_field(n: int) -> Field:
-    """Drive field: heading times the cosine cascade, plus the trailer
-    angle rates sin(theta_{r+1} - theta_r) scaled by the cascade above r."""
-    dim = n + 3
-    def fn(y):
-        th = y[:, 2:]
-        diffs = th[:, 1:] - th[:, :-1]           # (B, n)
-        f = f_products(np.cos(diffs), n)         # f[r] = prod_{j=r+1}^n cos
-        out = np.zeros_like(y)
-        out[:, 0] = np.cos(th[:, 0]) * f[:, 0]
-        out[:, 1] = np.sin(th[:, 0]) * f[:, 0]
-        if n > 0:
-            out[:, 2:-1] = np.sin(diffs) * f[:, 1:]
-        return out
-    return Field(MODE_CAR, dim, fn, "carX2")
-
-
-# ---------------------------------------------------------------------------
-# chart <-> embedded conversion
+# chart forms, on [x | theta_0 .. theta_n]
 # ---------------------------------------------------------------------------
 
 def embedded_to_chart(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
     """Express embedded tangent vectors (..., (k+1)(n+2)) in chart
     coordinates [x | theta_0 .. theta_n].  Raises ChartDegenerate where a
     sphere chart is singular."""
-    k1, spheres = q.dims.ambient, q.dims.n + 1
+    k1 = q.dims.ambient
     vec = np.asarray(vec, dtype=float)
-    # the guard is frame_inverse's; [:, 1:] drops the radial row
-    rows = hs.frame_inverse(hs.angles_from_unit(q.z, strict=False))[:, 1:]
-    dz = vec[..., k1:].reshape(vec.shape[:-1] + (spheres, k1, 1))
-    dth = np.matmul(rows, dz).reshape(vec.shape[:-1] + (-1,))
-    return np.concatenate([vec[..., :k1], dth], axis=-1)
+    lead = vec.shape[:-1]
+    dth = hs.tangent_coefficients(
+        q.z, vec[..., k1:].reshape(lead + (q.dims.n + 1, k1)))
+    return np.concatenate([vec[..., :k1], dth.reshape(lead + (-1,))], axis=-1)
 
-
-def chart_to_embedded(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
-    """Inverse of `embedded_to_chart` for one vector (pushes theta
-    components through the chart frame); raises where it does."""
-    dims = q.dims
-    k1 = dims.ambient
-    vec = np.asarray(vec, dtype=float)
-    _, jac = hs.unit_and_jacobian(hs.angles_from_unit(q.z))
-    dth = vec[k1:].reshape(dims.n + 1, dims.k, 1)
-    return np.concatenate([vec[:k1], np.matmul(jac, dth).reshape(-1)])
-
-
-# ---------------------------------------------------------------------------
-# chart forms, on [x | theta_0 .. theta_n]
-# ---------------------------------------------------------------------------
 
 def z_chart(q: AngularConfig, i: int) -> np.ndarray:
     """Chart form of Z_i at q; i = 0 gives the base-point direction field.
@@ -360,13 +307,6 @@ def x0_chart(q: AngularConfig, m: int) -> np.ndarray:
     b = hs.tangent_coefficients(q.z[:m], q.z[1:m + 1])
     out[k1:k1 + k * m] = (f[1:, None] * b).reshape(-1)
     return out
-
-
-def cartesian_delta(q: CartesianConfig) -> np.ndarray:
-    """The k+1 generators (k+1, (k+1)(n+2)) of the constrained distribution
-    at q, each orthogonal to every constraint normal."""
-    return np.vstack([cart_delta_field(q.dims, r).at(q.flat())
-                      for r in range(q.dims.k + 1)])
 
 
 def pushforward_check(q: CartesianConfig) -> float:

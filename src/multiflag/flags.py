@@ -338,9 +338,8 @@ class FlagReport:
             "derived": [dv.to_dict() for dv in self.derived],
             "delta_involutivity": self.delta_involutivity,
             "basis": self.basis,
-            "tolerances": {"svd": self.svd_tol, "bracket_h": None,
-                           "bracket_derivative": "complex-step",
-                           "residual": RESIDUAL_TOL},
+            "tolerances": {"svd": self.svd_tol, "residual": RESIDUAL_TOL,
+                           "bracket_derivative": "complex-step"},
             "passed": self.passed,
             "failures": self.failures,
         }

@@ -164,13 +164,14 @@ def frame_inverse(theta: np.ndarray) -> np.ndarray:
 
 
 def tangent_coefficients(z: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Chart-tangent coefficients B (B, k) of targets (B, k+1) in the frames
-    at unit vectors z (B, k+1): target = A z + sum_j B^j Theta^j.
+    """Chart-tangent coefficients B (..., B, k) of targets (..., B, k+1) in
+    the frames at unit vectors z (B, k+1): target = A z + sum_j B^j Theta^j.
+    Leading axes of the targets share the B frames.
 
     Raises ChartDegenerate where a chart of z is degenerate.
     """
     inv = frame_inverse(angles_from_unit(z, strict=False))[:, 1:]
-    return np.matmul(inv, np.atleast_2d(target)[:, :, None])[:, :, 0]
+    return np.matmul(inv, np.asarray(target)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,9 @@ class TestSimulate:
         ("simulate", "--h", "nan"),
         ("simulate", "--h", "1e-300"),
         ("simulate", "--config", "{tmp}/missing.json"),
+        ("simulate", "--config", "{tmp}/ok.csv"),
         ("simulate", "--controls-file", "{tmp}/missing.csv"),
+        ("simulate", "--controls-file", "{tmp}/ok.json"),
         ("simulate", "--out", "{tmp}/no/such/dir/run"),
         ("simulate", "--vn", "nan"),
         ("simulate", "--vn", "inf"),
@@ -178,6 +180,7 @@ class TestSimulate:
         ("singular-scan", "--T", "1e15"),
         ("singular-scan", "--h", "-1e-3"),
         ("singular-scan", "--traj", "{tmp}/missing.json"),
+        ("singular-scan", "--traj", "{tmp}/ok.csv"),
         ("singular-scan", "--traj", "{tmp}/no_n.json"),
         ("singular-scan", "--traj", "{tmp}/short_z.json"),
         ("singular-scan", "--eps-sing", "-1e-9"),
@@ -200,16 +203,24 @@ class TestSimulate:
         (tmp_path / "unsorted_controls.csv").write_text(
             "t,vn,w1\n0,1,0\n1,1,0\n1,1,0\n2,1,0\n")
         capsys.readouterr()
-        argv = [command, "--k", "1", "--n", "1", "--T", "0.01",
-                f"{flag}={value.replace('{tmp}', str(tmp_path))}"]
+        value = value.replace("{tmp}", str(tmp_path))
+        # --traj takes no simulation flags, so it gets no --T
+        argv = [command, "--k", "1", "--n", "1"]
+        if flag != "--traj":
+            argv += ["--T", "0.01"]
+        argv.append(f"{flag}={value}")
         if command == "simulate" and flag != "--out":
             argv += ["--out", str(tmp_path / "run")]
-        assert cli.main(argv) == cli.EXIT_USAGE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         if flag in ("--T", "--h", "--vn", "--wn", "--freq", "--eps-sing",
                     "--seed", "--out"):
             assert flag in err
+        if flag in ("--config", "--controls-file", "--traj"):
+            assert value in err  # a file's refusal names the file
         assert not (tmp_path / "run.csv").exists()
 
 
@@ -281,6 +292,57 @@ class TestVerify:
         err = capsys.readouterr().err
         assert flag in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "v_reports.json").exists()
+
+
+def failures_from_json(report):
+    """The failed conditions of one report, recomputed from its JSON alone:
+    the rules of the flag pass restated.  Level by level, the ranks must
+    equal the expected ranks and each residual must stay below the
+    recorded residual gate; then, from the top level down, each derived
+    rank must equal its expected rank and each angle stay below the gate."""
+    gate = report["tolerances"]["residual"]
+    out = []
+    for lv in report["levels"]:
+        m = lv["m"]
+        for name in ("D", "E"):
+            got, want = lv[f"rank_{name}"], lv[f"expected_rank_{name}"]
+            if got != want:
+                out.append(f"rank {name}^{m} = {got} != {want}")
+        if lv["involutivity_E"] >= gate:
+            out.append(f"E^{m} involutivity residual "
+                       f"{lv['involutivity_E']:.2e}")
+        if lv["cauchy_residual"] is not None and lv["cauchy_residual"] >= gate:
+            out.append(f"Cauchy inclusion at level {m}: "
+                       f"{lv['cauchy_residual']:.2e}")
+    for dv in report["derived"][::-1]:
+        m = dv["m"]
+        if dv["rank"] != dv["expected_rank"]:
+            out.append(f"derived rank of [D^{m + 1},D^{m + 1}] = "
+                       f"{dv['rank']} != {dv['expected_rank']}")
+        if dv["angle"] >= gate:
+            out.append(f"derived span angle at level {m}: {dv['angle']:.2e}")
+    return out
+
+
+class TestVerdictsFromJson:
+    """Every report's verdict can be recomputed from its JSON alone."""
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 4)])
+    @pytest.mark.parametrize("tol", ["1e-8", "0.5"])
+    def test_passed_and_failures(self, k, n, tol, tmp_path, capsys):
+        # at --tol 0.5 some ranks drop, so the rank rules are exercised
+        rc = cli.main(["verify", "--k", str(k), "--n", str(n),
+                       "--samples", "10", "--singular-samples", "2",
+                       "--tol", tol, "--out", str(tmp_path / "v")])
+        reports = json.loads((tmp_path / "v_reports.json").read_text())[
+            "reports"]
+        assert len(reports) == 12
+        for rep in reports:
+            assert rep["failures"] == failures_from_json(rep)
+            assert rep["passed"] == (not rep["failures"])
+        regular_failed = any(not rep["passed"] for rep in reports[:10])
+        assert rc == (cli.EXIT_FAIL if regular_failed else cli.EXIT_OK)
+        assert regular_failed == (tol == "0.5")
 
 
 class TestOutputCheckedFirst:
@@ -388,6 +450,50 @@ class TestSingularScan:
                        "--traj", str(tmp_path / "tr.json")])
         assert rc == 0
         assert "A_1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [
+        ["--T", "0.5", "--mode", "car", "--vn", "7"], ["--mode", "cartesian"],
+        ["--p", "1"], ["--m", "1"], ["--preset", "random"],
+        ["--config", "cfg.json"], ["--controls", "sine"],
+        ["--controls-file", "c.csv"], ["--vn", "0"], ["--wn", "0"],
+        ["--freq", "2"], ["--T", "3"], ["--h", "0.01"], ["--no-projection"]])
+    def test_trajectory_takes_no_simulation_flags(self, extra, tmp_path,
+                                                  capsys):
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--vn", "0",
+                         "--wn", "1", "--T", "2",
+                         "--out", str(tmp_path / "tr")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["singular-scan", "--k", "1", "--n", "1",
+                       "--traj", str(tmp_path / "tr.json"),
+                       "--out", str(tmp_path / "scan.json")] + extra)
+        assert rc == cli.EXIT_USAGE
+        flags = [a for a in extra if a.startswith("--")]
+        flags.sort(key=["--mode", "--p", "--m", "--preset", "--config",
+                        "--controls", "--controls-file", "--vn", "--wn",
+                        "--freq", "--T", "--h", "--no-projection"].index)
+        captured = capsys.readouterr()
+        assert captured.err == ("multiflag: --traj scans a recorded run and "
+                                "takes no simulation flags: "
+                                + ", ".join(flags) + "\n")
+        assert captured.out == ""
+        assert not (tmp_path / "scan.json").exists()
+
+    def test_trajectory_keeps_scan_flags_and_defaults(self, tmp_path,
+                                                      capsys):
+        # --seed, --eps-sing and --out act on the scan; a simulation flag
+        # spelled at its default changes nothing
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--vn", "0",
+                         "--wn", "1", "--T", "2",
+                         "--out", str(tmp_path / "tr")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["singular-scan", "--k", "1", "--n", "1",
+                       "--traj", str(tmp_path / "tr.json"), "--seed", "4",
+                       "--eps-sing", "1e-3", "--T", "1", "--mode", "arm",
+                       "--out", str(tmp_path / "scan.json")])
+        assert rc == 0
+        report = json.loads((tmp_path / "scan.json").read_text())
+        assert report["seed"] == 4 and report["eps_sing"] == 1e-3
+        assert abs(report["events"][0]["t"] - np.pi / 2) < 2e-3
 
     def test_trajectory_shape_must_match_flags(self, tmp_path, capsys):
         assert cli.main(["simulate", "--k", "1", "--n", "1", "--T", "0.01",

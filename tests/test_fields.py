@@ -16,6 +16,75 @@ def rotate_pair(rng, dims):
     return q, arm.gamma_inverse(q)
 
 
+# ---------------------------------------------------------------------------
+# oracles: the planar car fields (the k = 1 reference), the inverse chart
+# map, and the per-generator / per-frame forms of the library's maps
+# ---------------------------------------------------------------------------
+
+MODE_CAR = "car"  # [x, y, theta_0 .. theta_n], dim n+3
+
+
+def car_x1_field(n):
+    """Angular-velocity input of the planar car: d/d theta_n."""
+    def fn(y):
+        out = np.zeros_like(y)
+        out[:, -1] = 1.0
+        return out
+    return fl.Field(MODE_CAR, n + 3, fn, "carX1")
+
+
+def car_x2_field(n):
+    """Drive field of the planar car: heading times the cosine cascade,
+    plus the trailer angle rates sin(theta_{r+1} - theta_r) scaled by the
+    cascade above r."""
+    def fn(y):
+        th = y[:, 2:]
+        diffs = th[:, 1:] - th[:, :-1]
+        f = fl.f_products(np.cos(diffs), n)  # f[r] = prod_{j=r+1}^n cos
+        out = np.zeros_like(y)
+        out[:, 0] = np.cos(th[:, 0]) * f[:, 0]
+        out[:, 1] = np.sin(th[:, 0]) * f[:, 0]
+        if n > 0:
+            out[:, 2:-1] = np.sin(diffs) * f[:, 1:]
+        return out
+    return fl.Field(MODE_CAR, n + 3, fn, "carX2")
+
+
+def chart_to_embedded(q, vec):
+    """Inverse of `embedded_to_chart` for one vector: the theta components
+    pushed through the chart frames; refused where those are."""
+    k1 = q.dims.ambient
+    vec = np.asarray(vec, dtype=float)
+    _, jac = hs.unit_and_jacobian(hs.angles_from_unit(q.z))
+    dth = vec[k1:].reshape(q.dims.n + 1, q.dims.k, 1)
+    return np.concatenate([vec[:k1], np.matmul(jac, dth).reshape(-1)])
+
+
+def generatorwise_cartesian_delta(c):
+    """The Cartesian generators one at a time, joint block by joint block:
+    row r is (x_{n+1} - x_n)^r * sum_i f_n^i cZ_i + d/dx_{n+1}^r."""
+    dims = c.dims
+    z = np.diff(c.points, axis=0)
+    f = fl.f_products(fl.a_chain(z), dims.n)
+    out = np.zeros((dims.k + 1, dims.joints, dims.ambient))
+    for r in range(dims.k + 1):
+        for i in range(dims.n + 1):
+            out[r, i] = z[dims.n, r] * f[i] * z[i]
+        out[r, dims.n + 1, r] += 1.0
+    return out.reshape(dims.k + 1, -1)
+
+
+def frame_rows_embedded_to_chart(q, vec):
+    """embedded -> chart coordinates through the tangent rows of every
+    sphere's frame inverse, applied in one stacked product."""
+    k1, spheres = q.dims.ambient, q.dims.n + 1
+    vec = np.asarray(vec, dtype=float)
+    rows = hs.frame_inverse(hs.angles_from_unit(q.z, strict=False))[:, 1:]
+    dz = vec[..., k1:].reshape(vec.shape[:-1] + (spheres, k1, 1))
+    dth = np.matmul(rows, dz).reshape(vec.shape[:-1] + (-1,))
+    return np.concatenate([vec[..., :k1], dth], axis=-1)
+
+
 class TestCoefficients:
     def test_aligned_and_orthogonal(self):
         dims = arm.ArmDims(2, 1)
@@ -203,7 +272,7 @@ class TestX0Fields:
         for _ in range(20):
             q = random_config(dims, rng)
             ch = fl.x0_chart(q, dims.n)
-            car = fl.car_x2_field(dims.n).at(dyn.car_state_from_config(q))
+            car = car_x2_field(dims.n).at(dyn.car_state_from_config(q))
             # car layout: (x, y, theta_0..theta_n); chart: (x^1, x^2, ...)
             assert abs(ch[0] - car[1]) < 1e-12
             assert abs(ch[1] - car[0]) < 1e-12
@@ -324,18 +393,18 @@ class TestDuality:
                 emb = (fl.z0_field(dims) if i == 0
                        else fl.z_field(dims, i)).at(point)
                 ch = fl.z_chart(q, i)
-                assert np.abs(fl.chart_to_embedded(q, ch) - emb).max() < 1e-9
+                assert np.abs(chart_to_embedded(q, ch) - emb).max() < 1e-9
             for m in range(n + 1):
                 emb = fl.x0_field(dims, m).at(point)
                 ch = fl.x0_chart(q, m)
-                assert np.abs(fl.chart_to_embedded(q, ch) - emb).max() < 1e-9
+                assert np.abs(chart_to_embedded(q, ch) - emb).max() < 1e-9
                 back = fl.embedded_to_chart(q, emb)
                 assert np.abs(back - ch).max() < 1e-9
                 for i in range(1, k + 1):
                     emb = fl.xi_field(dims, m, i).at(point)
                     # the chart form of X_m^i is a coordinate unit vector
                     ch = np.eye(dims.angular_dim)[dims.ambient + k * m + i - 1]
-                    assert np.abs(fl.chart_to_embedded(q, ch)
+                    assert np.abs(chart_to_embedded(q, ch)
                                   - emb).max() < 1e-9
 
 
@@ -415,6 +484,37 @@ class TestPushforward:
         c = arm.gamma_inverse(arm.AngularConfig(dims, np.zeros(3), z))
         with pytest.raises(ChartDegenerate):
             fl.pushforward_check(c)
+
+
+class TestOneCallForms:
+    """`cartesian_delta` and `embedded_to_chart` equal, bit for bit and zero
+    signs included, the generator-wise and frame-row forms above, and so
+    does `pushforward_check` built on either."""
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("n", range(6))
+    def test_match_the_oracles_bitwise(self, k, n, monkeypatch):
+        rng = np.random.default_rng(200 + 10 * k + n)
+        dims = arm.ArmDims(k, n)
+        for _ in range(3):
+            q = sampling.random_regular_config(dims, rng, chart_margin=0.1)
+            c = arm.gamma_inverse(q)
+            pairs = [(fl.cartesian_delta(c), generatorwise_cartesian_delta(c))]
+            for lead in ((), (3,), (2, 3)):
+                vec = rng.normal(size=lead + (dims.cartesian_dim,))
+                pairs.append((fl.embedded_to_chart(q, vec),
+                              frame_rows_embedded_to_chart(q, vec)))
+            got = fl.pushforward_check(c)
+            with monkeypatch.context() as mp:
+                mp.setattr(fl, "cartesian_delta",
+                           generatorwise_cartesian_delta)
+                mp.setattr(fl, "embedded_to_chart",
+                           frame_rows_embedded_to_chart)
+                pairs.append((got, fl.pushforward_check(c)))
+            for a, b in pairs:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def loop_embedded_to_chart(q, vec):

@@ -267,6 +267,39 @@ class TestFrameChange:
         assert np.abs(rec - hs.unit_from_angles(ang2)).max() < 1e-9
 
 
+class TestTangentCoefficients:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_reconstruction(self, k):
+        # target = <z, target> z + sum_j B^j Theta^j at each of the frames
+        rng = np.random.default_rng(40 + k)
+        theta = np.array([interior_angles(rng, k) for _ in range(4)])
+        z = hs.unit_from_angles(theta)
+        target = rng.normal(size=(4, k + 1))
+        b = hs.tangent_coefficients(z, target)
+        _, jac = hs.unit_and_jacobian(theta)
+        rec = (np.sum(z * target, axis=1)[:, None] * z
+               + np.matmul(jac, b[:, :, None])[:, :, 0])
+        assert b.shape == (4, k)
+        assert np.abs(rec - target).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_leading_axes_equal_per_target_calls(self, k):
+        rng = np.random.default_rng(50 + k)
+        z = hs.unit_from_angles([interior_angles(rng, k) for _ in range(5)])
+        targets = rng.normal(size=(2, 3, 5, k + 1))
+        got = hs.tangent_coefficients(z, targets)
+        assert got.shape == (2, 3, 5, k)
+        for idx in np.ndindex(2, 3):
+            want = hs.tangent_coefficients(z, targets[idx])
+            assert np.array_equal(got[idx], want)
+            assert np.array_equal(np.signbit(got[idx]), np.signbit(want))
+
+    def test_degenerate_frame_raises(self):
+        z = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]])  # row 1 at a pole
+        with pytest.raises(ChartDegenerate):
+            hs.tangent_coefficients(z, np.ones((2, 2, 3)))
+
+
 class TestAngles:
     def test_periodic_angle_reduced(self):
         ang = hs.angles_from_unit(hs.unit_from_angles([0.5, 7.0]))[0]

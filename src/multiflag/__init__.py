@@ -12,7 +12,7 @@ from .dynamics import (ControlSignal, IntegratorSettings, Trajectory,
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
 from .fields import (a_chain, cart_z_field, cartesian_delta, f_products,
                      pushforward_check, x0_chart, x0_field, xi_field,
-                     z0_field, z_chart, z_field)
+                     z_chart, z_field)
 from .flags import FlagReport, bracket_field, build_level, verify_flag
 from .hyperspherical import (angles_from_unit, frame_change, frame_inverse,
                              frame_norms, jacobian, jacobian_det,
@@ -27,7 +27,7 @@ __all__ = [
     "ArmDims", "CartesianConfig", "AngularConfig", "gamma", "gamma_inverse",
     "constraint_residuals", "normal_fields", "config_to_dict",
     "config_from_dict", "save_config", "load_config",
-    "a_chain", "f_products", "z0_field", "z_field", "x0_field", "xi_field",
+    "a_chain", "f_products", "z_field", "x0_field", "xi_field",
     "z_chart", "x0_chart", "cart_z_field", "cartesian_delta",
     "pushforward_check",
     "ControlSignal", "IntegratorSettings", "Trajectory", "integrate_car",

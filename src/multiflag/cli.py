@@ -50,11 +50,13 @@ def _start(args, *outputs) -> np.random.Generator:
 
 
 def _read(flag: str, path: str, read, *extra):
-    """read(path, *extra), its ValueError naming the flag and the file."""
+    """read(path, *extra), its ValueError or OSError re-raised as a
+    ValueError naming the flag and the file."""
     try:
         return read(path, *extra)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {path!r}: {exc}") from None
+    except (ValueError, OSError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"{flag} {path!r}: {reason}") from None
 
 
 def _initial_config(args, rng) -> "sampling.AngularConfig":
@@ -66,18 +68,18 @@ def _initial_config(args, rng) -> "sampling.AngularConfig":
                 f"config file has (k={q.dims.k}, n={q.dims.n}), "
                 f"flags say (k={dims.k}, n={dims.n})")
         return q
-    if args.preset == "straight":
-        return sampling.collinear_config(dims)
     if args.preset == "random":
         return sampling.random_regular_config(dims, rng, chart_margin=0.1)
-    raise ValueError(f"unknown preset {args.preset!r}")
+    return sampling.collinear_config(dims)
 
 
 def _control_table(path: str, k: int) -> dyn.ControlSignal:
-    with warnings.catch_warnings():
+    with open(path) as fh, warnings.catch_warnings():
         # a file without data rows is refused below, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    if not len(data):
+        raise ValueError("controls file has no data rows")
     if data.shape[1] != 2 + k:
         raise ValueError(f"controls file needs columns t, vn, w1..w{k}")
     return dyn.ControlSignal.from_table(data[:, 0], data[:, 1], data[:, 2:])
@@ -93,12 +95,10 @@ def _controls(args, k: int) -> dyn.ControlSignal:
         raise ValueError(f"--wn needs {k} comma-separated values")
     if not np.all(np.isfinite(wn)):
         raise ValueError(f"--wn must be finite numbers, got {args.wn!r}")
-    if args.controls == "constant":
-        return dyn.ControlSignal.constant(args.vn, wn)
     if args.controls == "sine":
         return dyn.ControlSignal.sinusoid(k, vn_amp=args.vn, w_amp=wn,
                                           freq=args.freq)
-    raise ValueError(f"unknown controls preset {args.controls!r}")
+    return dyn.ControlSignal.constant(args.vn, wn)
 
 
 def _simulate_trajectory(args, rng) -> dyn.Trajectory:
@@ -125,26 +125,20 @@ def _simulate_trajectory(args, rng) -> dyn.Trajectory:
             raise MemoryError  # no array index reaches that many steps
         if args.mode == "car":
             return dyn.integrate_car(q0, u, args.T, settings, seed=args.seed)
-        if args.mode == "arm":
-            return dyn.integrate_arm(q0, u, args.T, settings, seed=args.seed)
         if args.mode == "cartesian":
             return dyn.integrate_cartesian(gamma_inverse(q0), u, args.T,
                                            settings, seed=args.seed)
         if args.mode == "subarm":
             return dyn.integrate_subarm(q0, args.p, args.m, u, args.T,
                                         settings, seed=args.seed)
+        return dyn.integrate_arm(q0, u, args.T, settings, seed=args.seed)
     except MemoryError:
         raise ValueError(f"--T / --h = {steps:g} steps do not fit in memory")
-    raise ValueError(f"unknown mode {args.mode!r}")
 
 
 def cmd_simulate(args) -> int:
     rng = _start(args, args.out + ".csv", args.out + ".json")
-    try:
-        traj = _simulate_trajectory(args, rng)
-    except ValueError as exc:
-        print(f"simulate: invalid run configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    traj = _simulate_trajectory(args, rng)
     traj.to_csv(args.out + ".csv")
     traj.to_json(args.out + ".json")
     summary = {
@@ -160,32 +154,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_input_error(args) -> str | None:
-    """What is wrong with the numeric options of `verify`, if anything."""
+def cmd_verify(args) -> int:
     for name, count in (("--samples", args.samples),
                         ("--singular-samples", args.singular_samples)):
         if count < 0:
-            return f"{name} must be >= 0, got {count}"
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if not 0 < args.tol < 1:
-        return f"--tol must be in (0, 1), got {args.tol!r}"
-    return None
-
-
-def cmd_verify(args) -> int:
-    error = _verify_input_error(args)
-    if error:
-        print(f"verify: invalid input: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--tol must be in (0, 1), got {args.tol!r}")
     rng = _start(args, args.out and args.out + "_reports.json")
     dims = ArmDims(args.k, args.n)
     regular = [sampling.random_regular_config(dims, rng)
                for _ in range(args.samples)]
-    singular = []
-    for j in range(args.singular_samples):
-        if dims.n < 1:
-            break
-        singular.append(sampling.singular_config(dims, rng,
-                                                 index=1 + j % dims.n))
+    # a shape without joints has no alignment to break
+    singular = [sampling.singular_config(dims, rng, index=1 + j % dims.n)
+                for j in range(args.singular_samples if dims.n else 0)]
 
     reports = fg.verify_flags(regular + singular, tol=args.tol,
                               basis=args.basis)
@@ -203,19 +185,14 @@ def cmd_verify(args) -> int:
     if args.render and reports:
         print(reports[0].render())
 
+    # regular draws keep |A_i| >= MIN_ABS_A, far above EPS_SING, so none
+    # is singular: a regular sample fails only on its own checks
     reg_reports = reports[:len(regular)]
-    sing_reports = reports[len(regular):]
-    failures = [(j, r) for j, r in enumerate(reg_reports)
-                if r.verdict == "regular" and not r.passed]
-    stray_singular = [j for j, r in enumerate(reg_reports)
-                      if r.verdict == "singular"]
-    n_pass = sum(1 for r in reg_reports
-                 if r.verdict == "regular" and r.passed)
-    print(f"verify k={dims.k} n={dims.n}: {n_pass}/{len(regular)} regular "
-          f"samples PASS"
-          + (f", {len(stray_singular)} resampled points were singular"
-             if stray_singular else ""))
-    for j, r in enumerate(sing_reports):
+    failures = [(j, r) for j, r in enumerate(reg_reports) if not r.passed]
+    print(f"verify k={dims.k} n={dims.n}: "
+          f"{len(regular) - len(failures)}/{len(regular)} regular "
+          f"samples PASS")
+    for j, r in enumerate(reports[len(regular):]):
         print(f"  injected singular sample {j}: verdict={r.verdict} "
               f"indices={list(r.singular_indices)} "
               f"sandwich={list(r.sandwich_indices)}")
@@ -250,34 +227,17 @@ def cmd_singular_scan(args) -> int:
                 f"trajectory file has (k={traj.dims.k}, n={traj.dims.n}), "
                 f"flags say (k={args.k}, n={args.n})")
     else:
-        try:
-            traj = _simulate_trajectory(args, rng)
-        except ValueError as exc:
-            print(f"singular-scan: invalid run configuration: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    n = traj.dims.n
-    events = []
-    if n >= 1:
-        a = a_chain(traj.z)  # (M, n)
-        for i in range(n):
-            col = a[:, i]
-            hits = np.abs(col) < args.eps_sing
-            signflip = np.flatnonzero(np.sign(col[:-1]) * np.sign(col[1:]) < 0)
-            marks = sorted(set(np.flatnonzero(hits)).union(signflip + 1))
-            last = None
-            for j in marks:
-                if last is not None and j == last + 1:
-                    last = j
-                    continue  # one event per contiguous crossing
-                last = j
-                events.append({
-                    "t": float(traj.times[j]),
-                    "index": i + 1,
-                    "A": float(col[j]),
-                    "zero_velocity_joints": list(range(i + 1)),
-                })
-        events.sort(key=lambda e: (e["t"], e["index"]))
+        traj = _simulate_trajectory(args, rng)
+    # a record is marked where |A_i| < eps or A_i changed sign since the
+    # record before; a run of marks is one crossing, reported at its first
+    a = a_chain(traj.z)  # (M, n)
+    mark = np.abs(a) < args.eps_sing
+    mark[1:] |= np.sign(a[:-1]) * np.sign(a[1:]) < 0
+    mark[1:] &= ~mark[:-1]
+    # row-major order is (t, index) order
+    events = [{"t": float(traj.times[j]), "index": i + 1, "A": float(a[j, i]),
+               "zero_velocity_joints": list(range(i + 1))}
+              for j, i in np.argwhere(mark).tolist()]
     if args.out:
         _write_json(args.out, {"events": events, "eps_sing": args.eps_sing,
                                "seed": args.seed})
@@ -358,15 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Bad input (ValueError, OSError) exits 2 and a
+    rejected step exits 1, each as the one stderr line
+    `<command>: <reason>`."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except StepRejected as exc:
+    except (StepRejected, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, OSError) as exc:
-        print(f"multiflag: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FAIL if isinstance(exc, StepRejected) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -213,17 +213,14 @@ class Trajectory:
                 out[key] = getattr(self, key)
         return out
 
-    def to_dict(self) -> dict:
-        return {key: val.tolist() if isinstance(val, np.ndarray) else val
-                for key, val in self._payload().items()}
-
     def to_json(self, path) -> None:
         _write_json(path, self._payload())
 
     @staticmethod
     def from_dict(d: dict) -> "Trajectory":
-        """Inverse of `to_dict`; raises ValueError on a missing key or an
-        array of the wrong shape."""
+        """The trajectory of a `to_json` object, read back with lists for
+        arrays; raises ValueError on a missing key or an array of the wrong
+        shape."""
         try:
             dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
             m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1

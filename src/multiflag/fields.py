@@ -117,16 +117,6 @@ def _cascade(z: np.ndarray, vn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # angular (embedded) field constructors
 # ---------------------------------------------------------------------------
 
-def z0_field(dims: ArmDims) -> Field:
-    """Unit direction of the first segment, acting on the base point."""
-    def fn(y):
-        z = _blocks(y, dims)
-        out = np.zeros_like(y)
-        _blocks(out, dims)[:, 0, :] = z[:, 1, :]
-        return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, "Z0")
-
-
 def z_field(dims: ArmDims, i: int) -> Field:
     """Projection of z_{i+1} onto the tangent of sphere i-1 (at z_i)."""
     if not 1 <= i <= dims.n:
@@ -275,22 +265,20 @@ def embedded_to_chart(q: AngularConfig, vec: np.ndarray) -> np.ndarray:
 
 
 def z_chart(q: AngularConfig, i: int) -> np.ndarray:
-    """Chart form of Z_i at q; i = 0 gives the base-point direction field.
+    """Chart form of Z_i at q, 1 <= i <= n; the base-point direction field
+    Z_0 is X_0^0 (`x0_chart(q, 0)`).
 
     Carries the projection coefficients B_i^j on the theta block of sphere
     i-1 and is refused where that sphere's chart is degenerate; the
-    embedded forms (`z0_field`, `z_field`) are available everywhere.
+    embedded form (`z_field`) is available everywhere.
     """
     dims = q.dims
-    if not 0 <= i <= dims.n:
-        raise IndexError("Z_i needs 0 <= i <= n")
+    if not 1 <= i <= dims.n:
+        raise IndexError("Z_i needs 1 <= i <= n")
     out = np.zeros(dims.angular_dim)
     k1, k = dims.ambient, dims.k
-    if i == 0:
-        out[:k1] = q.z[0]
-    else:
-        out[k1 + k * (i - 1):k1 + k * i] = hs.tangent_coefficients(
-            q.z[i - 1:i], q.z[i:i + 1])[0]
+    out[k1 + k * (i - 1):k1 + k * i] = hs.tangent_coefficients(
+        q.z[i - 1:i], q.z[i:i + 1])[0]
     return out
 
 

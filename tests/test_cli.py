@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from multiflag import cli
+from multiflag.fields import a_chain
 
 
 def read_csv_states(path):
@@ -85,7 +86,31 @@ class TestSimulate:
         rc = cli.main(["simulate", "--k", "2", "--n", "1", "--mode", "car",
                        "--out", str(tmp_path / "x")])
         assert rc == 2
-        assert "invalid run configuration" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("simulate: --mode car requires "
+                                           "--k 1\n")
+
+    def test_config_shape_must_match_flags(self, tmp_path, capsys):
+        from multiflag import arm, sampling
+        cfg = tmp_path / "cfg.json"
+        arm.save_config(sampling.collinear_config(arm.ArmDims(1, 2)), cfg)
+        rc = cli.main(["simulate", "--k", "1", "--n", "1", "--config",
+                       str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("simulate: config file has (k=1, n=2), "
+                                "flags say (k=1, n=1)\n")
+        assert captured.out == ""
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_single_wn_applies_to_every_sphere(self, tmp_path):
+        argv = ["simulate", "--k", "2", "--n", "1", "--controls", "sine",
+                "--T", "0.2", "--wn"]
+        assert cli.main(argv + ["0.3", "--out", str(tmp_path / "one")]) == 0
+        assert cli.main(argv + ["0.3,0.3", "--out",
+                                str(tmp_path / "two")]) == 0
+        for ext in (".csv", ".json"):
+            assert ((tmp_path / f"one{ext}").read_bytes()
+                    == (tmp_path / f"two{ext}").read_bytes())
 
     def test_config_file_round_trip(self, tmp_path):
         from multiflag import arm, sampling
@@ -173,6 +198,9 @@ class TestSimulate:
         ("simulate", "--freq", "inf"),
         ("simulate", "--controls-file", "{tmp}/nan_controls.csv"),
         ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
+        ("simulate", "--controls-file", "{tmp}/header_only.csv"),
+        ("simulate", "--wn", "1,2"),
+        ("simulate", "--mode", "subarm"),
         ("simulate", "--seed", "-1"),
         ("simulate", "--T", "1e15"),
         ("singular-scan", "--T", "inf"),
@@ -202,6 +230,7 @@ class TestSimulate:
             "t,vn,w1\n0,1,0\n1,nan,0\n")
         (tmp_path / "unsorted_controls.csv").write_text(
             "t,vn,w1\n0,1,0\n1,1,0\n1,1,0\n2,1,0\n")
+        (tmp_path / "header_only.csv").write_text("t,vn,w1\n")
         capsys.readouterr()
         value = value.replace("{tmp}", str(tmp_path))
         # --traj takes no simulation flags, so it gets no --T
@@ -215,12 +244,15 @@ class TestSimulate:
             warnings.simplefilter("error")
             assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        if flag in ("--T", "--h", "--vn", "--wn", "--freq", "--eps-sing",
-                    "--seed", "--out"):
-            assert flag in err
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith(f"{command}: ") and flag in err
         if flag in ("--config", "--controls-file", "--traj"):
-            assert value in err  # a file's refusal names the file
+            # a file's refusal names the file after its flag
+            assert err.startswith(f"{command}: {flag} {value!r}: ")
+        if "missing" in value:
+            assert err.endswith(": No such file or directory\n")
+        if value.endswith("header_only.csv"):
+            assert err.endswith(": controls file has no data rows\n")
         assert not (tmp_path / "run.csv").exists()
 
 
@@ -264,6 +296,19 @@ class TestVerify:
         assert (tmp_path / "threads_reports.json").read_bytes() == plain
         assert len(json.loads(plain)["reports"]) == 5
 
+    def test_no_joints_no_injected_samples(self, tmp_path, capsys):
+        # n = 0 has no alignment to break, so --singular-samples adds none
+        rc = cli.main(["verify", "--k", "1", "--n", "0", "--samples", "2",
+                       "--singular-samples", "2",
+                       "--out", str(tmp_path / "v")])
+        assert rc == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "verify k=1 n=0: 2/2 regular samples PASS\n"
+        assert captured.err == ""
+        payload = json.loads((tmp_path / "v_reports.json").read_text())
+        assert payload["singular_samples"] == 0
+        assert len(payload["reports"]) == 2
+
     def test_bracket_step_is_not_an_option(self, tmp_path, capsys):
         # every flag bracket takes an exact complex step: there is no step
         # to choose, and argparse refuses the option
@@ -290,7 +335,8 @@ class TestVerify:
                        f"{flag}={value}", "--out", str(tmp_path / "v")])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert flag in err and len(err.strip().splitlines()) == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"verify: {flag}")
         assert not (tmp_path / "v_reports.json").exists()
 
 
@@ -363,7 +409,8 @@ class TestOutputCheckedFirst:
         rc = cli.main(argv + [str(tmp_path / "missing" / out)])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert "--out" in err and len(err.strip().splitlines()) == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{argv[0]}: --out ")
         assert not (tmp_path / "missing").exists()
 
 
@@ -386,9 +433,9 @@ class TestSamplerExhaustion:
                       + ["--out", str(tmp_path / "run")])
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert "rejection sampling failed" in err
-        assert "Traceback" not in err
+        assert err == (f"{argv[0]}: rejection sampling failed for "
+                       f"{cli.ArmDims(1, 3)} in {cli.sampling.MAX_TRIES} "
+                       f"tries; loosen the margins\n")
         assert not list(tmp_path.iterdir())
 
 
@@ -472,8 +519,8 @@ class TestSingularScan:
                         "--controls", "--controls-file", "--vn", "--wn",
                         "--freq", "--T", "--h", "--no-projection"].index)
         captured = capsys.readouterr()
-        assert captured.err == ("multiflag: --traj scans a recorded run and "
-                                "takes no simulation flags: "
+        assert captured.err == ("singular-scan: --traj scans a recorded run "
+                                "and takes no simulation flags: "
                                 + ", ".join(flags) + "\n")
         assert captured.out == ""
         assert not (tmp_path / "scan.json").exists()
@@ -504,7 +551,48 @@ class TestSingularScan:
                        "--out", str(tmp_path / "scan.json")])
         assert rc == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err == ("multiflag: trajectory file has (k=1, n=1), "
-                                "flags say (k=3, n=4)\n")
+        assert captured.err == ("singular-scan: trajectory file has (k=1, "
+                                "n=1), flags say (k=3, n=4)\n")
         assert captured.out == ""
         assert not (tmp_path / "scan.json").exists()
+
+    @pytest.mark.parametrize("eps", ["0", "0.3"])
+    @pytest.mark.parametrize("mode", ["arm", "cartesian"])
+    def test_events_match_per_index_loop(self, mode, eps, tmp_path, capsys):
+        # a k = 1, n = 3 sine run crossing A_2 and A_3 several times; the
+        # Cartesian record also carries its joint points
+        assert cli.main(["simulate", "--k", "1", "--n", "3", "--mode", mode,
+                         "--preset", "random", "--seed", "1", "--controls",
+                         "sine", "--vn", "0.5", "--wn", "6", "--freq", "2",
+                         "--T", "3", "--out", str(tmp_path / "tr")]) == 0
+        rc = cli.main(["singular-scan", "--k", "1", "--n", "3",
+                       "--traj", str(tmp_path / "tr.json"), "--eps-sing", eps,
+                       "--out", str(tmp_path / "scan.json")])
+        assert rc == cli.EXIT_OK
+        run = json.loads((tmp_path / "tr.json").read_text())
+        assert ("points" in run) == (mode == "cartesian")
+        want = per_index_events(np.asarray(run["times"]),
+                                a_chain(np.asarray(run["z"])), float(eps))
+        assert len(want) >= 10
+        got = json.loads((tmp_path / "scan.json").read_text())["events"]
+        assert got == want
+
+
+def per_index_events(times, a, eps):
+    """Crossing events of an (M, n) A array, index by index: the records
+    where |A_i| < eps or A_i changed sign since the record before, one
+    event at the first record of each contiguous run, sorted by (t, i)."""
+    events = []
+    for i in range(a.shape[1]):
+        col = a[:, i]
+        hits = np.abs(col) < eps
+        signflip = np.flatnonzero(np.sign(col[:-1]) * np.sign(col[1:]) < 0)
+        marks = sorted(set(np.flatnonzero(hits)).union(signflip + 1))
+        last = None
+        for j in marks:
+            if last is None or j != last + 1:
+                events.append({"t": float(times[j]), "index": i + 1,
+                               "A": float(col[j]),
+                               "zero_velocity_joints": list(range(i + 1))})
+            last = j
+    return sorted(events, key=lambda e: (e["t"], e["index"]))

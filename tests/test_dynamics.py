@@ -806,6 +806,12 @@ class TestJsonWriter:
     write the bytes of `json.dump(..., sort_keys=True)`."""
 
     @staticmethod
+    def listed(tr):
+        """The trajectory's JSON object with every array as nested lists."""
+        return {key: val.tolist() if isinstance(val, np.ndarray) else val
+                for key, val in tr._payload().items()}
+
+    @staticmethod
     def dumped(obj, path):
         with open(path, "w") as fh:
             json.dump(obj, fh, sort_keys=True)
@@ -822,7 +828,7 @@ class TestJsonWriter:
         assert len(tr) > 2 * JSON_ROWS
         tr.to_json(tmp_path / "run.json")
         assert (tmp_path / "run.json").read_bytes() == \
-            self.dumped(tr.to_dict(), tmp_path / "ref.json")
+            self.dumped(self.listed(tr), tmp_path / "ref.json")
 
     def test_verify_payload_bytes(self, tmp_path):
         rng = np.random.default_rng(36)
@@ -845,7 +851,7 @@ class TestJsonWriter:
         peaks = []
         tracemalloc.start()
         try:
-            for write in (lambda: self.dumped(tr.to_dict(),
+            for write in (lambda: self.dumped(self.listed(tr),
                                               tmp_path / "ref.json"),
                           lambda: tr.to_json(tmp_path / "run.json")):
                 tracemalloc.reset_peak()

@@ -252,10 +252,22 @@ class TestZFields:
 
 class TestX0Fields:
     def test_m0_is_z0(self):
+        # X_0^0 is the base-point direction field Z_0: z_1 on the base
+        # point, zero elsewhere, bit for bit on real and complex points
         rng = np.random.default_rng(7)
-        q = random_config(arm.ArmDims(2, 2), rng)
-        assert np.allclose(fl.x0_field(q.dims, 0).at(q.flat()),
-                           fl.z0_field(q.dims).at(q.flat()), atol=1e-15)
+        for k, n in [(1, 0), (2, 2), (3, 4)]:
+            q = random_config(arm.ArmDims(k, n), rng)
+            k1 = q.dims.ambient
+            y = q.flat()
+            probe = np.stack([y, y + 1e-30j * rng.normal(size=y.size)])
+            want = np.zeros_like(probe)
+            want[:, :k1] = probe[:, k1:2 * k1]
+            assert np.array_equal(fl.x0_field(q.dims, 0)(probe), want)
+            chart = np.zeros(q.dims.angular_dim)
+            chart[:k1] = q.z[0]
+            assert np.array_equal(fl.x0_chart(q, 0), chart)
+        with pytest.raises(IndexError):
+            fl.z_chart(q, 0)
 
     def test_collinear_reduces_to_base_block(self):
         dims = arm.ArmDims(2, 3)
@@ -389,9 +401,8 @@ class TestDuality:
             dims = arm.ArmDims(k, n)
             q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
             point = q.flat()
-            for i in range(n + 1):
-                emb = (fl.z0_field(dims) if i == 0
-                       else fl.z_field(dims, i)).at(point)
+            for i in range(1, n + 1):
+                emb = fl.z_field(dims, i).at(point)
                 ch = fl.z_chart(q, i)
                 assert np.abs(chart_to_embedded(q, ch) - emb).max() < 1e-9
             for m in range(n + 1):
@@ -593,9 +604,9 @@ class TestPerSphereOracle:
         assert np.abs(np.delete(got, [3, 4])).max() == 0.0
         # f_1^1 = 1, so X_1^0 carries the same block
         assert np.array_equal(fl.x0_chart(q, 1)[3:5], b)
-        for i in (0, 1):
-            fl.z_chart(q, i)
-            fl.x0_chart(q, i)
+        fl.z_chart(q, 1)
+        for m in (0, 1):
+            fl.x0_chart(q, m)
         with pytest.raises(ChartDegenerate):
             fl.z_chart(q, 2)
         with pytest.raises(ChartDegenerate):

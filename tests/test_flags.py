@@ -465,6 +465,19 @@ def oracle_flag(q, tol=1e-8, residual_tol=fg.RESIDUAL_TOL,
     return out
 
 
+class TestFailures:
+    def test_residual_gates(self):
+        # a residual at the gate fails, one below it passes; the top level
+        # has no Cauchy residual
+        gate = fg.RESIDUAL_TOL
+        levels = [fg.LevelReport(1, 3, 2, 3, 2, gate, 2 * gate),
+                  fg.LevelReport(2, 5, 4, 5, 4, gate / 2, gate / 2),
+                  fg.LevelReport(3, 6, 6, 6, 6, 0.0, None)]
+        assert fg._failures(levels, []) == [
+            "E^1 involutivity residual 1.00e-06",
+            "Cauchy inclusion at level 1: 2.00e-06"]
+
+
 class TestComplexStep:
     """Both families' brackets take J_c V as Im X_c(p + i t V) / t, exact
     to rounding; central differences agree to their own error."""

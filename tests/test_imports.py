@@ -2,8 +2,9 @@
 
 Every name a module imports is used in it, the layers below the
 integrators and the command line import neither, and a module reads
-another's underscore names only where `PRIVATE_READS` lists it, and
-names that became test oracles stay out of the library.
+another's underscore names only where `PRIVATE_READS` lists it,
+names that became test oracles or were folded into another stay out of
+the library, and the command line refuses bad input in one place.
 """
 
 import ast
@@ -97,10 +98,35 @@ def test_private_names_stay_private():
 
 
 @pytest.mark.parametrize("name", ["car_x1_field", "car_x2_field", "MODE_CAR",
-                                  "chart_to_embedded", "cart_delta_field"])
+                                  "chart_to_embedded", "cart_delta_field",
+                                  "z0_field"])
 def test_oracle_names_stay_out_of_fields(name):
     # the planar car fields, the inverse chart map and the generator-wise
-    # Cartesian field live in tests/test_fields.py; the library keeps one
-    # form of each
+    # Cartesian field live in tests/test_fields.py, and Z_0 is X_0^0
+    # (`x0_field(dims, 0)`); the library keeps one form of each
+    import multiflag
     from multiflag import fields
-    assert not hasattr(fields, name)
+    assert not hasattr(fields, name) and not hasattr(multiflag, name)
+
+
+def test_one_refusal_path_in_cli():
+    # bad input leaves the command line through `main` alone: no other
+    # function returns EXIT_USAGE or catches ValueError, except `_read`,
+    # which re-raises it naming the flag and the file
+    usage, catching = set(), set()
+    for fn in parse("cli").body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "EXIT_USAGE":
+                usage.add(fn.name)
+            if isinstance(node, ast.ExceptHandler):
+                caught = {n.id for n in ast.walk(node.type or ast.Name(
+                    "BaseException")) if isinstance(n, ast.Name)}
+                if caught & {"ValueError", "Exception", "BaseException"}:
+                    catching.add(fn.name)
+                    reraises = any(isinstance(n, ast.Raise)
+                                   for n in ast.walk(node))
+                    assert reraises or fn.name == "main", fn.name
+    assert usage == {"main"}
+    assert catching == {"main", "_read"}

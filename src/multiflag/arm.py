@@ -185,7 +185,7 @@ def config_from_dict(d: dict) -> AngularConfig:
         x0 = np.asarray(d["x0"], dtype=float)
         z = np.asarray(d["z"], dtype=float)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad configuration object: {exc}") from exc
+        raise ValueError(f"bad configuration object: {exc!r}") from exc
     return AngularConfig(dims=dims, x0=x0, z=z)
 
 

@@ -31,6 +31,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals as ValueError, for `main` to print."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parse_floats(text: str) -> np.ndarray:
     return np.array([float(x) for x in text.split(",") if x.strip() != ""])
 
@@ -279,7 +286,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="multiflag",
         description="Articulated-arm kinematics and flag verification")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -318,11 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Bad input (ValueError, OSError) exits 2 and a
-    rejected step exits 1, each as the one stderr line
-    `<command>: <reason>`."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  Bad input (ValueError, OSError, a refused
+    argument) exits 2 and a rejected step exits 1, each as the one stderr
+    line `<command>: <reason>` (`multiflag: ` before a subcommand)."""
+    args = argparse.Namespace(command="multiflag")
     try:
+        # the subcommand's name lands in args before its flags are parsed
+        build_parser().parse_args(argv, args)
         return args.fn(args)
     except (StepRejected, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

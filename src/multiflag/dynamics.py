@@ -13,21 +13,18 @@ cross-check each other:
   generators on raw joint positions.
 
 The routes differ only in their state variables.  Each supplies a
-right-hand side `rhs(y, vn, w)` writing into buffers allocated once, its
+right-hand side `rhs(y, vn, head_row)` writing into buffers allocated
+once, a batched table `head(theta, w)` of what it reads of the head, its
 unit rows with their in-place normalization, an initial state and a
 batched view of its states as base points, unit segment rows and head
 angles; one stepper (`_integrate`) and one recorder (`_record`) serve all
-three.  The controls are tabled at every stage time once per run, and
-joint velocities come from one kernel batched over records
-(`_velocities`), which `collinearity_residuals` reuses.  The Cartesian
-right-hand side forms the head frame on its buffers from the factor plan
-of `hyperspherical.unit_and_jacobian`, so the one batched call is the
-recorder's.
-
-Every route carries the head-sphere chart angles as state (d theta/dt =
-w), so no route inverts a chart mid-run.  The angular right-hand side is
-evaluated on unit vectors, so it stays well defined where intermediate
-sphere charts degenerate.
+three.  Every route carries the head-sphere chart angles as state, so no
+route inverts a chart mid-run; as d theta/dt = w alone, the stepper
+tables them, like the controls, at every stage before the first step.
+Joint velocities come from one kernel batched over records
+(`_velocities`), which `collinearity_residuals` reuses.  The angular
+right-hand side is evaluated on unit vectors, so it stays well defined
+where intermediate sphere charts degenerate.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ FMT = "%.17g"
 
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
+HEAD_ROWS = 1024  # stages per `unit_and_jacobian` call, Cartesian head table
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +288,20 @@ def _steps(T: float, h: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _integrate(rhs, rows, normalize, y0: np.ndarray, u: ControlSignal,
-               k: int, T: float, settings: IntegratorSettings):
-    """Run the stepper from y0.
+def _integrate(rhs, head, rows, normalize, y0: np.ndarray,
+               u: ControlSignal, k: int, T: float,
+               settings: IntegratorSettings):
+    """Run the stepper from y0, whose last k components are head angles.
 
-    `rhs(y, vn, w)` returns the rates at state y in a buffer of its own;
-    `rows(states)` gives the rows (M, r, k+1) of stacked states that must
-    stay unit (None: no constraint), and `normalize(y, rows, norms)`
-    rescales them in place in the state y.  Each step's stage times are
-    t, t + h/2 and t + h, with t = t + h; the controls at all of them
-    are evaluated in one call before the first step.  Numpy warns of no
-    overflow: the non-finite and drift gates reject what it leads to.
+    The stage times of a step are t, t + h/2 and t + h, with t = t + h.
+    The controls at all of them and the head track (d theta/dt = w, in
+    the loop's arithmetic) are tabled before the first step, and so is
+    `head(theta, w)`: the rows (S, r) that `rhs(y, vn, head_row)` reads at
+    the stage angles and controls (S, k).  rhs returns the rates of the
+    other components of y in a buffer of its own.  `rows(states)` gives
+    the rows (M, r, k+1) of stacked states that must stay unit (None:
+    none), and `normalize(y, rows, norms)` rescales them in place in y.
+    Numpy warns of no overflow: the gates reject what it leads to.
 
     Returns times (M,), states (M, D), the constraint drift of each step
     before and after its projection (M,), and the controls at the
@@ -320,27 +321,38 @@ def _integrate(rhs, rows, normalize, y0: np.ndarray, u: ControlSignal,
     if w.shape != at.shape + (k,):
         raise ValueError(f"tangential control must have {k} components")
     stage_vn = vn[:-1].reshape(s, 3).tolist()
-    stage_w = w[:-1].reshape(s, 3, k)
+    w1, w2, w4 = w[:-1].reshape(s, 3, k).transpose(1, 0, 2)
 
     states = np.empty((s + 1, y0.size))
     states[0] = y0
+    m = y0.size - k
+    # the head angle rates of the four stages are w1, w2, w2 and w4
+    full, half, theta = steps[:, None], 0.5 * steps[:, None], states[:, m:]
+    np.add.accumulate(np.concatenate([theta[:1], (
+        ((w1 + w2 * 2.0) + w2 * 2.0) + w4 * 1.0) * (full / 6.0)]), out=theta)
+    start = theta[:-1]
+    table = head(np.stack([start, w1 * half + start, w2 * half + start,
+                           w2 * full + start], axis=1).reshape(-1, k),
+                 np.stack([w1, w2, w2, w4], axis=1).reshape(-1, k))
+    table, stepped = table.reshape((s, 4) + table.shape[1:]), states[:, :m]
+
     drift_pre = np.zeros(s + 1)
-    acc, ys = np.empty((2, y0.size))
+    acc, ys = np.empty((2, m))
     for j, h in enumerate(steps.tolist()):
-        y, y_new = states[j], states[j + 1]
-        (v1, v2, v4), (w1, w2, w4) = stage_vn[j], stage_w[j]
-        rates = rhs(y, v1, w1)
+        y, y_new = stepped[j], stepped[j + 1]
+        (v1, v2, v4), (r1, r2, r3, r4) = stage_vn[j], table[j]
+        rates = rhs(y, v1, r1)
         np.copyto(acc, rates)
-        for dt, weight, vn_, w_ in ((0.5 * h, 2.0, v2, w2),
-                                    (0.5 * h, 2.0, v2, w2), (h, 1.0, v4, w4)):
+        for dt, weight, vn_, r in ((0.5 * h, 2.0, v2, r2),
+                                   (0.5 * h, 2.0, v2, r3), (h, 1.0, v4, r4)):
             np.multiply(rates, dt, out=ys)
             ys += y
-            rates = rhs(ys, vn_, w_)
+            rates = rhs(ys, vn_, r)
             np.multiply(rates, weight, out=ys)  # ys is free until next stage
             acc += ys
         acc *= h / 6.0
         np.add(y, acc, out=y_new)
-        if not np.isfinite(y_new).all():
+        if not np.isfinite(states[j + 1]).all():
             raise StepRejected(f"non-finite state at t={times[j + 1]:g}")
         if rows is None:
             continue
@@ -390,8 +402,7 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
     """Integrate the angular controlled system.
 
     The state carries the base point, the unit rows z_1..z_n, and the chart
-    angles of the head sphere (so the head control semantics never needs a
-    chart inversion mid-run).  Requires a non-degenerate head chart at t=0
+    angles of the head sphere.  Requires a non-degenerate head chart at t=0
     for k >= 2: the tangential controls are chart components and a pole
     start would make their meaning ambiguous.
     """
@@ -407,27 +418,18 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
         return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
 
     # buffers of the right-hand side, and the views of them it uses
-    z, rate = np.empty((n + 1, k1)), np.empty(body.stop + k)
+    z, rate = np.empty((n + 1, k1)), np.empty(body.stop)
     prod, a, f, v = np.empty((n, k1)), np.empty(n), np.ones(n + 1), \
         np.empty(n + 1)
-    sin, cos, prefix = np.empty(k), np.empty(k), np.ones(k1)
     z_body, z_head, z_lo, z_hi = z.reshape(-1)[:-k1], z[n], z[:-1], z[1:]
-    sin_prods, head_tail, rev_prefix, rev_cos = (prefix[1:], z_head[1:],
-                                                 prefix[-2::-1], cos[::-1])
     rev_a, rev_f, a_col, v_head, v_col = (a[::-1], f[-2::-1], a[:, None],
                                           v[:1], v[1:, None])
-    dx0, dz, dtheta = rate[:k1], rate[body].reshape(n, k1), rate[body.stop:]
+    dx0, dz = rate[:k1], rate[body].reshape(n, k1)
 
-    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
-        # the rows z_1..z_{n+1}; the head row as in hs.unit_from_angles
-        theta = y[body.stop:]
+    def rhs(y: np.ndarray, vn: float, head_row: np.ndarray) -> np.ndarray:
+        # the rows z_1..z_{n+1}, then the rates as in fields._cascade
         z_body[:] = y[body]
-        np.sin(theta, out=sin)
-        np.cos(theta, out=cos)
-        np.multiply.accumulate(sin, out=sin_prods)
-        z_head[0] = prefix[k]
-        np.multiply(rev_prefix, rev_cos, out=head_tail)
-        # the rates as in fields._cascade, in place
+        z_head[:] = head_row
         np.multiply(z_lo, z_hi, out=prod)
         np.add.reduce(prod, axis=1, out=a)
         np.multiply.accumulate(rev_a, out=rev_f)
@@ -436,7 +438,6 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
         np.multiply(a_col, z_lo, out=prod)
         np.subtract(z_hi, prod, out=prod)
         np.multiply(v_col, prod, out=dz)
-        dtheta[:] = w
         return rate
 
     def rows(states: np.ndarray) -> np.ndarray:
@@ -446,7 +447,8 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
         seg /= norms[:, None]
 
     y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
-    run = _integrate(rhs, rows, normalize, y0, u, k, T, settings)
+    run = _integrate(rhs, lambda theta, w: hs.unit_from_angles(theta), rows,
+                     normalize, y0, u, k, T, settings)
     return _record(mode, dims, T, settings, seed, run, view)
 
 
@@ -487,20 +489,19 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     if dims.k != 1:
         raise ValueError("integrate_car needs k = 1")
 
-    rate = np.empty(dims.n + 3)
+    th, rate = np.empty(dims.n + 1), np.empty(dims.n + 2)
 
-    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
-        th = y[2:]
+    def rhs(y: np.ndarray, vn: float, head_row: np.ndarray) -> np.ndarray:
+        th[:-1], th[-1] = y[2:], head_row[0]
         diffs = th[1:] - th[:-1]
         v = f_products(np.cos(diffs), dims.n) * vn
         rate[0], rate[1] = v[0] * np.cos(th[0]), v[0] * np.sin(th[0])
-        np.multiply(v[1:], np.sin(diffs), out=rate[2:-1])
-        rate[-1:] = w
+        np.multiply(v[1:], np.sin(diffs), out=rate[2:])
         return rate
 
-    # headings carry no constraint to drift from
-    run = _integrate(rhs, None, None, car_state_from_config(q0), u, 1, T,
-                     settings)
+    # the head table is the head angle; headings carry no constraint
+    run = _integrate(rhs, lambda theta, w: theta, None, None,
+                     car_state_from_config(q0), u, 1, T, settings)
     return _record("car", dims, T, settings, seed, run, _car_view)
 
 
@@ -530,37 +531,35 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
                 "z": z / np.linalg.norm(z, axis=2)[:, :, None],
                 "theta_n": states[:, p:], "points": x}
 
-    # buffers of the right-hand side, and the views of them it uses; the
-    # head frame is formed from the plan and table of hs.unit_and_jacobian
-    _, jac_idx = hs._jacobian_plan(k)
-    jac, table = np.empty((k1, k)), np.zeros((5, k))
-    table[0] = 1.0
-    factors, (sin, cos, nsin) = table.reshape(-1), table[2:]
+    def head_rates(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # jac w at every stage; chunks bound the memory of the factor gather
+        out = np.empty((len(theta), k1))
+        for i in range(0, len(theta), HEAD_ROWS):
+            jac = hs.unit_and_jacobian(theta[i:i + HEAD_ROWS])[1]
+            out[i:i + HEAD_ROWS] = (jac @ w[i:i + HEAD_ROWS, :, None])[..., 0]
+        return out
+
+    # buffers of the right-hand side, and the views of them it uses
     z, lead = np.empty((n + 1, k1)), np.empty((n + 1, 1))
     prod, a, f = np.empty((n, k1)), np.empty(n), np.ones(n + 1)
     z_flat, z_lo, z_hi, z_head = z.reshape(-1), z[:-1], z[1:], z[n]
     rev_a, rev_f, f_col = a[::-1], f[-2::-1], f[:, None]
-    rate = np.empty(p + k)
-    dx, head = rate[:p - k1].reshape(n + 1, k1), rate[p - k1:p]
+    rate = np.empty(p)
+    dx, head = rate[:p - k1].reshape(n + 1, k1), rate[p - k1:]
 
-    def rhs(y: np.ndarray, vn: float, w: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray, vn: float, head_row: np.ndarray) -> np.ndarray:
         # the segments x_{i+1} - x_i, as np.diff of the joint rows
         np.subtract(y[k1:p], y[:p - k1], out=z_flat)
-        np.sin(y[p:], out=sin)
-        np.cos(y[p:], out=cos)
-        np.negative(sin, out=nsin)
-        np.multiply.reduce(factors[jac_idx], axis=0, out=jac)
         # vn * z_{n+1} / |z_{n+1}| + jac w, the norm as np.linalg.norm
         np.divide(z_head, np.sqrt(z_head.dot(z_head)), out=head)
         np.multiply(head, vn, out=head)
-        np.add(head, jac @ w, out=head)
+        np.add(head, head_row, out=head)
         # the rates of joints 1..n+1, as fields.a_chain and f_products
         np.multiply(z_lo, z_hi, out=prod)
         np.add.reduce(prod, axis=1, out=a)
         np.multiply.accumulate(rev_a, out=rev_f)
         np.multiply(f_col, float(head @ z_head), out=lead)
         np.multiply(lead, z, out=dx)
-        rate[p:] = w
         return rate
 
     def rows(states: np.ndarray) -> np.ndarray:
@@ -575,7 +574,7 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     head0 = q0.segments()[n]
     theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
-    run = _integrate(rhs, rows, normalize, y0, u, k, T, settings)
+    run = _integrate(rhs, head_rates, rows, normalize, y0, u, k, T, settings)
     return _record("cartesian", dims, T, settings, seed, run, view)
 
 

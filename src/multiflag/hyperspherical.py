@@ -9,7 +9,7 @@ loudly there instead of returning garbage.  One rule, in `_interior_sines`,
 decides where: every chart query of the package refuses an interior sine
 at or below EPS_DOM, so all routes share one domain.  The frame
 d phi / d theta is one kernel: a factor table of sines and cosines, read
-through a per-k plan (`_jacobian_plan`) that buffered callers reuse.
+through a cached per-k plan (`_jacobian_plan`).
 """
 
 from __future__ import annotations

@@ -102,6 +102,27 @@ class TestSimulate:
         assert captured.out == ""
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, text, reason", [
+        ("simulate", "--config", "[]", "bad configuration object: "
+         "TypeError('list indices must be integers or slices, not str')"),
+        ("simulate", "--config", '{"k": 1}',
+         "bad configuration object: KeyError('n')"),
+        ("singular-scan", "--traj", "[]", "bad trajectory object: "
+         "TypeError('list indices must be integers or slices, not str')"),
+        ("singular-scan", "--traj", '{"k": 1}',
+         "bad trajectory object: KeyError('n')")])
+    def test_loaders_word_a_bad_object_alike(self, command, flag, text,
+                                             reason, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = cli.main([command, "--k", "1", "--n", "1", flag, str(path),
+                       "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"{command}: {flag} {str(path)!r}: {reason}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [path]
+
     def test_single_wn_applies_to_every_sphere(self, tmp_path):
         argv = ["simulate", "--k", "2", "--n", "1", "--controls", "sine",
                 "--T", "0.2", "--wn"]
@@ -256,6 +277,43 @@ class TestSimulate:
         assert not (tmp_path / "run.csv").exists()
 
 
+class TestArgumentRefusals:
+    """argparse's refusals leave `main` as one line and exit 2, like every
+    other bad input; --help still prints the usage and exits 0."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["simulate", "--k", "x", "--n", "1"],
+         "simulate: argument --k: invalid int value: 'x'"),
+        (["simulate", "--k", "1", "--n", "1", "--bogus", "3"],
+         "simulate: unrecognized arguments: --bogus 3"),
+        (["singular-scan", "--k", "1", "--n", "1", "--mode", "boat"],
+         "singular-scan: argument --mode: invalid choice: 'boat' (choose "
+         "from 'arm', 'car', 'cartesian', 'subarm')"),
+        (["verify", "--n", "2"],
+         "verify: the following arguments are required: --k"),
+        ([], "multiflag: the following arguments are required: command"),
+        (["simulat", "--k", "1"],
+         "multiflag: argument command: invalid choice: 'simulat' (choose "
+         "from 'simulate', 'verify', 'singular-scan')")])
+    def test_one_line_exit_2(self, argv, err, tmp_path, monkeypatch,
+                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == err + "\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: multiflag")
+        assert captured.err == ""
+
+
 class TestVerify:
     def test_small_sweep_passes(self, tmp_path, capsys):
         rc = cli.main(["verify", "--k", "2", "--n", "2", "--samples", "5",
@@ -312,12 +370,13 @@ class TestVerify:
     def test_bracket_step_is_not_an_option(self, tmp_path, capsys):
         # every flag bracket takes an exact complex step: there is no step
         # to choose, and argparse refuses the option
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--k", "2", "--n", "2", "--samples", "2",
-                      "--bracket-h", "1e-5", "--out", str(tmp_path / "v")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--bracket-h" in err and "Traceback" not in err
+        rc = cli.main(["verify", "--k", "2", "--n", "2", "--samples", "2",
+                       "--bracket-h", "1e-5", "--out", str(tmp_path / "v")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("verify: unrecognized arguments: "
+                                "--bracket-h 1e-5\n")
+        assert captured.out == ""
         assert not (tmp_path / "v_reports.json").exists()
 
     @pytest.mark.parametrize("flag, value", [

@@ -201,8 +201,9 @@ class TestCartesian:
         assert dyn.collinearity_residuals(tr).max() < 1e-8
 
     def test_head_frame_formed_in_place(self, monkeypatch):
-        # only the recorder's batched call; a return to one call per
-        # stage would make 4,001
+        # the head table in full chunks of HEAD_ROWS stages, then the
+        # recorder's batched call; a return to one call per stage would
+        # make 4,001
         calls = []
 
         def counted(theta):
@@ -215,7 +216,11 @@ class TestCartesian:
         tr = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 1.0,
                                      dyn.IntegratorSettings(h=1e-3))
         assert len(tr) == 1001
-        assert calls == [(1001, 2)]
+        chunk, stages = dyn.HEAD_ROWS, 4 * 1000
+        assert len(calls) <= -(-stages // chunk) + 1
+        assert calls[-1] == (1001, 2)
+        assert all(rows >= chunk for rows, _ in calls[:-2])
+        assert sum(rows for rows, _ in calls[:-1]) == stages
 
 
 class TestVelocities:
@@ -689,21 +694,31 @@ class TestReferenceStepper:
         assert_same_run(tr, ref_run(ref_arm_route, dyn.project_subarm(q, 2, 3),
                                     induced, 0.2, s))
 
-    @pytest.mark.parametrize("route, vn, message", [
-        ("arm", 1e4, "constraint drift"),
-        ("cartesian", 1e4, "constraint drift"),
-        ("arm", np.inf, "non-finite state"),
-        ("cartesian", np.inf, "non-finite state"),
-        ("car", np.inf, "non-finite state")])
-    def test_rejections_match(self, route, vn, message):
-        # the speed jumps after t = 0.03: the step ending at 0.04 is refused
+    # (route, vn and w after the jump, message); w = 1e308 keeps every
+    # stage angle finite, only the head increment w1 + 2 w2 + 2 w2 + w4
+    # overflows
+    REJECTED = [("arm", 1e4, 0.2, "constraint drift"),
+                ("cartesian", 1e4, 0.2, "constraint drift"),
+                ("arm", np.inf, 0.2, "non-finite state"),
+                ("cartesian", np.inf, 0.2, "non-finite state"),
+                ("car", np.inf, 0.2, "non-finite state"),
+                ("arm", 0.5, 1e308, "non-finite state"),
+                ("cartesian", 0.5, 1e308, "non-finite state"),
+                ("car", 0.5, 1e308, "non-finite state")]
+
+    @pytest.mark.parametrize("route, vn, w, message", REJECTED, ids=[
+        f"{r}-{v if w == 0.2 else f'w{w:g}'}-{m}" for r, v, w, m in REJECTED])
+    def test_rejections_match(self, route, vn, w, message):
+        # the controls jump after t = 0.03: the step ending at 0.04 is
+        # refused
         k, n, run, ref_route, ref_start = ROUTES[route]
         rng = np.random.default_rng(22)
         q = sampling.random_regular_config(arm.ArmDims(k, n), rng,
                                            chart_margin=0.1)
         u = dyn.ControlSignal(
             lambda t: np.where(np.asarray(t) > 0.03, vn, 0.5),
-            lambda t: np.full(np.shape(t) + (k,), 0.2))
+            lambda t: np.where(np.asarray(t)[..., None] > 0.03,
+                               np.full(np.shape(t) + (k,), w), 0.2))
         s = dyn.IntegratorSettings(h=1e-2)
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(StepRejected) as got:
@@ -713,6 +728,9 @@ class TestReferenceStepper:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith(message)
         assert str(got.value).endswith("at t=0.04")
+        # at T = 0 no step is taken and the head table is empty
+        assert_same_run(run(q, u, 0.0, s),
+                        ref_run(ref_route, ref_start(q), u, 0.0, s))
 
 
 def stage_times(T, h):

@@ -20,7 +20,6 @@ BELOW_DYNAMICS = ["hyperspherical", "numerics", "arm", "fields", "flags",
 # from another; a new one is added here on purpose or made public
 PRIVATE_READS = {("dynamics", "fields", "_cascade"),
                  ("dynamics", "arm", "_write_json"),
-                 ("dynamics", "hyperspherical", "_jacobian_plan"),
                  ("cli", "arm", "_write_json")}
 
 

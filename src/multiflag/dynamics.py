@@ -22,7 +22,8 @@ three.  Every route carries the head-sphere chart angles as state, so no
 route inverts a chart mid-run; as d theta/dt = w alone, the stepper
 tables them, like the controls, at every stage before the first step.
 Joint velocities come from one kernel batched over records
-(`_velocities`), which `collinearity_residuals` reuses.  The angular
+(`_joint_velocities`): the recorder reads the normal velocities off it,
+and only `collinearity_residuals` the components off the segments.  The angular
 right-hand side is evaluated on unit vectors, so it stays well defined
 where intermediate sphere charts degenerate.
 """
@@ -249,10 +250,9 @@ class Trajectory:
 # shared kinematic quantities
 # ---------------------------------------------------------------------------
 
-def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
-                w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> (B, n+1) and the norms
-    of each joint velocity xdot_i off the segment ahead of it (B, n+1).
+def _joint_velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
+    """Joint velocities xdot_0..xdot_{n+1} (B, n+2, k+1).
 
     Batched over states: z (B, n+1, k+1), head angles theta_n (B, k),
     controls vn (B,) and w (B, k).  The head row rate is taken through the
@@ -262,12 +262,14 @@ def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
     dx0, dz = _cascade(z, vn)
     _, jac = hs.unit_and_jacobian(theta_n)
     head = np.matmul(jac, w[:, :, None])
-    xdot = np.cumsum(np.concatenate([dx0[:, None], dz, head.swapaxes(1, 2)],
+    return np.cumsum(np.concatenate([dx0[:, None], dz, head.swapaxes(1, 2)],
                                     axis=1), axis=1)
-    v = np.sum(xdot[:, 1:] * z, axis=2)
-    along = np.sum(xdot[:, :-1] * z, axis=2)
-    resid = np.linalg.norm(xdot[:, :-1] - along[:, :, None] * z, axis=2)
-    return v, resid
+
+
+def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
+                w: np.ndarray) -> np.ndarray:
+    """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> (B, n+1)."""
+    return np.sum(_joint_velocities(z, theta_n, vn, w)[:, 1:] * z, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ def _record(mode: str, dims: ArmDims, T: float,
     """
     times, states, drift_pre, drift_post, vn, w = run
     recorded = view(states)
-    v, _ = _velocities(recorded["z"], recorded["theta_n"], vn, w)
+    v = _velocities(recorded["z"], recorded["theta_n"], vn, w)
     return Trajectory(mode=mode, dims=dims, times=times, vn=vn, w=w, v=v,
                       drift_pre=drift_pre, drift_post=drift_post,
                       h=settings.h, T=T, projection=settings.projection,
@@ -635,7 +637,10 @@ def induced_subarm_controls(traj: Trajectory, p: int, m: int) -> ControlSignal:
 def collinearity_residuals(traj: Trajectory) -> np.ndarray:
     """Per record, the norm of each joint velocity's component off the
     segment ahead of it (the nonholonomic constraint), shape (M, n+1)."""
-    return _velocities(traj.z, traj.theta_n, traj.vn, traj.w)[1]
+    z = traj.z
+    xdot = _joint_velocities(z, traj.theta_n, traj.vn, traj.w)[:, :-1]
+    along = np.sum(xdot * z, axis=2)
+    return np.linalg.norm(xdot - along[:, :, None] * z, axis=2)
 
 
 def cascade_residuals(traj: Trajectory) -> np.ndarray:

@@ -19,7 +19,7 @@ makes the numerical brackets independent of the extension choice.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,14 +33,25 @@ MODE_CARTESIAN = "cartesian"  # [x_0 | .. | x_{n+1}], dim (k+1)(n+2)
 
 
 class Field:
-    """Batch-evaluable vector field on real or complex ambient points."""
+    """Batch-evaluable vector field on real or complex ambient points.
+
+    `reads` and `writes` are the blocks of the ambient space (x0 and the
+    z_i on the embedded space, the joints x_i on the Cartesian one) that
+    the value depends on and that it can make nonzero: outside `writes`
+    the value is exactly 0, and changing a block outside `reads` leaves it
+    bit for bit unchanged.  So J_c V_a = 0 unless field a writes a block
+    that field c reads, which the bracket engine uses to skip such terms.
+    """
 
     def __init__(self, mode: str, dim: int,
-                 fn: Callable[[np.ndarray], np.ndarray], label: str):
+                 fn: Callable[[np.ndarray], np.ndarray], label: str,
+                 reads: Iterable[int], writes: Iterable[int]):
         self.mode = mode
         self.dim = dim
         self._fn = fn
         self.label = label
+        self.reads = frozenset(reads)
+        self.writes = frozenset(writes)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(
@@ -129,7 +140,8 @@ def z_field(dims: ArmDims, i: int) -> Field:
         out = np.zeros_like(y)
         _blocks(out, dims)[:, i, :] = zi1 - a * zi
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"Z{i}")
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"Z{i}",
+                 (i, i + 1), (i,))
 
 
 def x0_field(dims: ArmDims, m: int) -> Field:
@@ -148,7 +160,8 @@ def x0_field(dims: ArmDims, m: int) -> Field:
         ob[:, 0] = dx0
         ob[:, 1:m + 1] = dz
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^0")
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^0",
+                 range(1, m + 2), range(m + 1))
 
 
 def xi_field(dims: ArmDims, m: int, i: int) -> Field:
@@ -182,7 +195,8 @@ def xi_field(dims: ArmDims, m: int, i: int) -> Field:
             row[:, :c] = zm[:, :c] * (zm[:, c:c + 1] / p)
             row[:, c:c + 1] = -p
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^{i}")
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"X{m}^{i}",
+                 (m + 1,), (m + 1,))
 
 
 def sphere_axis_field(dims: ArmDims, sphere: int, axis: int) -> Field:
@@ -204,7 +218,8 @@ def sphere_axis_field(dims: ArmDims, sphere: int, axis: int) -> Field:
         ob[:, sphere + 1, :] = -zh[:, axis:axis + 1] * zh
         ob[:, sphere + 1, axis] += 1.0
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{axis}]")
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{axis}]",
+                 (sphere + 1,), (sphere + 1,))
 
 
 def tangent_axes(z: np.ndarray) -> np.ndarray:
@@ -232,7 +247,8 @@ def cart_z_field(dims: ArmDims, i: int) -> Field:
         out = np.zeros_like(y)
         _blocks(out, dims)[:, i, :] = x[:, i + 1, :] - x[:, i, :]
         return out
-    return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"cZ{i}")
+    return Field(MODE_CARTESIAN, dims.cartesian_dim, fn, f"cZ{i}",
+                 (i, i + 1), (i,))
 
 
 def cartesian_delta(q: CartesianConfig) -> np.ndarray:

@@ -14,21 +14,29 @@ their brackets take complex-step derivatives, exact to rounding;
 `bracket_field`, the single-pair bracket, takes central differences, since
 it nests: bracket_field(bracket_field(x, y), z).
 
+Each field declares the ambient blocks it reads and writes, and J_c V_a is
+0 unless a writes a block that c reads.  Tangent fields of different
+spheres therefore commute, and the steering field X_m^0, which reads
+spheres 0..m, brackets nonzero inside a level only with the tangents of
+sphere m; the engine holds only the pairs some level reads that have such
+a term, and every other pair a level reads is one shared zero row.
+
 `verify_flags` measures the points of one shape together, one block of
 points at a time: each field is evaluated in one call at the block's
-points and in one at their probe rows, every bracket is computed once, and
-one stacked SVD of each level matrix or derived stack gives every point its
-rank, span and angle side; the sandwich test reuses them.  Points whose
-ranks differ are read in groups of equal rank, so each gets exactly the
-numbers it gets alone.  `verify_flag` is the one-point call; a report
-carries every per-level number, and `build_level` gives the generating
-fields of (D^m, E^m) themselves.
+points and in one at the probe rows of the terms it enters, every held
+bracket is computed once, and one stacked SVD of each level matrix or
+derived stack gives every point its rank, span and angle side; the
+sandwich test reuses them.  Points whose ranks differ are read in groups
+of equal rank, so each gets exactly the numbers it gets alone.
+`verify_flag` is the one-point call; a report carries every per-level
+number, and `build_level` gives the generating fields of (D^m, E^m)
+themselves.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,10 +51,12 @@ RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step of bracket_field
 COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
-# Byte budget of one block of points: its pair tensor (points, F(F-1)/2, D)
-# float64.  Probe rows and one residual's brackets come on top (the 22-point
-# (3,4) batch runs in blocks of 14 and peaks at 1.6 MiB under tracemalloc).
-BLOCK_BYTES = 512 * 1024
+# Byte budget of one block of points: its largest array, the derived stack
+# of level 1 (points, F1(F1+1)/2, D) float64, which holds the F1 = (n+1)k+1
+# fields of D^1 and all their pairs, the zero ones included.  The copy that
+# builds it, its SVD and the held pairs come on top (the 22-point (3,4)
+# batch is one block and peaks at 1.85 MiB under tracemalloc).
+BLOCK_BYTES = 576 * 1024
 
 
 def expected_rank_d(dims: ArmDims, m: int) -> int:
@@ -77,7 +87,8 @@ def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
             out[row] = jy @ x.at(p) - jx @ y.at(p)
         return out
 
-    return Field(x.mode, x.dim, fn, f"[{x.label},{y.label}]")
+    return Field(x.mode, x.dim, fn, f"[{x.label},{y.label}]",
+                 x.reads | y.reads, x.writes | y.writes)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +104,8 @@ class _FlagContext:
     are index lists into that family.  `fields` holds every field any
     sample uses; `keep` (B, F) gives each sample's family as indices into
     it.  The projected basis holds all k+1 axes of each sphere and keeps,
-    per sample, the k of `fields.tangent_axes`.
+    per sample, the k of `fields.tangent_axes`.  `probe`, `pair` and
+    `held` are the family's `_support_table`.
     """
 
     def __init__(self, dims: ArmDims, z: np.ndarray,
@@ -117,6 +129,11 @@ class _FlagContext:
                                       (len(z), n1 * k))
         self.keep = np.hstack([np.broadcast_to(np.arange(n1), (len(z), n1)),
                                spheres])
+        # the fields a position holds share their blocks in every sample
+        family = [self.fields[i] for i in self.keep[0]]
+        self.probe, self.pair, self.held = _support_table(
+            tuple(f.reads for f in family), tuple(f.writes for f in family),
+            tuple(tuple(self.d_index(m)) for m in range(1, n1 + 1)))
 
     def e_index(self, m: int) -> list[int]:
         """Generators of the integrable sublevel: sphere tangents m-1..n."""
@@ -137,15 +154,32 @@ def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_tables(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a family of `size` fields: the number (size, size) of the pair
-    {a, b}, a != b, in the row-major order of `_pairs`, and the others
-    (size, size-1) of each position in increasing order."""
+def _support_table(reads: tuple, writes: tuple, levels: tuple
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The bracket terms a family can make nonzero, from the blocks
+    reads[p] and writes[p] of each position p and the level index lists.
+
+    `probe` (F, F) marks the terms J_c V_a, c != a, that some level reads
+    and that can be nonzero: a writes a block c reads.  `number` (F, F)
+    numbers each pair: the `held` pairs with such a term 0..held-1, in the
+    row-major order of `_pairs`; the other pairs a level reads `held`, the
+    one zero row; pairs no level reads held+1, so that reading one raises.
+    """
+    size = len(reads)
     a, b = _upper(size)
+    read = np.zeros((size, size), dtype=bool)
+    for idx in levels:
+        read[np.ix_(idx, idx)] = True
+    np.fill_diagonal(read, False)
+    probe = read & np.array([[not rc.isdisjoint(wa) for wa in writes]
+                             for rc in reads])
+    has_term = (probe | probe.T)[a, b]
+    held = int(has_term.sum())
     number = np.zeros((size, size), dtype=int)
-    number[a, b] = number[b, a] = np.arange(a.size)
-    rest = np.arange(size - 1)
-    return number, rest + (rest >= np.arange(size)[:, None])
+    number[a, b] = number[b, a] = np.where(
+        has_term, np.cumsum(has_term) - 1, np.where(read[a, b], held,
+                                                     held + 1))
+    return probe, number, held
 
 
 def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -190,41 +224,44 @@ def _tangent_basis(dims: ArmDims, z: np.ndarray) -> np.ndarray:
 
 
 class _PairBrackets:
-    """Values, directional derivatives and every pairwise bracket of the
-    generating family at a batch of points (B, D).
+    """Values, directional derivatives and the pairwise brackets a level
+    can make nonzero of the generating family at a batch of points (B, D).
 
     With V (B, F, D) the family's values and J_c the Jacobian of field c,
     the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
-    sphere block; `brackets` (B, F(F-1)/2, D) holds them in the row-major
-    pair order of `_pairs`, numbered by `pair`.  Each field is evaluated
-    in one call at the points and in one at the F complex rows p + i t V_a
-    of each point keeping it, which give every J_c V_a = Im X_c / t, exact
-    to rounding (complex step, Squire-Trapp 1998).  Rows of J_c V (B, F, D)
-    go straight into their pairs; no tensor of all is held.
+    sphere block.  J_c V_a is 0 unless a writes a block that c reads
+    (`Field.reads`, `Field.writes`), so `brackets` (B, held+1, D) holds
+    only the pairs with such a term, numbered by `pair` in the row-major
+    order of `_pairs`, and every other pair a level reads is the one
+    all-zero row `held`.  At (k,n) = (3,4) that is 30 of the 150 pairs the
+    levels read (190 in all): the tangent pairs of one sphere and each
+    steering field X_m^0 with the tangents of sphere m.  Each field is
+    evaluated in one call at the points and in one at the complex rows
+    p + i t V_a of each term it enters, which give J_c V_a = Im X_c / t,
+    exact to rounding (complex step, Squire-Trapp 1998); the terms go
+    straight into their pairs.
     """
 
     def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray):
-        (b, d), f = points.shape, ctx.keep.shape[1]
+        b, d = points.shape
         self.values = np.take_along_axis(
             np.stack([fld(points) for fld in ctx.fields], axis=1),
             ctx.keep[:, :, None], axis=1)
-        probes = points[:, None] + 1j * COMPLEX_STEP * self.values
-        self.pair, others = _pair_tables(f)
-        self.brackets = np.zeros((b, others.size // 2, d))
+        self.pair, self.held = ctx.pair, ctx.held
+        self.brackets = np.zeros((b, ctx.held + 1, d))
         for c, fld in enumerate(ctx.fields):
             rows, pos = np.nonzero(ctx.keep == c)
-            if not rows.size:
+            at, other = np.nonzero(ctx.probe[pos])
+            if not at.size:
                 continue
-            jv = fld(probes[rows].reshape(-1, d)).imag / COMPLEX_STEP
-            # J_p V_a enters the pair of a and p with + if a < p, else
+            rows, pos = rows[at], pos[at]
+            jv = fld(points[rows] + 1j * COMPLEX_STEP
+                     * self.values[rows, other]).imag / COMPLEX_STEP
+            # J_c V_a enters the pair of a and c with + if a < c, else
             # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
             # which rounds like the difference itself
-            other = others[pos]
-            terms = np.take_along_axis(jv.reshape(-1, f, d), other[..., None],
-                                       axis=1)
-            terms[other > pos[:, None]] *= -1.0
-            self.brackets[rows[:, None],
-                          self.pair[other, pos[:, None]]] += terms
+            jv[other > pos] *= -1.0
+            self.brackets[rows, self.pair[other, pos]] += jv
         _tangent_project(self.brackets, z)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
@@ -237,9 +274,13 @@ class _PairBrackets:
         noise divided by noise.
         """
         a, b = _pairs(idx)
+        rows = self.pair[a, b]
+        # a pair without a term adds 0 to the maximum
+        held = rows < self.held
+        a, b, rows = a[held], b[held], rows[held]
         if a.size == 0:
             return np.zeros(len(self.values))
-        br = self.brackets[:, self.pair[a, b]]
+        br = self.brackets[:, rows]
         scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
                                       self.norms[:, a] * self.norms[:, b]),
                            1e-300)
@@ -303,7 +344,8 @@ class DerivedReport:
     angle: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"m": self.m, "rank": self.rank,
+                "expected_rank": self.expected_rank, "angle": self.angle}
 
 
 @dataclass
@@ -390,8 +432,8 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     dims = qs[0].dims
     if any(q.dims != dims for q in qs):
         raise ValueError("verify_flags needs configurations of one shape")
-    pairs = _upper((dims.n + 1) * dims.ambient)[0].size
-    size = max(1, BLOCK_BYTES // (8 * pairs * dims.cartesian_dim))
+    rows = (dims.n + 1) * dims.k + 1
+    size = max(1, BLOCK_BYTES // (4 * rows * (rows + 1) * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
             for rep in _verify_block(qs[start:start + size], tol, basis)]
 

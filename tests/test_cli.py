@@ -199,6 +199,32 @@ class TestSimulate:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    def test_car_overflow_in_recorder_is_silent(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the normal velocities are finite, near 1e300; the collinearity
+        # residual overflows, and the recorder no longer forms it
+        argv = ["simulate", "--mode", "car", "--k", "1", "--n", "3",
+                "--preset", "random", "--seed", "3", "--vn", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv + ["--out", str(tmp_path / "new")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (0, "")
+
+        def with_residual(z, theta_n, vn, w):
+            # the recorder's kernel when it also formed the residual
+            with np.errstate(over="ignore", invalid="ignore"):
+                xdot = cli.dyn._joint_velocities(z, theta_n, vn, w)
+                along = np.sum(xdot[:, :-1] * z, axis=2)
+                np.linalg.norm(xdot[:, :-1] - along[:, :, None] * z, axis=2)
+            return np.sum(xdot[:, 1:] * z, axis=2)
+
+        monkeypatch.setattr(cli.dyn, "_velocities", with_residual)
+        assert cli.main(argv + ["--out", str(tmp_path / "old")]) == 0
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"new{ext}").read_bytes() == \
+                (tmp_path / f"old{ext}").read_bytes()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--T", "inf"),
         ("simulate", "--T", "nan"),

@@ -21,7 +21,7 @@ def rotate_pair(rng, dims):
 # map, and the per-generator / per-frame forms of the library's maps
 # ---------------------------------------------------------------------------
 
-MODE_CAR = "car"  # [x, y, theta_0 .. theta_n], dim n+3
+MODE_CAR = "car"  # [x, y, theta_0 .. theta_n], dim n+3, one block
 
 
 def car_x1_field(n):
@@ -30,7 +30,7 @@ def car_x1_field(n):
         out = np.zeros_like(y)
         out[:, -1] = 1.0
         return out
-    return fl.Field(MODE_CAR, n + 3, fn, "carX1")
+    return fl.Field(MODE_CAR, n + 3, fn, "carX1", (0,), (0,))
 
 
 def car_x2_field(n):
@@ -47,7 +47,7 @@ def car_x2_field(n):
         if n > 0:
             out[:, 2:-1] = np.sin(diffs) * f[:, 1:]
         return out
-    return fl.Field(MODE_CAR, n + 3, fn, "carX2")
+    return fl.Field(MODE_CAR, n + 3, fn, "carX2", (0,), (0,))
 
 
 def chart_to_embedded(q, vec):
@@ -417,6 +417,53 @@ class TestDuality:
                     ch = np.eye(dims.angular_dim)[dims.ambient + k * m + i - 1]
                     assert np.abs(chart_to_embedded(q, ch)
                                   - emb).max() < 1e-9
+
+
+def declared_fields(dims):
+    """Every field the constructors make at one shape."""
+    n, k = dims.n, dims.k
+    return ([fl.z_field(dims, i) for i in range(1, n + 1)]
+            + [fl.x0_field(dims, m) for m in range(n + 1)]
+            + [fl.sphere_axis_field(dims, j, a) for j in range(n + 1)
+               for a in range(k + 1)]
+            + [fl.xi_field(dims, j, i) for j in range(n + 1)
+               for i in range(1, k + 1)]
+            + [fl.cart_z_field(dims, i) for i in range(n + 1)])
+
+
+class TestDeclaredSupports:
+    """A field's value is exactly 0 outside the blocks it writes, and a
+    change in a block it does not read leaves it bit for bit unchanged;
+    at generic points it is nonzero on every block it writes and changes
+    with every block it reads."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_reads_and_writes(self, k, n):
+        dims = arm.ArmDims(k, n)
+        rng = np.random.default_rng(70 + 10 * k + n)
+        shape = (4, dims.joints, dims.ambient)
+        real = rng.normal(size=shape)
+        for pts in (real, real + 1e-3j * rng.normal(size=shape)):
+            other = pts + rng.normal(size=shape)
+            for fld in declared_fields(dims):
+                assert fld.reads and fld.writes
+                assert fld.reads | fld.writes <= set(range(dims.joints))
+                out = fld(pts.reshape(4, -1))
+                outside = sorted(set(range(dims.joints)) - fld.writes)
+                assert not out.reshape(shape)[:, outside].any(), fld.label
+                assert all(out.reshape(shape)[:, j].any()
+                           for j in fld.writes), fld.label
+                moved = pts.copy()
+                unread = sorted(set(range(dims.joints)) - fld.reads)
+                moved[:, unread] = other[:, unread]
+                assert fld(moved.reshape(4, -1)).tobytes() == out.tobytes(), \
+                    fld.label
+                for j in fld.reads:
+                    moved = pts.copy()
+                    moved[:, j] = other[:, j]
+                    assert not np.array_equal(fld(moved.reshape(4, -1)),
+                                              out), fld.label
 
 
 class TestCartesianFields:

@@ -55,6 +55,20 @@ def values(flds, q):
     return np.vstack([f.at(q.flat()) for f in flds])
 
 
+def has_term(x, y):
+    """Whether [x, y] can be nonzero by the declared blocks: one field
+    writes a block the other reads."""
+    return not (x.writes.isdisjoint(y.reads)
+                and y.writes.isdisjoint(x.reads))
+
+
+def level_pairs(ctx):
+    """Every pair a < b of family positions that some level reads (each
+    E^m lies in D^m)."""
+    return sorted({pair for m in range(1, ctx.dims.n + 2)
+                   for pair in zip(*fg._pairs(ctx.d_index(m)))})
+
+
 class TestLieBracket:
     def test_coordinate_fields_commute(self):
         rng = np.random.default_rng(0)
@@ -500,11 +514,43 @@ class TestComplexStep:
                     assert np.abs(exact - wider).max() <= 1e-14
                     diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
                     assert np.abs(exact - diff).max() <= 1e-9
-                brackets = fg._PairBrackets(ctx, point[None], z).brackets[0]
-                for pair, (a, b) in enumerate(zip(*fg._pairs(
-                        range(len(flds))))):
+                pb = fg._PairBrackets(ctx, point[None], z)
+                for a, b in level_pairs(ctx):
                     want = fg.bracket_field(flds[a], flds[b], 1e-5).at(point)
-                    assert np.abs(brackets[pair] - want).max() <= 1e-9
+                    row = pb.pair[a, b]
+                    if row < pb.held:
+                        assert np.abs(pb.brackets[0, row] - want).max() <= 1e-9
+                    else:  # skipped: no term by the declared supports
+                        assert row == pb.held
+                        assert not has_term(flds[a], flds[b])
+                        assert not pb.brackets[0, row].any()
+                        assert np.abs(want).max() <= 1e-9
+
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    def test_levels_read_only_held_or_zero_pairs(self, basis, monkeypatch):
+        # every pair a level, residual or derived stack reads is held or
+        # has no term by the supports; a pair no level reads is not held
+        read = []
+        for name in ("worst_residual", "derived_stack"):
+            method = getattr(fg._PairBrackets, name)
+            monkeypatch.setattr(fg._PairBrackets, name, (
+                lambda method: lambda self, idx, *a: (
+                    read.append((self, list(idx))), method(self, idx, *a))[1]
+            )(method))
+        dims = arm.ArmDims(3, 4)
+        q = regular(dims, np.random.default_rng(44), margin=0.2)
+        fg.verify_flag(q, basis=basis)
+        ctx = fg._FlagContext(dims, q.z[None], basis=basis)
+        flds = [ctx.fields[i] for i in ctx.keep[0]]
+        assert len(read) == 3 * dims.n + 3
+        for pb, idx in read:
+            assert np.array_equal(pb.pair, ctx.pair)
+            for a, b in zip(*fg._pairs(idx)):
+                assert (pb.pair[a, b] < pb.held) == has_term(flds[a], flds[b])
+        unread = set(zip(*fg._pairs(range(len(flds))))) - set(
+            level_pairs(ctx))
+        assert unread and all(ctx.pair[a, b] == ctx.held + 1
+                              for a, b in unread)
 
     def test_reports_name_their_derivative(self):
         q = regular(arm.ArmDims(2, 2), np.random.default_rng(41), margin=0.2)
@@ -512,6 +558,76 @@ class TestComplexStep:
                for basis in ("projected", "chart")]
         assert [t["bracket_derivative"] for t in got] == ["complex-step"] * 2
         assert all("bracket_h" not in t for t in got)
+
+
+def dense_brackets(ctx, points, z):
+    """Every pairwise bracket (B, F(F-1)/2, D) of the family, in the
+    row-major pair order of `flags._pairs`: each field probed at all F
+    complex rows p + i t V_a of each point keeping it, whatever blocks the
+    fields read and write."""
+    (b, d), f = points.shape, ctx.keep.shape[1]
+    vals = np.take_along_axis(
+        np.stack([fld(points) for fld in ctx.fields], axis=1),
+        ctx.keep[:, :, None], axis=1)
+    probes = points[:, None] + 1j * fg.COMPLEX_STEP * vals
+    first, second = fg._pairs(range(f))
+    number = np.zeros((f, f), dtype=int)
+    number[first, second] = number[second, first] = np.arange(first.size)
+    rest = np.arange(f - 1)
+    others = rest + (rest >= np.arange(f)[:, None])
+    out = np.zeros((b, first.size, d))
+    for c, fld in enumerate(ctx.fields):
+        rows, pos = np.nonzero(ctx.keep == c)
+        if not rows.size:
+            continue
+        jv = fld(probes[rows].reshape(-1, d)).imag / fg.COMPLEX_STEP
+        other = others[pos]
+        terms = np.take_along_axis(jv.reshape(-1, f, d), other[..., None],
+                                   axis=1)
+        terms[other > pos[:, None]] *= -1.0
+        out[rows[:, None], number[other, pos[:, None]]] += terms
+    return fg._tangent_project(out, z)
+
+
+class TestDenseOracle:
+    """The held pairs are the all-pairs brackets bit for bit, and every
+    pair the engine takes as zero is exactly 0 there."""
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
+                                      (3, 4), (2, 5)])
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    def test_held_pairs_match_all_pairs(self, k, n, basis):
+        dims = arm.ArmDims(k, n)
+        rng = np.random.default_rng(50 + 10 * k + n)
+        qs = [regular(dims, rng) for _ in range(3)]
+        qs += [sampling.singular_config(dims, rng, index=i)
+               for i in range(1, n + 1)]
+        # A_1 ~ 3e-7
+        near = sampling.singular_config(dims, rng, index=1)
+        z = near.z.copy()
+        z[1] += 3e-7 * z[0]
+        qs.append(arm.AngularConfig(dims, near.x0, z / np.linalg.norm(
+            z, axis=1, keepdims=True)))
+        z = np.stack([q.z for q in qs])
+        points = np.stack([q.flat() for q in qs])
+        ctx = fg._FlagContext(dims, z, basis=basis)
+        pb = fg._PairBrackets(ctx, points, z)
+        dense = dense_brackets(ctx, points, z)
+        first, second = fg._pairs(range(ctx.keep.shape[1]))
+        rows = pb.pair[first, second]
+        held = rows < pb.held
+        assert np.count_nonzero(held) == pb.held
+        assert dense[:, held].tobytes() == pb.brackets[:, rows[held]].tobytes()
+        assert np.all(dense[:, rows == pb.held] == 0.0)
+        # the one zero row is +0.0 throughout, as the dense sums are
+        assert pb.brackets[:, pb.held].tobytes() == bytes(
+            8 * len(qs) * dims.cartesian_dim)
+        number = {pair: p for p, pair in enumerate(zip(first, second))}
+        for m in range(1, n + 2):
+            idx = ctx.d_index(m)
+            want = np.concatenate([pb.values[:, idx], dense[:, [
+                number[pair] for pair in zip(*fg._pairs(idx))]]], axis=1)
+            assert pb.derived_stack(idx).tobytes() == want.tobytes()
 
 
 class TestBatchedAgainstScalar:
@@ -568,10 +684,11 @@ class TestBatchedAgainstScalar:
 
 
 def pair_bytes(dims):
-    """Bytes of one point's pair tensor (F(F-1)/2, D) float64, the count by
-    which `verify_flags` sizes its blocks."""
-    family = (dims.n + 1) * dims.ambient
-    return 8 * family * (family - 1) // 2 * dims.cartesian_dim
+    """Bytes of one point's derived stack of level 1 (F1(F1+1)/2, D)
+    float64, the F1 = (n+1)k+1 fields of D^1 and all their pairs: the count
+    by which `verify_flags` sizes its blocks."""
+    rows = (dims.n + 1) * dims.k + 1
+    return 8 * rows * (rows + 1) // 2 * dims.cartesian_dim
 
 
 def sweep_batch(dims, rng):
@@ -582,9 +699,9 @@ def sweep_batch(dims, rng):
 
 class TestOnePassPerPoint:
     """`verify_flags` evaluates each generating field once at a block's
-    points and once at their F complex probe rows each, and decomposes each
-    level matrix, derived stack and angle side with one stacked SVD, however
-    many points the block holds."""
+    points and once at the complex probe rows of the terms it enters, and
+    decomposes each level matrix, derived stack and angle side with one
+    stacked SVD, however many points the block holds."""
 
     def test_field_and_svd_counts(self, monkeypatch):
         calls, svds = [], []
@@ -596,19 +713,27 @@ class TestOnePassPerPoint:
         rng = np.random.default_rng(5)
         for k, n in [(2, 2), (3, 4)]:
             dims = arm.ArmDims(k, n)
-            family = (n + 1) * (k + 1)
             block = fg.BLOCK_BYTES // pair_bytes(dims)
             qs = [regular(dims, rng) for _ in range(block)]
             for size in (1, 2, block):
                 calls.clear()
                 svds.clear()
                 fg.verify_flags(qs[:size])
-                counts = Counter(label for label, _ in calls)
+                ctx = fg._FlagContext(dims, np.stack([q.z for q in
+                                                      qs[:size]]))
+                # X_m^0 takes the k tangents of sphere m, a tangent the
+                # k-1 others of its sphere: 30 pairs of 190 at (3,4)
+                assert ctx.probe.sum() == (n + 1) * k * k
+                assert ctx.held == (n + 1) * k * (k + 1) // 2
+                want = Counter()
+                for c, fld in enumerate(ctx.fields):
+                    want[(fld.label, size)] += 1
+                    probes = int(ctx.probe[np.nonzero(ctx.keep == c)[1]].sum())
+                    if probes:
+                        want[(fld.label, probes)] += 1
                 # the steering fields and all k+1 axes of every sphere
-                assert len(counts) == (n + 1) * (k + 2)
-                assert set(counts.values()) <= {1, 2}
-                assert all(rows == size or rows % family == 0
-                           and rows <= family * size for _, rows in calls)
+                assert len({label for label, _ in calls}) == (n + 1) * (k + 2)
+                assert Counter(calls) == want
                 assert len(svds) == 6 * (n + 1) + 1
 
 
@@ -675,14 +800,18 @@ class TestBatch:
                                      self.FLOAT_TOL)
 
     def test_default_blocks_split_a_large_shape(self, monkeypatch):
-        # the verify-sweep batch at (3,4) is larger than one block there
+        # the verify-sweep batch at (3,4) is one block there; 8 more
+        # points start a second
         dims = arm.ArmDims(3, 4)
-        assert fg.BLOCK_BYTES // pair_bytes(dims) == 14
+        assert fg.BLOCK_BYTES // pair_bytes(dims) == 22
         sizes, block = [], fg._verify_block
         monkeypatch.setattr(fg, "_verify_block", lambda qs, *a: (
             sizes.append(len(qs)), block(qs, *a))[1])
-        fg.verify_flags(sweep_batch(dims, np.random.default_rng(0)))
-        assert sizes == [14, 8]
+        rng = np.random.default_rng(0)
+        batch = sweep_batch(dims, rng)
+        fg.verify_flags(batch)
+        fg.verify_flags(batch + [regular(dims, rng) for _ in range(8)])
+        assert sizes == [22, 22, 8]
 
     def test_chart_degenerate_point_ends_the_batch(self):
         dims = arm.ArmDims(2, 2)

@@ -22,9 +22,8 @@ three.  Every route carries the head-sphere chart angles as state, so no
 route inverts a chart mid-run; as d theta/dt = w alone, the stepper
 tables them, like the controls, at every stage before the first step.
 Joint velocities come from one kernel batched over records
-(`_joint_velocities`): the recorder reads the normal velocities off it,
-and only `collinearity_residuals` the components off the segments.  The angular
-right-hand side is evaluated on unit vectors, so it stays well defined
+(`_joint_velocities`), which `collinearity_residuals` reuses; the
+recorder keeps only the normal velocities.  The angular right-hand side is evaluated on unit vectors, so it stays well defined
 where intermediate sphere charts degenerate.
 """
 
@@ -266,12 +265,6 @@ def _joint_velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
                                     axis=1), axis=1)
 
 
-def _velocities(z: np.ndarray, theta_n: np.ndarray, vn: np.ndarray,
-                w: np.ndarray) -> np.ndarray:
-    """Normal velocities v_i = <xdot_{i+1}, z_{i+1}> (B, n+1)."""
-    return np.sum(_joint_velocities(z, theta_n, vn, w)[:, 1:] * z, axis=2)
-
-
 # ---------------------------------------------------------------------------
 # stepping and recording
 # ---------------------------------------------------------------------------
@@ -387,7 +380,10 @@ def _record(mode: str, dims: ArmDims, T: float,
     """
     times, states, drift_pre, drift_post, vn, w = run
     recorded = view(states)
-    v = _velocities(recorded["z"], recorded["theta_n"], vn, w)
+    z = recorded["z"]
+    # the normal velocities v_i = <xdot_{i+1}, z_{i+1}>
+    v = np.sum(_joint_velocities(z, recorded["theta_n"], vn, w)[:, 1:] * z,
+               axis=2)
     return Trajectory(mode=mode, dims=dims, times=times, vn=vn, w=w, v=v,
                       drift_pre=drift_pre, drift_post=drift_post,
                       h=settings.h, T=T, projection=settings.projection,

@@ -211,15 +211,17 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert (rc, captured.err) == (0, "")
 
+        joint = cli.dyn._joint_velocities
+
         def with_residual(z, theta_n, vn, w):
             # the recorder's kernel when it also formed the residual
+            xdot = joint(z, theta_n, vn, w)
             with np.errstate(over="ignore", invalid="ignore"):
-                xdot = cli.dyn._joint_velocities(z, theta_n, vn, w)
                 along = np.sum(xdot[:, :-1] * z, axis=2)
                 np.linalg.norm(xdot[:, :-1] - along[:, :, None] * z, axis=2)
-            return np.sum(xdot[:, 1:] * z, axis=2)
+            return xdot
 
-        monkeypatch.setattr(cli.dyn, "_velocities", with_residual)
+        monkeypatch.setattr(cli.dyn, "_joint_velocities", with_residual)
         assert cli.main(argv + ["--out", str(tmp_path / "old")]) == 0
         for ext in (".csv", ".json"):
             assert (tmp_path / f"new{ext}").read_bytes() == \

@@ -614,7 +614,9 @@ def ref_run(route, q0, u, T, settings):
     out.update(times=times, drift_pre=drift_pre, drift_post=drift_post,
                vn=np.array([c[0] for c in controls]),
                w=np.array([c[1] for c in controls]))
-    out["v"] = dyn._velocities(out["z"], out["theta_n"], out["vn"], out["w"])
+    out["v"] = np.sum(dyn._joint_velocities(
+        out["z"], out["theta_n"], out["vn"], out["w"])[:, 1:] * out["z"],
+        axis=2)
     return out
 
 

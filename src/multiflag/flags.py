@@ -179,6 +179,8 @@ def _support_table(reads: tuple, writes: tuple, levels: tuple
     number[a, b] = number[b, a] = np.where(
         has_term, np.cumsum(has_term) - 1, np.where(read[a, b], held,
                                                      held + 1))
+    probe.setflags(write=False)  # cached: every block shares them
+    number.setflags(write=False)
     return probe, number, held
 
 

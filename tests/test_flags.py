@@ -531,12 +531,16 @@ class TestComplexStep:
         # every pair a level, residual or derived stack reads is held or
         # has no term by the supports; a pair no level reads is not held
         read = []
+
+        def recording(method):
+            def wrapper(self, idx, *args):
+                read.append((self, list(idx)))
+                return method(self, idx, *args)
+            return wrapper
+
         for name in ("worst_residual", "derived_stack"):
-            method = getattr(fg._PairBrackets, name)
-            monkeypatch.setattr(fg._PairBrackets, name, (
-                lambda method: lambda self, idx, *a: (
-                    read.append((self, list(idx))), method(self, idx, *a))[1]
-            )(method))
+            monkeypatch.setattr(fg._PairBrackets, name,
+                                recording(getattr(fg._PairBrackets, name)))
         dims = arm.ArmDims(3, 4)
         q = regular(dims, np.random.default_rng(44), margin=0.2)
         fg.verify_flag(q, basis=basis)
@@ -619,7 +623,7 @@ class TestDenseOracle:
         assert np.count_nonzero(held) == pb.held
         assert dense[:, held].tobytes() == pb.brackets[:, rows[held]].tobytes()
         assert np.all(dense[:, rows == pb.held] == 0.0)
-        # the one zero row is +0.0 throughout, as the dense sums are
+        # the one zero row is +0.0 throughout
         assert pb.brackets[:, pb.held].tobytes() == bytes(
             8 * len(qs) * dims.cartesian_dim)
         number = {pair: p for p, pair in enumerate(zip(first, second))}

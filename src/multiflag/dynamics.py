@@ -12,25 +12,33 @@ cross-check each other:
 * `integrate_cartesian`: the flow of the constrained-distribution
   generators on raw joint positions.
 
-The routes differ only in their state variables.  Each supplies a
-right-hand side `rhs(y, vn, head_row)` writing into buffers allocated
-once, a batched table `head(theta, w)` of what it reads of the head, its
-unit rows with their in-place normalization, an initial state and a
-batched view of its states as base points, unit segment rows and head
-angles; one stepper (`_integrate`) and one recorder (`_record`) serve all
-three.  Every route carries the head-sphere chart angles as state, so no
+The routes differ only in their state variables.  Each supplies a step
+loop, a batched table `head(theta, w)` of what it reads of the head, its
+unit rows, an initial state and a batched view of its states as base
+points, unit segment rows and head angles; one stepper (`_integrate`:
+controls, head track and head table before the first step, then the
+loop, then the gate messages and the drift after projection) and one
+recorder (`_record`) serve all three.  The car, the Cartesian route and
+large arms loop on numpy (`_numpy_loop`), with a right-hand side
+`rhs(y, vn, head_row)` writing into buffers allocated once; an arm of
+at most KERNEL_COMPONENTS components steps through straight-line Python
+generated for its shape (`_arm_kernel`), the same arithmetic in the same
+order.  Every route carries the head-sphere chart angles as state, so no
 route inverts a chart mid-run; as d theta/dt = w alone, the stepper
 tables them, like the controls, at every stage before the first step.
 Joint velocities come from one kernel batched over records
 (`_joint_velocities`), which `collinearity_residuals` reuses; the
-recorder keeps only the normal velocities.  The angular right-hand side is evaluated on unit vectors, so it stays well defined
-where intermediate sphere charts degenerate.
+recorder keeps only the normal velocities.  The angular right-hand side
+is evaluated on unit vectors, so it stays well defined where
+intermediate sphere charts degenerate.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,6 +54,14 @@ FMT = "%.17g"
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
 HEAD_ROWS = 1024  # stages per `unit_and_jacobian` call, Cartesian head table
+# Largest arm state, (n+1)(k+1) components, that `_arm_kernel` steps.
+# Measured over 1,000 steps (2-vCPU Xeon, Python 3.11): a step took 16
+# against 80 us on numpy at 18 components, 52 against 93 at 63, 76
+# against 99 at 84 and 113 against 118 at 112, and the compile 3, 16, 15
+# and 30 ms; from about 90 a run of 1,000 steps no longer repays its
+# compile, and 64 leaves a margin.
+KERNEL_COMPONENTS = 64
+STEP_CHUNK = 256  # steps per call of the generated arm kernel
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +299,23 @@ def _steps(T: float, h: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _integrate(rhs, head, rows, normalize, y0: np.ndarray,
-               u: ControlSignal, k: int, T: float,
-               settings: IntegratorSettings):
+def _integrate(loop, head, rows, y0: np.ndarray, u: ControlSignal, k: int,
+               T: float, settings: IntegratorSettings):
     """Run the stepper from y0, whose last k components are head angles.
 
     The stage times of a step are t, t + h/2 and t + h, with t = t + h.
     The controls at all of them and the head track (d theta/dt = w, in
     the loop's arithmetic) are tabled before the first step, and so is
-    `head(theta, w)`: the rows (S, r) that `rhs(y, vn, head_row)` reads at
-    the stage angles and controls (S, k).  rhs returns the rates of the
-    other components of y in a buffer of its own.  `rows(states)` gives
-    the rows (M, r, k+1) of stacked states that must stay unit (None:
-    none), and `normalize(y, rows, norms)` rescales them in place in y.
-    Numpy warns of no overflow: the gates reject what it leads to.
+    `head(theta, w)`: the rows (S, r) that the route's rates read at the
+    stage angles and controls (S, k).  `loop(steps, stepped, table,
+    stage_vn, drift_pre, projection)` then steps the other components in
+    place, from row 0 of `stepped` (`_numpy_loop` or `_kernel_loop`), and
+    returns None, or the index of the step it refused and that step's
+    drift (None: a non-finite state); a step whose tabled head angles are
+    not finite is refused before the loop reaches it.  `rows(states)`
+    gives the rows (M, r, k+1) of stacked states that must stay unit
+    (None: none).  The refusal messages are written here alone.  Numpy
+    warns of no overflow: the gates reject what it leads to.
 
     Returns times (M,), states (M, D), the constraint drift of each step
     before and after its projection (M,), and the controls at the
@@ -315,7 +334,6 @@ def _integrate(rhs, head, rows, normalize, y0: np.ndarray,
                          "of shape (M,) and (M, k)")
     if w.shape != at.shape + (k,):
         raise ValueError(f"tangential control must have {k} components")
-    stage_vn = vn[:-1].reshape(s, 3).tolist()
     w1, w2, w4 = w[:-1].reshape(s, 3, k).transpose(1, 0, 2)
 
     states = np.empty((s + 1, y0.size))
@@ -329,13 +347,44 @@ def _integrate(rhs, head, rows, normalize, y0: np.ndarray,
     table = head(np.stack([start, w1 * half + start, w2 * half + start,
                            w2 * full + start], axis=1).reshape(-1, k),
                  np.stack([w1, w2, w2, w4], axis=1).reshape(-1, k))
-    table, stepped = table.reshape((s, 4) + table.shape[1:]), states[:, :m]
+    table = table.reshape((s, 4) + table.shape[1:])
 
+    # no loop takes a step whose tabled head angles are not finite
+    finite = np.isfinite(theta[1:]).all(axis=1)
+    stop = s if finite.all() else int(np.argmin(finite))
     drift_pre = np.zeros(s + 1)
-    acc, ys = np.empty((2, m))
-    for j, h in enumerate(steps.tolist()):
+    refused = loop(steps[:stop], states[:stop + 1, :m], table[:stop],
+                   vn[:-1].reshape(s, 3)[:stop], drift_pre[:stop + 1],
+                   settings.projection)
+    if refused is None and stop < s:
+        refused = stop, None
+    if refused is not None:
+        j, drift = refused
+        if drift is None:
+            raise StepRejected(f"non-finite state at t={times[j + 1]:g}")
+        raise StepRejected(f"constraint drift {drift:.3e} in one step "
+                           f"at t={times[j + 1]:g}")
+    drift_post = np.zeros(s + 1)
+    if rows is not None:
+        drift_post[1:] = np.max(np.abs(np.linalg.norm(
+            rows(states[1:]), axis=-1) - 1.0), axis=-1, initial=0.0)
+    # the recorded times: every step's start, then the last step's end
+    return (times, states, drift_pre, drift_post, vn[::3].copy(),
+            w[::3].copy())
+
+
+def _numpy_loop(rhs, rows, normalize, steps, stepped, table, stage_vn,
+                drift_pre, projection):
+    """`_integrate`'s loop on numpy buffers.
+
+    `rhs(y, vn, head_row)` returns the rates of the stepped components in
+    a buffer of its own, and `normalize(y, rows, norms)` rescales the unit
+    rows `rows(y[None])[0]` of a stepped state in place.
+    """
+    acc, ys = np.empty((2, stepped.shape[1]))
+    for j, (h, (v1, v2, v4), (r1, r2, r3, r4)) in enumerate(zip(
+            steps.tolist(), stage_vn.tolist(), table)):
         y, y_new = stepped[j], stepped[j + 1]
-        (v1, v2, v4), (r1, r2, r3, r4) = stage_vn[j], table[j]
         rates = rhs(y, v1, r1)
         np.copyto(acc, rates)
         for dt, weight, vn_, r in ((0.5 * h, 2.0, v2, r2),
@@ -347,27 +396,39 @@ def _integrate(rhs, head, rows, normalize, y0: np.ndarray,
             acc += ys
         acc *= h / 6.0
         np.add(y, acc, out=y_new)
-        if not np.isfinite(states[j + 1]).all():
-            raise StepRejected(f"non-finite state at t={times[j + 1]:g}")
+        if not np.isfinite(y_new).all():
+            return j, None
         if rows is None:
             continue
         seg = rows(y_new[None])[0]
         # the norms as np.linalg.norm computes them, cheaper per call
         norms = np.sqrt(np.add.reduce(seg * seg, axis=1))
         drift_pre[j + 1] = np.abs(norms - 1.0).max(initial=0.0)
-        if settings.projection:
+        if projection:
             normalize(y_new, seg, norms)
         if drift_pre[j + 1] > MAX_STEP_DRIFT:
-            raise StepRejected(
-                f"constraint drift {drift_pre[j + 1]:.3e} in one step "
-                f"at t={times[j + 1]:g}")
-    drift_post = np.zeros(s + 1)
-    if rows is not None:
-        drift_post[1:] = np.max(np.abs(np.linalg.norm(
-            rows(states[1:]), axis=-1) - 1.0), axis=-1, initial=0.0)
-    # the recorded times: every step's start, then the last step's end
-    return (times, states, drift_pre, drift_post, vn[::3].copy(),
-            w[::3].copy())
+            return j, drift_pre[j + 1]
+    return None
+
+
+def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
+                 projection):
+    """`_integrate`'s loop through a generated kernel `run` (`_arm_kernel`),
+    in chunks of STEP_CHUNK steps: each chunk's controls and head rows go
+    in as Python floats, and its states and drifts come back as lists
+    written into the arrays at once."""
+    for j in range(0, steps.size, STEP_CHUNK):
+        part = slice(j, min(j + STEP_CHUNK, steps.size))
+        taken, drifts = [], []
+        refused = run(stepped[j].tolist(), steps[part].tolist(),
+                      stage_vn[part].tolist(),
+                      table[part].reshape(part.stop - j, -1).tolist(),
+                      projection, MAX_STEP_DRIFT, taken, drifts)
+        if refused is not None:
+            return j + refused[0], refused[1]
+        stepped[j + 1:part.stop + 1] = taken
+        drift_pre[j + 1:part.stop + 1] = drifts
+    return None
 
 
 def _record(mode: str, dims: ArmDims, T: float,
@@ -394,27 +455,81 @@ def _record(mode: str, dims: ArmDims, T: float,
 # the arm integrator (also used for sub-arms)
 # ---------------------------------------------------------------------------
 
-def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
-                  settings: IntegratorSettings, *, mode: str = "arm",
-                  seed: Optional[int] = None) -> Trajectory:
-    """Integrate the angular controlled system.
+@functools.lru_cache(maxsize=None)
+def _arm_kernel(n: int, k1: int):
+    """The arm route's step loop for n+1 rows of k+1 components, as
+    straight-line Python source compiled once per shape.
 
-    The state carries the base point, the unit rows z_1..z_n, and the chart
-    angles of the head sphere.  Requires a non-degenerate head chart at t=0
-    for k >= 2: the tangential controls are chart components and a pole
-    start would make their meaning ambiguous.
+    Every component is a local float, so a step is the arithmetic of
+    `_numpy_loop` on the arm's rates (`_arm_rhs`, `fields._cascade`) in
+    the same order, without a numpy call: the four stages, their sum, the
+    finite check, the drift and the row projection.  A row's dot product
+    sums left to right, as `np.add.reduce` sums fewer than 8 terms, so
+    k+1 <= 7.  `run(y, steps, stage_vn, heads, projection, limit, taken,
+    drifts)` steps from the state y, appends each new state and its drift
+    to `taken` and `drifts`, and returns None, or the index of the step it
+    refused and its drift (None: non-finite); it computes the drift before
+    dividing by a norm.
     """
-    dims = q0.dims
-    k, k1, n = dims.k, dims.ambient, dims.n
+    m = (n + 1) * k1
+    body, state = range(k1, m), [f"y{i}" for i in range(m)]
+
+    def stage(y, vn, head, out):
+        # `_cascade` on the rows z_1..z_n of y and the tabled head row
+        z = [y[i:i + k1] for i in range(k1, m, k1)] + [
+            [f"e{head * k1 + c}" for c in range(k1)]]
+        code = [f"a{i} = " + " + ".join(map("{} * {}".format, z[i], z[i + 1]))
+                for i in range(n)]
+        v, f = [f"v{i}" for i in range(n)] + [vn], f"a{n - 1}"
+        for i in reversed(range(n)):
+            if i < n - 1:
+                code.append(f"f = {f} * a{i}")
+                f = "f"
+            code.append(f"v{i} = {f} * {vn}")
+        code += [f"{out}{c} = {v[0]} * {z[0][c]}" for c in range(k1)]
+        code += [f"{out}{k1 * (i + 1) + c} = {v[i + 1]} * ({z[i + 1][c]} "
+                 f"- a{i} * {z[i][c]})" for i in range(n) for c in range(k1)]
+        return code
+
+    tmp = [f"s{i}" for i in range(m)]
+    code = stage(state, "u1", 0, "c")
+    code += [f"s{i} = c{i} * dh + y{i}" for i in body]
+    for head, dt in ((1, "dh"), (2, "h")):
+        code += stage(tmp, "u2", head, "k")
+        code += [f"c{i} = c{i} + k{i} * 2.0" for i in range(m)]
+        code += [f"s{i} = k{i} * {dt} + y{i}" for i in body]
+    code += stage(tmp, "u4", 3, "k")
+    code += [f"y{i} = y{i} + (c{i} + k{i}) * h6" for i in range(m)]
+    # x * 0.0 is 0 for every finite x and nan otherwise
+    code += [f"if {' + '.join(f'{y} * 0.0' for y in state)} != 0.0:",
+             "    return len(taken), None"]
+    norms = [f"sqrt({' + '.join(f'{y} * {y}' for y in state[i:i + k1])})"
+             for i in body[::k1]]
+    code += [f"q{i} = {q}" for i, q in enumerate(norms)]
+    code.append(f"d = max({', '.join(f'abs(q{i} - 1.0)' for i in range(n))})"
+                if n > 1 else f"d = {'abs(q0 - 1.0)' if n else '0.0'}")
+    if n:
+        code += ["if d > limit:", "    return len(taken), d", "if projection:"]
+        code += [f"    y{i} = y{i} / q{i // k1 - 1}" for i in body]
+    code += [f"put(({', '.join(state)},))", "drift(d)"]
+    heads = ", ".join(f"e{i}" for i in range(4 * k1))
+    source = "\n".join([
+        "def run(y, steps, stage_vn, heads, projection, limit, taken, "
+        "drifts):",
+        f"    {', '.join(state)}, = y",
+        "    put, drift = taken.append, drifts.append",
+        f"    for h, (u1, u2, u4), ({heads},) in zip(steps, stage_vn, heads):",
+        "        dh, h6 = 0.5 * h, h / 6.0"] + [f"        {c}" for c in code]
+        + ["    return None\n"])
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, f"<arm kernel n={n} k+1={k1}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _arm_rhs(n: int, k1: int):
+    """The arm's rates `rhs(y, vn, head_row)` on numpy buffers, for the
+    shapes `_arm_kernel` does not serve."""
     body = slice(k1, k1 + n * k1)
-
-    def view(states: np.ndarray) -> dict:
-        m = states.shape[0]
-        theta_n = states[:, body.stop:]
-        head = hs.unit_from_angles(theta_n)[:, None]
-        z = np.concatenate([states[:, body].reshape(m, n, k1), head], axis=1)
-        return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
-
     # buffers of the right-hand side, and the views of them it uses
     z, rate = np.empty((n + 1, k1)), np.empty(body.stop)
     prod, a, f, v = np.empty((n, k1)), np.empty(n), np.ones(n + 1), \
@@ -438,15 +553,47 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
         np.multiply(v_col, prod, out=dz)
         return rate
 
+    return rhs
+
+
+def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
+                  settings: IntegratorSettings, *, mode: str = "arm",
+                  seed: Optional[int] = None) -> Trajectory:
+    """Integrate the angular controlled system.
+
+    The state carries the base point, the unit rows z_1..z_n, and the chart
+    angles of the head sphere.  Requires a non-degenerate head chart at t=0
+    for k >= 2: the tangential controls are chart components and a pole
+    start would make their meaning ambiguous.  Shapes of at most
+    KERNEL_COMPONENTS components and k+1 <= 7 step through `_arm_kernel`,
+    larger ones on numpy buffers; both give the same bits.
+    """
+    dims = q0.dims
+    k, k1, n = dims.k, dims.ambient, dims.n
+    body = slice(k1, k1 + n * k1)
+
+    def view(states: np.ndarray) -> dict:
+        m = states.shape[0]
+        theta_n = states[:, body.stop:]
+        head = hs.unit_from_angles(theta_n)[:, None]
+        z = np.concatenate([states[:, body].reshape(m, n, k1), head], axis=1)
+        return {"x0": states[:, :k1], "z": z, "theta_n": theta_n}
+
     def rows(states: np.ndarray) -> np.ndarray:
         return states[:, body].reshape(states.shape[0], n, k1)
 
     def normalize(y: np.ndarray, seg: np.ndarray, norms: np.ndarray):
         seg /= norms[:, None]
 
+    # a row of 8 or more terms sums pairwise in numpy, not left to right
+    if k1 < 8 and (n + 1) * k1 <= KERNEL_COMPONENTS:
+        loop = functools.partial(_kernel_loop, _arm_kernel(n, k1))
+    else:
+        loop = functools.partial(_numpy_loop, _arm_rhs(n, k1), rows,
+                                 normalize)
     y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
-    run = _integrate(rhs, lambda theta, w: hs.unit_from_angles(theta), rows,
-                     normalize, y0, u, k, T, settings)
+    run = _integrate(loop, lambda theta, w: hs.unit_from_angles(theta), rows,
+                     y0, u, k, T, settings)
     return _record(mode, dims, T, settings, seed, run, view)
 
 
@@ -498,8 +645,9 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
         return rate
 
     # the head table is the head angle; headings carry no constraint
-    run = _integrate(rhs, lambda theta, w: theta, None, None,
-                     car_state_from_config(q0), u, 1, T, settings)
+    run = _integrate(functools.partial(_numpy_loop, rhs, None, None),
+                     lambda theta, w: theta, None, car_state_from_config(q0),
+                     u, 1, T, settings)
     return _record("car", dims, T, settings, seed, run, _car_view)
 
 
@@ -572,7 +720,8 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     head0 = q0.segments()[n]
     theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
-    run = _integrate(rhs, head_rates, rows, normalize, y0, u, k, T, settings)
+    run = _integrate(functools.partial(_numpy_loop, rhs, rows, normalize),
+                     head_rates, rows, y0, u, k, T, settings)
     return _record("cartesian", dims, T, settings, seed, run, view)
 
 

@@ -238,21 +238,22 @@ class _PairBrackets:
     all-zero row `held`.  At (k,n) = (3,4) that is 30 of the 150 pairs the
     levels read (190 in all): the tangent pairs of one sphere and each
     steering field X_m^0 with the tangents of sphere m.  Each field is
-    evaluated in one call at the points and in one at the complex rows
-    p + i t V_a of each term it enters, which give J_c V_a = Im X_c / t,
-    exact to rounding (complex step, Squire-Trapp 1998); the terms go
-    straight into their pairs.
+    evaluated in one call at the points that keep it (none: no call) and
+    in one at the complex rows p + i t V_a of each term it enters, which
+    give J_c V_a = Im X_c / t, exact to rounding (complex step,
+    Squire-Trapp 1998); the terms go straight into their pairs.
     """
 
     def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray):
         b, d = points.shape
-        self.values = np.take_along_axis(
-            np.stack([fld(points) for fld in ctx.fields], axis=1),
-            ctx.keep[:, :, None], axis=1)
+        kept = [np.nonzero(ctx.keep == c) for c in range(len(ctx.fields))]
+        self.values = np.empty(ctx.keep.shape + (d,))
+        for fld, (rows, pos) in zip(ctx.fields, kept):
+            if rows.size:
+                self.values[rows, pos] = fld(points[rows])
         self.pair, self.held = ctx.pair, ctx.held
         self.brackets = np.zeros((b, ctx.held + 1, d))
-        for c, fld in enumerate(ctx.fields):
-            rows, pos = np.nonzero(ctx.keep == c)
+        for fld, (rows, pos) in zip(ctx.fields, kept):
             at, other = np.nonzero(ctx.probe[pos])
             if not at.size:
                 continue

@@ -632,11 +632,21 @@ def cartesian_route(k, n):
         arm.gamma_inverse)
 
 
+def arm_route(k, n):
+    return (k, n, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
+            ref_arm_route, lambda q: q)
+
+
 ROUTES = {
-    "arm": (2, 3, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
-            ref_arm_route, lambda q: q),
-    "arm-n0": (3, 0, lambda q, u, T, s: dyn.integrate_arm(q, u, T, s),
-               ref_arm_route, lambda q: q),
+    "arm": arm_route(2, 3),
+    "arm-n0": arm_route(3, 0),
+    # the generated kernel steps (n+1)(k+1) <= KERNEL_COMPONENTS components
+    # in rows of k+1 <= 7: two-term rows, and its widest rows in its
+    # largest state; numpy steps eight-term rows and larger states
+    "arm-k1n4": arm_route(1, 4),
+    "arm-k6-at-limit": arm_route(6, dyn.KERNEL_COMPONENTS // 7 - 1),
+    "arm-k7n1": arm_route(7, 1),
+    "arm-k4-above-limit": arm_route(4, dyn.KERNEL_COMPONENTS // 5),
     "car": (1, 3, lambda q, u, T, s: dyn.integrate_car(q, u, T, s),
             ref_car_route, lambda q: q),
     # the head-frame plan differs with k: one Cartesian run per sphere
@@ -682,6 +692,26 @@ class TestReferenceStepper:
         tr = run(q, u, T, s)
         assert len(tr) == {0.1: 11, 0.1037: 12, 0.0: 1}[T]
         assert_same_run(tr, ref_run(ref_route, ref_start(q), u, T, s))
+
+    @pytest.mark.parametrize("route", sorted(
+        r for r in ROUTES if ROUTES[r][3] is ref_arm_route))
+    def test_arm_loop_by_shape(self, route, monkeypatch):
+        k, n, run, _, start = ROUTES[route]
+        loops = []
+        for name in ("_kernel_loop", "_numpy_loop"):
+            def spy(*args, name=name, loop=getattr(dyn, name)):
+                loops.append(name)
+                return loop(*args)
+            monkeypatch.setattr(dyn, name, spy)
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(23),
+                                           chart_margin=0.1)
+        run(q, dyn.ControlSignal.constant(0.7, np.full(k, 0.2)), 0.05,
+            dyn.IntegratorSettings(h=1e-2))
+        sub = start(q).dims
+        small = (sub.n + 1) * sub.ambient <= dyn.KERNEL_COMPONENTS
+        assert loops == (["_kernel_loop"] if small and sub.k <= 6
+                         else ["_numpy_loop"])
 
     def test_subarm_with_induced_controls(self):
         rng = np.random.default_rng(21)

@@ -702,10 +702,10 @@ def sweep_batch(dims, rng):
 
 
 class TestOnePassPerPoint:
-    """`verify_flags` evaluates each generating field once at a block's
-    points and once at the complex probe rows of the terms it enters, and
-    decomposes each level matrix, derived stack and angle side with one
-    stacked SVD, however many points the block holds."""
+    """`verify_flags` evaluates each generating field once at the block's
+    points that keep it and once at the complex probe rows of the terms it
+    enters, and decomposes each level matrix, derived stack and angle side
+    with one stacked SVD, however many points the block holds."""
 
     def test_field_and_svd_counts(self, monkeypatch):
         calls, svds = [], []
@@ -731,12 +731,16 @@ class TestOnePassPerPoint:
                 assert ctx.held == (n + 1) * k * (k + 1) // 2
                 want = Counter()
                 for c, fld in enumerate(ctx.fields):
-                    want[(fld.label, size)] += 1
-                    probes = int(ctx.probe[np.nonzero(ctx.keep == c)[1]].sum())
+                    rows, pos = np.nonzero(ctx.keep == c)
+                    if rows.size:
+                        want[(fld.label, rows.size)] += 1
+                    probes = int(ctx.probe[pos].sum())
                     if probes:
                         want[(fld.label, probes)] += 1
-                # the steering fields and all k+1 axes of every sphere
-                assert len({label for label, _ in calls}) == (n + 1) * (k + 2)
+                # the steering fields and the axes some point keeps, each
+                # at the points that keep it
+                assert {label for label, _ in calls} == {
+                    ctx.fields[c].label for c in np.unique(ctx.keep)}
                 assert Counter(calls) == want
                 assert len(svds) == 6 * (n + 1) + 1
 

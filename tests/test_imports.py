@@ -4,7 +4,8 @@ Every name a module imports is used in it, the layers below the
 integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
-the library, and the command line refuses bad input in one place.
+the library, the command line refuses bad input in one place, and code is
+generated in one place only.
 """
 
 import ast
@@ -129,3 +130,20 @@ def test_one_refusal_path_in_cli():
                     assert reraises or fn.name == "main", fn.name
     assert usage == {"main"}
     assert catching == {"main", "_read"}
+
+
+def test_code_generated_in_one_place():
+    # `dynamics._arm_kernel` compiles and runs the generated step loop of
+    # the arm route; no other function compiles, executes or evaluates a
+    # string
+    calls = set()
+    for module in MODULES:
+        for fn in parse(module).body:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id in ("exec", "compile", "eval")):
+                    calls.add((module, getattr(fn, "name", None),
+                               node.func.id))
+    assert calls == {("dynamics", "_arm_kernel", "exec"),
+                     ("dynamics", "_arm_kernel", "compile")}

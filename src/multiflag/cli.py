@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -23,7 +24,7 @@ from . import dynamics as dyn
 from . import flags as fg
 from . import sampling
 from .arm import ArmDims, _write_json, gamma_inverse, load_config
-from .errors import StepRejected
+from .errors import FlagCheckFailed, StepRejected
 from .fields import a_chain
 
 EXIT_OK = 0
@@ -32,7 +33,13 @@ EXIT_USAGE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises its refusals as ValueError, for `main` to print."""
+    """Reads a negative number in any float form (-1e-3, or -0.5,0.3 for a
+    list) as a value, not an option, and raises its refusals as ValueError,
+    for `main` to print."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(message)
@@ -66,8 +73,7 @@ def _read(flag: str, path: str, read, *extra):
         raise ValueError(f"{flag} {path!r}: {reason}") from None
 
 
-def _initial_config(args, rng) -> "sampling.AngularConfig":
-    dims = ArmDims(args.k, args.n)
+def _initial_config(args, dims, rng) -> "sampling.AngularConfig":
     if args.config:
         q = _read("--config", args.config, load_config)
         if q.dims != dims:
@@ -122,8 +128,9 @@ def _simulate_trajectory(args, rng) -> dyn.Trajectory:
         raise ValueError("--mode car requires --k 1")
     if args.mode == "subarm" and (args.p is None or args.m is None):
         raise ValueError("--mode subarm requires --p and --m")
-    u = _controls(args, args.k)
-    q0 = _initial_config(args, rng)
+    dims = ArmDims(args.k, args.n)
+    u = _controls(args, dims.k)
+    q0 = _initial_config(args, dims, rng)
     settings = dyn.IntegratorSettings(h=args.h,
                                       projection=not args.no_projection)
     steps = args.T / args.h
@@ -205,9 +212,8 @@ def cmd_verify(args) -> int:
               f"sandwich={list(r.sandwich_indices)}")
     if failures:
         j, rep = failures[0]
-        print(f"FAIL at regular sample {j}: {rep.failures[0]}",
-              file=sys.stderr)
-        return EXIT_FAIL
+        raise FlagCheckFailed(f"FAIL at regular sample {j}: "
+                              f"{rep.failures[0]}")
     return EXIT_OK
 
 
@@ -326,16 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Bad input (ValueError, OSError, a refused
-    argument) exits 2 and a rejected step exits 1, each as the one stderr
-    line `<command>: <reason>` (`multiflag: ` before a subcommand)."""
+    argument) exits 2 and a rejected step or a failed flag check exits 1,
+    each as the one stderr line `<command>: <reason>` (`multiflag: `
+    before a subcommand)."""
     args = argparse.Namespace(command="multiflag")
     try:
         # the subcommand's name lands in args before its flags are parsed
         build_parser().parse_args(argv, args)
         return args.fn(args)
-    except (StepRejected, ValueError, OSError) as exc:
+    except (StepRejected, FlagCheckFailed, ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_FAIL if isinstance(exc, StepRejected) else EXIT_USAGE
+        failed = isinstance(exc, (StepRejected, FlagCheckFailed))
+        return EXIT_FAIL if failed else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -53,13 +53,8 @@ FMT = "%.17g"
 
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
-HEAD_ROWS = 1024  # stages per `unit_and_jacobian` call, Cartesian head table
-# Largest arm state, (n+1)(k+1) components, that `_arm_kernel` steps.
-# Measured over 1,000 steps (2-vCPU Xeon, Python 3.11): a step took 16
-# against 80 us on numpy at 18 components, 52 against 93 at 63, 76
-# against 99 at 84 and 113 against 118 at 112, and the compile 3, 16, 15
-# and 30 ms; from about 90 a run of 1,000 steps no longer repays its
-# compile, and 64 leaves a margin.
+HEAD_ROWS = 1024  # stages per head-frame call; bounds the frames' memory
+# Largest arm state (n+1)(k+1) for which `_arm_kernel` repays its compile.
 KERNEL_COMPONENTS = 64
 STEP_CHUNK = 256  # steps per call of the generated arm kernel
 
@@ -678,7 +673,7 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
                 "theta_n": states[:, p:], "points": x}
 
     def head_rates(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # jac w at every stage; chunks bound the memory of the factor gather
+        # jac w at every stage; chunks bound the memory of the stage frames
         out = np.empty((len(theta), k1))
         for i in range(0, len(theta), HEAD_ROWS):
             jac = hs.unit_and_jacobian(theta[i:i + HEAD_ROWS])[1]

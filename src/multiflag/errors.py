@@ -15,3 +15,7 @@ class ConstraintViolated(ValueError):
 class StepRejected(RuntimeError):
     """A single integration step produced more constraint drift than the
     integrator is willing to repair by projection."""
+
+
+class FlagCheckFailed(RuntimeError):
+    """A flag check failed at a regular configuration."""

@@ -51,11 +51,7 @@ RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step of bracket_field
 COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
-# Byte budget of one block of points: its largest array, the derived stack
-# of level 1 (points, F1(F1+1)/2, D) float64, which holds the F1 = (n+1)k+1
-# fields of D^1 and all their pairs, the zero ones included.  The copy that
-# builds it, its SVD and the held pairs come on top (the 22-point (3,4)
-# batch is one block and peaks at 1.85 MiB under tracemalloc).
+# Byte budget of the level-1 derived stack of one block of points.
 BLOCK_BYTES = 576 * 1024
 
 

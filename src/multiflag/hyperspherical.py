@@ -8,13 +8,11 @@ vanishes; operations that need the inverse or the frame normalization fail
 loudly there instead of returning garbage.  One rule, in `_interior_sines`,
 decides where: every chart query of the package refuses an interior sine
 at or below EPS_DOM, so all routes share one domain.  The frame
-d phi / d theta is one kernel: a factor table of sines and cosines, read
-through a cached per-k plan (`_jacobian_plan`).
+d phi / d theta is one kernel, the chart's recursion unrolled over a
+batch of angles (`unit_and_jacobian`).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,45 +44,25 @@ def unit_from_angles(theta: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=None)
-def _jacobian_plan(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices (k, k+1) for phi and (k, k+1, k) for its Jacobian
-    into the flat factor table (5, k) of rows 1, 0, sin, cos and -sin of
-    theta: along axis 0, the factors the recursion of `unit_and_jacobian`
-    multiplies into each entry, innermost angle first, led by 1s."""
-    one, zero, sin, cos, nsin = (r * k for r in range(5))
-    rows = [[[]]]  # the factors of each entry of the frame [phi | d phi]
-    for j in range(k - 1, -1, -1):
-        rows = ([[v + [sin + j], v + [cos + j]] + [d + [sin + j] for d in ds]
-                 for v, *ds in rows]
-                + [[[cos + j], [nsin + j]] + [[zero + j]] * (k - 1 - j)])
-    idx = np.array([[one] * (k - len(f)) + f for f in sum(rows, [])])
-    idx = idx.T.reshape(k, k + 1, k + 1)
-    idx.setflags(write=False)
-    return idx[..., 0], idx[..., 1:]
-
-
 def unit_and_jacobian(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (phi, d phi / d theta) with shapes (B, k+1) and (B, k+1, k).
 
     The recursion Phi_k(t, rest) = (sin t * Phi_{k-1}(rest), cos t),
-    unrolled from the innermost angle outward, makes each entry a product
-    of sines and cosines, which `_jacobian_plan` lists in the order the
-    recursion multiplies them.  The product along the factor axis runs in
-    that order (1 * x is exact, x * y = y * x), so every entry, and the
-    sign of every zero, is the recursion's to the last bit.
+    unrolled from the innermost angle outward, one angle at a time.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     b, k = theta.shape
-    table = np.empty((5, k, b))
-    table[0], table[1] = 1.0, 0.0
-    np.sin(theta.T, out=table[2])
-    np.cos(theta.T, out=table[3])
-    np.negative(table[2], out=table[4])
-    val, jac = (np.multiply.reduce(table.reshape(5 * k, b)[idx], axis=0)
-                for idx in _jacobian_plan(k))
-    return (np.ascontiguousarray(val.T),
-            np.ascontiguousarray(np.moveaxis(jac, -1, 0)))
+    val = np.ones((b, 1))
+    jac = np.zeros((b, 1, 0))
+    for j in range(k - 1, -1, -1):
+        s, c, m = np.sin(theta[:, j]), np.cos(theta[:, j]), k - j
+        nval = np.concatenate([s[:, None] * val, c[:, None]], axis=1)
+        njac = np.zeros((b, m + 1, m))
+        njac[:, :m, 0] = c[:, None] * val
+        njac[:, m, 0] = -s
+        njac[:, :m, 1:] = s[:, None, None] * jac
+        val, jac = nval, njac
+    return val, jac
 
 
 def _interior_sines(theta, strict: bool = False) -> tuple[np.ndarray, bool]:

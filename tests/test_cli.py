@@ -307,7 +307,8 @@ class TestSimulate:
 
 class TestArgumentRefusals:
     """argparse's refusals leave `main` as one line and exit 2, like every
-    other bad input; --help still prints the usage and exits 0."""
+    other bad input, and a shape below k = 1 is refused before any flag
+    that depends on k is read; --help still prints the usage and exits 0."""
 
     @pytest.mark.parametrize("argv, err", [
         (["simulate", "--k", "x", "--n", "1"],
@@ -322,7 +323,13 @@ class TestArgumentRefusals:
         ([], "multiflag: the following arguments are required: command"),
         (["simulat", "--k", "1"],
          "multiflag: argument command: invalid choice: 'simulat' (choose "
-         "from 'simulate', 'verify', 'singular-scan')")])
+         "from 'simulate', 'verify', 'singular-scan')")] + [
+        ([command, "--k", k, "--n", "2"] + extra,
+         f"{command}: k must be >= 1")
+        for command, extra in [("simulate", []), ("simulate", ["--wn", "1,2"]),
+                               ("singular-scan", []),
+                               ("verify", ["--samples", "1"])]
+        for k in ("-1", "0")])
     def test_one_line_exit_2(self, argv, err, tmp_path, monkeypatch,
                              capsys):
         monkeypatch.chdir(tmp_path)
@@ -331,6 +338,29 @@ class TestArgumentRefusals:
         assert captured.err == err + "\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, flag, value, rc", [
+        ("simulate", "--vn", "-1e-3", cli.EXIT_OK),
+        ("simulate", "--wn", "-0.5,0.3", cli.EXIT_OK),
+        ("simulate", "--vn", "-.5", cli.EXIT_OK),
+        ("singular-scan", "--eps-sing", "-1e-9", cli.EXIT_USAGE)])
+    def test_negative_value_in_either_form(self, command, flag, value, rc,
+                                           tmp_path, capsys):
+        # a value that starts with a minus sign is read as a value whether
+        # it follows its flag after a space or after "="
+        argv = [command, "--k", "2", "--n", "1", "--T", "0.01",
+                "--out", str(tmp_path / "run")]
+        runs = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            runs.append((cli.main(argv + form), capsys.readouterr(),
+                         {f.name: f.read_bytes()
+                          for f in sorted(tmp_path.iterdir())}))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == rc
+        if rc == cli.EXIT_USAGE:
+            assert runs[0][1].err == (
+                f"{command}: {flag} must be a nonnegative finite number, "
+                f"got {float(value)!r}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
     def test_help_exits_0(self, argv, capsys):
@@ -476,6 +506,10 @@ class TestVerdictsFromJson:
         regular_failed = any(not rep["passed"] for rep in reports[:10])
         assert rc == (cli.EXIT_FAIL if regular_failed else cli.EXIT_OK)
         assert regular_failed == (tol == "0.5")
+        # the first failing regular sample, on the one stderr line of main
+        err = [f"verify: FAIL at regular sample {j}: {rep['failures'][0]}\n"
+               for j, rep in enumerate(reports[:10]) if rep["failures"]]
+        assert capsys.readouterr().err == "".join(err[:1])
 
 
 class TestOutputCheckedFirst:

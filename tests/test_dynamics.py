@@ -201,9 +201,9 @@ class TestCartesian:
         assert dyn.collinearity_residuals(tr).max() < 1e-8
 
     def test_head_frame_formed_in_place(self, monkeypatch):
-        # the head table in full chunks of HEAD_ROWS stages, then the
-        # recorder's batched call; a return to one call per stage would
-        # make 4,001
+        # the head table in full chunks of HEAD_ROWS stages, which bound
+        # the memory of the stage frames, then the recorder's batched call;
+        # a return to one call per stage would make 4,001
         calls = []
 
         def counted(theta):

@@ -101,7 +101,9 @@ class TestPhiInverse:
 
 
 class TestUnitAndJacobian:
-    """The factor-plan kernel against the recursion, bit for bit."""
+    """The kernel against the recursion as `ref_unit_and_jacobian` writes
+    it, bit for bit: a rewrite of the kernel keeps every value and the
+    sign of every zero."""
 
     # exact chart boundaries, the last step below 2 pi, and an interior
     # sine at the chart threshold

@@ -4,8 +4,8 @@ Every name a module imports is used in it, the layers below the
 integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
-the library, the command line refuses bad input in one place, and code is
-generated in one place only.
+the library, the command line refuses bad input and prints to stderr in
+one place, and code is generated in one place only.
 """
 
 import ast
@@ -130,6 +130,17 @@ def test_one_refusal_path_in_cli():
                     assert reraises or fn.name == "main", fn.name
     assert usage == {"main"}
     assert catching == {"main", "_read"}
+
+
+def test_only_main_writes_stderr():
+    # a refusal or a failed check is raised to `main`, which prints it as
+    # the one stderr line `<command>: <reason>`
+    writers = {fn.name for fn in ast.walk(parse("cli"))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "stderr"
+               and getattr(node.value, "id", None) == "sys"}
+    assert writers == {"main"}
 
 
 def test_code_generated_in_one_place():

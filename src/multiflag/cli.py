@@ -33,13 +33,13 @@ EXIT_USAGE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative number in any float form (-1e-3, or -0.5,0.3 for a
-    list) as a value, not an option, and raises its refusals as ValueError,
-    for `main` to print."""
+    """Reads a negative number in any float form (-1e-3, -inf, -nan, or
+    -0.5,0.3 for a list) as a value, not an option, and raises its
+    refusals as ValueError, for `main` to print."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
 
     def error(self, message):
         raise ValueError(message)

@@ -18,12 +18,13 @@ unit rows, an initial state and a batched view of its states as base
 points, unit segment rows and head angles; one stepper (`_integrate`:
 controls, head track and head table before the first step, then the
 loop, then the gate messages and the drift after projection) and one
-recorder (`_record`) serve all three.  The car, the Cartesian route and
-large arms loop on numpy (`_numpy_loop`), with a right-hand side
-`rhs(y, vn, head_row)` writing into buffers allocated once; an arm of
-at most KERNEL_COMPONENTS components steps through straight-line Python
-generated for its shape (`_arm_kernel`), the same arithmetic in the same
-order.  Every route carries the head-sphere chart angles as state, so no
+recorder (`_record`) serve all three.  The car and large states loop
+on numpy (`_numpy_loop`), with a right-hand side `rhs(y, vn, head_row)`
+writing into buffers allocated once; an arm or Cartesian state of at
+most KERNEL_COMPONENTS components in rows of k+1 <= 7 steps through
+straight-line Python generated for its shape (`_arm_kernel`), the same
+arithmetic in the same order, and one rule (`_loop`) chooses for both
+routes.  Every route carries the head-sphere chart angles as state, so no
 route inverts a chart mid-run; as d theta/dt = w alone, the stepper
 tables them, like the controls, at every stage before the first step.
 Joint velocities come from one kernel batched over records
@@ -54,9 +55,10 @@ FMT = "%.17g"
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
 HEAD_ROWS = 1024  # stages per head-frame call; bounds the frames' memory
-# Largest arm state (n+1)(k+1) for which `_arm_kernel` repays its compile.
+# Largest stepped state, (n+1)(k+1) on the arm route and (n+2)(k+1) on the
+# Cartesian one, for which `_arm_kernel` repays its compile.
 KERNEL_COMPONENTS = 64
-STEP_CHUNK = 256  # steps per call of the generated arm kernel
+STEP_CHUNK = 256  # steps per call of a generated kernel
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +417,26 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
     for j in range(0, steps.size, STEP_CHUNK):
         part = slice(j, min(j + STEP_CHUNK, steps.size))
         taken, drifts = [], []
-        refused = run(stepped[j].tolist(), steps[part].tolist(),
-                      stage_vn[part].tolist(),
-                      table[part].reshape(part.stop - j, -1).tolist(),
-                      projection, MAX_STEP_DRIFT, taken, drifts)
+        try:
+            refused = run(stepped[j].tolist(), steps[part].tolist(),
+                          stage_vn[part].tolist(),
+                          table[part].reshape(part.stop - j, -1).tolist(),
+                          projection, MAX_STEP_DRIFT, taken, drifts)
+        except ZeroDivisionError:  # a zero norm, nan in numpy's step
+            refused = len(taken), None
         if refused is not None:
             return j + refused[0], refused[1]
         stepped[j + 1:part.stop + 1] = taken
         drift_pre[j + 1:part.stop + 1] = drifts
     return None
+
+
+def _loop(route: str, n: int, k1: int, rhs, rows, normalize):
+    """`_integrate`'s loop for a route: its `_arm_kernel` for rows of k+1
+    <= 7 terms and at most KERNEL_COMPONENTS stepped, else `_numpy_loop`."""
+    if k1 < 8 and (n + 1 + (route == "cartesian")) * k1 <= KERNEL_COMPONENTS:
+        return functools.partial(_kernel_loop, _arm_kernel(route, n, k1))
+    return functools.partial(_numpy_loop, rhs, rows, normalize)
 
 
 def _record(mode: str, dims: ArmDims, T: float,
@@ -451,61 +464,96 @@ def _record(mode: str, dims: ArmDims, T: float,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _arm_kernel(n: int, k1: int):
-    """The arm route's step loop for n+1 rows of k+1 components, as
-    straight-line Python source compiled once per shape.
+def _arm_kernel(route: str, n: int, k1: int):
+    """The step loop of a route, "arm" or "cartesian", with n+1 segments of
+    k+1 components, as straight-line Python compiled once per shape.
 
     Every component is a local float, so a step is the arithmetic of
-    `_numpy_loop` on the arm's rates (`_arm_rhs`, `fields._cascade`) in
-    the same order, without a numpy call: the four stages, their sum, the
-    finite check, the drift and the row projection.  A row's dot product
-    sums left to right, as `np.add.reduce` sums fewer than 8 terms, so
-    k+1 <= 7.  `run(y, steps, stage_vn, heads, projection, limit, taken,
+    `_numpy_loop` on the route's rates in the same order: the four stages,
+    their sum, the finite check, the drift and the projection, the routes
+    supplying only their stage rates (`_arm_rhs`, or `integrate_cartesian`'s
+    rhs) and their projection.  A row's dot product sums left to right, as
+    `np.add.reduce` sums fewer than 8 terms, so k+1 <= 7; the Cartesian
+    rhs's two `ndarray.dot` calls stay calls, as BLAS fuses multiply and
+    add.  `run(y, steps, stage_vn, heads, projection, limit, taken,
     drifts)` steps from the state y, appends each new state and its drift
     to `taken` and `drifts`, and returns None, or the index of the step it
     refused and its drift (None: non-finite); it computes the drift before
     dividing by a norm.
     """
-    m = (n + 1) * k1
-    body, state = range(k1, m), [f"y{i}" for i in range(m)]
+    m = (n + 1 + (route == "cartesian")) * k1
+    state = [f"y{i}" for i in range(m)]
+    # the Cartesian segments x_{i+1} - x_i, in rows
+    seg = [[f"z{i + c}" for c in range(k1)] for i in range(0, m - k1, k1)]
 
-    def stage(y, vn, head, out):
-        # `_cascade` on the rows z_1..z_n of y and the tabled head row
-        z = [y[i:i + k1] for i in range(k1, m, k1)] + [
-            [f"e{head * k1 + c}" for c in range(k1)]]
+    def diff(y):  # as np.diff of the joint rows
+        return [f"z{i} = {y[i + k1]} - {y[i]}" for i in range(m - k1)]
+
+    def cascade(z, scale):
+        # a_i = <z_i, z_{i+1}> and v_i = scale * a_{n-1} ... a_i, v_n = scale
         code = [f"a{i} = " + " + ".join(map("{} * {}".format, z[i], z[i + 1]))
                 for i in range(n)]
-        v, f = [f"v{i}" for i in range(n)] + [vn], f"a{n - 1}"
+        v, f = [f"v{i}" for i in range(n)] + [scale], f"a{n - 1}"
         for i in reversed(range(n)):
             if i < n - 1:
                 code.append(f"f = {f} * a{i}")
                 f = "f"
-            code.append(f"v{i} = {f} * {vn}")
+            code.append(f"v{i} = {f} * {scale}")
+        return code, v
+
+    def arm_stage(y, vn, head, out):
+        # `_cascade` on the rows z_1..z_n of y and the tabled head row
+        z = [y[i:i + k1] for i in range(k1, m, k1)] + [
+            [f"e{head * k1 + c}" for c in range(k1)]]
+        code, v = cascade(z, vn)
         code += [f"{out}{c} = {v[0]} * {z[0][c]}" for c in range(k1)]
         code += [f"{out}{k1 * (i + 1) + c} = {v[i + 1]} * ({z[i + 1][c]} "
                  f"- a{i} * {z[i][c]})" for i in range(n) for c in range(k1)]
         return code
 
+    def cartesian_stage(y, vn, head, out):
+        # the head rate vn z_n / |z_n| + jac w, then (f_i s) z_i with
+        # s = <head rate, z_n>
+        rate = [f"{out}{m - k1 + c}" for c in range(k1)]
+        code = diff(y) + [f"zt = array(({', '.join(seg[n])},))",
+                          "norm = sqrt(zt.dot(zt))"]
+        code += [f"{rate[c]} = {seg[n][c]} / norm * {vn} + e{head * k1 + c}"
+                 for c in range(k1)]
+        code.append(f"sd = float(array(({', '.join(rate)},)).dot(zt))")
+        chain, v = cascade(seg, "sd")
+        return code + chain + [f"{out}{i * k1 + c} = {v[i]} * {seg[i][c]}"
+                               for i in range(n + 1) for c in range(k1)]
+
+    if route == "cartesian":
+        stage, read, pre, rows = cartesian_stage, range(m), diff(state), seg
+        # divide, then the cumulative sum, then x_0 + the sums
+        project = ([f"z{i} = z{i} / q{i // k1}" for i in range(m - k1)]
+                   + [f"z{i} = z{i - k1} + z{i}" for i in range(k1, m - k1)]
+                   + [f"y{i + k1} = y{i % k1} + z{i}" for i in range(m - k1)])
+    else:
+        stage, read, pre = arm_stage, range(k1, m), []
+        rows = [state[i:i + k1] for i in read[::k1]]
+        project = [f"y{i} = y{i} / q{i // k1 - 1}" for i in read]
     tmp = [f"s{i}" for i in range(m)]
     code = stage(state, "u1", 0, "c")
-    code += [f"s{i} = c{i} * dh + y{i}" for i in body]
+    code += [f"s{i} = c{i} * dh + y{i}" for i in read]
     for head, dt in ((1, "dh"), (2, "h")):
         code += stage(tmp, "u2", head, "k")
         code += [f"c{i} = c{i} + k{i} * 2.0" for i in range(m)]
-        code += [f"s{i} = k{i} * {dt} + y{i}" for i in body]
+        code += [f"s{i} = k{i} * {dt} + y{i}" for i in read]
     code += stage(tmp, "u4", 3, "k")
     code += [f"y{i} = y{i} + (c{i} + k{i}) * h6" for i in range(m)]
     # x * 0.0 is 0 for every finite x and nan otherwise
     code += [f"if {' + '.join(f'{y} * 0.0' for y in state)} != 0.0:",
-             "    return len(taken), None"]
-    norms = [f"sqrt({' + '.join(f'{y} * {y}' for y in state[i:i + k1])})"
-             for i in body[::k1]]
-    code += [f"q{i} = {q}" for i, q in enumerate(norms)]
-    code.append(f"d = max({', '.join(f'abs(q{i} - 1.0)' for i in range(n))})"
-                if n > 1 else f"d = {'abs(q0 - 1.0)' if n else '0.0'}")
-    if n:
+             "    return len(taken), None"] + pre
+    code += [f"q{i} = sqrt({' + '.join(f'{y} * {y}' for y in row)})"
+             for i, row in enumerate(rows)]
+    r = len(rows)
+    code.append(f"d = max({', '.join(f'abs(q{i} - 1.0)' for i in range(r))})"
+                if r > 1 else f"d = {'abs(q0 - 1.0)' if r else '0.0'}")
+    if r:
         code += ["if d > limit:", "    return len(taken), d", "if projection:"]
-        code += [f"    y{i} = y{i} / q{i // k1 - 1}" for i in body]
+        code += [f"    {line}" for line in project]
     code += [f"put(({', '.join(state)},))", "drift(d)"]
     heads = ", ".join(f"e{i}" for i in range(4 * k1))
     source = "\n".join([
@@ -516,9 +564,9 @@ def _arm_kernel(n: int, k1: int):
         f"    for h, (u1, u2, u4), ({heads},) in zip(steps, stage_vn, heads):",
         "        dh, h6 = 0.5 * h, h / 6.0"] + [f"        {c}" for c in code]
         + ["    return None\n"])
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(source, f"<arm kernel n={n} k+1={k1}>", "exec"), namespace)
-    return namespace["run"]
+    scope = {"sqrt": math.sqrt, "array": np.array}
+    exec(compile(source, f"<{route} kernel n={n} k+1={k1}>", "exec"), scope)
+    return scope["run"]
 
 
 def _arm_rhs(n: int, k1: int):
@@ -580,15 +628,10 @@ def integrate_arm(q0: AngularConfig, u: ControlSignal, T: float,
     def normalize(y: np.ndarray, seg: np.ndarray, norms: np.ndarray):
         seg /= norms[:, None]
 
-    # a row of 8 or more terms sums pairwise in numpy, not left to right
-    if k1 < 8 and (n + 1) * k1 <= KERNEL_COMPONENTS:
-        loop = functools.partial(_kernel_loop, _arm_kernel(n, k1))
-    else:
-        loop = functools.partial(_numpy_loop, _arm_rhs(n, k1), rows,
-                                 normalize)
     y0 = np.concatenate([q0.x0, q0.z[:-1].reshape(-1), q0.angles(n)])
-    run = _integrate(loop, lambda theta, w: hs.unit_from_angles(theta), rows,
-                     y0, u, k, T, settings)
+    run = _integrate(_loop("arm", n, k1, _arm_rhs(n, k1), rows, normalize),
+                     lambda theta, w: hs.unit_from_angles(theta), rows, y0, u,
+                     k, T, settings)
     return _record(mode, dims, T, settings, seed, run, view)
 
 
@@ -660,7 +703,9 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     angles (dtheta/dt = w, as in `integrate_arm`), so the tangential
     controls keep their meaning through head-chart poles.  Serves as the
     independent oracle for `integrate_arm` through the segment-difference
-    map.
+    map.  States of (n+2)(k+1) <= KERNEL_COMPONENTS with k+1 <= 7 step
+    through `_arm_kernel`, its two dot products the rhs's `ndarray.dot`
+    calls, larger ones on numpy buffers; both give the same bits.
     """
     dims = q0.dims
     k, k1, n, p = dims.k, dims.ambient, dims.n, dims.cartesian_dim
@@ -715,7 +760,7 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     head0 = q0.segments()[n]
     theta0 = hs.angles_from_unit(head0 / np.linalg.norm(head0))
     y0 = np.concatenate([q0.flat(), theta0[0]])
-    run = _integrate(functools.partial(_numpy_loop, rhs, rows, normalize),
+    run = _integrate(_loop("cartesian", n, k1, rhs, rows, normalize),
                      head_rates, rows, y0, u, k, T, settings)
     return _record("cartesian", dims, T, settings, seed, run, view)
 

@@ -343,7 +343,11 @@ class TestArgumentRefusals:
         ("simulate", "--vn", "-1e-3", cli.EXIT_OK),
         ("simulate", "--wn", "-0.5,0.3", cli.EXIT_OK),
         ("simulate", "--vn", "-.5", cli.EXIT_OK),
-        ("singular-scan", "--eps-sing", "-1e-9", cli.EXIT_USAGE)])
+        ("singular-scan", "--eps-sing", "-1e-9", cli.EXIT_USAGE),
+        ("simulate", "--wn", "-inf", cli.EXIT_USAGE),
+        ("simulate", "--wn", "-NaN,0.3", cli.EXIT_USAGE),
+        ("simulate", "--vn", "-inf", cli.EXIT_USAGE),
+        ("simulate", "--vn", "-nan", cli.EXIT_USAGE)])
     def test_negative_value_in_either_form(self, command, flag, value, rc,
                                            tmp_path, capsys):
         # a value that starts with a minus sign is read as a value whether
@@ -358,9 +362,11 @@ class TestArgumentRefusals:
         assert runs[0] == runs[1]
         assert runs[0][0] == rc
         if rc == cli.EXIT_USAGE:
-            assert runs[0][1].err == (
-                f"{command}: {flag} must be a nonnegative finite number, "
-                f"got {float(value)!r}\n")
+            reason = {"--eps-sing": "must be a nonnegative finite number",
+                      "--vn": "must be a finite number",
+                      "--wn": "must be finite numbers"}[flag]
+            got = repr(value if flag == "--wn" else float(value))
+            assert runs[0][1].err == f"{command}: {flag} {reason}, got {got}\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
     def test_help_exits_0(self, argv, capsys):

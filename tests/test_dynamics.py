@@ -655,6 +655,12 @@ ROUTES = {
     "cartesian-k3n2": cartesian_route(3, 2),
     "cartesian-k4n1": cartesian_route(4, 1),
     "cartesian-k5n0": cartesian_route(5, 0),
+    # the same rule on the Cartesian state of (n+2)(k+1) components
+    "cartesian-k6-at-limit": cartesian_route(
+        6, dyn.KERNEL_COMPONENTS // 7 - 2),
+    "cartesian-k7n1": cartesian_route(7, 1),
+    "cartesian-k4-above-limit": cartesian_route(
+        4, dyn.KERNEL_COMPONENTS // 5 - 1),
     "subarm": (2, 4, lambda q, u, T, s: dyn.integrate_subarm(
         q, 2, 3, u, T, s), ref_arm_route,
         lambda q: dyn.project_subarm(q, 2, 3)),
@@ -667,6 +673,17 @@ def assert_same_run(tr, ref):
     for key in RECORDED:
         if key in ref or getattr(tr, key) is not None:
             assert np.array_equal(getattr(tr, key), ref[key]), key
+
+
+def spy_loops(monkeypatch):
+    """The names of the step loops runs take from now on, in order."""
+    loops = []
+    for name in ("_kernel_loop", "_numpy_loop"):
+        def spy(*args, name=name, loop=getattr(dyn, name)):
+            loops.append(name)
+            return loop(*args)
+        monkeypatch.setattr(dyn, name, spy)
+    return loops
 
 
 class TestReferenceStepper:
@@ -694,24 +711,22 @@ class TestReferenceStepper:
         assert_same_run(tr, ref_run(ref_route, ref_start(q), u, T, s))
 
     @pytest.mark.parametrize("route", sorted(
-        r for r in ROUTES if ROUTES[r][3] is ref_arm_route))
+        r for r in ROUTES if ROUTES[r][3] is not ref_car_route))
     def test_arm_loop_by_shape(self, route, monkeypatch):
-        k, n, run, _, start = ROUTES[route]
-        loops = []
-        for name in ("_kernel_loop", "_numpy_loop"):
-            def spy(*args, name=name, loop=getattr(dyn, name)):
-                loops.append(name)
-                return loop(*args)
-            monkeypatch.setattr(dyn, name, spy)
+        # the arm and Cartesian routes take the kernel on the same rule:
+        # rows of k+1 <= 7 terms and at most KERNEL_COMPONENTS stepped
+        k, n, run, ref_route, start = ROUTES[route]
+        loops = spy_loops(monkeypatch)
         q = sampling.random_regular_config(arm.ArmDims(k, n),
                                            np.random.default_rng(23),
                                            chart_margin=0.1)
         run(q, dyn.ControlSignal.constant(0.7, np.full(k, 0.2)), 0.05,
             dyn.IntegratorSettings(h=1e-2))
         sub = start(q).dims
-        small = (sub.n + 1) * sub.ambient <= dyn.KERNEL_COMPONENTS
-        assert loops == (["_kernel_loop"] if small and sub.k <= 6
-                         else ["_numpy_loop"])
+        size = (sub.cartesian_dim if ref_route is ref_cartesian_route
+                else (sub.n + 1) * sub.ambient)
+        assert loops == (["_kernel_loop"] if size <= dyn.KERNEL_COMPONENTS
+                         and sub.k <= 6 else ["_numpy_loop"])
 
     def test_subarm_with_induced_controls(self):
         rng = np.random.default_rng(21)
@@ -762,6 +777,29 @@ class TestReferenceStepper:
         # at T = 0 no step is taken and the head table is empty
         assert_same_run(run(q, u, 0.0, s),
                         ref_run(ref_route, ref_start(q), u, 0.0, s))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_zero_head_segment_refused_alike(self, n, monkeypatch):
+        # from the head segment (3, 0) at vn = 0.75, w = 0 and h = 1, the
+        # second stage moves both its ends to x = 3.375: that stage's head
+        # segment is exactly zero.  Numpy divides by its zero norm to nan,
+        # the kernel raises ZeroDivisionError; both refuse the first step
+        q = arm.CartesianConfig(arm.ArmDims(1, n), [[0.0, -1.0]] * n + [
+            [0.0, 0.0], [3.0, 0.0]])
+        u = dyn.ControlSignal.constant(0.75, [0.0])
+        s = dyn.IntegratorSettings(h=1.0)
+        loops, messages = spy_loops(monkeypatch), []
+        for size in (dyn.KERNEL_COMPONENTS, 0):
+            monkeypatch.setattr(dyn, "KERNEL_COMPONENTS", size)
+            with pytest.raises(StepRejected) as got:
+                dyn.integrate_cartesian(q, u, 2.0, s)
+            messages.append(str(got.value))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            with pytest.raises(StepRejected) as want:
+                ref_run(ref_cartesian_route, q, u, 2.0, s)
+        assert loops == ["_kernel_loop", "_numpy_loop"]
+        assert messages == [str(want.value)] * 2
+        assert str(want.value) == "non-finite state at t=1"
 
 
 def stage_times(T, h):

@@ -101,9 +101,10 @@ class TestPhiInverse:
 
 
 class TestUnitAndJacobian:
-    """The kernel against the recursion as `ref_unit_and_jacobian` writes
-    it, bit for bit: a rewrite of the kernel keeps every value and the
-    sign of every zero."""
+    """The kernel against closed forms, and against the recursion as
+    `ref_unit_and_jacobian` writes it, bit for bit: a rewrite of the kernel
+    keeps every value and the sign of every zero, which the reference
+    steppers of `test_dynamics` rely on."""
 
     # exact chart boundaries, the last step below 2 pi, and an interior
     # sine at the chart threshold
@@ -124,6 +125,26 @@ class TestUnitAndJacobian:
         for got, want in ((val, ref_val), (jac, ref_jac)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_closed_forms(self, k):
+        # independent of the recursion: the value is `unit_from_angles`, the
+        # frame columns are orthogonal to it and to each other, and their
+        # norms are `frame_norms`; each entry is a product of at most 7
+        # rounded sines and cosines, so all hold to a few ulps
+        rng = np.random.default_rng(40 + k)
+        theta = rng.uniform(-TWO_PI, TWO_PI, (1001, k))
+        for i, (angle, j) in enumerate(
+                (a, j) for a in self.SPECIAL for j in range(k)):
+            theta[i, j] = angle
+        val, jac = hs.unit_and_jacobian(theta)
+        tol = 4 * np.finfo(float).eps
+        assert np.abs(val - hs.unit_from_angles(theta)).max() <= tol
+        frame = np.concatenate([val[:, :, None], jac], axis=2)
+        gram = frame.swapaxes(1, 2) @ frame
+        assert np.abs(gram * (1.0 - np.eye(k + 1))).max() <= tol
+        assert np.abs(np.linalg.norm(jac, axis=1)
+                      - hs.frame_norms(theta)).max() <= tol
 
 
 class TestJacobian:

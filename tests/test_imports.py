@@ -144,9 +144,9 @@ def test_only_main_writes_stderr():
 
 
 def test_code_generated_in_one_place():
-    # `dynamics._arm_kernel` compiles and runs the generated step loop of
-    # the arm route; no other function compiles, executes or evaluates a
-    # string
+    # `dynamics._arm_kernel` compiles and runs the generated step loops of
+    # the arm and Cartesian routes; no other function compiles, executes or
+    # evaluates a string
     calls = set()
     for module in MODULES:
         for fn in parse(module).body:

@@ -25,9 +25,11 @@ a term, and every other pair a level reads is one shared zero row.
 points at a time: each field is evaluated in one call at the block's
 points and in one at the probe rows of the terms it enters, every held
 bracket is computed once, and one stacked SVD of each level matrix or
-derived stack gives every point its rank, span and angle side; the
-sandwich test reuses them.  Points whose ranks differ are read in groups
-of equal rank, so each gets exactly the numbers it gets alone.
+derived stack (of its QR factor R when the stack is tall) gives every
+point its rank and span; the sandwich test reuses them.  Each side of a
+derived-span angle is one stacked Gram eigenvalue problem.  Points whose
+ranks differ are read in groups of equal rank, so each gets exactly the
+numbers it gets alone.
 `verify_flag` is the one-point call; a report carries every per-level
 number, and `build_level` gives the generating fields of (D^m, E^m)
 themselves.

@@ -1,9 +1,11 @@
 """Dense linear-algebra helpers used by the field and flag machinery.
 
 Every helper takes one matrix or a stack of them (..., r, D) and decomposes
-a stack with one stacked SVD, which gives each member exactly the numbers
-its own SVD would.  Members whose ranks differ are read in groups of equal
-rank (`rank_groups`), so each still gets exactly its own kept rows.
+a stack with one stacked call, which gives each member exactly the numbers
+its own call would: an SVD, run on the R factor of a QR when the stack is
+tall, and for principal-angle sines the top eigenvalue of a small Gram
+matrix.  Members whose ranks differ are read in groups of equal rank
+(`rank_groups`), so each still gets exactly its own kept rows.
 """
 
 from __future__ import annotations
@@ -46,7 +48,14 @@ def svd_rank(mat: np.ndarray, tol: float = 1e-8):
 class RowSpan:
     """One SVD of a matrix or of each matrix of a stack, from which ranks
     and orthonormal bases of the row spaces are read at any relative
-    threshold."""
+    threshold.
+
+    A stack at least twice as tall as wide (r >= 2D) is first reduced to
+    its (D, D) factor R by a QR, and the SVD is taken of R (Chan's R-SVD).
+    LAPACK's dgesdd takes the same QR-first route from r >= 11D/6, so s
+    and vt are bit for bit those of the SVD of the stack itself; the
+    (r, D) factors Q and U are never formed.
+    """
 
     def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=float)
@@ -55,6 +64,8 @@ class RowSpan:
         self.s = np.zeros(lead + (0,))
         self.vt = np.zeros(lead + (0, mat.shape[-1]))
         if mat.size:
+            if mat.shape[-2] >= 2 * mat.shape[-1]:
+                mat = np.linalg.qr(mat, mode="r")
             _, self.s, self.vt = np.linalg.svd(mat, full_matrices=False)
 
     def rank(self, tol: float = 1e-8):
@@ -81,9 +92,13 @@ def subspace_angle(a, b, tol: float = 1e-8):
     each a matrix or its `RowSpan`, or a stack of them (one angle each).
 
     Computed through the sine of the angle, which stays accurate when the
-    spans nearly coincide (arccos loses half the digits there).  An empty
-    span makes the angle pi/2 against a nonempty one and 0 against another
-    empty one.
+    spans nearly coincide (arccos loses half the digits there).  Each side's
+    sine is the largest singular value of the residual R of one basis off
+    the other, read as the square root of the top eigenvalue of the (r, r)
+    Gram matrix R R^T.  A rank group in which some sine exceeds 0.5 takes
+    it from the SVD of R instead: near 1, arcsin turns an ulp of the sine
+    into about 1e-8.  An empty span makes the angle pi/2 against a
+    nonempty one and 0 against another empty one.
     """
     sa, sb = (x if isinstance(x, RowSpan) else RowSpan(x) for x in (a, b))
     ra, rb = sa.rank(tol), sb.rank(tol)
@@ -91,8 +106,11 @@ def subspace_angle(a, b, tol: float = 1e-8):
 
     def one_sided(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
         resid = q2 - (q2 @ q1.swapaxes(-1, -2)) @ q1
-        return np.arcsin(np.minimum(1.0, np.linalg.svd(
-            resid, compute_uv=False)[:, 0]))
+        gram = resid @ resid.swapaxes(-1, -2)
+        sine = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        if np.any(sine > 0.5):
+            sine = np.linalg.svd(resid, compute_uv=False)[:, 0]
+        return np.arcsin(np.minimum(1.0, sine))
 
     for (r1, r2), sel in rank_groups(np.reshape(ra, -1), np.reshape(rb, -1)):
         if r1 == 0 or r2 == 0:

@@ -705,23 +705,30 @@ class TestOnePassPerPoint:
     """`verify_flags` evaluates each generating field once at the block's
     points that keep it and once at the complex probe rows of the terms it
     enters, and decomposes each level matrix, derived stack and angle side
-    with one stacked SVD, however many points the block holds."""
+    with one stacked call, however many points the block holds: an SVD per
+    matrix (after a QR when the stack is tall), and an eigvalsh per angle
+    side at regular points."""
 
     def test_field_and_svd_counts(self, monkeypatch):
-        calls, svds = [], []
-        call, svd = fl.Field.__call__, np.linalg.svd
+        calls, decomps = [], Counter()
+        call = fl.Field.__call__
         monkeypatch.setattr(fl.Field, "__call__", lambda self, pts: (
             calls.append((self.label, len(pts))), call(self, pts))[1])
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: (
-            svds.append(1), svd(*a, **kw))[1])
+
+        def counted(name):
+            fn = getattr(np.linalg, name)
+            return lambda *a, **kw: (decomps.update([name]), fn(*a, **kw))[1]
+
+        for name in ("svd", "qr", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
         rng = np.random.default_rng(5)
-        for k, n in [(2, 2), (3, 4)]:
+        for k, n, tall in [(2, 2, 1), (3, 4, 3)]:
             dims = arm.ArmDims(k, n)
             block = fg.BLOCK_BYTES // pair_bytes(dims)
             qs = [regular(dims, rng) for _ in range(block)]
             for size in (1, 2, block):
                 calls.clear()
-                svds.clear()
+                decomps.clear()
                 fg.verify_flags(qs[:size])
                 ctx = fg._FlagContext(dims, np.stack([q.z for q in
                                                       qs[:size]]))
@@ -742,7 +749,11 @@ class TestOnePassPerPoint:
                 assert {label for label, _ in calls} == {
                     ctx.fields[c].label for c in np.unique(ctx.keep)}
                 assert Counter(calls) == want
-                assert len(svds) == 6 * (n + 1) + 1
+                # an SVD per level matrix, derived stack, sandwich rank and
+                # tangent basis; one eigvalsh per side of each derived angle;
+                # one QR per derived stack twice as tall as wide
+                assert decomps == {"svd": 4 * (n + 1) + 1,
+                                   "eigvalsh": 2 * (n + 1), "qr": tall}
 
 
 class TestBatch:

@@ -5,7 +5,8 @@ integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
 the library, the command line refuses bad input and prints to stderr in
-one place, and code is generated in one place only.
+one place, and code is generated and matrices are decomposed in one place
+only.
 """
 
 import ast
@@ -158,3 +159,32 @@ def test_code_generated_in_one_place():
                                node.func.id))
     assert calls == {("dynamics", "_arm_kernel", "exec"),
                      ("dynamics", "_arm_kernel", "compile")}
+
+
+# the numpy.linalg routines that factor a matrix (or solve through a factor)
+DECOMPOSITIONS = {"svd", "svdvals", "qr", "eig", "eigh", "eigvals",
+                  "eigvalsh", "cholesky", "lstsq", "pinv", "matrix_rank",
+                  "solve", "inv", "det", "slogdet", "tensorsolve",
+                  "tensorinv"}
+
+
+def test_decompositions_in_one_place():
+    # every np.linalg decomposition is called in `numerics`, whose helpers
+    # keep the stacked results exactly those of one call per matrix; no
+    # module imports linalg or a routine of it by name
+    calls = set()
+    for module in MODULES:
+        tree = parse(module)
+        assert not any("linalg" in name or "linalg" in path
+                       for name, path in imports(tree)), module
+        for fn in tree.body:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in DECOMPOSITIONS
+                        and getattr(node.value, "attr", None) == "linalg"):
+                    calls.add((module, getattr(fn, "name", None), node.attr))
+    assert calls == {("numerics", "svd_rank", "svd"),
+                     ("numerics", "RowSpan", "qr"),
+                     ("numerics", "RowSpan", "svd"),
+                     ("numerics", "subspace_angle", "eigvalsh"),
+                     ("numerics", "subspace_angle", "svd")}

@@ -12,6 +12,7 @@ floats are printed with 17 significant digits, and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -291,7 +292,10 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-projection", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads
+    it and writes only the namespace it is given."""
     ap = _Parser(
         prog="multiflag",
         description="Articulated-arm kinematics and flag verification")

@@ -29,7 +29,9 @@ derived stack (of its QR factor R when the stack is tall) gives every
 point its rank and span; the sandwich test reuses them.  Each side of a
 derived-span angle is one stacked Gram eigenvalue problem.  Points whose
 ranks differ are read in groups of equal rank, so each gets exactly the
-numbers it gets alone.
+numbers it gets alone.  The derived stacks are decomposed on one helper
+thread (`_worker`) while the calling thread measures the levels; numpy's
+stacked decompositions release the GIL, so the two overlap on two cores.
 `verify_flag` is the one-point call; a report carries every per-level
 number, and `build_level` gives the generating fields of (D^m, E^m)
 themselves.
@@ -55,6 +57,16 @@ BRACKET_H = 1e-5      # central-difference step of bracket_field
 COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
 # Byte budget of the level-1 derived stack of one block of points.
 BLOCK_BYTES = 576 * 1024
+
+
+@functools.cache
+def _worker():
+    """The one helper thread of `_verify_block`, built by its first call
+    (so a run without `verify` imports no executor and starts no
+    thread)."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1,
+                              thread_name_prefix="multiflag-derived")
 
 
 def expected_rank_d(dims: ArmDims, m: int) -> int:
@@ -127,6 +139,7 @@ class _FlagContext:
                                       (len(z), n1 * k))
         self.keep = np.hstack([np.broadcast_to(np.arange(n1), (len(z), n1)),
                                spheres])
+        self.keep.setflags(write=False)
         # the fields a position holds share their blocks in every sample
         family = [self.fields[i] for i in self.keep[0]]
         self.probe, self.pair, self.held = _support_table(
@@ -148,7 +161,10 @@ class _FlagContext:
 
 @functools.lru_cache(maxsize=None)
 def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(size, 1)
+    upper = np.triu_indices(size, 1)
+    for idx in upper:
+        idx.setflags(write=False)  # cached: every block shares them
+    return upper
 
 
 @functools.lru_cache(maxsize=None)
@@ -264,6 +280,9 @@ class _PairBrackets:
             jv[other > pos] *= -1.0
             self.brackets[rows, self.pair[other, pos]] += jv
         _tangent_project(self.brackets, z)
+        # read by the helper thread while the block measures its levels
+        self.values.setflags(write=False)
+        self.brackets.setflags(write=False)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
     def worst_residual(self, idx: Sequence[int], span: RowSpan) -> np.ndarray:
@@ -426,6 +445,15 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     caller asserts the conditions only at regular points; singular ones get
     the same measurements recorded with a `singular` verdict and never
     raise.
+
+    In each block the QR and SVD of the derived stacks run on the helper
+    thread while this one computes the level spans, ranks, residuals and
+    sandwich ranks; the derived ranks and angles wait for them.  The
+    numbers are bit for bit those of one thread: each decomposition is the
+    same call on the same array, and the helper only reads the block's
+    values and brackets, which are read-only once built.  The block waits
+    for the helper on every path, so no decomposition outlives the call,
+    and an error raised on the helper is raised here.
     """
     qs = list(qs)
     if not qs:
@@ -453,26 +481,37 @@ def _verify_block(qs: list[AngularConfig], tol: float,
     ctx = _FlagContext(dims, z, basis=basis)
     pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
 
-    # one stacked SVD per level matrix: ranks at tol, residual spans at
-    # 1e-8; the D^m spans are also the targets of the derived-span angles
-    spans_d = [RowSpan(pb.values[:, ctx.d_index(m)]) for m in range(1, n + 2)]
-    spans_e = [RowSpan(pb.values[:, ctx.e_index(m)]) for m in range(1, n + 2)]
-    ranks_d = [s.rank(tol) for s in spans_d]
-    ranks_e = [s.rank(tol) for s in spans_e]
-    inv = [pb.worst_residual(ctx.e_index(m), spans_e[m - 1])
-           for m in range(1, n + 2)]
-    cauchy = [pb.worst_residual(ctx.d_index(m + 1), spans_d[m - 1])
-              for m in range(1, n + 1)]
-    # top-level non-involutivity (bracket-generating witness, not a gate)
-    delta_inv = pb.worst_residual(ctx.d_index(n + 1), spans_d[-1])
-    # sandwich test: index l fails when the steering field of joint l
-    # already lies in E^l (no rank increase); at k = 1 the A_i decide
-    stalls = ([svd_rank(pb.values[:, ctx.e_index(l) + [l]], tol)
-               == ranks_e[l - 1] for l in range(1, n + 1)]
-              if dims.k >= 2 else None)
-    # brackets of level m+1 against level m (level 0: the tangent space)
-    stacks = [RowSpan(pb.derived_stack(ctx.d_index(m + 1)))
-              for m in range(n + 1)]
+    # the derived stacks, brackets of level m+1 against level m (level 0:
+    # the tangent space), are decomposed on the helper thread while this
+    # one measures the levels; the block waits for them on every path
+    derived = _worker().submit(lambda: [RowSpan(pb.derived_stack(
+        ctx.d_index(m + 1))) for m in range(n + 1)])
+    try:
+        # one stacked SVD per level matrix: ranks at tol, residual spans
+        # at 1e-8; the D^m spans are also the targets of the derived-span
+        # angles, and each E^m span is dropped once read, which keeps the
+        # block's peak memory, the helper's included, within 2 MiB
+        spans_d = [RowSpan(pb.values[:, ctx.d_index(m)])
+                   for m in range(1, n + 2)]
+        ranks_d = [s.rank(tol) for s in spans_d]
+        ranks_e, inv = [], []
+        for m in range(1, n + 2):
+            span = RowSpan(pb.values[:, ctx.e_index(m)])
+            ranks_e.append(span.rank(tol))
+            inv.append(pb.worst_residual(ctx.e_index(m), span))
+        cauchy = [pb.worst_residual(ctx.d_index(m + 1), spans_d[m - 1])
+                  for m in range(1, n + 1)]
+        # top-level non-involutivity (bracket-generating witness, not a
+        # gate)
+        delta_inv = pb.worst_residual(ctx.d_index(n + 1), spans_d[-1])
+        # sandwich test: index l fails when the steering field of joint l
+        # already lies in E^l (no rank increase); at k = 1 the A_i decide
+        stalls = ([svd_rank(pb.values[:, ctx.e_index(l) + [l]], tol)
+                   == ranks_e[l - 1] for l in range(1, n + 1)]
+                  if dims.k >= 2 else None)
+    finally:
+        derived.exception()  # waits for the helper; raises nothing
+    stacks = derived.result()
     derived_rank = [s.rank(tol) for s in stacks]
     derived_angle = [subspace_angle(s, spans_d[m - 1] if m else
                                     _tangent_basis(dims, z), tol)

@@ -5,7 +5,8 @@ a stack with one stacked call, which gives each member exactly the numbers
 its own call would: an SVD, run on the R factor of a QR when the stack is
 tall, and for principal-angle sines the top eigenvalue of a small Gram
 matrix.  Members whose ranks differ are read in groups of equal rank
-(`rank_groups`), so each still gets exactly its own kept rows.
+(`rank_groups`), so each still gets exactly its own kept rows.  A matrix
+with an inf or nan entry is refused with LinAlgError before LAPACK sees it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,19 @@ def rank_groups(*ranks: np.ndarray):
         yield tuple(int(r) for r in key), np.flatnonzero(inverse == g)
 
 
+def _finite_matrix(mat: np.ndarray) -> np.ndarray:
+    """`mat` as a float matrix or stack of them (..., r, D), refused with
+    LinAlgError if an entry is inf or nan: dgesdd never returns on some
+    matrices with an inf entry, and returns nan on others."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    return np.atleast_2d(mat) if mat.ndim < 2 else mat
+
+
 def svd_rank(mat: np.ndarray, tol: float = 1e-8):
     """Rank of the row span: count singular values above tol * largest."""
-    mat = np.asarray(mat, dtype=float)
-    mat = np.atleast_2d(mat) if mat.ndim < 2 else mat
+    mat = _finite_matrix(mat)
     if not mat.size:
         return _scalar(np.zeros(mat.shape[:-2], dtype=int), int)
     return _scalar(_ranks(np.linalg.svd(mat, compute_uv=False), tol), int)
@@ -58,8 +68,7 @@ class RowSpan:
     """
 
     def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=float)
-        mat = np.atleast_2d(mat) if mat.ndim < 2 else mat
+        mat = _finite_matrix(mat)
         lead = mat.shape[:-2]
         self.s = np.zeros(lead + (0,))
         self.vt = np.zeros(lead + (0, mat.shape[-1]))

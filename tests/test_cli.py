@@ -518,6 +518,52 @@ class TestVerdictsFromJson:
         assert capsys.readouterr().err == "".join(err[:1])
 
 
+class TestParserReuse:
+    """`main` parses every call with the one parser `build_parser` builds
+    per process; a call leaves nothing in it that the next one reads."""
+
+    RUNS = [
+        ["verify", "--k", "2", "--n", "2", "--samples", "3",
+         "--singular-samples", "1", "--seed", "4", "--render", "--out", "v"],
+        ["verify", "--k", "2", "--n", "2", "--samples", "3", "--out", "w"],
+        ["verify", "--k", "3", "--n", "2", "--tol", "0.5", "--samples", "2"],
+        ["simulate", "--k", "2", "--n", "1", "--preset", "random", "--seed",
+         "5", "--controls", "sine", "--T", "0.1", "--h", "1e-2",
+         "--out", "run"],
+        ["singular-scan", "--k", "2", "--n", "1", "--T", "0.1",
+         "--out", "scan.json"],
+        ["singular-scan", "--k", "2", "--n", "1", "--traj", "run.json",
+         "--out", "traj.json"],
+        ["simulate", "--k", "2", "--n", "1", "--wn", "-inf"],
+        ["verify", "--k", "1", "--n", "1", "--samples", "2",
+         "--basis", "chart"],
+    ]
+
+    def run_all(self, folder, fresh, capsys, monkeypatch):
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        out = []
+        for argv in self.RUNS:
+            if fresh:
+                cli.build_parser.cache_clear()
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+        return out, files
+
+    def test_calls_leave_no_state(self, tmp_path, capsys, monkeypatch):
+        shared = self.run_all(tmp_path / "shared", False, capsys,
+                              monkeypatch)
+        fresh = self.run_all(tmp_path / "fresh", True, capsys, monkeypatch)
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared[0]] == [0, 0, 1, 0, 0, 0, 2, 0]
+        assert "flag report" in shared[0][0][1]
+        assert "flag report" not in shared[0][1][1]
+        assert len(shared[1]) == 6
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestOutputCheckedFirst:
     """An output path in a missing directory is refused before any work."""
 

@@ -1,10 +1,14 @@
 import json
+import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from multiflag import arm
+from multiflag import arm, cli
 from multiflag import dynamics as dyn
 from multiflag import fields as fl
 from multiflag import flags as fg
@@ -863,6 +867,143 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+
+class InlineExecutor(Executor):
+    """Runs each task in the submitting thread before `submit` returns."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestHelperThread:
+    """`_verify_block` decomposes the derived stacks on `flags._worker()`
+    while the calling thread measures the levels; the reports are those of
+    the same work done in one thread."""
+
+    # --tol 0.5 drops ranks at k >= 2, so every regular sample fails
+    @pytest.mark.parametrize("k, n, tol, code", [
+        (1, 1, "1e-8", 0), (1, 3, "1e-8", 0), (2, 2, "1e-8", 0),
+        (3, 4, "1e-8", 0), (2, 2, "0.5", 1), (3, 4, "0.5", 1)])
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    def test_reports_match_inline_run(self, k, n, tol, code, basis,
+                                      tmp_path, capsys, monkeypatch):
+        argv = ["verify", "--k", str(k), "--n", str(n), "--samples", "5",
+                "--singular-samples", "2", "--seed", str(k + n),
+                "--basis", basis, "--tol", tol, "--out"]
+        runs = []
+        for name, worker in [("helper", fg._worker()),
+                             ("inline", InlineExecutor())]:
+            monkeypatch.setattr(fg, "_worker", lambda: worker)
+            rc = cli.main(argv + [str(tmp_path / name)])
+            runs.append((rc, capsys.readouterr(),
+                         (tmp_path / f"{name}_reports.json").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+
+    def test_worker_exception_surfaces_unchanged(self, monkeypatch):
+        dims = arm.ArmDims(2, 2)
+        qs = sweep_batch(dims, np.random.default_rng(31))
+        want = [r.to_dict() for r in fg.verify_flags(qs)]
+        boom, threads = RuntimeError("derived stack failed"), []
+        stack = fg._PairBrackets.derived_stack
+
+        def failing(self, idx):
+            threads.append(threading.current_thread())
+            raise boom
+
+        monkeypatch.setattr(fg._PairBrackets, "derived_stack", failing)
+        with pytest.raises(RuntimeError) as raised:
+            fg.verify_flags(qs)
+        assert raised.value is boom
+        assert threads and threading.main_thread() not in threads
+        monkeypatch.setattr(fg._PairBrackets, "derived_stack", stack)
+        assert [r.to_dict() for r in fg.verify_flags(qs)] == want
+
+    def test_no_decomposition_outlives_a_failed_block(self, monkeypatch):
+        # the calling thread fails while the helper is still busy; the
+        # block waits for the helper before the error leaves verify_flags
+        dims = arm.ArmDims(2, 2)
+        qs = sweep_batch(dims, np.random.default_rng(32))
+        done, stack = [], fg._PairBrackets.derived_stack
+
+        def slow(self, idx):
+            time.sleep(0.02)
+            done.append(len(idx))
+            return stack(self, idx)
+
+        def failing(self, idx, span):
+            raise ArithmeticError("level work failed")
+
+        monkeypatch.setattr(fg._PairBrackets, "derived_stack", slow)
+        monkeypatch.setattr(fg._PairBrackets, "worst_residual", failing)
+        with pytest.raises(ArithmeticError):
+            fg.verify_flags(qs)
+        assert len(done) == dims.n + 1
+
+    def test_only_verify_starts_the_thread(self, tmp_path, capsys,
+                                           monkeypatch):
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: (
+            started.append(self.name), start(self))[1])
+        worker, asked = ThreadPoolExecutor(max_workers=1), []
+        monkeypatch.setattr(fg, "_worker", lambda: (asked.append(1),
+                                                    worker)[1])
+        try:
+            sim = ["--k", "2", "--n", "2", "--preset", "random", "--seed",
+                   "3", "--controls", "sine", "--T", "0.2", "--h", "1e-2"]
+            assert cli.main(["simulate"] + sim
+                            + ["--out", str(tmp_path / "run")]) == 0
+            assert cli.main(["singular-scan"] + sim) == 0
+            assert asked == [] and started == []
+            assert cli.main(["verify", "--k", "1", "--n", "1",
+                             "--samples", "2"]) == 0
+            assert asked == [1] and len(started) == 1
+        finally:
+            worker.shutdown()
+        capsys.readouterr()
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        # more calling threads than cores queue their blocks on the one
+        # helper; each still gets the one-thread reports
+        dims = arm.ArmDims(2, 2)
+        qs = sweep_batch(dims, np.random.default_rng(34))[:6]
+        monkeypatch.setattr(fg, "_worker", InlineExecutor)
+        want = [r.to_dict() for r in fg.verify_flags(qs)]
+        monkeypatch.undo()
+        got, interval = [], sys.getswitchinterval()
+
+        def caller():
+            for _ in range(3):
+                got.append([r.to_dict() for r in fg.verify_flags(qs)])
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert len(got) == 12 and all(r == want for r in got)
+
+    def test_arrays_the_helper_reads_are_read_only(self):
+        dims = arm.ArmDims(2, 2)
+        qs = sweep_batch(dims, np.random.default_rng(33))
+        z = np.stack([q.z for q in qs])
+        ctx = fg._FlagContext(dims, z)
+        pb = fg._PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
+        for arr in (pb.values, pb.brackets, ctx.keep, ctx.probe, ctx.pair,
+                    *fg._upper(ctx.keep.shape[1])):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] += 1
 
 
 class TestExports:

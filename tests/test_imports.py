@@ -5,8 +5,8 @@ integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
 the library, the command line refuses bad input and prints to stderr in
-one place, and code is generated and matrices are decomposed in one place
-only.
+one place, code is generated and matrices are decomposed in one place
+only, and only the flag pass starts a thread.
 """
 
 import ast
@@ -188,3 +188,13 @@ def test_decompositions_in_one_place():
                      ("numerics", "RowSpan", "svd"),
                      ("numerics", "subspace_angle", "eigvalsh"),
                      ("numerics", "subspace_angle", "svd")}
+
+
+def test_threads_in_one_place():
+    # `flags` runs the derived-stack decompositions of `verify` on its one
+    # helper thread; no other module imports a threading library
+    threaded = {(module, path) for module in MODULES
+                for _, path in imports(parse(module))
+                if path.split(".")[0] in ("concurrent", "threading",
+                                           "multiprocessing", "_thread")}
+    assert threaded == {("flags", "concurrent.futures")}

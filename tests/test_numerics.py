@@ -10,7 +10,7 @@ import pytest
 from multiflag import arm
 from multiflag import flags as fg
 from multiflag import sampling
-from multiflag.numerics import RowSpan, subspace_angle
+from multiflag.numerics import RowSpan, subspace_angle, svd_rank
 
 
 def svd_route_angle(a, b, tol=1e-8):
@@ -79,6 +79,31 @@ class TestRowSpan:
             RowSpan(mat)
         with pytest.raises(np.linalg.LinAlgError):
             subspace_angle(mat, np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 5), (2, 3),
+                                       (6, 2), (2, 3, 3)])
+    def test_non_finite_input_refused_before_lapack(self, shape,
+                                                    monkeypatch):
+        # dgesdd never returns on the square and wide shapes with an inf
+        # entry; the refusal comes first, so no decomposition sees one
+        for name in ("svd", "qr"):
+            routine = getattr(np.linalg, name)
+
+            def finite_only(mat, *args, _routine=routine, **kwargs):
+                assert np.isfinite(mat).all(), "LAPACK reached"
+                return _routine(mat, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, finite_only)
+        for bad in (np.inf, -np.inf, np.nan):
+            mat = np.ones(shape)
+            mat[..., 0, 0] = bad
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                RowSpan(mat)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                svd_rank(mat)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                subspace_angle(np.ones(shape), mat)
+        assert np.all(svd_rank(np.ones(shape)) == 1)
 
 
 class TestSubspaceAngle:

@@ -51,11 +51,13 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _start(args, *outputs) -> np.random.Generator:
-    """Refuse, before any work, a negative --seed and an output path (None
-    for none) whose directory is missing or not writable; return the run's
-    generator."""
+    """Refuse, before any work, a negative --seed, an empty --out and an
+    output path (None for none) whose directory is missing or not
+    writable; return the run's generator."""
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.out == "":
+        raise ValueError("--out must not be empty")
     for path in filter(None, outputs):
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

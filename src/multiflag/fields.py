@@ -199,35 +199,39 @@ def xi_field(dims: ArmDims, m: int, i: int) -> Field:
                  (m + 1,), (m + 1,))
 
 
-def sphere_axis_field(dims: ArmDims, sphere: int, axis: int) -> Field:
-    """Projection of the constant ambient axis onto the sphere tangent.
+def sphere_axis_field(dims: ArmDims, sphere: int, slot: int) -> Field:
+    """Projection e_a - z^_a z^ onto the tangent of sphere `sphere` of the
+    ambient axis a = tangent_axes(z)[slot], chosen at each point.
 
-    A chart-free generating family for the tangent of sphere `sphere`:
-    smooth wherever the segment direction is nonzero, so it is usable at
-    chart-degenerate points where the theta coordinate fields collapse.
+    Chart-free: the k slots span the tangent wherever the segment is
+    nonzero.  The axis follows the real part of a row, so on a complex
+    probe row p + i t V this is the fixed-axis field at p, analytic in t.
     """
     if not 0 <= sphere <= dims.n:
         raise IndexError("sphere index out of range")
-    if not 0 <= axis <= dims.k:
-        raise IndexError("axis index out of range")
+    if not 0 <= slot < dims.k:
+        raise IndexError("slot index out of range")
     def fn(y):
-        z = _blocks(y, dims)
-        zh = _normalized(z[:, sphere + 1, :])
+        z = _blocks(y, dims)[:, sphere + 1, :]
+        zh = _normalized(z)
+        rows = np.arange(len(y))
+        axis = tangent_axes(z.real)[:, slot]
         out = np.zeros_like(y)
         ob = _blocks(out, dims)
-        ob[:, sphere + 1, :] = -zh[:, axis:axis + 1] * zh
-        ob[:, sphere + 1, axis] += 1.0
+        ob[:, sphere + 1, :] = -zh[rows, axis, None] * zh
+        ob[rows, sphere + 1, axis] += 1.0
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{axis}]",
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{slot}]",
                  (sphere + 1,), (sphere + 1,))
 
 
 def tangent_axes(z: np.ndarray) -> np.ndarray:
     """The k ambient axes (..., k), in increasing order, whose projections
-    span the sphere tangent at unit rows z (..., k+1).
+    span the sphere tangent at nonzero rows z (..., k+1).
 
-    Drops the ambient axis most aligned with the segment direction, which
-    keeps the remaining projections uniformly well conditioned.
+    Drops the ambient axis most aligned with the segment direction (the
+    first of equal largest |components|), which keeps the remaining
+    projections uniformly well conditioned.
     """
     k1 = z.shape[-1]
     keep = np.arange(k1) != np.argmax(np.abs(z), axis=-1)[..., None]

@@ -5,14 +5,17 @@ At a sampled configuration level m is generated by the steering field of
 joint m plus the sphere-tangent fields of all spheres above it; dropping
 the steering field gives the integrable sublevel.  The checks are all
 distribution-level (ranks, spans of brackets, inclusion residuals), so any
-smooth generating family with the same pointwise span serves: the default
-projects fixed ambient axes onto each sphere, smooth across chart
-boundaries, and the chart fields (`basis="chart"`) must agree wherever both
-are defined.  Spans are computed on embedded coordinates, with tangency to
-the spheres enforced on bracket values.  Both families are analytic, so
-their brackets take complex-step derivatives, exact to rounding;
-`bracket_field`, the single-pair bracket, takes central differences, since
-it nests: bracket_field(bracket_field(x, y), z).
+generating family with the same pointwise span serves, and each shape and
+basis has one fixed family of (n+1)(k+1) fields (`_family`).  The default
+projects onto each sphere the k ambient axes least aligned with its
+segment, each field picking its axis at the point; the chart fields
+(`basis="chart"`) must agree wherever both are defined.  Spans are
+computed on embedded coordinates, with tangency to the spheres enforced on
+bracket values.  Along a complex step p + i t V both families are analytic
+(a projected field's axis follows the real part p), so their brackets take
+complex-step derivatives, exact to rounding; `bracket_field`, the
+single-pair bracket, takes central differences, since it nests:
+bracket_field(bracket_field(x, y), z).
 
 Each field declares the ambient blocks it reads and writes, and J_c V_a is
 0 unless a writes a block that c reads.  Tangent fields of different
@@ -22,19 +25,19 @@ sphere m; the engine holds only the pairs some level reads that have such
 a term, and every other pair a level reads is one shared zero row.
 
 `verify_flags` measures the points of one shape together, one block of
-points at a time: each field is evaluated in one call at the block's
-points and in one at the probe rows of the terms it enters, every held
-bracket is computed once, and one stacked SVD of each level matrix or
-derived stack (of its QR factor R when the stack is tall) gives every
-point its rank and span; the sandwich test reuses them.  Each side of a
-derived-span angle is one stacked Gram eigenvalue problem.  Points whose
-ranks differ are read in groups of equal rank, so each gets exactly the
-numbers it gets alone.  The derived stacks are decomposed on one helper
-thread (`_worker`) while the calling thread measures the levels; numpy's
-stacked decompositions release the GIL, so the two overlap on two cores.
-`verify_flag` is the one-point call; a report carries every per-level
-number, and `build_level` gives the generating fields of (D^m, E^m)
-themselves.
+points at a time: each field of the family is evaluated in one call at
+all the block's points and in one at the probe rows of the terms it
+enters, every held bracket is computed once, and one stacked SVD of each
+level matrix or derived stack (of its QR factor R when the stack is tall)
+gives every point its rank and span; the sandwich test reuses them.  Each
+side of a derived-span angle is one stacked Gram eigenvalue problem.
+Points whose ranks differ are read in groups of equal rank, so each gets
+exactly the numbers it gets alone.  The derived stacks are decomposed on
+one helper thread (`_worker`) while the calling thread measures the
+levels; numpy's stacked decompositions release the GIL, so the two
+overlap on two cores.  `verify_flag` is the one-point call; a report
+carries every per-level number, and `build_level` gives the generating
+fields of (D^m, E^m) themselves.
 """
 
 from __future__ import annotations
@@ -105,58 +108,19 @@ def bracket_field(x: Field, y: Field, h: float = BRACKET_H) -> Field:
 # generating family and its pairwise brackets at a batch of points
 # ---------------------------------------------------------------------------
 
-class _FlagContext:
-    """The generating family of one (k,n) shape at a batch of
-    configurations with segment rows z (B, n+1, k+1).
+def _e_index(dims: ArmDims, m: int) -> list[int]:
+    """Family positions of the integrable sublevel E^m: the tangents of
+    spheres m-1..n."""
+    if not 1 <= m <= dims.n + 1:
+        raise IndexError("level needs 1 <= m <= n+1")
+    first = dims.n + 1 + (m - 1) * dims.k
+    return list(range(first, (dims.n + 1) * (dims.k + 1)))
 
-    Each sample's family is (n+1)(k+1) fields: the steering fields
-    X_0^0..X_n^0 followed by k tangent fields for each sphere 0..n.  Levels
-    are index lists into that family.  `fields` holds every field any
-    sample uses; `keep` (B, F) gives each sample's family as indices into
-    it.  The projected basis holds all k+1 axes of each sphere and keeps,
-    per sample, the k of `fields.tangent_axes`.  `probe`, `pair` and
-    `held` are the family's `_support_table`.
-    """
 
-    def __init__(self, dims: ArmDims, z: np.ndarray,
-                 basis: str = "projected"):
-        if basis not in ("projected", "chart"):
-            raise ValueError("basis must be 'projected' or 'chart'")
-        self.dims = dims
-        n1, k = dims.n + 1, dims.k
-        steering = [fl.x0_field(dims, m) for m in range(n1)]
-        if basis == "projected":
-            self.fields = steering + [fl.sphere_axis_field(dims, j, a)
-                                      for j in range(n1)
-                                      for a in range(k + 1)]
-            spheres = (n1 + (k + 1) * np.arange(n1)[:, None]
-                       + fl.tangent_axes(z)).reshape(len(z), -1)
-        else:
-            self.fields = steering + [fl.xi_field(dims, j, i)
-                                      for j in range(n1)
-                                      for i in range(1, k + 1)]
-            spheres = np.broadcast_to(np.arange(n1, len(self.fields)),
-                                      (len(z), n1 * k))
-        self.keep = np.hstack([np.broadcast_to(np.arange(n1), (len(z), n1)),
-                               spheres])
-        self.keep.setflags(write=False)
-        # the fields a position holds share their blocks in every sample
-        family = [self.fields[i] for i in self.keep[0]]
-        self.probe, self.pair, self.held = _support_table(
-            tuple(f.reads for f in family), tuple(f.writes for f in family),
-            tuple(tuple(self.d_index(m)) for m in range(1, n1 + 1)))
-
-    def e_index(self, m: int) -> list[int]:
-        """Generators of the integrable sublevel: sphere tangents m-1..n."""
-        if not 1 <= m <= self.dims.n + 1:
-            raise IndexError("level needs 1 <= m <= n+1")
-        first = self.dims.n + 1 + (m - 1) * self.dims.k
-        return list(range(first, self.keep.shape[1]))
-
-    def d_index(self, m: int) -> list[int]:
-        """Generators of level m: the steering field of joint m plus the
-        sphere tangents above it."""
-        return [m - 1] + self.e_index(m)
+def _d_index(dims: ArmDims, m: int) -> list[int]:
+    """Family positions of level D^m: the steering field of joint m plus
+    the sphere tangents above it."""
+    return [m - 1] + _e_index(dims, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,34 +132,48 @@ def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _support_table(reads: tuple, writes: tuple, levels: tuple
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The bracket terms a family can make nonzero, from the blocks
-    reads[p] and writes[p] of each position p and the level index lists.
+def _family(dims: ArmDims, basis: str
+            ) -> tuple[tuple[Field, ...], np.ndarray, np.ndarray, int]:
+    """The generating family of one (k,n) shape and basis, with the bracket
+    terms it can make nonzero: (fields, probe, pair, held).
 
-    `probe` (F, F) marks the terms J_c V_a, c != a, that some level reads
-    and that can be nonzero: a writes a block c reads.  `number` (F, F)
-    numbers each pair: the `held` pairs with such a term 0..held-1, in the
-    row-major order of `_pairs`; the other pairs a level reads `held`, the
-    one zero row; pairs no level reads held+1, so that reading one raises.
+    The (n+1)(k+1) fields are the steering fields X_0^0..X_n^0 followed by
+    k tangent fields for each sphere 0..n: the slots of
+    `fields.sphere_axis_field`, which pick their axes at the point, or the
+    chart fields.  Levels are the position lists `_d_index` and
+    `_e_index`.  `probe` (F, F) marks the terms J_c V_a, c != a, that some
+    level reads and that can be nonzero: a writes a block c reads.  `pair`
+    (F, F) numbers each pair: the `held` pairs with such a term
+    0..held-1, in the row-major order of `_pairs`; the other pairs a level
+    reads `held`, the one zero row; pairs no level reads held+1, so that
+    reading one raises.
     """
-    size = len(reads)
+    if basis not in ("projected", "chart"):
+        raise ValueError("basis must be 'projected' or 'chart'")
+    n1, k = dims.n + 1, dims.k
+    tangent = (fl.sphere_axis_field if basis == "projected" else
+               lambda d, j, slot: fl.xi_field(d, j, slot + 1))
+    fields = tuple([fl.x0_field(dims, m) for m in range(n1)]
+                   + [tangent(dims, j, slot) for j in range(n1)
+                      for slot in range(k)])
+    size = len(fields)
     a, b = _upper(size)
     read = np.zeros((size, size), dtype=bool)
-    for idx in levels:
+    for m in range(1, n1 + 1):
+        idx = _d_index(dims, m)
         read[np.ix_(idx, idx)] = True
     np.fill_diagonal(read, False)
-    probe = read & np.array([[not rc.isdisjoint(wa) for wa in writes]
-                             for rc in reads])
+    probe = read & np.array([[not c.reads.isdisjoint(f.writes)
+                              for f in fields] for c in fields])
     has_term = (probe | probe.T)[a, b]
     held = int(has_term.sum())
-    number = np.zeros((size, size), dtype=int)
-    number[a, b] = number[b, a] = np.where(
+    pair = np.zeros((size, size), dtype=int)
+    pair[a, b] = pair[b, a] = np.where(
         has_term, np.cumsum(has_term) - 1, np.where(read[a, b], held,
                                                      held + 1))
     probe.setflags(write=False)  # cached: every block shares them
-    number.setflags(write=False)
-    return probe, number, held
+    pair.setflags(write=False)
+    return fields, probe, pair, held
 
 
 def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +219,7 @@ def _tangent_basis(dims: ArmDims, z: np.ndarray) -> np.ndarray:
 
 class _PairBrackets:
     """Values, directional derivatives and the pairwise brackets a level
-    can make nonzero of the generating family at a batch of points (B, D).
+    can make nonzero of a shape's `_family` at a batch of points (B, D).
 
     With V (B, F, D) the family's values and J_c the Jacobian of field c,
     the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
@@ -252,33 +230,29 @@ class _PairBrackets:
     all-zero row `held`.  At (k,n) = (3,4) that is 30 of the 150 pairs the
     levels read (190 in all): the tangent pairs of one sphere and each
     steering field X_m^0 with the tangents of sphere m.  Each field is
-    evaluated in one call at the points that keep it (none: no call) and
-    in one at the complex rows p + i t V_a of each term it enters, which
-    give J_c V_a = Im X_c / t, exact to rounding (complex step,
-    Squire-Trapp 1998); the terms go straight into their pairs.
+    evaluated in one call at all the points and in one at the complex
+    rows p + i t V_a of the terms it enters, which give J_c V_a =
+    Im X_c / t, exact to rounding (complex step, Squire-Trapp 1998); the
+    terms go straight into their pairs.
     """
 
-    def __init__(self, ctx: _FlagContext, points: np.ndarray, z: np.ndarray):
+    def __init__(self, family: tuple, points: np.ndarray, z: np.ndarray):
+        fields, probe, self.pair, self.held = family
         b, d = points.shape
-        kept = [np.nonzero(ctx.keep == c) for c in range(len(ctx.fields))]
-        self.values = np.empty(ctx.keep.shape + (d,))
-        for fld, (rows, pos) in zip(ctx.fields, kept):
-            if rows.size:
-                self.values[rows, pos] = fld(points[rows])
-        self.pair, self.held = ctx.pair, ctx.held
-        self.brackets = np.zeros((b, ctx.held + 1, d))
-        for fld, (rows, pos) in zip(ctx.fields, kept):
-            at, other = np.nonzero(ctx.probe[pos])
-            if not at.size:
+        self.values = np.stack([fld(points) for fld in fields], axis=1)
+        self.brackets = np.zeros((b, self.held + 1, d))
+        for c, fld in enumerate(fields):
+            other = np.flatnonzero(probe[c])
+            if not other.size:
                 continue
-            rows, pos = rows[at], pos[at]
-            jv = fld(points[rows] + 1j * COMPLEX_STEP
-                     * self.values[rows, other]).imag / COMPLEX_STEP
+            jv = fld((points[:, None] + 1j * COMPLEX_STEP
+                      * self.values[:, other]).reshape(-1, d)
+                     ).imag.reshape(b, other.size, d) / COMPLEX_STEP
             # J_c V_a enters the pair of a and c with + if a < c, else
             # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
             # which rounds like the difference itself
-            jv[other > pos] *= -1.0
-            self.brackets[rows, self.pair[other, pos]] += jv
+            jv[:, other > c] *= -1.0
+            self.brackets[:, self.pair[other, c]] += jv
         _tangent_project(self.brackets, z)
         # read by the helper thread while the block measures its levels
         self.values.setflags(write=False)
@@ -323,14 +297,15 @@ class _PairBrackets:
 
 def build_level(q: AngularConfig, m: int, basis: str = "projected"
                 ) -> tuple[list[Field], list[Field]]:
-    """Generating fields of (D^m, E^m) at q, for m = 1..n+1.
+    """Generating fields of (D^m, E^m) at q, for m = 1..n+1: members of
+    the family of q's shape, so the same fields at every q.
 
     E^m spans the sphere tangents of spheres m-1..n; D^m adds the steering
     field of joint m in front.  basis="chart" uses the chart coordinate
     fields as the sphere-tangent family and fails at degenerate charts.
     """
-    ctx = _FlagContext(q.dims, q.z[None], basis=basis)
-    flds = [ctx.fields[i] for i in ctx.keep[0, ctx.d_index(m)]]
+    fields = _family(q.dims, basis)[0]
+    flds = [fields[i] for i in _d_index(q.dims, m)]
     return flds, flds[1:]
 
 
@@ -478,35 +453,35 @@ def _verify_block(qs: list[AngularConfig], tol: float,
     dims = qs[0].dims
     n = dims.n
     z = np.stack([q.z for q in qs])
-    ctx = _FlagContext(dims, z, basis=basis)
-    pb = _PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
+    points = np.stack([q.flat() for q in qs])
+    pb = _PairBrackets(_family(dims, basis), points, z)
 
     # the derived stacks, brackets of level m+1 against level m (level 0:
     # the tangent space), are decomposed on the helper thread while this
     # one measures the levels; the block waits for them on every path
     derived = _worker().submit(lambda: [RowSpan(pb.derived_stack(
-        ctx.d_index(m + 1))) for m in range(n + 1)])
+        _d_index(dims, m + 1))) for m in range(n + 1)])
     try:
         # one stacked SVD per level matrix: ranks at tol, residual spans
         # at 1e-8; the D^m spans are also the targets of the derived-span
         # angles, and each E^m span is dropped once read, which keeps the
         # block's peak memory, the helper's included, within 2 MiB
-        spans_d = [RowSpan(pb.values[:, ctx.d_index(m)])
+        spans_d = [RowSpan(pb.values[:, _d_index(dims, m)])
                    for m in range(1, n + 2)]
         ranks_d = [s.rank(tol) for s in spans_d]
         ranks_e, inv = [], []
         for m in range(1, n + 2):
-            span = RowSpan(pb.values[:, ctx.e_index(m)])
+            span = RowSpan(pb.values[:, _e_index(dims, m)])
             ranks_e.append(span.rank(tol))
-            inv.append(pb.worst_residual(ctx.e_index(m), span))
-        cauchy = [pb.worst_residual(ctx.d_index(m + 1), spans_d[m - 1])
+            inv.append(pb.worst_residual(_e_index(dims, m), span))
+        cauchy = [pb.worst_residual(_d_index(dims, m + 1), spans_d[m - 1])
                   for m in range(1, n + 1)]
         # top-level non-involutivity (bracket-generating witness, not a
         # gate)
-        delta_inv = pb.worst_residual(ctx.d_index(n + 1), spans_d[-1])
+        delta_inv = pb.worst_residual(_d_index(dims, n + 1), spans_d[-1])
         # sandwich test: index l fails when the steering field of joint l
         # already lies in E^l (no rank increase); at k = 1 the A_i decide
-        stalls = ([svd_rank(pb.values[:, ctx.e_index(l) + [l]], tol)
+        stalls = ([svd_rank(pb.values[:, _e_index(dims, l) + [l]], tol)
                    == ranks_e[l - 1] for l in range(1, n + 1)]
                   if dims.k >= 2 else None)
     finally:

@@ -65,21 +65,20 @@ def unit_and_jacobian(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, jac
 
 
-def _interior_sines(theta, strict: bool = False) -> tuple[np.ndarray, bool]:
-    """Interior sines |sin theta^j|, j < k, of angles (..., k), and whether
-    all exceed EPS_DOM.  The one chart-degeneracy test: with strict=True a
-    degenerate chart raises ChartDegenerate instead."""
+def _interior_sines(theta, strict: bool = False) -> np.ndarray:
+    """Interior sines |sin theta^j|, j < k, of angles (..., k).  The one
+    chart-degeneracy test: with strict=True a sine at or below EPS_DOM
+    raises ChartDegenerate."""
     sines = np.abs(np.sin(np.asarray(theta, dtype=float)[..., :-1]))
-    inside = not np.any(sines <= EPS_DOM)
-    if strict and not inside:
+    if strict and np.any(sines <= EPS_DOM):
         raise ChartDegenerate(
             f"chart is degenerate: an interior sine is <= {EPS_DOM:g}")
-    return sines, inside
+    return sines
 
 
 def frame_norms(theta: np.ndarray) -> np.ndarray:
     """Column norms of d phi / d theta: (1, |sin t1|, |sin t1 sin t2|, ...)."""
-    sines, _ = _interior_sines(theta)
+    sines = _interior_sines(theta)
     return np.concatenate([np.ones(sines.shape[:-1] + (1,)),
                            np.cumprod(sines, axis=-1)], axis=-1)
 
@@ -118,7 +117,7 @@ def interior_margin(z: np.ndarray) -> float:
 
     Returns +inf for k = 1, where the chart has no interior angles.
     """
-    sines, _ = _interior_sines(angles_from_unit(z, strict=False))
+    sines = _interior_sines(angles_from_unit(z, strict=False))
     return float(np.min(sines, initial=np.inf))
 
 
@@ -148,7 +147,7 @@ def tangent_coefficients(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 
     Raises ChartDegenerate where a chart of z is degenerate.
     """
-    inv = frame_inverse(angles_from_unit(z, strict=False))[:, 1:]
+    inv = frame_inverse(angles_from_unit(z))[:, 1:]
     return np.matmul(inv, np.asarray(target)[..., None])[..., 0]
 
 

@@ -329,7 +329,12 @@ class TestArgumentRefusals:
         for command, extra in [("simulate", []), ("simulate", ["--wn", "1,2"]),
                                ("singular-scan", []),
                                ("verify", ["--samples", "1"])]
-        for k in ("-1", "0")])
+        for k in ("-1", "0")] + [
+        ([command, "--k", "1", "--n", "1", "--out", ""] + extra,
+         f"{command}: --out must not be empty")
+        for command, extra in [("simulate", []),
+                               ("verify", ["--samples", "1"]),
+                               ("singular-scan", [])]])
     def test_one_line_exit_2(self, argv, err, tmp_path, monkeypatch,
                              capsys):
         monkeypatch.chdir(tmp_path)

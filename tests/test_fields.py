@@ -386,12 +386,64 @@ class TestXiFields:
         dims = arm.ArmDims(3, 2)
         q = sampling.random_regular_config(dims, rng, chart_margin=0.05)
         for s in range(dims.n + 1):
-            flds = [fl.sphere_axis_field(dims, s, int(a))
-                    for a in fl.tangent_axes(q.z[s])]
+            flds = [fl.sphere_axis_field(dims, s, slot)
+                    for slot in range(dims.k)]
             mat = np.vstack([f.at(q.flat()) for f in flds])
             chart = np.vstack([fl.xi_field(dims, s, i).at(q.flat())
                                for i in range(1, dims.k + 1)])
             assert subspace_angle(mat, chart) < 1e-9
+
+
+def fixed_axis_projection(dims, sphere, axis, points):
+    """Oracle: -z^_a z^ + e_a on the block of `sphere` for the one ambient
+    axis a = `axis` at every row of `points`, z^ = z / |z|."""
+    shape = (len(points), dims.joints, dims.ambient)
+    zh = fl._normalized(points.reshape(shape)[:, sphere + 1])
+    out = np.zeros_like(points).reshape(shape)
+    out[:, sphere + 1] = -zh[:, axis, None] * zh
+    out[:, sphere + 1, axis] += 1.0
+    return out.reshape(len(points), -1)
+
+
+class TestSphereAxisSlots:
+    """`sphere_axis_field(dims, sphere, slot)` is, at each row, the
+    fixed-axis projection of a = tangent_axes(z)[slot], with the axis read
+    off the real part of the row."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_slot_is_the_fixed_axis_field_of_its_row(self, k):
+        dims = arm.ArmDims(k, 2)
+        rng = np.random.default_rng(90 + k)
+        shape = (40, dims.joints, dims.ambient)
+        real = rng.normal(size=shape)
+        # exact ties on sphere 1: a row along an axis, and a row with two
+        # equal largest |components|
+        real[0, 2] = np.eye(k + 1)[k]
+        real[1, 2] = 0.25
+        real[1, 2, [0, k]] = (-0.75, 0.75)
+        points = real.reshape(len(real), -1)
+        for pts in (points, points + 1e-30j * rng.normal(size=points.shape)):
+            for sphere in range(dims.n + 1):
+                axes = fl.tangent_axes(real[:, sphere + 1])
+                for slot in range(k):
+                    want = np.empty_like(pts)
+                    for a in range(k + 1):
+                        rows = axes[:, slot] == a
+                        want[rows] = fixed_axis_projection(
+                            dims, sphere, a, pts)[rows]
+                    got = fl.sphere_axis_field(dims, sphere, slot)(pts)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_ties_drop_the_first_largest_axis(self):
+        assert fl.tangent_axes(np.array([0.0, 0.0, 1.0])).tolist() == [0, 1]
+        assert fl.tangent_axes(np.array([-0.6, 0.6, 0.5])).tolist() == [1, 2]
+        assert fl.tangent_axes(np.array([0.3, -0.8, 0.8])).tolist() == [0, 2]
+
+    def test_slot_range(self):
+        dims = arm.ArmDims(2, 1)
+        for slot in (-1, dims.k):
+            with pytest.raises(IndexError):
+                fl.sphere_axis_field(dims, 0, slot)
 
 
 class TestDuality:
@@ -424,8 +476,8 @@ def declared_fields(dims):
     n, k = dims.n, dims.k
     return ([fl.z_field(dims, i) for i in range(1, n + 1)]
             + [fl.x0_field(dims, m) for m in range(n + 1)]
-            + [fl.sphere_axis_field(dims, j, a) for j in range(n + 1)
-               for a in range(k + 1)]
+            + [fl.sphere_axis_field(dims, j, slot) for j in range(n + 1)
+               for slot in range(k)]
             + [fl.xi_field(dims, j, i) for j in range(n + 1)
                for i in range(1, k + 1)]
             + [fl.cart_z_field(dims, i) for i in range(n + 1)])

@@ -20,11 +20,10 @@ from test_arm import random_config
 from test_fields import car_x1_field, car_x2_field
 
 
-def sphere_tangent_fields(dims, sphere, at):
-    """k projected-axis fields spanning the tangent of `sphere` near `at`
-    (the axes of `fields.tangent_axes`)."""
-    return [fl.sphere_axis_field(dims, sphere, int(a))
-            for a in fl.tangent_axes(at.z[sphere])]
+def sphere_tangent_fields(dims, sphere):
+    """The k projected-axis fields spanning the tangent of `sphere`."""
+    return [fl.sphere_axis_field(dims, sphere, slot)
+            for slot in range(dims.k)]
 
 
 def chart_delta_basis(q, m):
@@ -66,11 +65,11 @@ def has_term(x, y):
                 and y.writes.isdisjoint(x.reads))
 
 
-def level_pairs(ctx):
+def level_pairs(dims):
     """Every pair a < b of family positions that some level reads (each
     E^m lies in D^m)."""
-    return sorted({pair for m in range(1, ctx.dims.n + 2)
-                   for pair in zip(*fg._pairs(ctx.d_index(m)))})
+    return sorted({pair for m in range(1, dims.n + 2)
+                   for pair in zip(*fg._pairs(fg._d_index(dims, m)))})
 
 
 class TestLieBracket:
@@ -268,7 +267,7 @@ class TestResiduals:
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
         flds = ([fl.x0_field(dims, dims.n)]
-                + sphere_tangent_fields(dims, dims.n, q))
+                + sphere_tangent_fields(dims, dims.n))
         qn = orthonormal_rows(np.vstack([f.at(q.flat()) for f in flds]))
         rows = []
         for a, fa in enumerate(flds):
@@ -388,7 +387,7 @@ def oracle_flag(q, tol=1e-8, residual_tol=fg.RESIDUAL_TOL,
     n, k1 = dims.n, dims.ambient
     point = q.flat()
     x0 = [fl.x0_field(dims, m) for m in range(n + 1)]
-    spheres = [sphere_tangent_fields(dims, j, q) if basis == "projected"
+    spheres = [sphere_tangent_fields(dims, j) if basis == "projected"
                else [fl.xi_field(dims, j, i) for i in range(1, dims.k + 1)]
                for j in range(n + 1)]
     val = {id(f): f.at(point) for f in x0 + sum(spheres, [])}
@@ -508,8 +507,8 @@ class TestComplexStep:
         for q in [regular(dims, rng) for _ in range(3)]:
             point, z = q.flat(), q.z[None]
             for basis in ("projected", "chart"):
-                ctx = fg._FlagContext(dims, z, basis=basis)
-                flds = [ctx.fields[i] for i in ctx.keep[0]]
+                family = fg._family(dims, basis)
+                flds = family[0]
                 vals = values(flds, q)
                 for fld in flds:
                     exact = fld(point + 1j * t * vals).imag / t
@@ -518,8 +517,8 @@ class TestComplexStep:
                     assert np.abs(exact - wider).max() <= 1e-14
                     diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
                     assert np.abs(exact - diff).max() <= 1e-9
-                pb = fg._PairBrackets(ctx, point[None], z)
-                for a, b in level_pairs(ctx):
+                pb = fg._PairBrackets(family, point[None], z)
+                for a, b in level_pairs(dims):
                     want = fg.bracket_field(flds[a], flds[b], 1e-5).at(point)
                     row = pb.pair[a, b]
                     if row < pb.held:
@@ -548,17 +547,15 @@ class TestComplexStep:
         dims = arm.ArmDims(3, 4)
         q = regular(dims, np.random.default_rng(44), margin=0.2)
         fg.verify_flag(q, basis=basis)
-        ctx = fg._FlagContext(dims, q.z[None], basis=basis)
-        flds = [ctx.fields[i] for i in ctx.keep[0]]
+        flds, _, pair, held = fg._family(dims, basis)
         assert len(read) == 3 * dims.n + 3
         for pb, idx in read:
-            assert np.array_equal(pb.pair, ctx.pair)
+            assert np.array_equal(pb.pair, pair)
             for a, b in zip(*fg._pairs(idx)):
                 assert (pb.pair[a, b] < pb.held) == has_term(flds[a], flds[b])
         unread = set(zip(*fg._pairs(range(len(flds))))) - set(
-            level_pairs(ctx))
-        assert unread and all(ctx.pair[a, b] == ctx.held + 1
-                              for a, b in unread)
+            level_pairs(dims))
+        assert unread and all(pair[a, b] == held + 1 for a, b in unread)
 
     def test_reports_name_their_derivative(self):
         q = regular(arm.ArmDims(2, 2), np.random.default_rng(41), margin=0.2)
@@ -568,32 +565,25 @@ class TestComplexStep:
         assert all("bracket_h" not in t for t in got)
 
 
-def dense_brackets(ctx, points, z):
+def dense_brackets(fields, points, z):
     """Every pairwise bracket (B, F(F-1)/2, D) of the family, in the
     row-major pair order of `flags._pairs`: each field probed at all F
-    complex rows p + i t V_a of each point keeping it, whatever blocks the
-    fields read and write."""
-    (b, d), f = points.shape, ctx.keep.shape[1]
-    vals = np.take_along_axis(
-        np.stack([fld(points) for fld in ctx.fields], axis=1),
-        ctx.keep[:, :, None], axis=1)
+    complex rows p + i t V_a of each point, whatever blocks the fields
+    read and write."""
+    (b, d), f = points.shape, len(fields)
+    vals = np.stack([fld(points) for fld in fields], axis=1)
     probes = points[:, None] + 1j * fg.COMPLEX_STEP * vals
     first, second = fg._pairs(range(f))
     number = np.zeros((f, f), dtype=int)
     number[first, second] = number[second, first] = np.arange(first.size)
     rest = np.arange(f - 1)
-    others = rest + (rest >= np.arange(f)[:, None])
     out = np.zeros((b, first.size, d))
-    for c, fld in enumerate(ctx.fields):
-        rows, pos = np.nonzero(ctx.keep == c)
-        if not rows.size:
-            continue
-        jv = fld(probes[rows].reshape(-1, d)).imag / fg.COMPLEX_STEP
-        other = others[pos]
-        terms = np.take_along_axis(jv.reshape(-1, f, d), other[..., None],
-                                   axis=1)
-        terms[other > pos[:, None]] *= -1.0
-        out[rows[:, None], number[other, pos[:, None]]] += terms
+    for c, fld in enumerate(fields):
+        jv = fld(probes.reshape(-1, d)).imag / fg.COMPLEX_STEP
+        other = rest + (rest >= c)
+        terms = jv.reshape(b, f, d)[:, other]
+        terms[:, other > c] *= -1.0
+        out[:, number[other, c]] += terms
     return fg._tangent_project(out, z)
 
 
@@ -618,10 +608,10 @@ class TestDenseOracle:
             z, axis=1, keepdims=True)))
         z = np.stack([q.z for q in qs])
         points = np.stack([q.flat() for q in qs])
-        ctx = fg._FlagContext(dims, z, basis=basis)
-        pb = fg._PairBrackets(ctx, points, z)
-        dense = dense_brackets(ctx, points, z)
-        first, second = fg._pairs(range(ctx.keep.shape[1]))
+        family = fg._family(dims, basis)
+        pb = fg._PairBrackets(family, points, z)
+        dense = dense_brackets(family[0], points, z)
+        first, second = fg._pairs(range(len(family[0])))
         rows = pb.pair[first, second]
         held = rows < pb.held
         assert np.count_nonzero(held) == pb.held
@@ -632,7 +622,7 @@ class TestDenseOracle:
             8 * len(qs) * dims.cartesian_dim)
         number = {pair: p for p, pair in enumerate(zip(first, second))}
         for m in range(1, n + 2):
-            idx = ctx.d_index(m)
+            idx = fg._d_index(dims, m)
             want = np.concatenate([pb.values[:, idx], dense[:, [
                 number[pair] for pair in zip(*fg._pairs(idx))]]], axis=1)
             assert pb.derived_stack(idx).tobytes() == want.tobytes()
@@ -706,9 +696,9 @@ def sweep_batch(dims, rng):
 
 
 class TestOnePassPerPoint:
-    """`verify_flags` evaluates each generating field once at the block's
-    points that keep it and once at the complex probe rows of the terms it
-    enters, and decomposes each level matrix, derived stack and angle side
+    """`verify_flags` evaluates each field of the shape's family once at
+    all the block's points and once at the complex probe rows of the terms
+    it enters, and decomposes each level matrix, derived stack and angle side
     with one stacked call, however many points the block holds: an SVD per
     matrix (after a QR when the stack is tall), and an eigvalsh per angle
     side at regular points."""
@@ -734,30 +724,48 @@ class TestOnePassPerPoint:
                 calls.clear()
                 decomps.clear()
                 fg.verify_flags(qs[:size])
-                ctx = fg._FlagContext(dims, np.stack([q.z for q in
-                                                      qs[:size]]))
+                fields, probe, _, held = fg._family(dims, "projected")
                 # X_m^0 takes the k tangents of sphere m, a tangent the
                 # k-1 others of its sphere: 30 pairs of 190 at (3,4)
-                assert ctx.probe.sum() == (n + 1) * k * k
-                assert ctx.held == (n + 1) * k * (k + 1) // 2
-                want = Counter()
-                for c, fld in enumerate(ctx.fields):
-                    rows, pos = np.nonzero(ctx.keep == c)
-                    if rows.size:
-                        want[(fld.label, rows.size)] += 1
-                    probes = int(ctx.probe[pos].sum())
-                    if probes:
-                        want[(fld.label, probes)] += 1
-                # the steering fields and the axes some point keeps, each
-                # at the points that keep it
+                assert len(fields) == (n + 1) * (k + 1)
+                assert probe.sum() == (n + 1) * k * k
+                assert held == (n + 1) * k * (k + 1) // 2
+                # every field of the family once at the block's points,
+                # and once at its probe rows, one per point and term
+                want = Counter((fld.label, size) for fld in fields)
+                want.update((fld.label, size * int(probe[c].sum()))
+                            for c, fld in enumerate(fields) if probe[c].any())
                 assert {label for label, _ in calls} == {
-                    ctx.fields[c].label for c in np.unique(ctx.keep)}
+                    fld.label for fld in fields}
                 assert Counter(calls) == want
                 # an SVD per level matrix, derived stack, sandwich rank and
                 # tangent basis; one eigvalsh per side of each derived angle;
                 # one QR per derived stack twice as tall as wide
                 assert decomps == {"svd": 4 * (n + 1) + 1,
                                    "eigvalsh": 2 * (n + 1), "qr": tall}
+
+    def test_family_built_once_per_run(self, monkeypatch):
+        # a run of three blocks builds its shape's family once, and the
+        # blocks share it
+        made, blocks = Counter(), []
+        for name in ("x0_field", "sphere_axis_field"):
+            make = getattr(fl, name)
+            monkeypatch.setattr(fl, name, lambda *a, make=make, name=name: (
+                made.update([name]), make(*a))[1])
+        verify_block = fg._verify_block
+        monkeypatch.setattr(fg, "_verify_block", lambda qs, *a: (
+            blocks.append(len(qs)), verify_block(qs, *a))[1])
+        dims = arm.ArmDims(3, 4)
+        block = fg.BLOCK_BYTES // pair_bytes(dims)
+        rng = np.random.default_rng(6)
+        qs = [regular(dims, rng) for _ in range(2 * block + 1)]
+        fg._family.cache_clear()
+        fg.verify_flags(qs)
+        assert blocks == [block, block, 1]
+        assert made == {"x0_field": dims.n + 1,
+                        "sphere_axis_field": (dims.n + 1) * dims.k}
+        info = fg._family.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestBatch:
@@ -998,10 +1006,10 @@ class TestHelperThread:
         dims = arm.ArmDims(2, 2)
         qs = sweep_batch(dims, np.random.default_rng(33))
         z = np.stack([q.z for q in qs])
-        ctx = fg._FlagContext(dims, z)
-        pb = fg._PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
-        for arr in (pb.values, pb.brackets, ctx.keep, ctx.probe, ctx.pair,
-                    *fg._upper(ctx.keep.shape[1])):
+        family = fields, probe, pair, _ = fg._family(dims, "projected")
+        pb = fg._PairBrackets(family, np.stack([q.flat() for q in qs]), z)
+        for arr in (pb.values, pb.brackets, probe, pair,
+                    *fg._upper(len(fields))):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] += 1
 

@@ -331,6 +331,9 @@ class TestAngles:
         assert abs(ang1[0] - np.pi) < 1e-15
 
     def test_interior_flag(self):
-        assert hs._interior_sines([1e-12])[1]          # k=1: always interior
-        assert not hs._interior_sines([1e-12, 0.3])[1]
-        assert hs._interior_sines([0.5, 0.3])[1]
+        # k=1: always interior
+        assert hs._interior_sines([1e-12], strict=True).size == 0
+        with pytest.raises(ChartDegenerate):
+            hs._interior_sines([1e-12, 0.3], strict=True)
+        assert hs._interior_sines([1e-12, 0.3]) == pytest.approx([1e-12])
+        assert hs._interior_sines([0.5, 0.3], strict=True) == np.sin(0.5)

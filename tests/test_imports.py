@@ -5,8 +5,8 @@ integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
 the library, the command line refuses bad input and prints to stderr in
-one place, code is generated and matrices are decomposed in one place
-only, and only the flag pass starts a thread.
+one place, code is generated, sphere axes are chosen and matrices are
+decomposed in one place only, and only the flag pass starts a thread.
 """
 
 import ast
@@ -159,6 +159,19 @@ def test_code_generated_in_one_place():
                                node.func.id))
     assert calls == {("dynamics", "_arm_kernel", "exec"),
                      ("dynamics", "_arm_kernel", "compile")}
+
+
+def test_axis_choice_in_one_place():
+    # a projected tangent field picks its ambient axis at the point, in
+    # `fields.sphere_axis_field`; no other function names `tangent_axes`
+    users = set()
+    for module in MODULES:
+        for fn in parse(module).body:
+            for node in ast.walk(fn):
+                if "tangent_axes" in (getattr(node, "id", None),
+                                      getattr(node, "attr", None)):
+                    users.add((module, getattr(fn, "name", None)))
+    assert users == {("fields", "sphere_axis_field")}
 
 
 # the numpy.linalg routines that factor a matrix (or solve through a factor)

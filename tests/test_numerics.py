@@ -36,9 +36,10 @@ def derived_stacks(dims, seed):
     qs = ([sampling.random_regular_config(dims, rng) for _ in range(20)]
           + [sampling.singular_config(dims, rng, index=i) for i in (1, 2)])
     z = np.stack([q.z for q in qs])
-    ctx = fg._FlagContext(dims, z)
-    pb = fg._PairBrackets(ctx, np.stack([q.flat() for q in qs]), z)
-    return [pb.derived_stack(ctx.d_index(m + 1)) for m in range(dims.n + 1)]
+    pb = fg._PairBrackets(fg._family(dims, "projected"),
+                          np.stack([q.flat() for q in qs]), z)
+    return [pb.derived_stack(fg._d_index(dims, m + 1))
+            for m in range(dims.n + 1)]
 
 
 class TestRowSpan:

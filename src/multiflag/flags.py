@@ -1,43 +1,29 @@
 """Numerical verification of the nested bracket-generated structure of the
 arm's control distribution.
 
-At a sampled configuration level m is generated by the steering field of
+At a sampled configuration level D^m is generated by the steering field of
 joint m plus the sphere-tangent fields of all spheres above it; dropping
-the steering field gives the integrable sublevel.  The checks are all
-distribution-level (ranks, spans of brackets, inclusion residuals), so any
-generating family with the same pointwise span serves, and each shape and
-basis has one fixed family of (n+1)(k+1) fields (`_family`).  The default
-projects onto each sphere the k ambient axes least aligned with its
-segment, each field picking its axis at the point; the chart fields
-(`basis="chart"`) must agree wherever both are defined.  Spans are
-computed on embedded coordinates, with tangency to the spheres enforced on
-bracket values.  Along a complex step p + i t V both families are analytic
-(a projected field's axis follows the real part p), so their brackets take
-complex-step derivatives, exact to rounding; `bracket_field`, the
-single-pair bracket, takes central differences, since it nests:
-bracket_field(bracket_field(x, y), z).
+the steering field gives the integrable sublevel E^m.  The checks are
+distribution-level (ranks, spans of brackets, inclusion residuals), so
+each shape and basis has one fixed generating family (`_family`), whose
+brackets the pass takes by complex step (`_PairBrackets`); `bracket_field`,
+the single-pair bracket, takes central differences, since it nests.
 
-Each field declares the ambient blocks it reads and writes, and J_c V_a is
-0 unless a writes a block that c reads.  Tangent fields of different
-spheres therefore commute, and the steering field X_m^0, which reads
-spheres 0..m, brackets nonzero inside a level only with the tangents of
-sphere m; the engine holds only the pairs some level reads that have such
-a term, and every other pair a level reads is one shared zero row.
+`verify_flags` measures the points of one shape in the calling thread, a
+block of points at a time.  Every matrix it decomposes is block diagonal
+over the ambient blocks the fields declare they write (`_layout`), so it
+takes one stacked SVD per kind of block for all points and levels, never
+one of a whole level matrix or derived stack: a rank counts the blocks'
+singular values above tol times the largest of the whole matrix, a span is
+the blocks' kept singular directions, and a derived-span angle is the
+largest of its blocks' angles.  `verify_flag` is the one-point call, and
+`build_level` gives the generating fields of (D^m, E^m).
 
-`verify_flags` measures the points of one shape together, one block of
-points at a time: each field of the family is evaluated in one call at
-all the block's points and in one at the probe rows of the terms it
-enters, every held bracket is computed once, and one stacked SVD of each
-level matrix or derived stack (of its QR factor R when the stack is tall)
-gives every point its rank and span; the sandwich test reuses them.  Each
-side of a derived-span angle is one stacked Gram eigenvalue problem.
-Points whose ranks differ are read in groups of equal rank, so each gets
-exactly the numbers it gets alone.  The derived stacks are decomposed on
-one helper thread (`_worker`) while the calling thread measures the
-levels; numpy's stacked decompositions release the GIL, so the two
-overlap on two cores.  `verify_flag` is the one-point call; a report
-carries every per-level number, and `build_level` gives the generating
-fields of (D^m, E^m) themselves.
+The level rank gates are close to structural: E^m's rank is the sum of its
+spheres' ranks, k each wherever the tangent fields span, and D^m adds
+X_{m-1}^0, which writes none of their blocks.  What is particular to the
+arm lies in the bracket gates: the derived spans, the involutivity of E^m
+and the derived inclusion [D^{m+1}, D^{m+1}] in D^m.
 """
 
 from __future__ import annotations
@@ -51,25 +37,18 @@ import numpy as np
 from . import fields as fl
 from .arm import AngularConfig, ArmDims
 from .fields import Field, field_jacobian
-from .numerics import (RowSpan, orthonormal_rows, rank_groups, subspace_angle,
+from .numerics import (RowSpan, orthonormal_rows, span_angle, subspace_angle,
                        svd_rank)
+
+# unused by the pass, wrapped here by name by bench/tracing.py
+_WRAPPED = (svd_rank, orthonormal_rows, subspace_angle)
 
 RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step of bracket_field
 COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
-# Byte budget of the level-1 derived stack of one block of points.
-BLOCK_BYTES = 576 * 1024
-
-
-@functools.cache
-def _worker():
-    """The one helper thread of `_verify_block`, built by its first call
-    (so a run without `verify` imports no executor and starts no
-    thread)."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1,
-                              thread_name_prefix="multiflag-derived")
+# Byte budget of the bracket array of one block of points.
+BLOCK_BYTES = 128 * 1024
 
 
 def expected_rank_d(dims: ArmDims, m: int) -> int:
@@ -125,10 +104,7 @@ def _d_index(dims: ArmDims, m: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
-    upper = np.triu_indices(size, 1)
-    for idx in upper:
-        idx.setflags(write=False)  # cached: every block shares them
-    return upper
+    return np.triu_indices(size, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,6 +159,26 @@ def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return idx[upper[0]], idx[upper[1]]
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(dims: ArmDims, basis: str) -> tuple[np.ndarray, ...]:
+    """Where the family's blocks sit, read from its declared `writes`:
+    sphere j's k tangents, at family positions tangent[j], write the one
+    block of columns cols[j]; inner[j] and steer[j] number (as `pair`
+    does) the pairs of those tangents and of X_j^0 with them.  X_m^0 and
+    those brackets write blocks 0..m, none of a sphere m..n, so each matrix
+    of the pass is one block per sphere beside one of X_m^0, and a sphere's
+    block with its brackets is the same at every level.
+    """
+    fields, _, pair, _ = _family(dims, basis)
+    n1, k, k1 = dims.n + 1, dims.k, dims.ambient
+    tangent = np.arange(n1, n1 * (k + 1)).reshape(n1, k)
+    writes = [set().union(*(fields[i].writes for i in row)) for row in tangent]
+    a, b = _upper(k)
+    return (tangent, np.array([k1 * blk + np.arange(k1) for (blk,) in writes]),
+            pair[tangent[:, a], tangent[:, b]],
+            pair[np.arange(n1)[:, None], tangent])
+
+
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products along the last axis, broadcast over the others.
 
@@ -202,19 +198,6 @@ def _tangent_project(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
     z = z.reshape((b,) + (1,) * (vecs.ndim - 2) + (spheres, k1))
     blocks -= _rowdot(blocks, z)[..., None] * z
     return vecs
-
-
-def _tangent_basis(dims: ArmDims, z: np.ndarray) -> np.ndarray:
-    """Orthonormal rows (B, angular_dim, D) spanning the whole tangent
-    space at each configuration of segment rows z (B, n+1, k+1)."""
-    k, k1 = dims.k, dims.ambient
-    sphere = orthonormal_rows(np.eye(k1) - z[..., :, None] * z[..., None, :])
-    out = np.zeros((len(z), dims.angular_dim, dims.cartesian_dim))
-    out[:, :k1, :k1] = np.eye(k1)
-    for i in range(dims.n + 1):
-        out[:, k1 + k * i:k1 + k * (i + 1),
-            k1 * (i + 1):k1 * (i + 2)] = sphere[:, i]
-    return out
 
 
 class _PairBrackets:
@@ -254,14 +237,13 @@ class _PairBrackets:
             jv[:, other > c] *= -1.0
             self.brackets[:, self.pair[other, c]] += jv
         _tangent_project(self.brackets, z)
-        # read by the helper thread while the block measures its levels
-        self.values.setflags(write=False)
-        self.brackets.setflags(write=False)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
-    def worst_residual(self, idx: Sequence[int], span: RowSpan) -> np.ndarray:
+    def worst_residual(self, idx: Sequence[int], span: np.ndarray
+                       ) -> np.ndarray:
         """Per point, the worst normalized component of a bracket of two
-        fields of `idx` outside the span's rows kept at 1e-8.
+        fields of `idx` outside the span of the orthonormal rows `span`
+        (B, r, D), zero rows standing for dropped directions.
 
         Normalization floors at the product of the generator norms so that
         commuting pairs (bracket = pure derivative noise) report noise, not
@@ -278,34 +260,26 @@ class _PairBrackets:
         scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
                                       self.norms[:, a] * self.norms[:, b]),
                            1e-300)
-        for (r,), sel in rank_groups(span.rank()):
-            q = span.vt[sel, :r]
-            br[sel] -= (br[sel][:, :, None, :] @ q.swapaxes(1, 2)[:, None]
-                        @ q[:, None])[:, :, 0]
+        br -= (br[:, :, None, :] @ span.swapaxes(1, 2)[:, None]
+               @ span[:, None])[:, :, 0]
         return np.max(np.sqrt(_rowdot(br, br)) / scale, axis=1)
-
-    def derived_stack(self, idx: Sequence[int]) -> np.ndarray:
-        """The fields of `idx` together with all their pairwise brackets."""
-        a, b = _pairs(idx)
-        return np.concatenate([self.values[:, idx],
-                               self.brackets[:, self.pair[a, b]]], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # generating fields of one level
 # ---------------------------------------------------------------------------
 
-def build_level(q: AngularConfig, m: int, basis: str = "projected"
+def build_level(dims: ArmDims, m: int, basis: str = "projected"
                 ) -> tuple[list[Field], list[Field]]:
-    """Generating fields of (D^m, E^m) at q, for m = 1..n+1: members of
-    the family of q's shape, so the same fields at every q.
+    """Generating fields of (D^m, E^m) for the shape dims, m = 1..n+1:
+    members of its family, the same fields at every configuration.
 
     E^m spans the sphere tangents of spheres m-1..n; D^m adds the steering
     field of joint m in front.  basis="chart" uses the chart coordinate
     fields as the sphere-tangent family and fails at degenerate charts.
     """
-    fields = _family(q.dims, basis)[0]
-    flds = [fields[i] for i in _d_index(q.dims, m)]
+    fields = _family(dims, basis)[0]
+    flds = [fields[i] for i in _d_index(dims, m)]
     return flds, flds[1:]
 
 
@@ -321,7 +295,9 @@ class LevelReport:
     expected_rank_d: int
     expected_rank_e: int
     involutivity_e: float
-    cauchy_residual: Optional[float]  # None at the top level
+    # derived inclusion [D^{m+1}, D^{m+1}] in D^m (not the Cauchy
+    # characteristic); None at the top level
+    cauchy_residual: Optional[float]
 
     def to_dict(self) -> dict:
         return {"m": self.m, "rank_D": self.rank_d, "rank_E": self.rank_e,
@@ -416,19 +392,10 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     each configuration of one (k,n) shape, classify the points, and
     aggregate pass/fail per condition; one report per configuration.
 
-    The points are measured together, in blocks sized by BLOCK_BYTES.  The
+    The points are measured in blocks whose bracket array (`_PairBrackets`:
+    points x (held pairs + 1) x dimension, float64) fits BLOCK_BYTES.  The
     caller asserts the conditions only at regular points; singular ones get
-    the same measurements recorded with a `singular` verdict and never
-    raise.
-
-    In each block the QR and SVD of the derived stacks run on the helper
-    thread while this one computes the level spans, ranks, residuals and
-    sandwich ranks; the derived ranks and angles wait for them.  The
-    numbers are bit for bit those of one thread: each decomposition is the
-    same call on the same array, and the helper only reads the block's
-    values and brackets, which are read-only once built.  The block waits
-    for the helper on every path, so no decomposition outlives the call,
-    and an error raised on the helper is raised here.
+    the same measurements recorded with a `singular` verdict.
     """
     qs = list(qs)
     if not qs:
@@ -436,8 +403,8 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     dims = qs[0].dims
     if any(q.dims != dims for q in qs):
         raise ValueError("verify_flags needs configurations of one shape")
-    rows = (dims.n + 1) * dims.k + 1
-    size = max(1, BLOCK_BYTES // (4 * rows * (rows + 1) * dims.cartesian_dim))
+    held = _family(dims, basis)[3]
+    size = max(1, BLOCK_BYTES // (8 * (held + 1) * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
             for rep in _verify_block(qs[start:start + size], tol, basis)]
 
@@ -448,49 +415,100 @@ def verify_flag(q: AngularConfig, tol: float = 1e-8,
     return verify_flags([q], tol=tol, basis=basis)[0]
 
 
+def _kept_from(s: np.ndarray, thr: np.ndarray, first: int = 0) -> np.ndarray:
+    """Masks (B, L, n+1, r): for each l, the singular values s[:, j]
+    (B, n+1, r) of the spheres j >= first + l above thr[:, l] (B, L)."""
+    after = (np.arange(s.shape[1])
+             >= first + np.arange(thr.shape[1])[:, None])
+    return (s[:, None] > thr[:, :, None, None]) & after[:, :, None]
+
+
 def _verify_block(qs: list[AngularConfig], tol: float,
                   basis: str) -> list[FlagReport]:
     dims = qs[0].dims
-    n = dims.n
+    n, n1, k = dims.n, dims.n + 1, dims.k
     z = np.stack([q.z for q in qs])
     points = np.stack([q.flat() for q in qs])
+    b, d = points.shape
     pb = _PairBrackets(_family(dims, basis), points, z)
+    tangent, cols, inner, steer = _layout(dims, basis)
 
-    # the derived stacks, brackets of level m+1 against level m (level 0:
-    # the tangent space), are decomposed on the helper thread while this
-    # one measures the levels; the block waits for them on every path
-    derived = _worker().submit(lambda: [RowSpan(pb.derived_stack(
-        _d_index(dims, m + 1))) for m in range(n + 1)])
-    try:
-        # one stacked SVD per level matrix: ranks at tol, residual spans
-        # at 1e-8; the D^m spans are also the targets of the derived-span
-        # angles, and each E^m span is dropped once read, which keeps the
-        # block's peak memory, the helper's included, within 2 MiB
-        spans_d = [RowSpan(pb.values[:, _d_index(dims, m)])
-                   for m in range(1, n + 2)]
-        ranks_d = [s.rank(tol) for s in spans_d]
-        ranks_e, inv = [], []
-        for m in range(1, n + 2):
-            span = RowSpan(pb.values[:, _e_index(dims, m)])
-            ranks_e.append(span.rank(tol))
-            inv.append(pb.worst_residual(_e_index(dims, m), span))
-        cauchy = [pb.worst_residual(_d_index(dims, m + 1), spans_d[m - 1])
-                  for m in range(1, n + 1)]
-        # top-level non-involutivity (bracket-generating witness, not a
-        # gate)
-        delta_inv = pb.worst_residual(_d_index(dims, n + 1), spans_d[-1])
-        # sandwich test: index l fails when the steering field of joint l
-        # already lies in E^l (no rank increase); at k = 1 the A_i decide
-        stalls = ([svd_rank(pb.values[:, _e_index(dims, l) + [l]], tol)
-                   == ranks_e[l - 1] for l in range(1, n + 1)]
-                  if dims.k >= 2 else None)
-    finally:
-        derived.exception()  # waits for the helper; raises nothing
-    stacks = derived.result()
-    derived_rank = [s.rank(tol) for s in stacks]
-    derived_angle = [subspace_angle(s, spans_d[m - 1] if m else
-                                    _tangent_basis(dims, z), tol)
-                     for m, s in enumerate(stacks)]
+    # one stacked SVD per kind of block for all points and levels: each
+    # sphere's tangents on its block, the same with their brackets, and
+    # X_m^0 with its brackets with sphere m's tangents; X_m^0 alone has the
+    # one singular value |X_m^0|
+    on_block = cols[None, :, None]
+    tangents = pb.values[:, tangent]
+    t = RowSpan(np.take_along_axis(tangents, on_block, axis=-1))
+    s = RowSpan(np.take_along_axis(np.concatenate(
+        [tangents, pb.brackets[:, inner]], axis=2), on_block, axis=-1))
+    c = RowSpan(np.concatenate([pb.values[:, :n1, None],
+                                pb.brackets[:, steer]], axis=2))
+    x = pb.norms[:, :n1]
+    x_rows = pb.values[:, :n1] / np.where(x > 0, x, 1.0)[..., None]
+    t_rows = np.zeros((b, n1, k, d))
+    np.put_along_axis(t_rows, on_block, t.vt, axis=-1)
+
+    # a rank counts the blocks' singular values above tol times the largest
+    # of the whole matrix: E^m and D^m at index m-1, the derived stack of
+    # level m+1 at index m (the largest over the spheres from each on)
+    top_e = np.maximum.accumulate(t.s[:, ::-1, 0], axis=1)[:, ::-1]
+    top_d = np.maximum(x, top_e)
+    top_dv = np.maximum(c.s[..., 0], np.maximum.accumulate(
+        s.s[:, ::-1, 0], axis=1)[:, ::-1])
+    keep_t, keep_x = _kept_from(t.s, tol * top_d), x > tol * top_d
+    keep_c = c.s > tol * top_dv[..., None]
+    keep_s = _kept_from(s.s, tol * top_dv)
+    ranks_e = _kept_from(t.s, tol * top_e).sum(axis=(2, 3))
+    ranks_d = keep_t.sum(axis=(2, 3)) + keep_x
+    derived_rank = keep_c.sum(axis=-1) + keep_s.sum(axis=(2, 3))
+
+    # the residuals project onto E^m and D^m kept at 1e-8: ambient rows,
+    # each dropped one zeroed
+    def rows(keep: np.ndarray, i: int) -> np.ndarray:
+        return (t_rows * keep[:, i, ..., None]).reshape(b, -1, d)
+
+    keep_e, keep_d = (_kept_from(t.s, 1e-8 * top) for top in (top_e, top_d))
+    x_kept = x_rows * (x > 1e-8 * top_d)[..., None]
+    inv = [pb.worst_residual(_e_index(dims, i + 1), rows(keep_e, i))
+           for i in range(n1)]
+    spans_d = [np.concatenate([x_kept[:, i, None], rows(keep_d, i)], axis=1)
+               for i in range(n1)]
+    cauchy = [pb.worst_residual(_d_index(dims, m + 1), spans_d[m - 1])
+              for m in range(1, n + 1)]
+    # top-level non-involutivity (bracket-generating witness, not a gate)
+    delta_inv = pb.worst_residual(_d_index(dims, n + 1), spans_d[n])
+
+    # a derived-span angle is the largest of its blocks' angles: X_m^0 with
+    # its brackets against X_{m-1}^0 beside sphere m-1's tangents (at m = 0
+    # the whole base block), and each sphere m..n against its tangents (at
+    # m = 0 its tangent plane, at sine |Q z| from k kept rows Q)
+    on = np.arange(n)
+    target = np.zeros((b, n1, k + 1, d))
+    target[:, 0] = np.eye(d)[:k + 1]
+    target[:, 1:, 0] = x_rows[:, :n] * keep_x[:, :n, None]
+    target[:, 1:, 1:] = t_rows[:, :n] * keep_t[:, on, on, :, None]
+    angle = span_angle(c.vt * keep_c[..., None], target)
+    angle[:, 1:] = np.maximum(angle[:, 1:], span_angle(
+        s.vt[:, None] * keep_s[:, 1:, ..., None],
+        t.vt[:, None] * _kept_from(t.s, tol * top_d[:, :n], 1)[..., None]
+    ).max(axis=2))
+    qz = (s.vt * keep_s[:, 0, ..., None] @ points[:, cols, None])[..., 0]
+    angle[:, 0] = np.maximum(angle[:, 0], np.where(
+        keep_s[:, 0].sum(axis=-1) == k,
+        np.arcsin(np.minimum(1.0, np.sqrt(_rowdot(qz, qz)))),
+        np.pi / 2).max(axis=1))
+
+    # sandwich test: index l fails when the steering field of joint l
+    # already lies in E^l (no rank increase); at k = 1 the A_i decide
+    stalls = None
+    if k >= 2 and n:
+        w = RowSpan(pb.values[:, np.column_stack([np.arange(1, n1),
+                                                  tangent[:-1]])])
+        top_w = np.maximum(w.s[..., 0], top_e[:, 1:])
+        stalls = ((w.s > tol * top_w[..., None]).sum(axis=-1)
+                  + _kept_from(t.s, tol * top_w, 1).sum(axis=(2, 3))
+                  == ranks_e[:, :n])
 
     # the one singular-point rule: the i (1-based) with |A_i| < EPS_SING
     a_values = fl.a_chain(z)
@@ -498,21 +516,21 @@ def _verify_block(qs: list[AngularConfig], tol: float,
             for row in np.abs(a_values) < EPS_SING]
     reports = []
     for j, q in enumerate(qs):
-        levels = [LevelReport(m, int(ranks_d[m - 1][j]),
-                              int(ranks_e[m - 1][j]),
+        levels = [LevelReport(m, int(ranks_d[j, m - 1]),
+                              int(ranks_e[j, m - 1]),
                               expected_rank_d(dims, m),
                               expected_rank_e(dims, m), float(inv[m - 1][j]),
                               float(cauchy[m - 1][j]) if m <= n else None)
                   for m in range(1, n + 2)]
-        derived = [DerivedReport(m, int(derived_rank[m][j]),
+        derived = [DerivedReport(m, int(derived_rank[j, m]),
                                  expected_rank_d(dims, m),
-                                 float(derived_angle[m][j]))
+                                 float(angle[j, m]))
                    for m in range(n + 1)]
         failures = _failures(levels, derived)
         reports.append(FlagReport(
             dims, {"x0": q.x0.tolist(), "z": q.z.tolist()},
             a_values[j].tolist(), "singular" if sing[j] else "regular",
-            sing[j], (tuple(l for l in range(1, n + 1) if stalls[l - 1][j])
+            sing[j], (tuple(l for l in range(1, n + 1) if stalls[j, l - 1])
                       if stalls is not None else sing[j]),
             levels, derived, float(delta_inv[j]), basis, tol,
             not failures, failures))

@@ -36,7 +36,7 @@ def flag_reports():
         t0 = time.perf_counter()
         for q in qs:
             for m in range(1, n + 2):
-                d, e = fg.build_level(q, m)
+                d, e = fg.build_level(dims, m)
                 for flds in (d, e):
                     svd_rank(np.vstack([f.at(q.flat()) for f in flds]))
         rank_seconds += time.perf_counter() - t0

@@ -1,10 +1,8 @@
+import builtins
 import json
-import sys
 import threading
-import time
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,14 +152,12 @@ class TestLieBracket:
 
 class TestLevels:
     def test_generator_lists(self):
-        rng = np.random.default_rng(5)
         dims = arm.ArmDims(2, 2)
-        q = regular(dims, rng, margin=0.2)
-        d, e = fg.build_level(q, dims.n + 1, basis="chart")
+        d, e = fg.build_level(dims, dims.n + 1, basis="chart")
         assert d[0].label == "X2^0"
         assert {f.label for f in d[1:]} == {"X2^1", "X2^2"}
         assert {f.label for f in e} == {"X2^1", "X2^2"}
-        d1, e1 = fg.build_level(q, 1, basis="chart")
+        d1, e1 = fg.build_level(dims, 1, basis="chart")
         assert len(d1) == 1 + (dims.n + 1) * dims.k
         assert len(e1) == (dims.n + 1) * dims.k
 
@@ -172,7 +168,7 @@ class TestLevels:
             for _ in range(5):
                 q = regular(dims, rng)
                 for m in range(1, n + 2):
-                    d, e = fg.build_level(q, m)
+                    d, e = fg.build_level(dims, m)
                     assert svd_rank(values(d, q)) == (n - m + 2) * k + 1
                     assert svd_rank(values(e, q)) == (n - m + 2) * k
 
@@ -180,7 +176,7 @@ class TestLevels:
         rng = np.random.default_rng(7)
         dims = arm.ArmDims(2, 2)
         q = regular(dims, rng)
-        d = values(fg.build_level(q, 3)[0], q)
+        d = values(fg.build_level(dims, 3)[0], q)
         assert svd_rank(d) == dims.k + 1
         assert svd_rank(np.vstack([d, d])) == svd_rank(d)
         assert svd_rank(np.zeros((3, dims.cartesian_dim))) == 0
@@ -202,7 +198,7 @@ class TestLevels:
         assert got == [3, 4, 5]
         # corank grows by exactly one per level
         dim = dims.angular_dim
-        d_ranks = [svd_rank(values(fg.build_level(q, m)[0], q))
+        d_ranks = [svd_rank(values(fg.build_level(dims, m)[0], q))
                    for m in (1, 2, 3)]
         assert [dim - r for r in d_ranks] == [1, 2, 3]
 
@@ -255,8 +251,8 @@ class TestResiduals:
         dims = arm.ArmDims(1, 3)
         q = regular(dims, rng)
         for m in range(1, dims.n + 1):
-            d_m, _ = fg.build_level(q, m)
-            _, e_next = fg.build_level(q, m + 1)
+            d_m, _ = fg.build_level(dims, m)
+            _, e_next = fg.build_level(dims, m + 1)
             assert (svd_rank(values(e_next, q))
                     == svd_rank(values(d_m, q)) - 2)
 
@@ -378,10 +374,41 @@ class TestVerifyFlag:
 # reference: the scalar one-pair-at-a-time flag check
 # ---------------------------------------------------------------------------
 
+def pattern_rows(mat, tol):
+    """Orthonormal rows spanning the singular directions of `mat` above tol
+    times its largest singular value, from one SVD per connected component
+    of its nonzero pattern (rows linked by the columns they share), found
+    from the numbers alone.  In exact arithmetic this is the SVD of the
+    whole matrix; in rounding it keeps each component's own relative
+    accuracy, where one SVD of a matrix with rows of norm 1e-7 among rows
+    of norm 1 turns the small directions by about 1e-9."""
+    nz = mat != 0
+    free = nz.any(axis=1)
+    parts = []
+    while free.any():
+        rows = np.arange(len(mat)) == np.argmax(free)
+        while True:
+            cols = nz[rows].any(axis=0)
+            grown = nz[:, cols].any(axis=1)
+            if np.array_equal(grown, rows):
+                break
+            rows = grown
+        free &= ~rows
+        _, s, vt = np.linalg.svd(mat[np.ix_(rows, cols)],
+                                 full_matrices=False)
+        full = np.zeros((len(s), mat.shape[1]))
+        full[:, cols] = vt
+        parts.append((s, full))
+    s = np.concatenate([p[0] for p in parts] + [np.zeros(0)])
+    vt = np.concatenate([p[1] for p in parts] + [np.zeros((0, mat.shape[1]))])
+    return vt[s > tol * s.max(initial=0.0)]
+
+
 def oracle_flag(q, tol=1e-8, residual_tol=fg.RESIDUAL_TOL,
                 basis="projected"):
     """The flag measurements of `verify_flag`, with every bracket and every
-    pair residual computed one at a time.  Each J_g V_f is taken at the one
+    pair residual computed one at a time, and each derived stack of all
+    pairs decomposed by `pattern_rows`.  Each J_g V_f is taken at the one
     point by complex step."""
     dims = q.dims
     n, k1 = dims.n, dims.ambient
@@ -461,9 +488,10 @@ def oracle_flag(q, tol=1e-8, residual_tol=fg.RESIDUAL_TOL,
             [matrix(gens)]
             + [bracket(gens[a], gens[b]) for a in range(len(gens))
                for b in range(a + 1, len(gens))])
-        rank = svd_rank(stack, tol)
+        kept = pattern_rows(stack, tol)
+        rank = len(kept)
         target = matrix(d_fields(m)) if m >= 1 else tangent_basis()
-        angle = subspace_angle(stack, target, tol)
+        angle = subspace_angle(kept, target, tol)
         out["derived"].append((m, rank, angle))
         if rank != fg.expected_rank_d(dims, m):
             out["failures"].append(
@@ -531,28 +559,26 @@ class TestComplexStep:
 
     @pytest.mark.parametrize("basis", ["projected", "chart"])
     def test_levels_read_only_held_or_zero_pairs(self, basis, monkeypatch):
-        # every pair a level, residual or derived stack reads is held or
-        # has no term by the supports; a pair no level reads is not held
+        # every pair a residual reads is held or has no term by the
+        # supports, the blocks of the derived stacks read every held pair
+        # once, and a pair no level reads is not held
         read = []
-
-        def recording(method):
-            def wrapper(self, idx, *args):
-                read.append((self, list(idx)))
-                return method(self, idx, *args)
-            return wrapper
-
-        for name in ("worst_residual", "derived_stack"):
-            monkeypatch.setattr(fg._PairBrackets, name,
-                                recording(getattr(fg._PairBrackets, name)))
+        residual = fg._PairBrackets.worst_residual
+        monkeypatch.setattr(fg._PairBrackets, "worst_residual",
+                            lambda self, idx, span: (read.append((self, list(
+                                idx))), residual(self, idx, span))[1])
         dims = arm.ArmDims(3, 4)
         q = regular(dims, np.random.default_rng(44), margin=0.2)
         fg.verify_flag(q, basis=basis)
         flds, _, pair, held = fg._family(dims, basis)
-        assert len(read) == 3 * dims.n + 3
+        assert len(read) == 2 * dims.n + 2
         for pb, idx in read:
             assert np.array_equal(pb.pair, pair)
             for a, b in zip(*fg._pairs(idx)):
                 assert (pb.pair[a, b] < pb.held) == has_term(flds[a], flds[b])
+        _, _, inner, steer = fg._layout(dims, basis)
+        assert sorted(np.concatenate([inner.ravel(), steer.ravel()])
+                      ) == list(range(held))
         unread = set(zip(*fg._pairs(range(len(flds))))) - set(
             level_pairs(dims))
         assert unread and all(pair[a, b] == held + 1 for a, b in unread)
@@ -563,6 +589,19 @@ class TestComplexStep:
                for basis in ("projected", "chart")]
         assert [t["bracket_derivative"] for t in got] == ["complex-step"] * 2
         assert all("bracket_h" not in t for t in got)
+
+
+def point_mix(dims, rng):
+    """Regular, injected-singular and near-singular (A_1 ~ 3e-7) points."""
+    qs = [regular(dims, rng) for _ in range(3)]
+    qs += [sampling.singular_config(dims, rng, index=i)
+           for i in range(1, dims.n + 1)]
+    near = sampling.singular_config(dims, rng, index=1)
+    z = near.z.copy()
+    z[1] += 3e-7 * z[0]
+    qs.append(arm.AngularConfig(dims, near.x0, z / np.linalg.norm(
+        z, axis=1, keepdims=True)))
+    return qs
 
 
 def dense_brackets(fields, points, z):
@@ -596,16 +635,7 @@ class TestDenseOracle:
     @pytest.mark.parametrize("basis", ["projected", "chart"])
     def test_held_pairs_match_all_pairs(self, k, n, basis):
         dims = arm.ArmDims(k, n)
-        rng = np.random.default_rng(50 + 10 * k + n)
-        qs = [regular(dims, rng) for _ in range(3)]
-        qs += [sampling.singular_config(dims, rng, index=i)
-               for i in range(1, n + 1)]
-        # A_1 ~ 3e-7
-        near = sampling.singular_config(dims, rng, index=1)
-        z = near.z.copy()
-        z[1] += 3e-7 * z[0]
-        qs.append(arm.AngularConfig(dims, near.x0, z / np.linalg.norm(
-            z, axis=1, keepdims=True)))
+        qs = point_mix(dims, np.random.default_rng(50 + 10 * k + n))
         z = np.stack([q.z for q in qs])
         points = np.stack([q.flat() for q in qs])
         family = fg._family(dims, basis)
@@ -620,12 +650,70 @@ class TestDenseOracle:
         # the one zero row is +0.0 throughout
         assert pb.brackets[:, pb.held].tobytes() == bytes(
             8 * len(qs) * dims.cartesian_dim)
+        # each derived stack of all pairs is its blocks (`_layout`): X_m^0
+        # with its brackets with sphere m's tangents, zero on the blocks
+        # of spheres m..n, and the tangents of each sphere m..n with their
+        # brackets, zero outside that sphere's block; together they hold
+        # every nonzero row of the stack, bit for bit
+        tangent, cols, inner, steer = fg._layout(dims, basis)
         number = {pair: p for p, pair in enumerate(zip(first, second))}
-        for m in range(1, n + 2):
-            idx = fg._d_index(dims, m)
-            want = np.concatenate([pb.values[:, idx], dense[:, [
+        for m in range(n + 1):
+            idx = fg._d_index(dims, m + 1)
+            stack = np.concatenate([pb.values[:, idx], dense[:, [
                 number[pair] for pair in zip(*fg._pairs(idx))]]], axis=1)
-            assert pb.derived_stack(idx).tobytes() == want.tobytes()
+            coupled = np.concatenate([pb.values[:, [m]],
+                                      pb.brackets[:, steer[m]]], axis=1)
+            spheres = [np.concatenate([pb.values[:, tangent[j]],
+                                       pb.brackets[:, inner[j]]], axis=1)
+                       for j in range(m, n + 1)]
+            assert not coupled[..., cols[m:].ravel()].any()
+            for j, block in zip(range(m, n + 1), spheres):
+                outside = np.delete(block, cols[j], axis=-1)
+                assert not outside.any()
+            rows = np.concatenate([coupled] + spheres, axis=1)
+            for point in range(len(qs)):
+                assert nonzero_rows(stack[point]) == nonzero_rows(rows[point])
+
+
+def nonzero_rows(mat):
+    """The multiset of the nonzero rows of `mat`, by their bytes."""
+    return Counter(row.tobytes() for row in mat if row.any())
+
+
+class TestDeclaredBlocks:
+    """Every value and every held bracket is exactly 0 outside the blocks
+    its fields declare they write: a field outside its `writes`, and the
+    bracket of a and b outside what c writes for its terms J_c V
+    (`probe`).  The flag pass decomposes its matrices block by block on
+    these declarations."""
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
+                                      (3, 4), (2, 5)])
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    def test_zero_outside_declared_writes(self, k, n, basis):
+        dims = arm.ArmDims(k, n)
+        qs = point_mix(dims, np.random.default_rng(60 + 10 * k + n))
+        family = fields, probe, pair, held = fg._family(dims, basis)
+        pb = fg._PairBrackets(family, np.stack([q.flat() for q in qs]),
+                              np.stack([q.z for q in qs]))
+        block = np.arange(dims.cartesian_dim) // dims.ambient
+
+        def outside(writes):
+            return ~np.isin(block, sorted(writes))
+
+        for f, fld in enumerate(fields):
+            assert not pb.values[:, f, outside(fld.writes)].any()
+        seen = 0
+        for a, b in zip(*fg._pairs(range(len(fields)))):
+            if pair[a, b] >= held:
+                continue
+            wrote = set()
+            for c, e in ((a, b), (b, a)):
+                if probe[c, e]:
+                    wrote |= fields[c].writes
+            assert not pb.brackets[:, pair[a, b], outside(wrote)].any()
+            seen += 1
+        assert seen == held
 
 
 class TestBatchedAgainstScalar:
@@ -633,7 +721,7 @@ class TestBatchedAgainstScalar:
 
     def test_verify_flag_matches_scalar_reference(self):
         rng = np.random.default_rng(26)
-        for k, n in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 4)]:
+        for k, n in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 4), (2, 5)]:
             dims = arm.ArmDims(k, n)
             points = [regular(dims, rng) for _ in range(3)]
             points += [sampling.singular_config(dims, rng, index=i)
@@ -682,11 +770,11 @@ class TestBatchedAgainstScalar:
 
 
 def pair_bytes(dims):
-    """Bytes of one point's derived stack of level 1 (F1(F1+1)/2, D)
-    float64, the F1 = (n+1)k+1 fields of D^1 and all their pairs: the count
-    by which `verify_flags` sizes its blocks."""
-    rows = (dims.n + 1) * dims.k + 1
-    return 8 * rows * (rows + 1) // 2 * dims.cartesian_dim
+    """Bytes of one point's bracket array (held + 1, D) float64, the
+    (n+1)k(k+1)/2 held pairs and the one zero row: the count by which
+    `verify_flags` sizes its blocks."""
+    held = (dims.n + 1) * dims.k * (dims.k + 1) // 2
+    return 8 * (held + 1) * dims.cartesian_dim
 
 
 def sweep_batch(dims, rng):
@@ -698,10 +786,11 @@ def sweep_batch(dims, rng):
 class TestOnePassPerPoint:
     """`verify_flags` evaluates each field of the shape's family once at
     all the block's points and once at the complex probe rows of the terms
-    it enters, and decomposes each level matrix, derived stack and angle side
-    with one stacked call, however many points the block holds: an SVD per
-    matrix (after a QR when the stack is tall), and an eigvalsh per angle
-    side at regular points."""
+    it enters, and decomposes each kind of block with one stacked SVD for
+    all its points and levels: the tangents of each sphere, the same with
+    their brackets, each steering field with its brackets, and the
+    sandwich blocks; each side of the derived-span angles of the coupled
+    and of the sphere blocks is one eigvalsh at regular points."""
 
     def test_field_and_svd_counts(self, monkeypatch):
         calls, decomps = [], Counter()
@@ -716,7 +805,7 @@ class TestOnePassPerPoint:
         for name in ("svd", "qr", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         rng = np.random.default_rng(5)
-        for k, n, tall in [(2, 2, 1), (3, 4, 3)]:
+        for k, n in [(2, 2), (3, 4)]:
             dims = arm.ArmDims(k, n)
             block = fg.BLOCK_BYTES // pair_bytes(dims)
             qs = [regular(dims, rng) for _ in range(block)]
@@ -738,15 +827,13 @@ class TestOnePassPerPoint:
                 assert {label for label, _ in calls} == {
                     fld.label for fld in fields}
                 assert Counter(calls) == want
-                # an SVD per level matrix, derived stack, sandwich rank and
-                # tangent basis; one eigvalsh per side of each derived angle;
-                # one QR per derived stack twice as tall as wide
-                assert decomps == {"svd": 4 * (n + 1) + 1,
-                                   "eigvalsh": 2 * (n + 1), "qr": tall}
+                # an SVD per kind of block, an eigvalsh per angle side of
+                # the coupled and of the sphere blocks, and no QR
+                assert decomps == {"svd": 4, "eigvalsh": 4}
 
     def test_family_built_once_per_run(self, monkeypatch):
-        # a run of three blocks builds its shape's family once, and the
-        # blocks share it
+        # a run of three blocks builds its shape's family and block layout
+        # once, and the blocks share them
         made, blocks = Counter(), []
         for name in ("x0_field", "sphere_axis_field"):
             make = getattr(fl, name)
@@ -760,12 +847,16 @@ class TestOnePassPerPoint:
         rng = np.random.default_rng(6)
         qs = [regular(dims, rng) for _ in range(2 * block + 1)]
         fg._family.cache_clear()
+        fg._layout.cache_clear()
         fg.verify_flags(qs)
         assert blocks == [block, block, 1]
         assert made == {"x0_field": dims.n + 1,
                         "sphere_axis_field": (dims.n + 1) * dims.k}
-        info = fg._family.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        # built by `verify_flags`, then read by each block and by the block
+        # layout, itself built once
+        family, layout = fg._family.cache_info(), fg._layout.cache_info()
+        assert (family.misses, family.hits) == (1, 4)
+        assert (layout.misses, layout.hits) == (1, 2)
 
 
 class TestBatch:
@@ -877,141 +968,30 @@ class TestBatch:
         assert peak <= 2 * 2 ** 20
 
 
-class InlineExecutor(Executor):
-    """Runs each task in the submitting thread before `submit` returns."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-
-class TestHelperThread:
-    """`_verify_block` decomposes the derived stacks on `flags._worker()`
-    while the calling thread measures the levels; the reports are those of
-    the same work done in one thread."""
-
-    # --tol 0.5 drops ranks at k >= 2, so every regular sample fails
-    @pytest.mark.parametrize("k, n, tol, code", [
-        (1, 1, "1e-8", 0), (1, 3, "1e-8", 0), (2, 2, "1e-8", 0),
-        (3, 4, "1e-8", 0), (2, 2, "0.5", 1), (3, 4, "0.5", 1)])
-    @pytest.mark.parametrize("basis", ["projected", "chart"])
-    def test_reports_match_inline_run(self, k, n, tol, code, basis,
-                                      tmp_path, capsys, monkeypatch):
-        argv = ["verify", "--k", str(k), "--n", str(n), "--samples", "5",
-                "--singular-samples", "2", "--seed", str(k + n),
-                "--basis", basis, "--tol", tol, "--out"]
-        runs = []
-        for name, worker in [("helper", fg._worker()),
-                             ("inline", InlineExecutor())]:
-            monkeypatch.setattr(fg, "_worker", lambda: worker)
-            rc = cli.main(argv + [str(tmp_path / name)])
-            runs.append((rc, capsys.readouterr(),
-                         (tmp_path / f"{name}_reports.json").read_bytes()))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == code
-
-    def test_worker_exception_surfaces_unchanged(self, monkeypatch):
-        dims = arm.ArmDims(2, 2)
-        qs = sweep_batch(dims, np.random.default_rng(31))
-        want = [r.to_dict() for r in fg.verify_flags(qs)]
-        boom, threads = RuntimeError("derived stack failed"), []
-        stack = fg._PairBrackets.derived_stack
-
-        def failing(self, idx):
-            threads.append(threading.current_thread())
-            raise boom
-
-        monkeypatch.setattr(fg._PairBrackets, "derived_stack", failing)
-        with pytest.raises(RuntimeError) as raised:
-            fg.verify_flags(qs)
-        assert raised.value is boom
-        assert threads and threading.main_thread() not in threads
-        monkeypatch.setattr(fg._PairBrackets, "derived_stack", stack)
-        assert [r.to_dict() for r in fg.verify_flags(qs)] == want
-
-    def test_no_decomposition_outlives_a_failed_block(self, monkeypatch):
-        # the calling thread fails while the helper is still busy; the
-        # block waits for the helper before the error leaves verify_flags
-        dims = arm.ArmDims(2, 2)
-        qs = sweep_batch(dims, np.random.default_rng(32))
-        done, stack = [], fg._PairBrackets.derived_stack
-
-        def slow(self, idx):
-            time.sleep(0.02)
-            done.append(len(idx))
-            return stack(self, idx)
-
-        def failing(self, idx, span):
-            raise ArithmeticError("level work failed")
-
-        monkeypatch.setattr(fg._PairBrackets, "derived_stack", slow)
-        monkeypatch.setattr(fg._PairBrackets, "worst_residual", failing)
-        with pytest.raises(ArithmeticError):
-            fg.verify_flags(qs)
-        assert len(done) == dims.n + 1
-
-    def test_only_verify_starts_the_thread(self, tmp_path, capsys,
+class TestNoThread:
+    def test_no_subcommand_starts_a_thread(self, tmp_path, capsys,
                                            monkeypatch):
-        started, start = [], threading.Thread.start
+        # simulate, verify in both bases and singular-scan, in process,
+        # start no thread and import no executor or threading library
+        started, imported = [], []
+        start, load = threading.Thread.start, builtins.__import__
         monkeypatch.setattr(threading.Thread, "start", lambda self: (
             started.append(self.name), start(self))[1])
-        worker, asked = ThreadPoolExecutor(max_workers=1), []
-        monkeypatch.setattr(fg, "_worker", lambda: (asked.append(1),
-                                                    worker)[1])
-        try:
-            sim = ["--k", "2", "--n", "2", "--preset", "random", "--seed",
-                   "3", "--controls", "sine", "--T", "0.2", "--h", "1e-2"]
-            assert cli.main(["simulate"] + sim
-                            + ["--out", str(tmp_path / "run")]) == 0
-            assert cli.main(["singular-scan"] + sim) == 0
-            assert asked == [] and started == []
-            assert cli.main(["verify", "--k", "1", "--n", "1",
-                             "--samples", "2"]) == 0
-            assert asked == [1] and len(started) == 1
-        finally:
-            worker.shutdown()
+        monkeypatch.setattr(builtins, "__import__", lambda name, *a, **kw: (
+            imported.append(name), load(name, *a, **kw))[1])
+        sim = ["--k", "2", "--n", "2", "--preset", "random", "--seed", "3",
+               "--controls", "sine", "--T", "0.2", "--h", "1e-2"]
+        assert cli.main(["simulate"] + sim
+                        + ["--out", str(tmp_path / "run")]) == 0
+        assert cli.main(["singular-scan"] + sim) == 0
+        for basis in ("projected", "chart"):
+            assert cli.main(["verify", "--k", "2", "--n", "2", "--samples",
+                             "3", "--singular-samples", "1", "--basis",
+                             basis, "--out", str(tmp_path / basis)]) == 0
         capsys.readouterr()
-
-    def test_concurrent_callers_share_the_helper(self, monkeypatch):
-        # more calling threads than cores queue their blocks on the one
-        # helper; each still gets the one-thread reports
-        dims = arm.ArmDims(2, 2)
-        qs = sweep_batch(dims, np.random.default_rng(34))[:6]
-        monkeypatch.setattr(fg, "_worker", InlineExecutor)
-        want = [r.to_dict() for r in fg.verify_flags(qs)]
-        monkeypatch.undo()
-        got, interval = [], sys.getswitchinterval()
-
-        def caller():
-            for _ in range(3):
-                got.append([r.to_dict() for r in fg.verify_flags(qs)])
-
-        callers = [threading.Thread(target=caller) for _ in range(4)]
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert len(got) == 12 and all(r == want for r in got)
-
-    def test_arrays_the_helper_reads_are_read_only(self):
-        dims = arm.ArmDims(2, 2)
-        qs = sweep_batch(dims, np.random.default_rng(33))
-        z = np.stack([q.z for q in qs])
-        family = fields, probe, pair, _ = fg._family(dims, "projected")
-        pb = fg._PairBrackets(family, np.stack([q.flat() for q in qs]), z)
-        for arr in (pb.values, pb.brackets, probe, pair,
-                    *fg._upper(len(fields))):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[(0,) * arr.ndim] += 1
+        assert started == []
+        assert [name for name in imported if name.split(".")[0] in (
+            "concurrent", "threading", "multiprocessing", "_thread")] == []
 
 
 class TestExports:

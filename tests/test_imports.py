@@ -6,7 +6,7 @@ another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
 the library, the command line refuses bad input and prints to stderr in
 one place, code is generated, sphere axes are chosen and matrices are
-decomposed in one place only, and only the flag pass starts a thread.
+decomposed in one place only, and no module imports a threading library.
 """
 
 import ast
@@ -196,18 +196,16 @@ def test_decompositions_in_one_place():
                         and node.attr in DECOMPOSITIONS
                         and getattr(node.value, "attr", None) == "linalg"):
                     calls.add((module, getattr(fn, "name", None), node.attr))
-    assert calls == {("numerics", "svd_rank", "svd"),
-                     ("numerics", "RowSpan", "qr"),
-                     ("numerics", "RowSpan", "svd"),
-                     ("numerics", "subspace_angle", "eigvalsh"),
-                     ("numerics", "subspace_angle", "svd")}
+    assert calls == {("numerics", "RowSpan", "svd"),
+                     ("numerics", "span_angle", "eigvalsh"),
+                     ("numerics", "span_angle", "svd")}
 
 
 def test_threads_in_one_place():
-    # `flags` runs the derived-stack decompositions of `verify` on its one
-    # helper thread; no other module imports a threading library
+    # the package runs in the calling thread: no module imports a
+    # threading library
     threaded = {(module, path) for module in MODULES
                 for _, path in imports(parse(module))
                 if path.split(".")[0] in ("concurrent", "threading",
                                            "multiprocessing", "_thread")}
-    assert threaded == {("flags", "concurrent.futures")}
+    assert threaded == set()

@@ -99,12 +99,13 @@ class AngularConfig:
         if z.shape != (self.dims.n + 1, self.dims.ambient):
             raise ValueError(
                 f"z must have shape {(self.dims.n + 1, self.dims.ambient)}")
-        if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(z))):
+        if not (np.isfinite(x0).all() and np.isfinite(z).all()):
             raise ValueError("configuration must be finite")
-        norms = np.linalg.norm(z, axis=1)
-        if np.any(norms < 0.5):
+        # the norm as np.linalg.norm(z, axis=1) takes it
+        norms = np.sqrt(np.add.reduce(z * z, axis=1))
+        if (norms < 0.5).any():
             raise ValueError("segment directions must be nowhere near zero")
-        z = z / norms[:, None]
+        z /= norms[:, None]
         x0.setflags(write=False)
         z.setflags(write=False)
         object.__setattr__(self, "x0", x0)
@@ -189,7 +190,9 @@ def config_from_dict(d: dict) -> AngularConfig:
     return AngularConfig(dims=dims, x0=x0, z=z)
 
 
-JSON_ROWS = 256  # rows of an array per `json.dumps` call in `_write_json`
+# rows of an array per `json.dumps` call in `_write_json`, and per `%`
+# format of `Trajectory.to_csv`
+JSON_ROWS = 256
 
 
 def _write_json(path, obj: dict) -> None:

@@ -180,8 +180,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be in (0, 1), got {args.tol!r}")
     rng = _start(args, args.out and args.out + "_reports.json")
     dims = ArmDims(args.k, args.n)
-    regular = [sampling.random_regular_config(dims, rng)
-               for _ in range(args.samples)]
+    regular = sampling.random_regular_configs(dims, rng, args.samples)
     # a shape without joints has no alignment to break
     singular = [sampling.singular_config(dims, rng, index=1 + j % dims.n)
                 for j in range(args.singular_samples if dims.n else 0)]

@@ -36,7 +36,6 @@ intermediate sphere charts degenerate.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -46,7 +45,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hyperspherical as hs
-from .arm import AngularConfig, ArmDims, CartesianConfig, _write_json
+from .arm import (JSON_ROWS, AngularConfig, ArmDims, CartesianConfig,
+                  _write_json)
 from .errors import StepRejected
 from .fields import _cascade, a_chain, f_products
 
@@ -208,10 +208,13 @@ class Trajectory:
                 f"seed={self.seed if self.seed is not None else 'none'}")
         block = np.column_stack([self.times, self.x0,
                                  self.z.reshape(len(self), -1), self.v])
+        # the rows of np.savetxt, JSON_ROWS of them per `%` format
+        row = ",".join([FMT] * block.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            fh.write(meta + "\n")
-            csv.writer(fh).writerow(self.csv_header())
-            np.savetxt(fh, block, fmt=FMT, delimiter=",", newline="\r\n")
+            fh.write(meta + "\n" + ",".join(self.csv_header()) + "\r\n")
+            for i in range(0, len(block), JSON_ROWS):
+                chunk = block[i:i + JSON_ROWS]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     def _payload(self) -> dict:
         """The JSON form, each recorded array still an array."""

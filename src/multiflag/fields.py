@@ -12,13 +12,17 @@ formula lives only in the right-hand side of `dynamics.integrate_car`.
 
 Fields are batch-evaluable callables on real or complex ambient points, so
 the bracket engine's derivatives (complex steps where a field is analytic)
-run as single vectorized calls.  Off the constraint manifold each field
-follows a fixed smooth extension, tangent to the manifold along it, which
-makes the numerical brackets independent of the extension choice.
+run as single vectorized calls.  A sphere's k chart-free tangent fields
+are the slots of one frame (`sphere_axis_frame`), whose values (B, k, D)
+come from one choice of axes and one normalization for all k.  Off the
+constraint manifold each field follows a fixed smooth extension, tangent
+to the manifold along it, which makes the numerical brackets independent
+of the extension choice.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -41,6 +45,7 @@ class Field:
     the value is exactly 0, and changing a block outside `reads` leaves it
     bit for bit unchanged.  So J_c V_a = 0 unless field a writes a block
     that field c reads, which the bracket engine uses to skip such terms.
+    A frame of k fields (`sphere_axis_frame`) has values (B, k, D).
     """
 
     def __init__(self, mode: str, dim: int,
@@ -199,30 +204,43 @@ def xi_field(dims: ArmDims, m: int, i: int) -> Field:
                  (m + 1,), (m + 1,))
 
 
-def sphere_axis_field(dims: ArmDims, sphere: int, slot: int) -> Field:
-    """Projection e_a - z^_a z^ onto the tangent of sphere `sphere` of the
-    ambient axis a = tangent_axes(z)[slot], chosen at each point.
+@functools.lru_cache(maxsize=None)
+def sphere_axis_frame(dims: ArmDims, sphere: int) -> Field:
+    """The k projections e_a - z^_a z^ onto the tangent of sphere `sphere`
+    of the ambient axes a = tangent_axes(z), chosen at each point, as one
+    field whose values are (B, k, D): slot s at [:, s].
 
     Chart-free: the k slots span the tangent wherever the segment is
-    nonzero.  The axis follows the real part of a row, so on a complex
-    probe row p + i t V this is the fixed-axis field at p, analytic in t.
+    nonzero.  The axes follow the real part of a row, so on a complex
+    probe row p + i t V this is the fixed-axis frame at p, analytic in t.
+    Cached: a sphere's slot fields and the flag pass share one frame.
     """
     if not 0 <= sphere <= dims.n:
         raise IndexError("sphere index out of range")
-    if not 0 <= slot < dims.k:
-        raise IndexError("slot index out of range")
+    k = dims.k
     def fn(y):
         z = _blocks(y, dims)[:, sphere + 1, :]
         zh = _normalized(z)
-        rows = np.arange(len(y))
-        axis = tangent_axes(z.real)[:, slot]
-        out = np.zeros_like(y)
-        ob = _blocks(out, dims)
-        ob[:, sphere + 1, :] = -zh[rows, axis, None] * zh
-        ob[rows, sphere + 1, axis] += 1.0
+        rows = np.arange(len(y))[:, None]
+        axes = tangent_axes(z.real)
+        out = np.zeros((len(y), k) + y.shape[1:], dtype=y.dtype)
+        ob = out.reshape(len(y), k, dims.joints, dims.ambient)
+        ob[:, :, sphere + 1, :] = -zh[rows, axes, None] * zh[:, None]
+        ob[rows, np.arange(k), sphere + 1, axes] += 1.0
         return out
-    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}[{slot}]",
+    return Field(MODE_EMBEDDED, dims.cartesian_dim, fn, f"V{sphere}",
                  (sphere + 1,), (sphere + 1,))
+
+
+def sphere_axis_field(dims: ArmDims, sphere: int, slot: int) -> Field:
+    """Slot `slot` of `sphere_axis_frame(dims, sphere)`: the projection
+    onto the tangent of sphere `sphere` of its slot-th axis."""
+    frame = sphere_axis_frame(dims, sphere)
+    if not 0 <= slot < dims.k:
+        raise IndexError("slot index out of range")
+    return Field(MODE_EMBEDDED, dims.cartesian_dim,
+                 lambda y: frame._fn(y)[:, slot], f"V{sphere}[{slot}]",
+                 frame.reads, frame.writes)
 
 
 def tangent_axes(z: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ At a sampled configuration level D^m is generated by the steering field of
 joint m plus the sphere-tangent fields of all spheres above it; dropping
 the steering field gives the integrable sublevel E^m.  The checks are
 distribution-level (ranks, spans of brackets, inclusion residuals), so
-each shape and basis has one fixed generating family (`_family`), whose
+each shape and basis has one fixed generating family (`_family`), evaluated
+by groups (a sphere's frame of projected tangents, or one field), whose
 brackets the pass takes by complex step (`_PairBrackets`); `bracket_field`,
 the single-pair bracket, takes central differences, since it nests.
 
@@ -108,30 +109,42 @@ def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _family(dims: ArmDims, basis: str
-            ) -> tuple[tuple[Field, ...], np.ndarray, np.ndarray, int]:
-    """The generating family of one (k,n) shape and basis, with the bracket
-    terms it can make nonzero: (fields, probe, pair, held).
+def _family(dims: ArmDims, basis: str) -> tuple:
+    """The generating family of one (k,n) shape and basis, the calls that
+    evaluate it, and the bracket terms it can make nonzero: (fields,
+    groups, probe, pair, held).
 
     The (n+1)(k+1) fields are the steering fields X_0^0..X_n^0 followed by
     k tangent fields for each sphere 0..n: the slots of
-    `fields.sphere_axis_field`, which pick their axes at the point, or the
+    `fields.sphere_axis_frame`, which pick their axes at the point, or the
     chart fields.  Levels are the position lists `_d_index` and
     `_e_index`.  `probe` (F, F) marks the terms J_c V_a, c != a, that some
     level reads and that can be nonzero: a writes a block c reads.  `pair`
     (F, F) numbers each pair: the `held` pairs with such a term
     0..held-1, in the row-major order of `_pairs`; the other pairs a level
     reads `held`, the one zero row; pairs no level reads held+1, so that
-    reading one raises.
+    reading one raises.  `groups` evaluates consecutive fields in one
+    call: a sphere's frame for its k projected tangents, each other field
+    alone.  A group (call, width, union, plus, minus) is probed at the
+    rows of the fields `union` that its members' terms take; each of
+    plus and minus is (selection, pair rows): the terms J_c V_a that
+    their pairs take with + (a < c) or with - (a > c), selected from the
+    group's (union, width) values at those rows.
     """
     if basis not in ("projected", "chart"):
         raise ValueError("basis must be 'projected' or 'chart'")
     n1, k = dims.n + 1, dims.k
-    tangent = (fl.sphere_axis_field if basis == "projected" else
-               lambda d, j, slot: fl.xi_field(d, j, slot + 1))
-    fields = tuple([fl.x0_field(dims, m) for m in range(n1)]
-                   + [tangent(dims, j, slot) for j in range(n1)
-                      for slot in range(k)])
+    steering = [fl.x0_field(dims, m) for m in range(n1)]
+    calls = [(fld, 1) for fld in steering]
+    if basis == "projected":
+        tangents = [fl.sphere_axis_field(dims, j, slot) for j in range(n1)
+                    for slot in range(k)]
+        calls += [(fl.sphere_axis_frame(dims, j), k) for j in range(n1)]
+    else:
+        tangents = [fl.xi_field(dims, j, slot + 1) for j in range(n1)
+                    for slot in range(k)]
+        calls += [(fld, 1) for fld in tangents]
+    fields = tuple(steering + tangents)
     size = len(fields)
     a, b = _upper(size)
     read = np.zeros((size, size), dtype=bool)
@@ -147,9 +160,19 @@ def _family(dims: ArmDims, basis: str
     pair[a, b] = pair[b, a] = np.where(
         has_term, np.cumsum(has_term) - 1, np.where(read[a, b], held,
                                                      held + 1))
+    groups, first = [], 0
+    for call, width in calls:
+        members = np.arange(first, first + width)
+        union = np.flatnonzero(probe[members].any(axis=0))
+        u, g = np.nonzero(probe[np.ix_(members, union)].T)
+        a, c = union[u], members[g]
+        sel, rows = u * width + g, pair[a, c]
+        groups.append((call, width, union, (sel[a < c], rows[a < c]),
+                       (sel[a > c], rows[a > c])))
+        first += width
     probe.setflags(write=False)  # cached: every block shares them
     pair.setflags(write=False)
-    return fields, probe, pair, held
+    return fields, tuple(groups), probe, pair, held
 
 
 def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +192,7 @@ def _layout(dims: ArmDims, basis: str) -> tuple[np.ndarray, ...]:
     of the pass is one block per sphere beside one of X_m^0, and a sphere's
     block with its brackets is the same at every level.
     """
-    fields, _, pair, _ = _family(dims, basis)
+    fields, _, _, pair, _ = _family(dims, basis)
     n1, k, k1 = dims.n + 1, dims.k, dims.ambient
     tangent = np.arange(n1, n1 * (k + 1)).reshape(n1, k)
     writes = [set().union(*(fields[i].writes for i in row)) for row in tangent]
@@ -212,30 +235,31 @@ class _PairBrackets:
     order of `_pairs`, and every other pair a level reads is the one
     all-zero row `held`.  At (k,n) = (3,4) that is 30 of the 150 pairs the
     levels read (190 in all): the tangent pairs of one sphere and each
-    steering field X_m^0 with the tangents of sphere m.  Each field is
-    evaluated in one call at all the points and in one at the complex
-    rows p + i t V_a of the terms it enters, which give J_c V_a =
-    Im X_c / t, exact to rounding (complex step, Squire-Trapp 1998); the
-    terms go straight into their pairs.
+    steering field X_m^0 with the tangents of sphere m.  Each group of
+    the family is evaluated in one call at all the points and in one at
+    the complex rows p + i t V_a of its members' terms, which give
+    J_c V_a = Im X_c / t, exact to rounding (complex step, Squire-Trapp
+    1998); the terms go straight into their pairs.
     """
 
     def __init__(self, family: tuple, points: np.ndarray, z: np.ndarray):
-        fields, probe, self.pair, self.held = family
+        _, groups, _, self.pair, self.held = family
         b, d = points.shape
-        self.values = np.stack([fld(points) for fld in fields], axis=1)
+        self.values = np.concatenate([call(points).reshape(b, width, d)
+                                      for call, width, *_ in groups], axis=1)
         self.brackets = np.zeros((b, self.held + 1, d))
-        for c, fld in enumerate(fields):
-            other = np.flatnonzero(probe[c])
-            if not other.size:
+        for call, width, union, plus, minus in groups:
+            if not union.size:
                 continue
-            jv = fld((points[:, None] + 1j * COMPLEX_STEP
-                      * self.values[:, other]).reshape(-1, d)
-                     ).imag.reshape(b, other.size, d) / COMPLEX_STEP
+            jv = call((points[:, None] + 1j * COMPLEX_STEP
+                       * self.values[:, union]).reshape(-1, d)
+                      ).reshape(b, union.size * width, d)
             # J_c V_a enters the pair of a and c with + if a < c, else
             # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
             # which rounds like the difference itself
-            jv[:, other > c] *= -1.0
-            self.brackets[:, self.pair[other, c]] += jv
+            (sel_p, rows_p), (sel_m, rows_m) = plus, minus
+            self.brackets[:, rows_p] += jv[:, sel_p].imag / COMPLEX_STEP
+            self.brackets[:, rows_m] -= jv[:, sel_m].imag / COMPLEX_STEP
         _tangent_project(self.brackets, z)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
@@ -403,7 +427,7 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     dims = qs[0].dims
     if any(q.dims != dims for q in qs):
         raise ValueError("verify_flags needs configurations of one shape")
-    held = _family(dims, basis)[3]
+    held = _family(dims, basis)[4]
     size = max(1, BLOCK_BYTES // (8 * (held + 1) * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
             for rep in _verify_block(qs[start:start + size], tol, basis)]
@@ -489,10 +513,13 @@ def _verify_block(qs: list[AngularConfig], tol: float,
     target[:, 1:, 0] = x_rows[:, :n] * keep_x[:, :n, None]
     target[:, 1:, 1:] = t_rows[:, :n] * keep_t[:, on, on, :, None]
     angle = span_angle(c.vt * keep_c[..., None], target)
-    angle[:, 1:] = np.maximum(angle[:, 1:], span_angle(
-        s.vt[:, None] * keep_s[:, 1:, ..., None],
-        t.vt[:, None] * _kept_from(t.s, tol * top_d[:, :n], 1)[..., None]
-    ).max(axis=2))
+    # at level l >= 1 only the spheres j >= l have rows on either side
+    lv, sp = np.triu_indices(n, 1, n1)
+    sphere = np.zeros((b, n, n1))
+    sphere[:, lv, sp] = span_angle(
+        s.vt[:, sp] * keep_s[:, lv + 1, sp, :, None],
+        t.vt[:, sp] * (t.s[:, sp] > tol * top_d[:, lv, None])[..., None])
+    angle[:, 1:] = np.maximum(angle[:, 1:], sphere.max(axis=2))
     qz = (s.vt * keep_s[:, 0, ..., None] @ points[:, cols, None])[..., 0]
     angle[:, 0] = np.maximum(angle[:, 0], np.where(
         keep_s[:, 0].sum(axis=-1) == k,
@@ -512,28 +539,34 @@ def _verify_block(qs: list[AngularConfig], tol: float,
 
     # the one singular-point rule: the i (1-based) with |A_i| < EPS_SING
     a_values = fl.a_chain(z)
-    sing = [tuple(int(i) + 1 for i in np.flatnonzero(row))
-            for row in np.abs(a_values) < EPS_SING]
+    sing = [tuple(i + 1 for i, low in enumerate(row) if low)
+            for row in (np.abs(a_values) < EPS_SING).tolist()]
+    sandwich = sing if stalls is None else [
+        tuple(l + 1 for l, stall in enumerate(row) if stall)
+        for row in stalls.tolist()]
+    # the reports read plain numbers, one conversion per block array
+    ranks_d, ranks_e, derived_rank, angle, delta_inv = (
+        x.tolist() for x in (ranks_d, ranks_e, derived_rank, angle,
+                             delta_inv))
+    inv, cauchy = ([x.tolist() for x in xs] for xs in (inv, cauchy))
+    x0s, zs = points[:, :k + 1].tolist(), z.tolist()
+    a_values = a_values.tolist()
     reports = []
-    for j, q in enumerate(qs):
-        levels = [LevelReport(m, int(ranks_d[j, m - 1]),
-                              int(ranks_e[j, m - 1]),
+    for j in range(b):
+        levels = [LevelReport(m, ranks_d[j][m - 1], ranks_e[j][m - 1],
                               expected_rank_d(dims, m),
-                              expected_rank_e(dims, m), float(inv[m - 1][j]),
-                              float(cauchy[m - 1][j]) if m <= n else None)
+                              expected_rank_e(dims, m), inv[m - 1][j],
+                              cauchy[m - 1][j] if m <= n else None)
                   for m in range(1, n + 2)]
-        derived = [DerivedReport(m, int(derived_rank[j, m]),
-                                 expected_rank_d(dims, m),
-                                 float(angle[j, m]))
+        derived = [DerivedReport(m, derived_rank[j][m],
+                                 expected_rank_d(dims, m), angle[j][m])
                    for m in range(n + 1)]
         failures = _failures(levels, derived)
         reports.append(FlagReport(
-            dims, {"x0": q.x0.tolist(), "z": q.z.tolist()},
-            a_values[j].tolist(), "singular" if sing[j] else "regular",
-            sing[j], (tuple(l for l in range(1, n + 1) if stalls[j, l - 1])
-                      if stalls is not None else sing[j]),
-            levels, derived, float(delta_inv[j]), basis, tol,
-            not failures, failures))
+            dims, {"x0": x0s[j], "z": zs[j]}, a_values[j],
+            "singular" if sing[j] else "regular", sing[j], sandwich[j],
+            levels, derived, delta_inv[j], basis, tol, not failures,
+            failures))
     return reports
 
 

@@ -1,4 +1,10 @@
-"""Random and constructed arm configurations for verification sweeps."""
+"""Random and constructed arm configurations for verification sweeps.
+
+Regular configurations are rejection-sampled a batch of tries at a time
+(`random_regular_configs`), and the generator is left exactly where one
+try at a time would leave it, so a seed gives the same configurations
+whatever the count of one call.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +16,7 @@ from .fields import a_chain
 
 MIN_ABS_A = 0.05     # regular draws keep every |A_i| at least this large
 MAX_TRIES = 10000    # draws before a shape's margins count as out of reach
+BATCH_TRIES = 4096   # most tries drawn by one `_draw` call
 
 
 def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -17,39 +24,70 @@ def random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _draw(dims: ArmDims, rng: np.random.Generator
+def _draw(dims: ArmDims, rng: np.random.Generator, tries: int
           ) -> tuple[np.ndarray, np.ndarray]:
-    """A Gaussian base point and n+1 uniform directions (rows).
+    """Gaussian base points (tries, k+1) and uniform directions
+    (tries, n+1, k+1) from one draw, each try's n+1 directions before its
+    base point.
 
-    The directions come from one draw; each row's norm is a stacked `@`,
-    so it rounds like `random_unit`'s per-row `np.linalg.norm`.
+    Each row's norm is a stacked `@`, so it rounds like `random_unit`'s
+    per-row `np.linalg.norm`.
     """
-    v = rng.normal(size=(dims.n + 1, dims.ambient))
-    z = v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
-    return rng.normal(size=dims.ambient), z
+    w = rng.normal(size=(tries, dims.n + 2, dims.ambient))
+    v = w[:, :-1]
+    z = v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None]))[..., 0]
+    return w[:, -1], z
+
+
+def random_regular_configs(dims: ArmDims, rng: np.random.Generator,
+                           count: int, chart_margin: float = 0.0
+                           ) -> list[AngularConfig]:
+    """`count` configurations rejection-sampled with every |A_i| >=
+    MIN_ABS_A: the configurations, and the generator state after, of
+    drawing and judging one try at a time.
+
+    chart_margin > 0 additionally keeps every sphere's chart angles away
+    from the chart boundary (needed by chart-coefficient operations, not by
+    the embedded machinery).  Tries are drawn in batches of at most
+    BATCH_TRIES and only accepted ones become an `AngularConfig`; then the
+    generator is reset and advanced by exactly the tries used.  Raises
+    ValueError when MAX_TRIES tries for one configuration all fail; no
+    batch reaches past them.
+    """
+    saved = rng.bit_generator.state
+    configs: list[AngularConfig] = []
+    used = drawn = first = size = 0  # first: current configuration's 1st try
+    while len(configs) < count:
+        if used == first + MAX_TRIES:
+            raise ValueError(f"rejection sampling failed for {dims} in "
+                             f"{MAX_TRIES} tries; loosen the margins")
+        size = min(BATCH_TRIES, first + MAX_TRIES - used,
+                   max(2 * (count - len(configs)), 2 * size))
+        x0, z = _draw(dims, rng, size)
+        drawn += size
+        # each try is judged on its rows renormalized as AngularConfig
+        # stores them
+        unit = z / np.linalg.norm(z, axis=-1)[..., None]
+        ok = ~(np.abs(a_chain(unit)) < MIN_ABS_A).any(axis=-1)
+        if chart_margin > 0.0:
+            ok[ok] = [hs.interior_margin(u) > chart_margin for u in unit[ok]]
+        for i in np.flatnonzero(ok):
+            configs.append(AngularConfig(dims=dims, x0=x0[i], z=z[i]))
+            first = used + int(i) + 1
+            if len(configs) == count:
+                break
+        used = first if len(configs) == count else used + size
+    if used != drawn:
+        rng.bit_generator.state = saved
+        for start in range(0, used, BATCH_TRIES):
+            _draw(dims, rng, min(BATCH_TRIES, used - start))
+    return configs
 
 
 def random_regular_config(dims: ArmDims, rng: np.random.Generator,
                           chart_margin: float = 0.0) -> AngularConfig:
-    """Rejection-sample a configuration with every |A_i| >= MIN_ABS_A.
-
-    chart_margin > 0 additionally keeps every sphere's chart angles away
-    from the chart boundary (needed by chart-coefficient operations, not by
-    the embedded machinery).  Raises ValueError when no draw passes.  Each
-    draw is judged on its rows renormalized as `AngularConfig` stores them,
-    and only the accepted draw becomes one.
-    """
-    for _ in range(MAX_TRIES):
-        x0, drawn = _draw(dims, rng)
-        z = drawn / np.linalg.norm(drawn, axis=1)[:, None]
-        a = a_chain(z)
-        if a.size and np.min(np.abs(a)) < MIN_ABS_A:
-            continue
-        if chart_margin > 0.0 and hs.interior_margin(z) <= chart_margin:
-            continue
-        return AngularConfig(dims=dims, x0=x0, z=drawn)
-    raise ValueError(f"rejection sampling failed for {dims} in "
-                     f"{MAX_TRIES} tries; loosen the margins")
+    """One configuration of `random_regular_configs`."""
+    return random_regular_configs(dims, rng, 1, chart_margin)[0]
 
 
 def singular_config(dims: ArmDims, rng: np.random.Generator,

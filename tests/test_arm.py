@@ -209,8 +209,8 @@ class TestSerialization:
 def random_config(dims, rng):
     """Uniform directions on each sphere, Gaussian base point: one draw of
     the sampler, with no margins."""
-    x0, z = sampling._draw(dims, rng)
-    return arm.AngularConfig(dims=dims, x0=x0, z=z)
+    x0, z = sampling._draw(dims, rng, 1)
+    return arm.AngularConfig(dims=dims, x0=x0[0], z=z[0])
 
 
 def loop_random_config(dims, rng):
@@ -278,3 +278,53 @@ class TestSampler:
                 assert np.array_equal(got.x0, want.x0)
             assert rng.bit_generator.state == ref.bit_generator.state
         assert rejected > 0
+
+    @pytest.mark.parametrize("k, n", [(1, 0), (2, 0), (1, 30), (3, 4)])
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    def test_batched_draws_match_one_try_at_a_time(self, k, n, margin, count,
+                                                   monkeypatch):
+        # one call for `count` configurations gives the configurations and
+        # the generator state of `count` one-try-at-a-time loops, builds
+        # one AngularConfig per configuration and draws no batch above the
+        # cap
+        dims = arm.ArmDims(k, n)
+        built, tries = [], []
+        init, draw = arm.AngularConfig.__post_init__, sampling._draw
+        for seed in range(2):
+            rng, ref = (np.random.default_rng(seed),
+                        np.random.default_rng(seed))
+            want = [loop_random_regular_config(dims, ref, margin)
+                    for _ in range(count)]
+            with monkeypatch.context() as mp:
+                mp.setattr(arm.AngularConfig, "__post_init__",
+                           lambda self: (built.append(1), init(self)))
+                mp.setattr(sampling, "_draw", lambda *a: (
+                    tries.append(a[2]), draw(*a))[1])
+                got = sampling.random_regular_configs(dims, rng, count,
+                                                      chart_margin=margin)
+            assert len(built) == count
+            built.clear()
+            assert np.array_equal(np.stack([q.z for q in got]),
+                                  np.stack([q.z for q in want]))
+            assert np.array_equal(np.stack([q.x0 for q in got]),
+                                  np.stack([q.x0 for q in want]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert 0 < max(tries) <= sampling.BATCH_TRIES
+
+    @pytest.mark.parametrize("cap, count", [(64, 500), (4096, 3000)])
+    def test_batches_stay_under_the_cap(self, cap, count, monkeypatch):
+        # many capped batches, or one at the default cap, still give the
+        # one-try-at-a-time draws
+        dims = arm.ArmDims(1, 3)
+        tries, draw = [], sampling._draw
+        monkeypatch.setattr(sampling, "BATCH_TRIES", cap)
+        monkeypatch.setattr(sampling, "_draw", lambda *a: (
+            tries.append(a[2]), draw(*a))[1])
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = sampling.random_regular_configs(dims, rng, count)
+        want = [loop_random_regular_config(dims, ref) for _ in range(count)]
+        assert np.array_equal(np.stack([q.z for q in got]),
+                              np.stack([q.z for q in want]))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert max(tries) == cap and len(tries) > count // cap

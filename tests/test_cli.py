@@ -602,10 +602,11 @@ class TestSamplerExhaustion:
         ["verify", "--samples", "1"],
     ])
     def test_one_line_exit_2(self, argv, tmp_path, capsys, monkeypatch):
-        def orthogonal(dims, rng):
+        def orthogonal(dims, rng, tries):
             # consecutive segments orthogonal, so every draw has A_1 = 0
             z = np.eye(dims.ambient)[np.arange(dims.n + 1) % 2]
-            return np.zeros(dims.ambient), z
+            return (np.zeros((tries, dims.ambient)),
+                    np.broadcast_to(z, (tries,) + z.shape))
         monkeypatch.setattr(cli.sampling, "_draw", orthogonal)
         rc = cli.main(argv[:1] + ["--k", "1", "--n", "3"] + argv[1:]
                       + ["--out", str(tmp_path / "run")])

@@ -434,6 +434,36 @@ class TestSphereAxisSlots:
                     got = fl.sphere_axis_field(dims, sphere, slot)(pts)
                     assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 2), (3, 4), (4, 2)])
+    def test_slot_is_its_frame_column(self, k, n):
+        # each slot is its sphere's frame column, bit for bit, at regular,
+        # injected-singular and near-pole points (ties in |z_a|) and on
+        # complex probe rows; a sphere has one frame
+        dims = arm.ArmDims(k, n)
+        rng = np.random.default_rng(70 + k + n)
+        qs = [sampling.random_regular_config(dims, rng) for _ in range(4)]
+        qs += [sampling.singular_config(dims, rng, index=i)
+               for i in range(1, n + 1)]
+        real = np.stack([q.flat() for q in qs]).reshape(
+            len(qs), dims.joints, dims.ambient)
+        pole = real[:2].copy()
+        pole[0, 1:] = np.eye(k + 1)[k] + 1e-9 * rng.normal(size=k + 1)
+        pole[1, 1:] = 1.0 / np.sqrt(k + 1)  # every |z_a| tied
+        points = np.concatenate([real, pole]).reshape(len(qs) + 2, -1)
+        probe = (points[:, None] + 1e-30j * rng.normal(
+            size=(len(points), 3, points.shape[1]))).reshape(-1, dims.ambient
+                                                             * dims.joints)
+        for sphere in range(n + 1):
+            frame = fl.sphere_axis_frame(dims, sphere)
+            assert frame is fl.sphere_axis_frame(dims, sphere)
+            for pts in (points, probe):
+                cols = frame(pts)
+                assert cols.shape == (len(pts), k, dims.cartesian_dim)
+                for slot in range(k):
+                    got = fl.sphere_axis_field(dims, sphere, slot)(pts)
+                    assert got.tobytes() == np.ascontiguousarray(
+                        cols[:, slot]).tobytes()
+
     def test_ties_drop_the_first_largest_axis(self):
         assert fl.tangent_axes(np.array([0.0, 0.0, 1.0])).tolist() == [0, 1]
         assert fl.tangent_axes(np.array([-0.6, 0.6, 0.5])).tolist() == [1, 2]
@@ -444,6 +474,9 @@ class TestSphereAxisSlots:
         for slot in (-1, dims.k):
             with pytest.raises(IndexError):
                 fl.sphere_axis_field(dims, 0, slot)
+        for sphere in (-1, dims.n + 1):
+            with pytest.raises(IndexError):
+                fl.sphere_axis_frame(dims, sphere)
 
 
 class TestDuality:

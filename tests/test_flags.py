@@ -1,4 +1,5 @@
 import builtins
+import itertools
 import json
 import threading
 import tracemalloc
@@ -570,7 +571,7 @@ class TestComplexStep:
         dims = arm.ArmDims(3, 4)
         q = regular(dims, np.random.default_rng(44), margin=0.2)
         fg.verify_flag(q, basis=basis)
-        flds, _, pair, held = fg._family(dims, basis)
+        flds, _, _, pair, held = fg._family(dims, basis)
         assert len(read) == 2 * dims.n + 2
         for pb, idx in read:
             assert np.array_equal(pb.pair, pair)
@@ -693,7 +694,7 @@ class TestDeclaredBlocks:
     def test_zero_outside_declared_writes(self, k, n, basis):
         dims = arm.ArmDims(k, n)
         qs = point_mix(dims, np.random.default_rng(60 + 10 * k + n))
-        family = fields, probe, pair, held = fg._family(dims, basis)
+        family = fields, _, probe, pair, held = fg._family(dims, basis)
         pb = fg._PairBrackets(family, np.stack([q.flat() for q in qs]),
                               np.stack([q.z for q in qs]))
         block = np.arange(dims.cartesian_dim) // dims.ambient
@@ -784,11 +785,12 @@ def sweep_batch(dims, rng):
 
 
 class TestOnePassPerPoint:
-    """`verify_flags` evaluates each field of the shape's family once at
-    all the block's points and once at the complex probe rows of the terms
-    it enters, and decomposes each kind of block with one stacked SVD for
-    all its points and levels: the tangents of each sphere, the same with
-    their brackets, each steering field with its brackets, and the
+    """`verify_flags` evaluates each group of the shape's family (a
+    sphere's frame of k projected tangents, or one field alone) in one call
+    at all the block's points and in one at the complex probe rows of its
+    members' terms, and decomposes each kind of block with one stacked SVD
+    for all its points and levels: the tangents of each sphere, the same
+    with their brackets, each steering field with its brackets, and the
     sandwich blocks; each side of the derived-span angles of the coupled
     and of the sphere blocks is one eigvalsh at regular points."""
 
@@ -805,27 +807,45 @@ class TestOnePassPerPoint:
         for name in ("svd", "qr", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         rng = np.random.default_rng(5)
-        for k, n in [(2, 2), (3, 4)]:
+        for (k, n), basis in itertools.product([(2, 2), (3, 4)],
+                                               ["projected", "chart"]):
             dims = arm.ArmDims(k, n)
             block = fg.BLOCK_BYTES // pair_bytes(dims)
-            qs = [regular(dims, rng) for _ in range(block)]
+            qs = [regular(dims, rng, 0.2 if basis == "chart" else 0.0)
+                  for _ in range(block)]
             for size in (1, 2, block):
                 calls.clear()
                 decomps.clear()
-                fg.verify_flags(qs[:size])
-                fields, probe, _, held = fg._family(dims, "projected")
+                fg.verify_flags(qs[:size], basis=basis)
+                fields, groups, probe, _, held = fg._family(dims, basis)
                 # X_m^0 takes the k tangents of sphere m, a tangent the
                 # k-1 others of its sphere: 30 pairs of 190 at (3,4)
                 assert len(fields) == (n + 1) * (k + 1)
                 assert probe.sum() == (n + 1) * k * k
                 assert held == (n + 1) * k * (k + 1) // 2
-                # every field of the family once at the block's points,
-                # and once at its probe rows, one per point and term
-                want = Counter((fld.label, size) for fld in fields)
-                want.update((fld.label, size * int(probe[c].sum()))
-                            for c, fld in enumerate(fields) if probe[c].any())
-                assert {label for label, _ in calls} == {
-                    fld.label for fld in fields}
+                # the steering fields alone, then one frame per sphere
+                # (projected) or each chart field alone
+                widths = [width for _, width, *_ in groups]
+                assert widths == [1] * (n + 1) + (
+                    [k] * (n + 1) if basis == "projected"
+                    else [1] * ((n + 1) * k))
+                # every group once at the block's points, and once at the
+                # probe rows of its members, one per point and field of
+                # their union: X_m^0 takes those of sphere m's tangents, a
+                # frame those of its own k tangents, a chart field those
+                # of the k-1 others of its sphere
+                first, want, unions = 0, Counter(), []
+                for grp, width, union, *_ in groups:
+                    members = probe[first:first + width]
+                    assert np.array_equal(
+                        union, np.flatnonzero(members.any(axis=0)))
+                    unions.append(union.size)
+                    want.update([(grp.label, size),
+                                 (grp.label, size * union.size)])
+                    first += width
+                assert unions == [k] * (n + 1) + (
+                    [k] * (n + 1) if basis == "projected"
+                    else [k - 1] * ((n + 1) * k))
                 assert Counter(calls) == want
                 # an SVD per kind of block, an eigvalsh per angle side of
                 # the coupled and of the sphere blocks, and no QR
@@ -966,6 +986,32 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+
+class TestReportTypes:
+    """A report holds plain Python values, which JSON round-trips."""
+
+    PLAIN = (int, float, bool, str, type(None), list, dict)
+
+    def walk(self, value):
+        assert type(value) in self.PLAIN, type(value)
+        items = (value.values() if isinstance(value, dict)
+                 else value if isinstance(value, list) else ())
+        for item in items:
+            self.walk(item)
+
+    @pytest.mark.parametrize("k, n", [(1, 0), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    def test_plain_values(self, k, n, basis):
+        dims = arm.ArmDims(k, n)
+        rng = np.random.default_rng(80 + k + n)
+        qs = [regular(dims, rng, 0.2) for _ in range(3)]
+        qs += [sampling.singular_config(dims, rng, index=i)
+               for i in range(1, n + 1) if basis == "projected"]
+        for rep in fg.verify_flags(qs, basis=basis):
+            d = rep.to_dict()
+            self.walk(d)
+            assert json.loads(json.dumps(d)) == d
 
 
 class TestNoThread:

@@ -162,8 +162,8 @@ def test_code_generated_in_one_place():
 
 
 def test_axis_choice_in_one_place():
-    # a projected tangent field picks its ambient axis at the point, in
-    # `fields.sphere_axis_field`; no other function names `tangent_axes`
+    # a projected tangent frame picks its ambient axes at the point, in
+    # `fields.sphere_axis_frame`; no other function names `tangent_axes`
     users = set()
     for module in MODULES:
         for fn in parse(module).body:
@@ -171,7 +171,7 @@ def test_axis_choice_in_one_place():
                 if "tangent_axes" in (getattr(node, "id", None),
                                       getattr(node, "attr", None)):
                     users.add((module, getattr(fn, "name", None)))
-    assert users == {("fields", "sphere_axis_field")}
+    assert users == {("fields", "sphere_axis_frame")}
 
 
 # the numpy.linalg routines that factor a matrix (or solve through a factor)

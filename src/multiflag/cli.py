@@ -52,13 +52,15 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def _start(args, *outputs) -> np.random.Generator:
     """Refuse, before any work, a negative --seed, an empty --out and an
-    output path (None for none) whose directory is missing or not
-    writable; return the run's generator."""
+    output path (None for none) that is a directory or whose directory is
+    missing or not writable; return the run's generator."""
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.out == "":
         raise ValueError("--out must not be empty")
     for path in filter(None, outputs):
+        if os.path.isdir(path):
+            raise ValueError(f"--out {path!r} is a directory")
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ValueError(f"--out {path!r}: directory {folder!r} is "
@@ -66,14 +68,14 @@ def _start(args, *outputs) -> np.random.Generator:
     return np.random.default_rng(args.seed)
 
 
-def _read(flag: str, path: str, read, *extra):
-    """read(path, *extra), its ValueError or OSError re-raised as a
-    ValueError naming the flag and the file."""
+def _read(flag: str, value: str, read, *extra):
+    """read(value, *extra), its ValueError or OSError re-raised as a
+    ValueError naming the flag and its value (a file or a number list)."""
     try:
-        return read(path, *extra)
+        return read(value, *extra)
     except (ValueError, OSError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"{flag} {path!r}: {reason}") from None
+        raise ValueError(f"{flag} {value!r}: {reason}") from None
 
 
 def _initial_config(args, dims, rng) -> "sampling.AngularConfig":
@@ -104,7 +106,7 @@ def _control_table(path: str, k: int) -> dyn.ControlSignal:
 def _controls(args, k: int) -> dyn.ControlSignal:
     if args.controls_file:
         return _read("--controls-file", args.controls_file, _control_table, k)
-    wn = _parse_floats(args.wn) if args.wn else np.zeros(k)
+    wn = _read("--wn", args.wn, _parse_floats) if args.wn else np.zeros(k)
     if wn.size == 1 and k > 1:
         wn = np.full(k, wn[0])
     if wn.size != k:

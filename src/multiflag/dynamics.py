@@ -234,7 +234,7 @@ class Trajectory:
     def from_dict(d: dict) -> "Trajectory":
         """The trajectory of a `to_json` object, read back with lists for
         arrays; raises ValueError on a missing key or an array of the wrong
-        shape."""
+        shape or with a non-finite value, which no written run holds."""
         try:
             dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
             m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1
@@ -253,6 +253,9 @@ class Trajectory:
             if arrays[key].shape != shape:
                 raise ValueError(f"trajectory {key!r} has shape "
                                  f"{arrays[key].shape}, expected {shape}")
+            if not np.isfinite(arrays[key]).all():
+                raise ValueError(f"trajectory {key!r} holds a non-finite "
+                                 f"value")
         return Trajectory(dims=dims, **scalars, **arrays)
 
     @staticmethod

@@ -44,8 +44,9 @@ class Field:
     the value depends on and that it can make nonzero: outside `writes`
     the value is exactly 0, and changing a block outside `reads` leaves it
     bit for bit unchanged.  So J_c V_a = 0 unless field a writes a block
-    that field c reads, which the bracket engine uses to skip such terms.
-    A frame of k fields (`sphere_axis_frame`) has values (B, k, D).
+    that field c reads: the flag pass forms only the brackets this leaves
+    (`flags._family`), and reads each sphere's block off `writes`.  A frame
+    of k fields (`sphere_axis_frame`) has values (B, k, D).
     """
 
     def __init__(self, mode: str, dim: int,

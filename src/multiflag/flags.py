@@ -6,13 +6,13 @@ joint m plus the sphere-tangent fields of all spheres above it; dropping
 the steering field gives the integrable sublevel E^m.  The checks are
 distribution-level (ranks, spans of brackets, inclusion residuals), so
 each shape and basis has one fixed generating family (`_family`), evaluated
-by groups (a sphere's frame of projected tangents, or one field), whose
+sphere by sphere (its frame of k tangents and its steering field), whose
 brackets the pass takes by complex step (`_PairBrackets`); `bracket_field`,
 the single-pair bracket, takes central differences, since it nests.
 
 `verify_flags` measures the points of one shape in the calling thread, a
 block of points at a time.  Every matrix it decomposes is block diagonal
-over the ambient blocks the fields declare they write (`_layout`), so it
+over the ambient blocks the fields declare they write (`_family`), so it
 takes one stacked SVD per kind of block for all points and levels, never
 one of a whole level matrix or derived stack: a rank counts the blocks'
 singular values above tol times the largest of the whole matrix, a span is
@@ -48,7 +48,8 @@ RESIDUAL_TOL = 1e-6   # involutivity / inclusion gate
 EPS_SING = 1e-9       # |A_i| below this marks the configuration singular
 BRACKET_H = 1e-5      # central-difference step of bracket_field
 COMPLEX_STEP = 1e-30  # imaginary step of the flag pass's brackets
-# Byte budget of the bracket array of one block of points.
+# Byte budget of the bracket array (points x rows x dimension, float64) of
+# one block of points: 22 points at (3,4), 151 at (2,2).
 BLOCK_BYTES = 128 * 1024
 
 
@@ -104,102 +105,53 @@ def _d_index(dims: ArmDims, m: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper(size: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(size, 1)
-
-
-@functools.lru_cache(maxsize=None)
 def _family(dims: ArmDims, basis: str) -> tuple:
     """The generating family of one (k,n) shape and basis, the calls that
-    evaluate it, and the bracket terms it can make nonzero: (fields,
-    groups, probe, pair, held).
+    evaluate it, and its bracket rows: (fields, frames, tangent, cols,
+    inner, steer, ends).
 
     The (n+1)(k+1) fields are the steering fields X_0^0..X_n^0 followed by
-    k tangent fields for each sphere 0..n: the slots of
-    `fields.sphere_axis_frame`, which pick their axes at the point, or the
-    chart fields.  Levels are the position lists `_d_index` and
-    `_e_index`.  `probe` (F, F) marks the terms J_c V_a, c != a, that some
-    level reads and that can be nonzero: a writes a block c reads.  `pair`
-    (F, F) numbers each pair: the `held` pairs with such a term
-    0..held-1, in the row-major order of `_pairs`; the other pairs a level
-    reads `held`, the one zero row; pairs no level reads held+1, so that
-    reading one raises.  `groups` evaluates consecutive fields in one
-    call: a sphere's frame for its k projected tangents, each other field
-    alone.  A group (call, width, union, plus, minus) is probed at the
-    rows of the fields `union` that its members' terms take; each of
-    plus and minus is (selection, pair rows): the terms J_c V_a that
-    their pairs take with + (a < c) or with - (a > c), selected from the
-    group's (union, width) values at those rows.
+    k tangent fields for each sphere 0..n, at family positions tangent[j]:
+    the slots of `fields.sphere_axis_frame`, which pick their axes at the
+    point, or the chart fields.  Levels are the position lists `_d_index`
+    and `_e_index`.  frames[j] evaluates sphere j's tangents in one call,
+    values (B, k, D): its `sphere_axis_frame`, or its k chart fields
+    stacked.  The tangents write the one block of columns cols[j], read
+    off their declared `writes`.  The brackets a level can make nonzero
+    are those among one sphere's tangents and those of X_j^0 with sphere
+    j's tangents, so the rows are numbered sphere by sphere: inner[j] the
+    k(k-1)/2 tangent pairs a < c, then steer[j] the k pairs of X_j^0 with
+    the tangents; ends (rows, 2) gives each row's two family positions.
+    X_m^0 and these brackets write blocks 0..m, none of a sphere m..n, so
+    each matrix of the pass is one block per sphere beside one of X_m^0,
+    and a sphere's block with its brackets is the same at every level.
     """
     if basis not in ("projected", "chart"):
         raise ValueError("basis must be 'projected' or 'chart'")
-    n1, k = dims.n + 1, dims.k
-    steering = [fl.x0_field(dims, m) for m in range(n1)]
-    calls = [(fld, 1) for fld in steering]
+    n1, k, k1 = dims.n + 1, dims.k, dims.ambient
     if basis == "projected":
         tangents = [fl.sphere_axis_field(dims, j, slot) for j in range(n1)
                     for slot in range(k)]
-        calls += [(fl.sphere_axis_frame(dims, j), k) for j in range(n1)]
+        frames = [fl.sphere_axis_frame(dims, j) for j in range(n1)]
     else:
         tangents = [fl.xi_field(dims, j, slot + 1) for j in range(n1)
                     for slot in range(k)]
-        calls += [(fld, 1) for fld in tangents]
-    fields = tuple(steering + tangents)
-    size = len(fields)
-    a, b = _upper(size)
-    read = np.zeros((size, size), dtype=bool)
-    for m in range(1, n1 + 1):
-        idx = _d_index(dims, m)
-        read[np.ix_(idx, idx)] = True
-    np.fill_diagonal(read, False)
-    probe = read & np.array([[not c.reads.isdisjoint(f.writes)
-                              for f in fields] for c in fields])
-    has_term = (probe | probe.T)[a, b]
-    held = int(has_term.sum())
-    pair = np.zeros((size, size), dtype=int)
-    pair[a, b] = pair[b, a] = np.where(
-        has_term, np.cumsum(has_term) - 1, np.where(read[a, b], held,
-                                                     held + 1))
-    groups, first = [], 0
-    for call, width in calls:
-        members = np.arange(first, first + width)
-        union = np.flatnonzero(probe[members].any(axis=0))
-        u, g = np.nonzero(probe[np.ix_(members, union)].T)
-        a, c = union[u], members[g]
-        sel, rows = u * width + g, pair[a, c]
-        groups.append((call, width, union, (sel[a < c], rows[a < c]),
-                       (sel[a > c], rows[a > c])))
-        first += width
-    probe.setflags(write=False)  # cached: every block shares them
-    pair.setflags(write=False)
-    return fields, tuple(groups), probe, pair, held
-
-
-def _pairs(idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Both members of every pair a < b of `idx`, in row-major order."""
-    idx = np.asarray(idx, dtype=int)
-    upper = _upper(idx.size)
-    return idx[upper[0]], idx[upper[1]]
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(dims: ArmDims, basis: str) -> tuple[np.ndarray, ...]:
-    """Where the family's blocks sit, read from its declared `writes`:
-    sphere j's k tangents, at family positions tangent[j], write the one
-    block of columns cols[j]; inner[j] and steer[j] number (as `pair`
-    does) the pairs of those tangents and of X_j^0 with them.  X_m^0 and
-    those brackets write blocks 0..m, none of a sphere m..n, so each matrix
-    of the pass is one block per sphere beside one of X_m^0, and a sphere's
-    block with its brackets is the same at every level.
-    """
-    fields, _, _, pair, _ = _family(dims, basis)
-    n1, k, k1 = dims.n + 1, dims.k, dims.ambient
+        frames = [lambda y, fs=tuple(tangents[j * k:(j + 1) * k]):
+                  np.stack([f(y) for f in fs], axis=1) for j in range(n1)]
+    fields = tuple([fl.x0_field(dims, m) for m in range(n1)] + tangents)
     tangent = np.arange(n1, n1 * (k + 1)).reshape(n1, k)
     writes = [set().union(*(fields[i].writes for i in row)) for row in tangent]
-    a, b = _upper(k)
-    return (tangent, np.array([k1 * blk + np.arange(k1) for (blk,) in writes]),
-            pair[tangent[:, a], tangent[:, b]],
-            pair[np.arange(n1)[:, None], tangent])
+    cols = np.array([k1 * blk + np.arange(k1) for (blk,) in writes])
+    a, c = np.triu_indices(k, 1)
+    rows = np.arange(n1 * k * (k + 1) // 2).reshape(n1, -1)
+    inner, steer = rows[:, :a.size], rows[:, a.size:]
+    steering = np.repeat(np.arange(n1)[:, None], k, axis=1)
+    ends = np.stack([np.hstack([tangent[:, a], steering]),
+                     np.hstack([tangent[:, c], tangent])], axis=-1
+                    ).reshape(-1, 2)
+    for arr in (tangent, cols, inner, steer, ends):
+        arr.setflags(write=False)  # cached: every block shares them
+    return fields, tuple(frames), tangent, cols, inner, steer, ends
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,61 +180,55 @@ class _PairBrackets:
     can make nonzero of a shape's `_family` at a batch of points (B, D).
 
     With V (B, F, D) the family's values and J_c the Jacobian of field c,
-    the bracket of the pair a < b is J_b V_a - J_a V_b, tangent to every
+    the bracket of the pair a < c is J_c V_a - J_a V_c, tangent to every
     sphere block.  J_c V_a is 0 unless a writes a block that c reads
-    (`Field.reads`, `Field.writes`), so `brackets` (B, held+1, D) holds
-    only the pairs with such a term, numbered by `pair` in the row-major
-    order of `_pairs`, and every other pair a level reads is the one
-    all-zero row `held`.  At (k,n) = (3,4) that is 30 of the 150 pairs the
-    levels read (190 in all): the tangent pairs of one sphere and each
-    steering field X_m^0 with the tangents of sphere m.  Each group of
-    the family is evaluated in one call at all the points and in one at
-    the complex rows p + i t V_a of its members' terms, which give
-    J_c V_a = Im X_c / t, exact to rounding (complex step, Squire-Trapp
-    1998); the terms go straight into their pairs.
+    (`Field.reads`, `Field.writes`), so a level's other pairs are 0 and
+    `brackets` (B, rows, D) holds the rows of `_family`: at (k,n) = (3,4)
+    30 of the 150 pairs the levels read.  Sphere by sphere, its frame and
+    X_j^0 are called once at all the points and once at the k complex rows
+    p + i t V_a of its tangents, which give J_c V_a = Im X_c / t, exact to
+    rounding (complex step, Squire-Trapp 1998).  Each row accumulates on
+    zeros, a tangent pair as 0 + J_c V_a - J_a V_c and a steering pair as
+    0 - J_X V_a (no tangent of sphere j reads a block X_j^0 writes), which
+    rounds like the difference itself.
     """
 
     def __init__(self, family: tuple, points: np.ndarray, z: np.ndarray):
-        _, groups, _, self.pair, self.held = family
-        b, d = points.shape
-        self.values = np.concatenate([call(points).reshape(b, width, d)
-                                      for call, width, *_ in groups], axis=1)
-        self.brackets = np.zeros((b, self.held + 1, d))
-        for call, width, union, plus, minus in groups:
-            if not union.size:
-                continue
-            jv = call((points[:, None] + 1j * COMPLEX_STEP
-                       * self.values[:, union]).reshape(-1, d)
-                      ).reshape(b, union.size * width, d)
-            # J_c V_a enters the pair of a and c with + if a < c, else
-            # with -; a pair is 0 + J_b V_a - J_a V_b in either order,
-            # which rounds like the difference itself
-            (sel_p, rows_p), (sel_m, rows_m) = plus, minus
-            self.brackets[:, rows_p] += jv[:, sel_p].imag / COMPLEX_STEP
-            self.brackets[:, rows_m] -= jv[:, sel_m].imag / COMPLEX_STEP
+        fields, frames, tangent, _, inner, steer, self.ends = family
+        (b, d), k = points.shape, tangent.shape[1]
+        a, c = np.triu_indices(k, 1)
+        self.values = np.empty((b, len(fields), d))
+        self.brackets = np.zeros((b, self.ends.shape[0], d))
+        for j, frame in enumerate(frames):
+            x = fields[j]
+            self.values[:, j] = x(points)
+            self.values[:, tangent[j]] = frame(points)
+            probes = (points[:, None] + 1j * COMPLEX_STEP
+                      * self.values[:, tangent[j]]).reshape(-1, d)
+            jt = frame(probes).imag.reshape(b, k, k, d) / COMPLEX_STEP
+            jx = x(probes).imag.reshape(b, k, d) / COMPLEX_STEP
+            self.brackets[:, inner[j]] += jt[:, a, c]
+            self.brackets[:, inner[j]] -= jt[:, c, a]
+            self.brackets[:, steer[j]] -= jx
         _tangent_project(self.brackets, z)
         self.norms = np.sqrt(_rowdot(self.values, self.values))
 
-    def worst_residual(self, idx: Sequence[int], span: np.ndarray
+    def worst_residual(self, rows: np.ndarray, span: np.ndarray
                        ) -> np.ndarray:
-        """Per point, the worst normalized component of a bracket of two
-        fields of `idx` outside the span of the orthonormal rows `span`
-        (B, r, D), zero rows standing for dropped directions.
+        """Per point, the worst normalized component of the bracket rows
+        `rows` outside the span of the orthonormal rows `span` (B, r, D),
+        zero rows standing for dropped directions.
 
         Normalization floors at the product of the generator norms so that
         commuting pairs (bracket = pure derivative noise) report noise, not
         noise divided by noise.
         """
-        a, b = _pairs(idx)
-        rows = self.pair[a, b]
-        # a pair without a term adds 0 to the maximum
-        held = rows < self.held
-        a, b, rows = a[held], b[held], rows[held]
-        if a.size == 0:
+        if rows.size == 0:
             return np.zeros(len(self.values))
+        a, c = self.ends[rows].T
         br = self.brackets[:, rows]
         scale = np.maximum(np.maximum(np.sqrt(_rowdot(br, br)),
-                                      self.norms[:, a] * self.norms[:, b]),
+                                      self.norms[:, a] * self.norms[:, c]),
                            1e-300)
         br -= (br[:, :, None, :] @ span.swapaxes(1, 2)[:, None]
                @ span[:, None])[:, :, 0]
@@ -417,7 +363,7 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     aggregate pass/fail per condition; one report per configuration.
 
     The points are measured in blocks whose bracket array (`_PairBrackets`:
-    points x (held pairs + 1) x dimension, float64) fits BLOCK_BYTES.  The
+    points x (n+1)k(k+1)/2 rows x dimension, float64) fits BLOCK_BYTES.  The
     caller asserts the conditions only at regular points; singular ones get
     the same measurements recorded with a `singular` verdict.
     """
@@ -427,8 +373,8 @@ def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
     dims = qs[0].dims
     if any(q.dims != dims for q in qs):
         raise ValueError("verify_flags needs configurations of one shape")
-    held = _family(dims, basis)[4]
-    size = max(1, BLOCK_BYTES // (8 * (held + 1) * dims.cartesian_dim))
+    rows = len(_family(dims, basis)[-1])
+    size = max(1, BLOCK_BYTES // (8 * rows * dims.cartesian_dim))
     return [rep for start in range(0, len(qs), size)
             for rep in _verify_block(qs[start:start + size], tol, basis)]
 
@@ -454,8 +400,9 @@ def _verify_block(qs: list[AngularConfig], tol: float,
     z = np.stack([q.z for q in qs])
     points = np.stack([q.flat() for q in qs])
     b, d = points.shape
-    pb = _PairBrackets(_family(dims, basis), points, z)
-    tangent, cols, inner, steer = _layout(dims, basis)
+    family = _family(dims, basis)
+    _, _, tangent, cols, inner, steer, _ = family
+    pb = _PairBrackets(family, points, z)
 
     # one stacked SVD per kind of block for all points and levels: each
     # sphere's tangents on its block, the same with their brackets, and
@@ -494,14 +441,19 @@ def _verify_block(qs: list[AngularConfig], tol: float,
 
     keep_e, keep_d = (_kept_from(t.s, 1e-8 * top) for top in (top_e, top_d))
     x_kept = x_rows * (x > 1e-8 * top_d)[..., None]
-    inv = [pb.worst_residual(_e_index(dims, i + 1), rows(keep_e, i))
+
+    # the bracket rows of E^{m+1} are inner[m:], those of D^{m+1} also steer[m]
+    def d_rows(m: int) -> np.ndarray:
+        return np.concatenate([steer[m], inner[m:].ravel()])
+
+    inv = [pb.worst_residual(inner[i:].ravel(), rows(keep_e, i))
            for i in range(n1)]
     spans_d = [np.concatenate([x_kept[:, i, None], rows(keep_d, i)], axis=1)
                for i in range(n1)]
-    cauchy = [pb.worst_residual(_d_index(dims, m + 1), spans_d[m - 1])
+    cauchy = [pb.worst_residual(d_rows(m), spans_d[m - 1])
               for m in range(1, n + 1)]
     # top-level non-involutivity (bracket-generating witness, not a gate)
-    delta_inv = pb.worst_residual(_d_index(dims, n + 1), spans_d[n])
+    delta_inv = pb.worst_residual(d_rows(n), spans_d[n])
 
     # a derived-span angle is the largest of its blocks' angles: X_m^0 with
     # its brackets against X_{m-1}^0 beside sphere m-1's tangents (at m = 0

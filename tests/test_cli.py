@@ -249,6 +249,7 @@ class TestSimulate:
         ("simulate", "--controls-file", "{tmp}/unsorted_controls.csv"),
         ("simulate", "--controls-file", "{tmp}/header_only.csv"),
         ("simulate", "--wn", "1,2"),
+        ("simulate", "--wn", "abc"),
         ("simulate", "--mode", "subarm"),
         ("simulate", "--seed", "-1"),
         ("simulate", "--T", "1e15"),
@@ -260,6 +261,7 @@ class TestSimulate:
         ("singular-scan", "--traj", "{tmp}/ok.csv"),
         ("singular-scan", "--traj", "{tmp}/no_n.json"),
         ("singular-scan", "--traj", "{tmp}/short_z.json"),
+        ("singular-scan", "--traj", "{tmp}/nan_z.json"),
         ("singular-scan", "--eps-sing", "-1e-9"),
         ("singular-scan", "--eps-sing", "nan"),
         ("singular-scan", "--eps-sing", "inf"),
@@ -275,6 +277,10 @@ class TestSimulate:
             {key: val for key, val in good.items() if key != "n"}))
         (tmp_path / "short_z.json").write_text(json.dumps(
             dict(good, z=good["z"][:-1])))
+        # Python's json reads NaN; a written run never holds it
+        nan_z = json.loads(json.dumps(good["z"]))
+        nan_z[-1][0][0] = float("nan")
+        (tmp_path / "nan_z.json").write_text(json.dumps(dict(good, z=nan_z)))
         (tmp_path / "nan_controls.csv").write_text(
             "t,vn,w1\n0,1,0\n1,nan,0\n")
         (tmp_path / "unsorted_controls.csv").write_text(
@@ -570,26 +576,48 @@ class TestParserReuse:
 
 
 class TestOutputCheckedFirst:
-    """An output path in a missing directory is refused before any work."""
+    """An output path in a missing directory, or one that is a directory,
+    is refused before any work."""
 
-    @pytest.mark.parametrize("argv, out", [
-        (["simulate", "--k", "2", "--n", "3", "--T", "5", "--out"], "run"),
-        (["verify", "--k", "1", "--n", "1", "--samples", "3", "--out"], "v"),
-        (["singular-scan", "--k", "1", "--n", "1", "--out"], "scan.json"),
-    ])
-    def test_missing_directory(self, argv, out, tmp_path, capsys,
-                               monkeypatch):
+    SIMULATE = ["simulate", "--k", "2", "--n", "3", "--T", "5", "--out"]
+    VERIFY = ["verify", "--k", "1", "--n", "1", "--samples", "3", "--out"]
+    SCAN = ["singular-scan", "--k", "1", "--n", "1", "--out"]
+
+    @staticmethod
+    def refused(argv, capsys, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
         monkeypatch.setattr(cli.dyn, "integrate_arm", no_work)
         monkeypatch.setattr(cli.fg, "verify_flag", no_work)
         monkeypatch.setattr(cli.fg, "verify_flags", no_work)
-        rc = cli.main(argv + [str(tmp_path / "missing" / out)])
+        rc = cli.main(argv)
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{argv[0]}: --out ")
+        return err
+
+    @pytest.mark.parametrize("argv, out", [
+        (SIMULATE, "run"), (VERIFY, "v"), (SCAN, "scan.json")])
+    def test_missing_directory(self, argv, out, tmp_path, capsys,
+                               monkeypatch):
+        self.refused(argv + [str(tmp_path / "missing" / out)], capsys,
+                     monkeypatch)
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("argv, out, folder", [
+        (SIMULATE, "o", "o.csv"), (SIMULATE, "o", "o.json"),
+        (VERIFY, "v", "v_reports.json"), (SCAN, "adir", "adir")])
+    def test_directory_named(self, argv, out, folder, tmp_path, capsys,
+                             monkeypatch):
+        # each subcommand used to run its work first, then exit 2 on
+        # `[Errno 21] Is a directory`
+        (tmp_path / folder).mkdir()
+        err = self.refused(argv + [str(tmp_path / out)], capsys,
+                           monkeypatch)
+        assert err.endswith(f"{str(tmp_path / folder)!r} is a directory\n")
+        assert [p.name for p in tmp_path.iterdir()] == [folder]
+        assert not list((tmp_path / folder).iterdir())
 
 
 class TestSamplerExhaustion:

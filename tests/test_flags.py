@@ -64,11 +64,30 @@ def has_term(x, y):
                 and y.writes.isdisjoint(x.reads))
 
 
+def pairs(idx):
+    """Both members of every pair a < b of `idx`, in row-major order."""
+    idx = np.asarray(idx, dtype=int)
+    a, b = np.triu_indices(idx.size, 1)
+    return idx[a], idx[b]
+
+
+def pair_number(size):
+    """The row-major number of each pair (a, b), a < b, of 0..size-1."""
+    return {pair: p for p, pair in enumerate(zip(*(
+        x.tolist() for x in pairs(range(size)))))}
+
+
 def level_pairs(dims):
     """Every pair a < b of family positions that some level reads (each
     E^m lies in D^m)."""
     return sorted({pair for m in range(1, dims.n + 2)
-                   for pair in zip(*fg._pairs(fg._d_index(dims, m)))})
+                   for pair in zip(*(x.tolist() for x in pairs(
+                       fg._d_index(dims, m))))})
+
+
+def held_rows(family):
+    """The bracket row the flag pass holds for each pair (a, b), a < b."""
+    return {tuple(ends): row for row, ends in enumerate(family[-1].tolist())}
 
 
 class TestLieBracket:
@@ -547,42 +566,50 @@ class TestComplexStep:
                     diff = vals @ fg.field_jacobian(fld, point, 1e-5).T
                     assert np.abs(exact - diff).max() <= 1e-9
                 pb = fg._PairBrackets(family, point[None], z)
+                rows = held_rows(family)
+                assert len(rows) == pb.brackets.shape[1]
+                assert set(rows) <= set(level_pairs(dims))
                 for a, b in level_pairs(dims):
                     want = fg.bracket_field(flds[a], flds[b], 1e-5).at(point)
-                    row = pb.pair[a, b]
-                    if row < pb.held:
-                        assert np.abs(pb.brackets[0, row] - want).max() <= 1e-9
-                    else:  # skipped: no term by the declared supports
-                        assert row == pb.held
+                    if (a, b) in rows:
+                        assert np.abs(pb.brackets[0, rows[a, b]]
+                                      - want).max() <= 1e-9
+                    else:  # not held: no term by the declared supports
                         assert not has_term(flds[a], flds[b])
-                        assert not pb.brackets[0, row].any()
                         assert np.abs(want).max() <= 1e-9
 
     @pytest.mark.parametrize("basis", ["projected", "chart"])
     def test_levels_read_only_held_or_zero_pairs(self, basis, monkeypatch):
-        # every pair a residual reads is held or has no term by the
-        # supports, the blocks of the derived stacks read every held pair
-        # once, and a pair no level reads is not held
+        # each residual reads the rows of exactly the pairs of its level
+        # that have a term by the supports, each once; the blocks of the
+        # derived stacks read every row once, and every row is a pair some
+        # level reads
         read = []
         residual = fg._PairBrackets.worst_residual
         monkeypatch.setattr(fg._PairBrackets, "worst_residual",
-                            lambda self, idx, span: (read.append((self, list(
-                                idx))), residual(self, idx, span))[1])
+                            lambda self, rows, span: (read.append(rows),
+                                                      residual(self, rows,
+                                                               span))[1])
         dims = arm.ArmDims(3, 4)
+        n = dims.n
         q = regular(dims, np.random.default_rng(44), margin=0.2)
         fg.verify_flag(q, basis=basis)
-        flds, _, _, pair, held = fg._family(dims, basis)
-        assert len(read) == 2 * dims.n + 2
-        for pb, idx in read:
-            assert np.array_equal(pb.pair, pair)
-            for a, b in zip(*fg._pairs(idx)):
-                assert (pb.pair[a, b] < pb.held) == has_term(flds[a], flds[b])
-        _, _, inner, steer = fg._layout(dims, basis)
+        family = fg._family(dims, basis)
+        flds, inner, steer, ends = family[0], family[4], family[5], family[6]
+        # E^1..E^{n+1}, then D^2..D^{n+1}, then the top level D^{n+1} again
+        levels = ([fg._e_index(dims, m) for m in range(1, n + 2)]
+                  + [fg._d_index(dims, m) for m in range(2, n + 2)]
+                  + [fg._d_index(dims, n + 1)])
+        assert len(read) == len(levels) == 2 * n + 2
+        for rows, idx in zip(read, levels):
+            got = [tuple(pair) for pair in ends[rows].tolist()]
+            assert len(set(got)) == len(got)
+            assert set(got) == {(a, b) for a, b in zip(*(
+                x.tolist() for x in pairs(idx))) if has_term(flds[a],
+                                                             flds[b])}
         assert sorted(np.concatenate([inner.ravel(), steer.ravel()])
-                      ) == list(range(held))
-        unread = set(zip(*fg._pairs(range(len(flds))))) - set(
-            level_pairs(dims))
-        assert unread and all(pair[a, b] == held + 1 for a, b in unread)
+                      ) == list(range(len(ends)))
+        assert set(held_rows(family)) < set(level_pairs(dims))
 
     def test_reports_name_their_derivative(self):
         q = regular(arm.ArmDims(2, 2), np.random.default_rng(41), margin=0.2)
@@ -607,13 +634,13 @@ def point_mix(dims, rng):
 
 def dense_brackets(fields, points, z):
     """Every pairwise bracket (B, F(F-1)/2, D) of the family, in the
-    row-major pair order of `flags._pairs`: each field probed at all F
-    complex rows p + i t V_a of each point, whatever blocks the fields
-    read and write."""
+    row-major pair order of `pairs`: each field probed at all F complex
+    rows p + i t V_a of each point, whatever blocks the fields read and
+    write."""
     (b, d), f = points.shape, len(fields)
     vals = np.stack([fld(points) for fld in fields], axis=1)
     probes = points[:, None] + 1j * fg.COMPLEX_STEP * vals
-    first, second = fg._pairs(range(f))
+    first, second = pairs(range(f))
     number = np.zeros((f, f), dtype=int)
     number[first, second] = number[second, first] = np.arange(first.size)
     rest = np.arange(f - 1)
@@ -628,7 +655,7 @@ def dense_brackets(fields, points, z):
 
 
 class TestDenseOracle:
-    """The held pairs are the all-pairs brackets bit for bit, and every
+    """The held rows are the all-pairs brackets bit for bit, and every
     pair the engine takes as zero is exactly 0 there."""
 
     @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
@@ -640,28 +667,26 @@ class TestDenseOracle:
         z = np.stack([q.z for q in qs])
         points = np.stack([q.flat() for q in qs])
         family = fg._family(dims, basis)
+        fields, _, tangent, cols, inner, steer, ends = family
         pb = fg._PairBrackets(family, points, z)
-        dense = dense_brackets(family[0], points, z)
-        first, second = fg._pairs(range(len(family[0])))
-        rows = pb.pair[first, second]
-        held = rows < pb.held
-        assert np.count_nonzero(held) == pb.held
-        assert dense[:, held].tobytes() == pb.brackets[:, rows[held]].tobytes()
-        assert np.all(dense[:, rows == pb.held] == 0.0)
-        # the one zero row is +0.0 throughout
-        assert pb.brackets[:, pb.held].tobytes() == bytes(
-            8 * len(qs) * dims.cartesian_dim)
-        # each derived stack of all pairs is its blocks (`_layout`): X_m^0
+        dense = dense_brackets(fields, points, z)
+        number = pair_number(len(fields))
+        held = [number[tuple(pair)] for pair in ends.tolist()]
+        assert len(set(held)) == len(held)
+        assert dense[:, held].tobytes() == pb.brackets.tobytes()
+        zero = [number[pair] for pair in level_pairs(dims)
+                if number[pair] not in held]
+        assert zero and np.all(dense[:, zero] == 0.0)
+        # each derived stack of all pairs is its blocks (`_family`): X_m^0
         # with its brackets with sphere m's tangents, zero on the blocks
         # of spheres m..n, and the tangents of each sphere m..n with their
         # brackets, zero outside that sphere's block; together they hold
         # every nonzero row of the stack, bit for bit
-        tangent, cols, inner, steer = fg._layout(dims, basis)
-        number = {pair: p for p, pair in enumerate(zip(first, second))}
         for m in range(n + 1):
             idx = fg._d_index(dims, m + 1)
             stack = np.concatenate([pb.values[:, idx], dense[:, [
-                number[pair] for pair in zip(*fg._pairs(idx))]]], axis=1)
+                number[pair] for pair in zip(*(
+                    x.tolist() for x in pairs(idx)))]]], axis=1)
             coupled = np.concatenate([pb.values[:, [m]],
                                       pb.brackets[:, steer[m]]], axis=1)
             spheres = [np.concatenate([pb.values[:, tangent[j]],
@@ -683,9 +708,9 @@ def nonzero_rows(mat):
 
 class TestDeclaredBlocks:
     """Every value and every held bracket is exactly 0 outside the blocks
-    its fields declare they write: a field outside its `writes`, and the
-    bracket of a and b outside what c writes for its terms J_c V
-    (`probe`).  The flag pass decomposes its matrices block by block on
+    its fields declare they write: a field outside its `writes`, a tangent
+    pair outside its sphere's block, and a steering pair outside the blocks
+    X_j^0 writes.  The flag pass decomposes its matrices block by block on
     these declarations."""
 
     @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (2, 2), (3, 2),
@@ -694,7 +719,8 @@ class TestDeclaredBlocks:
     def test_zero_outside_declared_writes(self, k, n, basis):
         dims = arm.ArmDims(k, n)
         qs = point_mix(dims, np.random.default_rng(60 + 10 * k + n))
-        family = fields, _, probe, pair, held = fg._family(dims, basis)
+        family = fields, _, tangent, _, inner, steer, ends = fg._family(
+            dims, basis)
         pb = fg._PairBrackets(family, np.stack([q.flat() for q in qs]),
                               np.stack([q.z for q in qs]))
         block = np.arange(dims.cartesian_dim) // dims.ambient
@@ -704,17 +730,18 @@ class TestDeclaredBlocks:
 
         for f, fld in enumerate(fields):
             assert not pb.values[:, f, outside(fld.writes)].any()
-        seen = 0
-        for a, b in zip(*fg._pairs(range(len(fields)))):
-            if pair[a, b] >= held:
-                continue
-            wrote = set()
-            for c, e in ((a, b), (b, a)):
-                if probe[c, e]:
-                    wrote |= fields[c].writes
-            assert not pb.brackets[:, pair[a, b], outside(wrote)].any()
-            seen += 1
-        assert seen == held
+        for j in range(n + 1):
+            # the pairs of sphere j's tangents, and of X_j^0 with them
+            assert np.isin(ends[inner[j]], tangent[j]).all()
+            assert np.array_equal(ends[steer[j]],
+                                  np.column_stack([[j] * k, tangent[j]]))
+            sphere = set().union(*(fields[t].writes for t in tangent[j]))
+            assert len(sphere) == 1
+            assert not pb.brackets[:, inner[j]][..., outside(sphere)].any()
+            assert not pb.brackets[:, steer[j]][
+                ..., outside(fields[j].writes)].any()
+        assert sorted(np.concatenate([inner.ravel(), steer.ravel()])
+                      ) == list(range(len(ends)))
 
 
 class TestBatchedAgainstScalar:
@@ -771,11 +798,11 @@ class TestBatchedAgainstScalar:
 
 
 def pair_bytes(dims):
-    """Bytes of one point's bracket array (held + 1, D) float64, the
-    (n+1)k(k+1)/2 held pairs and the one zero row: the count by which
-    `verify_flags` sizes its blocks."""
-    held = (dims.n + 1) * dims.k * (dims.k + 1) // 2
-    return 8 * (held + 1) * dims.cartesian_dim
+    """Bytes of one point's bracket array (rows, D) float64, the
+    (n+1)k(k+1)/2 held pairs: the count by which `verify_flags` sizes its
+    blocks."""
+    rows = (dims.n + 1) * dims.k * (dims.k + 1) // 2
+    return 8 * rows * dims.cartesian_dim
 
 
 def sweep_batch(dims, rng):
@@ -785,10 +812,11 @@ def sweep_batch(dims, rng):
 
 
 class TestOnePassPerPoint:
-    """`verify_flags` evaluates each group of the shape's family (a
-    sphere's frame of k projected tangents, or one field alone) in one call
-    at all the block's points and in one at the complex probe rows of its
-    members' terms, and decomposes each kind of block with one stacked SVD
+    """`verify_flags` evaluates, sphere by sphere, its frame of k projected
+    tangents (or each of its k chart fields) and its steering field in one
+    call at all the block's points and in one at the k complex probe rows
+    of the sphere's tangents, and decomposes each kind of block with one
+    stacked SVD
     for all its points and levels: the tangents of each sphere, the same
     with their brackets, each steering field with its brackets, and the
     sandwich blocks; each side of the derived-span angles of the coupled
@@ -817,43 +845,31 @@ class TestOnePassPerPoint:
                 calls.clear()
                 decomps.clear()
                 fg.verify_flags(qs[:size], basis=basis)
-                fields, groups, probe, _, held = fg._family(dims, basis)
-                # X_m^0 takes the k tangents of sphere m, a tangent the
-                # k-1 others of its sphere: 30 pairs of 190 at (3,4)
+                fields, _, tangent, _, _, _, ends = fg._family(dims, basis)
+                # X_m^0 pairs with the k tangents of sphere m, a tangent
+                # with the k-1 others of its sphere: 30 pairs of 190 at (3,4)
                 assert len(fields) == (n + 1) * (k + 1)
-                assert probe.sum() == (n + 1) * k * k
-                assert held == (n + 1) * k * (k + 1) // 2
-                # the steering fields alone, then one frame per sphere
-                # (projected) or each chart field alone
-                widths = [width for _, width, *_ in groups]
-                assert widths == [1] * (n + 1) + (
-                    [k] * (n + 1) if basis == "projected"
-                    else [1] * ((n + 1) * k))
-                # every group once at the block's points, and once at the
-                # probe rows of its members, one per point and field of
-                # their union: X_m^0 takes those of sphere m's tangents, a
-                # frame those of its own k tangents, a chart field those
-                # of the k-1 others of its sphere
-                first, want, unions = 0, Counter(), []
-                for grp, width, union, *_ in groups:
-                    members = probe[first:first + width]
-                    assert np.array_equal(
-                        union, np.flatnonzero(members.any(axis=0)))
-                    unions.append(union.size)
-                    want.update([(grp.label, size),
-                                 (grp.label, size * union.size)])
-                    first += width
-                assert unions == [k] * (n + 1) + (
-                    [k] * (n + 1) if basis == "projected"
-                    else [k - 1] * ((n + 1) * k))
+                assert len(ends) == (n + 1) * k * (k + 1) // 2
+                # sphere by sphere, its steering field and its frame
+                # (projected) or each of its chart fields once at the
+                # block's points, and once at the k probe rows per point
+                # of the sphere's tangents
+                want = Counter()
+                for j in range(n + 1):
+                    labels = [fields[j].label] + (
+                        [fl.sphere_axis_frame(dims, j).label]
+                        if basis == "projected"
+                        else [fields[t].label for t in tangent[j]])
+                    want.update([(label, size * rows) for label in labels
+                                 for rows in (1, k)])
                 assert Counter(calls) == want
                 # an SVD per kind of block, an eigvalsh per angle side of
                 # the coupled and of the sphere blocks, and no QR
                 assert decomps == {"svd": 4, "eigvalsh": 4}
 
     def test_family_built_once_per_run(self, monkeypatch):
-        # a run of three blocks builds its shape's family and block layout
-        # once, and the blocks share them
+        # a run of three blocks builds its shape's family once, and the
+        # blocks share it
         made, blocks = Counter(), []
         for name in ("x0_field", "sphere_axis_field"):
             make = getattr(fl, name)
@@ -867,16 +883,13 @@ class TestOnePassPerPoint:
         rng = np.random.default_rng(6)
         qs = [regular(dims, rng) for _ in range(2 * block + 1)]
         fg._family.cache_clear()
-        fg._layout.cache_clear()
         fg.verify_flags(qs)
         assert blocks == [block, block, 1]
         assert made == {"x0_field": dims.n + 1,
                         "sphere_axis_field": (dims.n + 1) * dims.k}
-        # built by `verify_flags`, then read by each block and by the block
-        # layout, itself built once
-        family, layout = fg._family.cache_info(), fg._layout.cache_info()
-        assert (family.misses, family.hits) == (1, 4)
-        assert (layout.misses, layout.hits) == (1, 2)
+        # built by `verify_flags`, then read once by each block
+        family = fg._family.cache_info()
+        assert (family.misses, family.hits) == (1, 3)
 
 
 class TestBatch:

@@ -6,7 +6,8 @@ another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
 the library, the command line refuses bad input and prints to stderr in
 one place, code is generated, sphere axes are chosen and matrices are
-decomposed in one place only, and no module imports a threading library.
+decomposed in one place only, no module imports a threading library, and
+every function and class of the package is used by the package itself.
 """
 
 import ast
@@ -91,6 +92,28 @@ def private_reads(module):
                   and isinstance(n.value, ast.Name)
                   and owners.get(n.value.id)
                   and n.attr.startswith("_") and not n.attr.startswith("__")}
+
+
+def test_every_definition_is_used():
+    # every module-level function and class is referenced by other code of
+    # the package (outside its own body) or exported in `__all__`, so no
+    # helper stays in the library for the tests alone
+    trees = {module: parse(module) for module in MODULES}
+    exported = used_names(trees["__init__"])
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = set(map(id, ast.walk(node)))
+            # a name, an attribute or an imported name
+            refs = [ref for other in trees.values() for ref in ast.walk(other)
+                    if id(ref) not in own and node.name in (
+                        getattr(ref, "id", None), getattr(ref, "attr", None),
+                        ref.name if isinstance(ref, ast.alias) else None)]
+            if not refs and node.name not in exported:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
 
 
 def test_private_names_stay_private():

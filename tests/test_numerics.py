@@ -12,6 +12,7 @@ from multiflag import arm
 from multiflag import flags as fg
 from multiflag import sampling
 from multiflag.numerics import RowSpan, subspace_angle, svd_rank
+from test_flags import dense_brackets, pair_number, pairs
 
 
 def svd_route_angle(a, b, tol=1e-8):
@@ -44,19 +45,21 @@ def cosine_route_angle(a, b):
 def sweep_stacks(dims, seed):
     """A verify-sweep batch of 20 regular and 2 singular points, and the
     derived stacks (B, rows, D) of all pairs of each level, level 0
-    first."""
+    first, from the all-pairs brackets of `dense_brackets`."""
     rng = np.random.default_rng(seed)
     qs = ([sampling.random_regular_config(dims, rng) for _ in range(20)]
           + [sampling.singular_config(dims, rng, index=i) for i in (1, 2)])
-    z = np.stack([q.z for q in qs])
-    pb = fg._PairBrackets(fg._family(dims, "projected"),
-                          np.stack([q.flat() for q in qs]), z)
+    points = np.stack([q.flat() for q in qs])
+    fields = fg._family(dims, "projected")[0]
+    values = np.stack([f(points) for f in fields], axis=1)
+    dense = dense_brackets(fields, points, np.stack([q.z for q in qs]))
+    number = pair_number(len(fields))
     stacks = []
     for m in range(dims.n + 1):
         idx = fg._d_index(dims, m + 1)
-        a, b = fg._pairs(idx)
-        stacks.append(np.concatenate([pb.values[:, idx],
-                                      pb.brackets[:, pb.pair[a, b]]], axis=1))
+        stacks.append(np.concatenate([values[:, idx], dense[:, [
+            number[pair] for pair in zip(*(x.tolist() for x in pairs(idx)))]]],
+                                     axis=1))
     return qs, stacks
 
 

@@ -271,8 +271,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="sphere dimension")
     p.add_argument("--n", type=int, required=True,
                    help="number of trailers/segments minus one")
-    p.add_argument("--mode", default="arm",
-                   choices=["arm", "car", "cartesian", "subarm"])
+    p.add_argument("--mode", default="arm", choices=dyn.MODES)
     p.add_argument("--p", type=int, default=None, help="sub-arm lower joint")
     p.add_argument("--m", type=int, default=None, help="sub-arm upper joint")
     p.add_argument("--preset", default="straight",

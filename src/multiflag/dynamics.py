@@ -51,6 +51,7 @@ from .errors import StepRejected
 from .fields import _cascade, a_chain, f_products
 
 FMT = "%.17g"
+MODES = ("arm", "car", "cartesian", "subarm")  # the routes a run can take
 
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
@@ -233,20 +234,40 @@ class Trajectory:
     @staticmethod
     def from_dict(d: dict) -> "Trajectory":
         """The trajectory of a `to_json` object, read back with lists for
-        arrays; raises ValueError on a missing key or an array of the wrong
-        shape or with a non-finite value, which no written run holds."""
+        arrays; raises ValueError on a missing key, a scalar of the wrong
+        type or range, no records, or an array of the wrong shape or with a
+        non-finite value, none of which a written run holds."""
+        def scalar(key, types, what, ok=lambda v: True):
+            # exact types: a JSON true is no integer, nor "no" a bool
+            val = d[key] if key != "seed" else d.get(key)
+            if type(val) not in types or not ok(val):
+                raise ValueError(f"trajectory {key!r} must be {what}, got "
+                                 f"{val!r}")
+            return val
+
+        number = (int, float)
         try:
-            dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
+            dims = ArmDims(k=scalar("k", (int,), "an integer"),
+                           n=scalar("n", (int,), "an integer"))
             m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1
+            if m == 0:
+                raise ValueError("trajectory has no records")
             shapes = {"times": (m,), "x0": (m, k1), "z": (m, n1, k1),
                       "theta_n": (m, dims.k), "vn": (m,), "w": (m, dims.k),
                       "v": (m, n1), "drift_pre": (m,), "drift_post": (m,)}
             if d.get("points") is not None:
                 shapes["points"] = (m, dims.joints, k1)
             arrays = {key: np.asarray(d[key], dtype=float) for key in shapes}
-            scalars = {"mode": str(d["mode"]), "h": float(d["h"]),
-                       "T": float(d["T"]), "projection": bool(d["projection"]),
-                       "seed": d.get("seed")}
+            scalars = {
+                "mode": scalar("mode", (str,), "one of " + ", ".join(
+                    map(repr, MODES)), MODES.__contains__),
+                "h": float(scalar("h", number, "a positive finite number",
+                                  lambda v: 0 < v < np.inf)),
+                "T": float(scalar("T", number, "a nonnegative finite number",
+                                  lambda v: 0 <= v < np.inf)),
+                "projection": scalar("projection", (bool,), "true or false"),
+                "seed": scalar("seed", (int, type(None)),
+                               "an integer or null")}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad trajectory object: {exc!r}") from exc
         for key, shape in shapes.items():
@@ -418,8 +439,10 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
                  projection):
     """`_integrate`'s loop through a generated kernel `run` (`_arm_kernel`),
     in chunks of STEP_CHUNK steps: each chunk's controls and head rows go
-    in as Python floats, and its states and drifts come back as lists
-    written into the arrays at once."""
+    in as Python floats, and its states come back as one flat list and its
+    drifts as another, each written into its array at once.  A zero norm
+    raises ZeroDivisionError, and the step after the chunk's last drift is
+    refused as non-finite."""
     for j in range(0, steps.size, STEP_CHUNK):
         part = slice(j, min(j + STEP_CHUNK, steps.size))
         taken, drifts = [], []
@@ -429,10 +452,12 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
                           table[part].reshape(part.stop - j, -1).tolist(),
                           projection, MAX_STEP_DRIFT, taken, drifts)
         except ZeroDivisionError:  # a zero norm, nan in numpy's step
-            refused = len(taken), None
+            refused = len(drifts), None
         if refused is not None:
             return j + refused[0], refused[1]
-        stepped[j + 1:part.stop + 1] = taken
+        # np.array would discover the dtype float by float
+        stepped[j + 1:part.stop + 1] = np.fromiter(
+            taken, float, len(taken)).reshape(-1, stepped.shape[1])
         drift_pre[j + 1:part.stop + 1] = drifts
     return None
 
@@ -481,11 +506,13 @@ def _arm_kernel(route: str, n: int, k1: int):
     rhs) and their projection.  A row's dot product sums left to right, as
     `np.add.reduce` sums fewer than 8 terms, so k+1 <= 7; the Cartesian
     rhs's two `ndarray.dot` calls stay calls, as BLAS fuses multiply and
-    add.  `run(y, steps, stage_vn, heads, projection, limit, taken,
-    drifts)` steps from the state y, appends each new state and its drift
-    to `taken` and `drifts`, and returns None, or the index of the step it
-    refused and its drift (None: non-finite); it computes the drift before
-    dividing by a norm.
+    add; their operands are two buffers that each call of `run` allocates
+    and fills item by item, as every caller of a shape shares its kernel.
+    `run(y, steps, stage_vn, heads, projection, limit, taken, drifts)`
+    steps from the state y, extends the flat list `taken` by each new
+    state and appends its drift to `drifts`, and returns None, or the index
+    of the step it refused, `len(drifts)`, and its drift (None:
+    non-finite); it computes the drift before dividing by a norm.
     """
     m = (n + 1 + (route == "cartesian")) * k1
     state = [f"y{i}" for i in range(m)]
@@ -521,17 +548,22 @@ def _arm_kernel(route: str, n: int, k1: int):
         # the head rate vn z_n / |z_n| + jac w, then (f_i s) z_i with
         # s = <head rate, z_n>
         rate = [f"{out}{m - k1 + c}" for c in range(k1)]
-        code = diff(y) + [f"zt = array(({', '.join(seg[n])},))",
-                          "norm = sqrt(zt.dot(zt))"]
+        code = diff(y) + [f"zt[{c}] = {seg[n][c]}" for c in range(k1)]
+        code.append("norm = sqrt(zdot(zt))")
         code += [f"{rate[c]} = {seg[n][c]} / norm * {vn} + e{head * k1 + c}"
                  for c in range(k1)]
-        code.append(f"sd = float(array(({', '.join(rate)},)).dot(zt))")
+        code += [f"ht[{c}] = {rate[c]}" for c in range(k1)]
+        code.append("sd = float(hdot(zt))")
         chain, v = cascade(seg, "sd")
         return code + chain + [f"{out}{i * k1 + c} = {v[i]} * {seg[i][c]}"
                                for i in range(n + 1) for c in range(k1)]
 
+    buffers = []
     if route == "cartesian":
         stage, read, pre, rows = cartesian_stage, range(m), diff(state), seg
+        # the dot products' operands, allocated per call: callers share run
+        buffers = [f"zt, ht = array([0.0] * {k1}), array([0.0] * {k1})",
+                   "zdot, hdot = zt.dot, ht.dot"]
         # divide, then the cumulative sum, then x_0 + the sums
         project = ([f"z{i} = z{i} / q{i // k1}" for i in range(m - k1)]
                    + [f"z{i} = z{i - k1} + z{i}" for i in range(k1, m - k1)]
@@ -551,14 +583,15 @@ def _arm_kernel(route: str, n: int, k1: int):
     code += [f"y{i} = y{i} + (c{i} + k{i}) * h6" for i in range(m)]
     # x * 0.0 is 0 for every finite x and nan otherwise
     code += [f"if {' + '.join(f'{y} * 0.0' for y in state)} != 0.0:",
-             "    return len(taken), None"] + pre
+             "    return len(drifts), None"] + pre
     code += [f"q{i} = sqrt({' + '.join(f'{y} * {y}' for y in row)})"
              for i, row in enumerate(rows)]
     r = len(rows)
     code.append(f"d = max({', '.join(f'abs(q{i} - 1.0)' for i in range(r))})"
                 if r > 1 else f"d = {'abs(q0 - 1.0)' if r else '0.0'}")
     if r:
-        code += ["if d > limit:", "    return len(taken), d", "if projection:"]
+        code += ["if d > limit:", "    return len(drifts), d",
+                 "if projection:"]
         code += [f"    {line}" for line in project]
     code += [f"put(({', '.join(state)},))", "drift(d)"]
     heads = ", ".join(f"e{i}" for i in range(4 * k1))
@@ -566,7 +599,8 @@ def _arm_kernel(route: str, n: int, k1: int):
         "def run(y, steps, stage_vn, heads, projection, limit, taken, "
         "drifts):",
         f"    {', '.join(state)}, = y",
-        "    put, drift = taken.append, drifts.append",
+        "    put, drift = taken.extend, drifts.append"] + [
+        f"    {line}" for line in buffers] + [
         f"    for h, (u1, u2, u4), ({heads},) in zip(steps, stage_vn, heads):",
         "        dh, h6 = 0.5 * h, h / 6.0"] + [f"        {c}" for c in code]
         + ["    return None\n"])
@@ -711,7 +745,8 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
     independent oracle for `integrate_arm` through the segment-difference
     map.  States of (n+2)(k+1) <= KERNEL_COMPONENTS with k+1 <= 7 step
     through `_arm_kernel`, its two dot products the rhs's `ndarray.dot`
-    calls, larger ones on numpy buffers; both give the same bits.
+    calls on buffers of the run, larger ones on numpy buffers; both give
+    the same bits.
     """
     dims = q0.dims
     k, k1, n, p = dims.k, dims.ambient, dims.n, dims.cartesian_dim

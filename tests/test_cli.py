@@ -763,6 +763,61 @@ class TestSingularScan:
         assert captured.out == ""
         assert not (tmp_path / "scan.json").exists()
 
+    SCALARS = [
+        ("k", 1.7, "'k' must be an integer, got 1.7"),
+        ("k", True, "'k' must be an integer, got True"),
+        ("n", "1", "'n' must be an integer, got '1'"),
+        ("projection", "no", "'projection' must be true or false, got 'no'"),
+        ("projection", 1, "'projection' must be true or false, got 1"),
+        ("h", "0.001", "'h' must be a positive finite number, got '0.001'"),
+        ("h", 0, "'h' must be a positive finite number, got 0"),
+        ("h", float("inf"), "'h' must be a positive finite number, got inf"),
+        ("T", -1.0, "'T' must be a nonnegative finite number, got -1.0"),
+        ("T", float("nan"), "'T' must be a nonnegative finite number, got "
+         "nan"),
+        ("mode", "boat", "'mode' must be one of 'arm', 'car', 'cartesian', "
+         "'subarm', got 'boat'"),
+        ("seed", "abc", "'seed' must be an integer or null, got 'abc'"),
+        ("seed", False, "'seed' must be an integer or null, got False")]
+
+    @pytest.mark.parametrize("key, value, reason", SCALARS, ids=[
+        f"{key}-{value!r}" for key, value, _ in SCALARS])
+    def test_trajectory_scalars_checked(self, key, value, reason, tmp_path,
+                                        capsys):
+        # a scalar of another JSON type is refused, not converted: 1.7 is
+        # no k = 1, "no" no projection and "abc" no seed
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--T", "0.01",
+                         "--out", str(tmp_path / "tr")]) == 0
+        run = json.loads((tmp_path / "tr.json").read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(run, **{key: value})))
+        capsys.readouterr()
+        rc = cli.main(["singular-scan", "--k", "1", "--n", "1", "--traj",
+                       str(path), "--out", str(tmp_path / "scan.json")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"singular-scan: --traj {str(path)!r}: "
+                                f"trajectory {reason}\n")
+        assert captured.out == ""
+        assert not (tmp_path / "scan.json").exists()
+
+    def test_trajectory_without_records(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--k", "1", "--n", "1", "--T", "0.01",
+                         "--out", str(tmp_path / "tr")]) == 0
+        run = json.loads((tmp_path / "tr.json").read_text())
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({key: [] if isinstance(val, list) else val
+                                    for key, val in run.items()}))
+        capsys.readouterr()
+        rc = cli.main(["singular-scan", "--k", "1", "--n", "1", "--traj",
+                       str(path), "--out", str(tmp_path / "scan.json")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"singular-scan: --traj {str(path)!r}: "
+                                f"trajectory has no records\n")
+        assert captured.out == ""
+        assert not (tmp_path / "scan.json").exists()
+
     @pytest.mark.parametrize("eps", ["0", "0.3"])
     @pytest.mark.parametrize("mode", ["arm", "cartesian"])
     def test_events_match_per_index_loop(self, mode, eps, tmp_path, capsys):

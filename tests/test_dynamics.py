@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -800,6 +801,80 @@ class TestReferenceStepper:
         assert loops == ["_kernel_loop", "_numpy_loop"]
         assert messages == [str(want.value)] * 2
         assert str(want.value) == "non-finite state at t=1"
+
+    @pytest.mark.parametrize("route", ["arm", "cartesian"])
+    def test_runs_across_chunks(self, route, monkeypatch):
+        # 600 steps: the kernel takes three chunks, the numpy loop none; a
+        # jump to vn = 1e4 after t = 0.3 is refused in the second chunk
+        k, n, run, _, _ = ROUTES[route]
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(24),
+                                           chart_margin=0.1)
+        s = dyn.IntegratorSettings(h=1e-3)
+        assert 0.6 / s.h > 2 * dyn.STEP_CHUNK > 0.3 / s.h > dyn.STEP_CHUNK
+        smooth = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.4,
+                                            freq=0.7)
+        jump = dyn.ControlSignal(
+            lambda t: np.where(np.asarray(t) > 0.3, 1e4, 0.5),
+            lambda t: np.full(np.shape(t) + (k,), 0.2))
+        loops, runs, messages = spy_loops(monkeypatch), [], []
+        for size in (dyn.KERNEL_COMPONENTS, 0):
+            monkeypatch.setattr(dyn, "KERNEL_COMPONENTS", size)
+            runs.append(run(q, smooth, 0.6, s))
+            with pytest.raises(StepRejected) as got:
+                run(q, jump, 0.6, s)
+            messages.append(str(got.value))
+        assert loops == ["_kernel_loop"] * 2 + ["_numpy_loop"] * 2
+        assert len(runs[0]) == 601
+        assert_same_run(runs[0], {key: getattr(runs[1], key)
+                                  for key in RECORDED
+                                  if getattr(runs[1], key) is not None})
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"constraint drift \S+ in one step at t=0\.3",
+                            messages[0])
+
+    def test_kernel_refusal_index_across_chunks(self):
+        # a kernel that takes 5 steps of the second chunk and then divides
+        # by zero: the step index counts the chunks before it
+        def run(y, steps, stage_vn, heads, projection, limit, taken,
+                drifts):
+            if len(steps) < dyn.STEP_CHUNK:
+                taken.extend(y * 5)
+                drifts.extend([0.0] * 5)
+                raise ZeroDivisionError
+            taken.extend(y * len(steps))
+            drifts.extend([0.0] * len(steps))
+
+        s = dyn.STEP_CHUNK + 9
+        stepped = np.zeros((s + 1, 3))
+        assert dyn._kernel_loop(run, np.full(s, 1e-3), stepped,
+                                np.zeros((s, 4, 3)), np.zeros((s, 3)),
+                                np.zeros(s + 1), True) == (
+            dyn.STEP_CHUNK + 5, None)
+
+    def test_kernels_hold_no_state(self, monkeypatch):
+        # the kernels are cached per shape and shared by every caller: a
+        # run's buffers live in its own frame, never in the kernel's scope
+        kernels = []
+
+        def spy(run, *args):
+            kernels.append(run)
+            return loop(run, *args)
+
+        loop = dyn._kernel_loop
+        monkeypatch.setattr(dyn, "_kernel_loop", spy)
+        for name in ("arm", "arm-n0", "arm-k1n4", "cartesian",
+                     "cartesian-k5n0", "cartesian-k6-at-limit"):
+            k, n, run, _, _ = ROUTES[name]
+            q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                               np.random.default_rng(25),
+                                               chart_margin=0.1)
+            run(q, dyn.ControlSignal.constant(0.7, np.full(k, 0.2)), 0.05,
+                dyn.IntegratorSettings(h=1e-2))
+        assert len(set(kernels)) == 6
+        for kernel in kernels:
+            assert sorted(kernel.__globals__) == ["__builtins__", "array",
+                                                  "run", "sqrt"]
 
 
 def stage_times(T, h):

@@ -179,10 +179,21 @@ def config_to_dict(a: AngularConfig) -> dict:
     }
 
 
+def _scalar(obj, d, key, types, what, ok=lambda v: True):
+    """d[key] (None if missing where `types` admits None), refused as `<obj>
+    'key' must be <what>, got <value>` unless of an exact JSON type of
+    `types` (no true, "1" or 1.0 is an integer) and ok(value)."""
+    val = d.get(key) if type(None) in types else d[key]
+    if type(val) not in types or not ok(val):
+        raise ValueError(f"{obj} {key!r} must be {what}, got {val!r}")
+    return val
+
+
 def config_from_dict(d: dict) -> AngularConfig:
     """Build a config from the JSON form; directions are renormalized."""
     try:
-        dims = ArmDims(k=int(d["k"]), n=int(d["n"]))
+        dims = ArmDims(*(_scalar("configuration", d, key, (int,),
+                                 "an integer") for key in "kn"))
         x0 = np.asarray(d["x0"], dtype=float)
         z = np.asarray(d["z"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -46,16 +46,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+def _domain(what: str, ok, kind=float):
+    """The argparse type of a flag whose values are the kind(text) for
+    which ok holds: argparse refuses a text outside as `must be <what>,
+    got '<text>'`, and one kind cannot read as `invalid <kind> value`."""
+    def read(text):
+        val = kind(text)
+        if not ok(val):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return val
+    read.__name__ = "int" if kind is int else "float"
+    return read
+
+
+def _floats(text: str):
+    """--wn's comma-separated floats; an empty text is its default, None."""
+    return [float(x) for x in text.split(",") if x.strip()] if text else None
 
 
 def _start(args, *outputs) -> np.random.Generator:
-    """Refuse, before any work, a negative --seed, an empty --out and an
-    output path (None for none) that is a directory or whose directory is
-    missing or not writable; return the run's generator."""
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    """Refuse, before any work, an empty --out and an output path (None for
+    none) that is a directory or whose directory is missing or not
+    writable; return the run's generator."""
     if args.out == "":
         raise ValueError("--out must not be empty")
     for path in filter(None, outputs):
@@ -70,7 +82,7 @@ def _start(args, *outputs) -> np.random.Generator:
 
 def _read(flag: str, value: str, read, *extra):
     """read(value, *extra), its ValueError or OSError re-raised as a
-    ValueError naming the flag and its value (a file or a number list)."""
+    ValueError naming the flag and its file."""
     try:
         return read(value, *extra)
     except (ValueError, OSError) as exc:
@@ -78,13 +90,16 @@ def _read(flag: str, value: str, read, *extra):
         raise ValueError(f"{flag} {value!r}: {reason}") from None
 
 
+def _same_shape(what: str, dims: ArmDims, args) -> None:
+    if dims != ArmDims(args.k, args.n):
+        raise ValueError(f"{what} file has (k={dims.k}, n={dims.n}), "
+                         f"flags say (k={args.k}, n={args.n})")
+
+
 def _initial_config(args, dims, rng) -> "sampling.AngularConfig":
     if args.config:
         q = _read("--config", args.config, load_config)
-        if q.dims != dims:
-            raise ValueError(
-                f"config file has (k={q.dims.k}, n={q.dims.n}), "
-                f"flags say (k={dims.k}, n={dims.n})")
+        _same_shape("config", q.dims, args)
         return q
     if args.preset == "random":
         return sampling.random_regular_config(dims, rng, chart_margin=0.1)
@@ -106,13 +121,11 @@ def _control_table(path: str, k: int) -> dyn.ControlSignal:
 def _controls(args, k: int) -> dyn.ControlSignal:
     if args.controls_file:
         return _read("--controls-file", args.controls_file, _control_table, k)
-    wn = _read("--wn", args.wn, _parse_floats) if args.wn else np.zeros(k)
+    wn = np.zeros(k) if args.wn is None else np.array(args.wn)
     if wn.size == 1 and k > 1:
         wn = np.full(k, wn[0])
     if wn.size != k:
         raise ValueError(f"--wn needs {k} comma-separated values")
-    if not np.all(np.isfinite(wn)):
-        raise ValueError(f"--wn must be finite numbers, got {args.wn!r}")
     if args.controls == "sine":
         return dyn.ControlSignal.sinusoid(k, vn_amp=args.vn, w_amp=wn,
                                           freq=args.freq)
@@ -120,15 +133,6 @@ def _controls(args, k: int) -> dyn.ControlSignal:
 
 
 def _simulate_trajectory(args, rng) -> dyn.Trajectory:
-    if not (math.isfinite(args.T) and args.T >= 0):
-        raise ValueError(f"--T must be a nonnegative finite number, "
-                         f"got {args.T!r}")
-    if not (math.isfinite(args.h) and args.h > 0):
-        raise ValueError(f"--h must be a positive finite number, "
-                         f"got {args.h!r}")
-    for name, val in (("--vn", args.vn), ("--freq", args.freq)):
-        if not math.isfinite(val):
-            raise ValueError(f"{name} must be a finite number, got {val!r}")
     if args.mode == "car" and args.k != 1:
         raise ValueError("--mode car requires --k 1")
     if args.mode == "subarm" and (args.p is None or args.m is None):
@@ -174,12 +178,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for name, count in (("--samples", args.samples),
-                        ("--singular-samples", args.singular_samples)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if not 0 < args.tol < 1:
-        raise ValueError(f"--tol must be in (0, 1), got {args.tol!r}")
     rng = _start(args, args.out and args.out + "_reports.json")
     dims = ArmDims(args.k, args.n)
     regular = sampling.random_regular_configs(dims, rng, args.samples)
@@ -222,9 +220,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_singular_scan(args) -> int:
-    if not (math.isfinite(args.eps_sing) and args.eps_sing >= 0):
-        raise ValueError(f"--eps-sing must be a nonnegative finite number, "
-                         f"got {args.eps_sing!r}")
     rng = _start(args, args.out)
     if args.traj:
         # a recorded run replaces every simulation flag but the shape and
@@ -239,10 +234,7 @@ def cmd_singular_scan(args) -> int:
             raise ValueError(f"--traj scans a recorded run and takes no "
                              f"simulation flags: {', '.join(unused)}")
         traj = _read("--traj", args.traj, dyn.Trajectory.from_json)
-        if traj.dims != ArmDims(args.k, args.n):
-            raise ValueError(
-                f"trajectory file has (k={traj.dims.k}, n={traj.dims.n}), "
-                f"flags say (k={args.k}, n={args.n})")
+        _same_shape("trajectory", traj.dims, args)
     else:
         traj = _simulate_trajectory(args, rng)
     # a record is marked where |A_i| < eps or A_i changed sign since the
@@ -282,15 +274,19 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
                    choices=["constant", "sine"])
     p.add_argument("--controls-file", default=None,
                    help="CSV with columns t, vn, w1..wk (linear interp)")
-    p.add_argument("--vn", type=float, default=1.0,
+    finite = _domain("a finite number", math.isfinite)
+    p.add_argument("--vn", type=finite, default=1.0,
                    help="normal-velocity control (amplitude for sine)")
-    p.add_argument("--wn", default=None,
-                   help="comma-separated tangential controls (amplitudes)")
-    p.add_argument("--freq", type=float, default=0.5,
+    p.add_argument("--wn", type=_domain(
+        "finite numbers", lambda v: np.isfinite(v or 0).all(), _floats),
+        help="comma-separated tangential controls (amplitudes)")
+    p.add_argument("--freq", type=finite, default=0.5,
                    help="frequency of the sine preset")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--T", default=1.0, type=_domain(
+        "a nonnegative finite number", lambda v: 0 <= v < math.inf))
+    p.add_argument("--h", default=1e-3, type=_domain(
+        "a positive finite number", lambda v: 0 < v < math.inf))
+    p.add_argument("--seed", type=_domain(">= 0", lambda v: v >= 0, int))
     p.add_argument("--no-projection", action="store_true")
 
 
@@ -312,12 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="flag checks over random samples")
     ver.add_argument("--k", type=int, required=True)
     ver.add_argument("--n", type=int, required=True)
-    ver.add_argument("--samples", type=int, default=100)
-    ver.add_argument("--singular-samples", type=int, default=0,
+    count = _domain(">= 0", lambda v: v >= 0, int)
+    ver.add_argument("--samples", type=count, default=100)
+    ver.add_argument("--singular-samples", type=count, default=0,
                      help="additionally verify constructed singular points")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--tol", type=float, default=1e-8,
-                     help="relative SVD rank threshold")
+    ver.add_argument("--seed", type=count, default=0)
+    ver.add_argument("--tol", type=_domain("in (0, 1)", lambda v: 0 < v < 1),
+                     default=1e-8, help="relative SVD rank threshold")
     ver.add_argument("--basis", default="projected",
                      choices=["projected", "chart"])
     ver.add_argument("--out", default=None, help="report path prefix")
@@ -330,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_args(scan)
     scan.add_argument("--traj", default=None,
                       help="trajectory JSON (skips simulation)")
-    scan.add_argument("--eps-sing", type=float, default=fg.EPS_SING)
+    scan.add_argument("--eps-sing", default=fg.EPS_SING, type=_domain(
+        "a nonnegative finite number", lambda v: 0 <= v < math.inf))
     scan.add_argument("--out", default=None, help="JSON report path")
     scan.set_defaults(fn=cmd_singular_scan)
     return ap

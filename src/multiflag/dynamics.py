@@ -46,7 +46,7 @@ import numpy as np
 
 from . import hyperspherical as hs
 from .arm import (JSON_ROWS, AngularConfig, ArmDims, CartesianConfig,
-                  _write_json)
+                  _scalar, _write_json)
 from .errors import StepRejected
 from .fields import _cascade, a_chain, f_products
 
@@ -105,13 +105,12 @@ class ControlSignal:
 
     @staticmethod
     def from_table(times, vn_values, w_values) -> "ControlSignal":
-        """Linear interpolation of sampled controls; the table must be
-        finite and its times strictly increasing."""
+        """Linear interpolation of sampled controls at times (M,): vn_values
+        (M,) and w_values (M, k); the table must be finite and its times
+        strictly increasing."""
         times = np.asarray(times, dtype=float)
         vn_values = np.asarray(vn_values, dtype=float)
-        w_values = np.atleast_2d(np.asarray(w_values, dtype=float))
-        if w_values.shape[0] != times.size:
-            w_values = w_values.T
+        w_values = np.asarray(w_values, dtype=float)
         if not all(np.all(np.isfinite(x))
                    for x in (times, vn_values, w_values)):
             raise ValueError("control table holds a non-finite value")
@@ -237,18 +236,10 @@ class Trajectory:
         arrays; raises ValueError on a missing key, a scalar of the wrong
         type or range, no records, or an array of the wrong shape or with a
         non-finite value, none of which a written run holds."""
-        def scalar(key, types, what, ok=lambda v: True):
-            # exact types: a JSON true is no integer, nor "no" a bool
-            val = d[key] if key != "seed" else d.get(key)
-            if type(val) not in types or not ok(val):
-                raise ValueError(f"trajectory {key!r} must be {what}, got "
-                                 f"{val!r}")
-            return val
-
+        scalar = functools.partial(_scalar, "trajectory", d)
         number = (int, float)
         try:
-            dims = ArmDims(k=scalar("k", (int,), "an integer"),
-                           n=scalar("n", (int,), "an integer"))
+            dims = ArmDims(*[scalar(c, (int,), "an integer") for c in "kn"])
             m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1
             if m == 0:
                 raise ValueError("trajectory has no records")

@@ -200,6 +200,17 @@ class TestSerialization:
             arm.config_from_dict(
                 {"k": 1, "n": 0, "x0": [0, 0], "z": [[0.0, 0.0]]})
 
+    @pytest.mark.parametrize("value", [1.7, True, "1", 1.0, None])
+    @pytest.mark.parametrize("key", ["k", "n"])
+    def test_loader_checks_shape_types(self, key, value):
+        # k and n must be JSON integers, as in `Trajectory.from_dict`
+        d = dict(arm.config_to_dict(sampling.collinear_config(
+            arm.ArmDims(1, 1))), **{key: value})
+        with pytest.raises(ValueError) as exc:
+            arm.config_from_dict(d)
+        assert str(exc.value) == (f"configuration {key!r} must be an "
+                                  f"integer, got {value!r}")
+
     def test_json_is_plain(self):
         a = sampling.collinear_config(arm.ArmDims(1, 1))
         text = json.dumps(arm.config_to_dict(a))

@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import re
 import warnings
 
@@ -101,6 +103,27 @@ class TestSimulate:
                                 "flags say (k=1, n=1)\n")
         assert captured.out == ""
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("value", [1.7, True, "1", 1.0])
+    @pytest.mark.parametrize("key", ["k", "n"])
+    @pytest.mark.parametrize("command", ["simulate", "singular-scan"])
+    def test_config_scalars_checked(self, command, key, value, tmp_path,
+                                    capsys):
+        # the shape is read by the trajectory loader's rule: a JSON 1.7,
+        # true, "1" or 1.0 is no integer, not k = 1
+        from multiflag import arm, sampling
+        cfg = tmp_path / "cfg.json"
+        good = arm.config_to_dict(sampling.collinear_config(arm.ArmDims(1, 1)))
+        cfg.write_text(json.dumps(dict(good, **{key: value})))
+        rc = cli.main([command, "--k", "1", "--n", "1", "--T", "0.01",
+                       "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"{command}: --config {str(cfg)!r}: "
+                                f"configuration {key!r} must be an integer, "
+                                f"got {value!r}\n")
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("command, flag, text, reason", [
         ("simulate", "--config", "[]", "bad configuration object: "
@@ -376,8 +399,8 @@ class TestArgumentRefusals:
             reason = {"--eps-sing": "must be a nonnegative finite number",
                       "--vn": "must be a finite number",
                       "--wn": "must be finite numbers"}[flag]
-            got = repr(value if flag == "--wn" else float(value))
-            assert runs[0][1].err == f"{command}: {flag} {reason}, got {got}\n"
+            assert runs[0][1].err == (f"{command}: argument {flag}: {reason}, "
+                                      f"got {value!r}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
     def test_help_exits_0(self, argv, capsys):
@@ -387,6 +410,114 @@ class TestArgumentRefusals:
         captured = capsys.readouterr()
         assert captured.out.startswith("usage: multiflag")
         assert captured.err == ""
+
+
+def numeric_flags():
+    """(command, flag) for each option of a subcommand that argparse reads
+    through a type: every numeric flag, the generated rows of the matrix."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is not None]
+
+
+class TestInputMatrix:
+    """One input contract, checked on a generated matrix of edge values:
+    every run exits 0, 1 or 2, writes nothing to stderr on 0 and exactly
+    the one line `<command>: <reason>` otherwise, raises no warning, and
+    leaves no output file when it refuses its input (exit 2).
+
+    Legal but meaningless: a value inside its flag's domain that no run
+    needs is accepted, not refused.  `verify --tol 5e-324` (a rank
+    threshold below rounding) runs the checks and fails a derived rank at
+    (2, 1), so it exits 1; `--eps-sing 1e308` marks every record, `--h
+    1e308` takes one step of --T and `--vn 1e308` is rejected at its first
+    step (exit 1)."""
+
+    # small runs: a (2, 1) arm for 0.01 time units under the sine
+    # controls (which read --freq), or 2 verify samples
+    ARGV = {"simulate": ["--k", "2", "--n", "1", "--T", "0.01",
+                         "--controls", "sine", "--out", "run"],
+            "singular-scan": ["--k", "2", "--n", "1", "--T", "0.01",
+                              "--controls", "sine", "--out", "scan.json"],
+            "verify": ["--k", "2", "--n", "1", "--samples", "2",
+                       "--out", "v"]}
+    NUMBERS = ["0", "-0.0", "-1", "5e-324", "1e308", "inf", "-inf", "nan",
+               "-1e-3", ""]
+    PINNED = {("verify", "--tol", "5e-324"): cli.EXIT_FAIL}
+
+    @staticmethod
+    def run(argv, capsys):
+        """(exit code, stdout, stderr, files) of one run in the current
+        directory, whose files it then removes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        files = sorted(os.listdir())
+        for name in files:
+            os.remove(name)
+        assert rc in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE)
+        if rc == cli.EXIT_OK:
+            assert err == ""
+        else:
+            assert re.fullmatch(f"{argv[0]}: [^\n]+\n", err), err
+        if rc == cli.EXIT_USAGE:
+            assert files == []
+        return rc, out, err, files
+
+    @pytest.mark.parametrize("value", NUMBERS)
+    @pytest.mark.parametrize("command, flag", numeric_flags())
+    def test_numbers(self, command, flag, value, tmp_path, monkeypatch,
+                     capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + self.ARGV[command]
+        if flag in ("--p", "--m"):
+            # the sub-arm flags act in their mode only, which needs both
+            argv += ["--n", "2", "--mode", "subarm", "--p", "1", "--m", "2"]
+        # after a space or after "=", a value is read alike
+        runs = [self.run(argv + form, capsys)
+                for form in ([flag, value], [f"{flag}={value}"])]
+        assert runs[0] == runs[1]
+        if (command, flag, value) in self.PINNED:
+            assert runs[0][0] == self.PINNED[command, flag, value]
+
+    @pytest.mark.parametrize("kind", ["missing", "empty", "header-only",
+                                      "directory", "list", "string", "null",
+                                      "string-k"])
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--config"), ("simulate", "--controls-file"),
+        ("singular-scan", "--config"), ("singular-scan", "--controls-file"),
+        ("singular-scan", "--traj")])
+    def test_files(self, command, flag, kind, tmp_path, monkeypatch,
+                   capsys):
+        from multiflag import arm, sampling
+        (tmp_path / "in").mkdir()
+        path = tmp_path / "in" / "input"
+        good = arm.config_to_dict(sampling.collinear_config(arm.ArmDims(2, 1)))
+        if flag == "--traj" and kind == "string-k":
+            assert cli.main(["simulate", "--k", "2", "--n", "1", "--T",
+                             "0.01", "--out", str(tmp_path / "in" / "tr")]) == 0
+            good = json.loads((tmp_path / "in" / "tr.json").read_text())
+        if kind == "directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_text({"empty": "", "header-only": "t,vn,w1,w2\n",
+                             "list": "[]", "string": '"input"',
+                             "null": "null",
+                             "string-k": json.dumps(dict(good, k="2"))}[kind])
+        capsys.readouterr()
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        argv = [command] + self.ARGV[command]
+        if flag == "--traj":
+            # a recorded run takes no simulation flags
+            argv = [command, "--k", "2", "--n", "1", "--out", "scan.json"]
+        rc, out, err, _ = self.run(argv + [flag, str(path)], capsys)
+        # each is bad input, refused naming its flag and its file
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert err.startswith(f"{command}: {flag} {str(path)!r}: ")
 
 
 class TestVerify:
@@ -468,9 +599,9 @@ class TestVerify:
         rc = cli.main(["verify", "--k", "1", "--n", "1", "--samples", "2",
                        f"{flag}={value}", "--out", str(tmp_path / "v")])
         assert rc == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"verify: {flag}")
+        domain = "in (0, 1)" if flag == "--tol" else ">= 0"
+        assert capsys.readouterr().err == (
+            f"verify: argument {flag}: must be {domain}, got {value!r}\n")
         assert not (tmp_path / "v_reports.json").exists()
 
 

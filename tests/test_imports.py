@@ -21,8 +21,10 @@ BELOW_DYNAMICS = ["hyperspherical", "numerics", "arm", "fields", "flags",
                   "sampling"]
 # (reader, owner, name): the only underscore names one package module reads
 # from another; a new one is added here on purpose or made public
+# (`arm._scalar` is the one JSON scalar rule of both loaders)
 PRIVATE_READS = {("dynamics", "fields", "_cascade"),
                  ("dynamics", "arm", "_write_json"),
+                 ("dynamics", "arm", "_scalar"),
                  ("cli", "arm", "_write_json")}
 
 
@@ -154,6 +156,67 @@ def test_one_refusal_path_in_cli():
                     assert reraises or fn.name == "main", fn.name
     assert usage == {"main"}
     assert catching == {"main", "_read"}
+
+
+def is_bound(node):
+    """A number literal, or a name or attribute `inf`."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return ("inf" in (getattr(node, "id", None), getattr(node, "attr", None))
+            or isinstance(node, ast.Constant)
+            and type(node.value) in (int, float))
+
+
+def test_flag_domains_are_option_types():
+    # each numeric flag's domain is the `type=` of its option, so no
+    # function of the command line compares a parsed numeric flag (an
+    # `args.<flag>`, or a name bound to one) with a number, nor asks
+    # whether it is finite
+    tree = parse("cli")
+    numeric = {call.args[0].value.lstrip("-").replace("-", "_")
+               for call in ast.walk(tree) if isinstance(call, ast.Call)
+               and getattr(call.func, "attr", None) == "add_argument"
+               and any(kw.arg == "type" for kw in call.keywords)}
+    assert {"T", "h", "vn", "seed", "tol", "eps_sing"} <= numeric
+    checks = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+
+        def flag(node):
+            return (isinstance(node, ast.Attribute) and node.attr in numeric
+                    and getattr(node.value, "id", None) == "args")
+        # the names a loop or an assignment binds to a value of a flag
+        bound = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.For):
+                source, targets = node.iter, [node.target]
+            elif isinstance(node, ast.Assign):
+                source, targets = node.value, node.targets
+            else:
+                continue
+            if any(map(flag, ast.walk(source))):
+                bound |= {name.id for target in targets
+                          for name in ast.walk(target)
+                          if isinstance(name, ast.Name)}
+
+        def parsed(node):
+            return flag(node) or getattr(node, "id", None) in bound
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                ordered = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt,
+                                              ast.GtE)) for op in node.ops)
+                sides = [node.left] + node.comparators
+                if (ordered and any(map(parsed, sides))
+                        and any(map(is_bound, sides))):
+                    checks.append((fn.name, ast.unparse(node)))
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id",
+                                                           None))
+                    in ("isfinite", "isinf", "isnan")
+                    and any(map(parsed, node.args))):
+                checks.append((fn.name, ast.unparse(node)))
+    assert checks == []
 
 
 def test_only_main_writes_stderr():

@@ -18,15 +18,16 @@ unit rows, an initial state and a batched view of its states as base
 points, unit segment rows and head angles; one stepper (`_integrate`:
 controls, head track and head table before the first step, then the
 loop, then the gate messages and the drift after projection) and one
-recorder (`_record`) serve all three.  The car and large states loop
-on numpy (`_numpy_loop`), with a right-hand side `rhs(y, vn, head_row)`
-writing into buffers allocated once; an arm or Cartesian state of at
-most KERNEL_COMPONENTS components in rows of k+1 <= 7 steps through
-straight-line Python generated for its shape (`_arm_kernel`), the same
-arithmetic in the same order, and one rule (`_loop`) chooses for both
-routes.  Every route carries the head-sphere chart angles as state, so no
-route inverts a chart mid-run; as d theta/dt = w alone, the stepper
-tables them, like the controls, at every stage before the first step.
+recorder (`_record`) serve all three.  A state of at most
+KERNEL_COMPONENTS stepped components, in rows of k+1 <= 7 on the arm and
+Cartesian routes, steps through straight-line Python generated for its
+route and shape (`_arm_kernel`); larger ones loop on numpy
+(`_numpy_loop`), with a right-hand side `rhs(y, vn, head_row)` writing
+into buffers allocated once, the same arithmetic in the same order, and
+one rule (`_loop`) chooses for every route.  Every route carries the
+head-sphere chart angles as state, so no route inverts a chart mid-run;
+as d theta/dt = w alone, the stepper tables them, like the controls, at
+every stage before the first step.
 Joint velocities come from one kernel batched over records
 (`_joint_velocities`), which `collinearity_residuals` reuses; the
 recorder keeps only the normal velocities.  The angular right-hand side
@@ -56,8 +57,9 @@ MODES = ("arm", "car", "cartesian", "subarm")  # the routes a run can take
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
 HEAD_ROWS = 1024  # stages per head-frame call; bounds the frames' memory
-# Largest stepped state, (n+1)(k+1) on the arm route and (n+2)(k+1) on the
-# Cartesian one, for which `_arm_kernel` repays its compile.
+# Largest stepped state, (n+1)(k+1) on the arm route, (n+2)(k+1) on the
+# Cartesian one and n+2 on the car, for which `_arm_kernel` repays its
+# compile.
 KERNEL_COMPONENTS = 64
 STEP_CHUNK = 256  # steps per call of a generated kernel
 
@@ -432,8 +434,9 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
     in chunks of STEP_CHUNK steps: each chunk's controls and head rows go
     in as Python floats, and its states come back as one flat list and its
     drifts as another, each written into its array at once.  A zero norm
-    raises ZeroDivisionError, and the step after the chunk's last drift is
-    refused as non-finite."""
+    raises ZeroDivisionError and the cosine or sine of an infinite car
+    angle ValueError, where numpy's step turns nan; either way the step
+    after the chunk's last drift is refused as non-finite."""
     for j in range(0, steps.size, STEP_CHUNK):
         part = slice(j, min(j + STEP_CHUNK, steps.size))
         taken, drifts = [], []
@@ -442,7 +445,7 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
                           stage_vn[part].tolist(),
                           table[part].reshape(part.stop - j, -1).tolist(),
                           projection, MAX_STEP_DRIFT, taken, drifts)
-        except ZeroDivisionError:  # a zero norm, nan in numpy's step
+        except (ZeroDivisionError, ValueError):  # nan in numpy's step
             refused = len(drifts), None
         if refused is not None:
             return j + refused[0], refused[1]
@@ -455,8 +458,9 @@ def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
 
 def _loop(route: str, n: int, k1: int, rhs, rows, normalize):
     """`_integrate`'s loop for a route: its `_arm_kernel` for rows of k+1
-    <= 7 terms and at most KERNEL_COMPONENTS stepped, else `_numpy_loop`."""
-    if k1 < 8 and (n + 1 + (route == "cartesian")) * k1 <= KERNEL_COMPONENTS:
+    <= 7 terms (k1 = 1 for the car) and at most KERNEL_COMPONENTS stepped,
+    else `_numpy_loop`."""
+    if k1 < 8 and (n + 1 + (route != "arm")) * k1 <= KERNEL_COMPONENTS:
         return functools.partial(_kernel_loop, _arm_kernel(route, n, k1))
     return functools.partial(_numpy_loop, rhs, rows, normalize)
 
@@ -487,25 +491,31 @@ def _record(mode: str, dims: ArmDims, T: float,
 
 @functools.lru_cache(maxsize=None)
 def _arm_kernel(route: str, n: int, k1: int):
-    """The step loop of a route, "arm" or "cartesian", with n+1 segments of
-    k+1 components, as straight-line Python compiled once per shape.
+    """The step loop of a route, "arm", "cartesian" or "car", as
+    straight-line Python compiled once per shape: n+1 segments of k+1
+    components, k1 = 1 for the car, whose head row is its head angle.
 
     Every component is a local float, so a step is the arithmetic of
     `_numpy_loop` on the route's rates in the same order: the four stages,
     their sum, the finite check, the drift and the projection, the routes
-    supplying only their stage rates (`_arm_rhs`, or `integrate_cartesian`'s
-    rhs) and their projection.  A row's dot product sums left to right, as
+    supplying only their stage rates (`_arm_rhs`, or the rhs of
+    `integrate_cartesian` or `integrate_car`) and their projection (none
+    for the car).  A row's dot product sums left to right, as
     `np.add.reduce` sums fewer than 8 terms, so k+1 <= 7; the Cartesian
     rhs's two `ndarray.dot` calls stay calls, as BLAS fuses multiply and
-    add; their operands are two buffers that each call of `run` allocates
-    and fills item by item, as every caller of a shape shares its kernel.
-    `run(y, steps, stage_vn, heads, projection, limit, taken, drifts)`
-    steps from the state y, extends the flat list `taken` by each new
-    state and appends its drift to `drifts`, and returns None, or the index
-    of the step it refused, `len(drifts)`, and its drift (None:
-    non-finite); it computes the drift before dividing by a norm.
+    add, on operands stored through memoryviews into two buffers that each
+    call of `run` allocates, as every caller of a shape shares its kernel,
+    and each result is read back as a Python float from a third; the car
+    calls `math.cos` and `math.sin` where its rhs calls `np.cos` and
+    `np.sin`.  `run(y, steps, stage_vn, heads, projection, limit, taken,
+    drifts)` steps from the state y, extends the flat list `taken` by each
+    new state and appends its drift to `drifts`, and returns None, or the
+    index of the step it refused, `len(drifts)`, and its drift (None:
+    non-finite); it computes the drift before dividing by a norm.  Where
+    numpy's step turns nan, a zero norm raises ZeroDivisionError and the
+    cosine or sine of an infinite angle ValueError.
     """
-    m = (n + 1 + (route == "cartesian")) * k1
+    m = (n + 1 + (route != "arm")) * k1
     state = [f"y{i}" for i in range(m)]
     # the Cartesian segments x_{i+1} - x_i, in rows
     seg = [[f"z{i + c}" for c in range(k1)] for i in range(0, m - k1, k1)]
@@ -513,11 +523,13 @@ def _arm_kernel(route: str, n: int, k1: int):
     def diff(y):  # as np.diff of the joint rows
         return [f"z{i} = {y[i + k1]} - {y[i]}" for i in range(m - k1)]
 
-    def cascade(z, scale):
-        # a_i = <z_i, z_{i+1}> and v_i = scale * a_{n-1} ... a_i, v_n = scale
-        code = [f"a{i} = " + " + ".join(map("{} * {}".format, z[i], z[i + 1]))
+    def dots(z):  # a_i = <z_i, z_{i+1}>
+        return [f"a{i} = " + " + ".join(map("{} * {}".format, z[i], z[i + 1]))
                 for i in range(n)]
-        v, f = [f"v{i}" for i in range(n)] + [scale], f"a{n - 1}"
+
+    def cascade(scale):
+        # v_i = scale * a_{n-1} ... a_i, as `f_products`, and v_n = scale
+        code, v, f = [], [f"v{i}" for i in range(n)] + [scale], f"a{n - 1}"
         for i in reversed(range(n)):
             if i < n - 1:
                 code.append(f"f = {f} * a{i}")
@@ -529,7 +541,8 @@ def _arm_kernel(route: str, n: int, k1: int):
         # `_cascade` on the rows z_1..z_n of y and the tabled head row
         z = [y[i:i + k1] for i in range(k1, m, k1)] + [
             [f"e{head * k1 + c}" for c in range(k1)]]
-        code, v = cascade(z, vn)
+        chain, v = cascade(vn)
+        code = dots(z) + chain
         code += [f"{out}{c} = {v[0]} * {z[0][c]}" for c in range(k1)]
         code += [f"{out}{k1 * (i + 1) + c} = {v[i + 1]} * ({z[i + 1][c]} "
                  f"- a{i} * {z[i][c]})" for i in range(n) for c in range(k1)]
@@ -539,28 +552,47 @@ def _arm_kernel(route: str, n: int, k1: int):
         # the head rate vn z_n / |z_n| + jac w, then (f_i s) z_i with
         # s = <head rate, z_n>
         rate = [f"{out}{m - k1 + c}" for c in range(k1)]
-        code = diff(y) + [f"zt[{c}] = {seg[n][c]}" for c in range(k1)]
-        code.append("norm = sqrt(zdot(zt))")
+        code = diff(y) + [f"zv[{c}] = {seg[n][c]}" for c in range(k1)]
+        code += ["zdot(zt, dv)", "norm = sqrt(dm[()])"]
         code += [f"{rate[c]} = {seg[n][c]} / norm * {vn} + e{head * k1 + c}"
                  for c in range(k1)]
-        code += [f"ht[{c}] = {rate[c]}" for c in range(k1)]
-        code.append("sd = float(hdot(zt))")
-        chain, v = cascade(seg, "sd")
-        return code + chain + [f"{out}{i * k1 + c} = {v[i]} * {seg[i][c]}"
-                               for i in range(n + 1) for c in range(k1)]
+        code += [f"hv[{c}] = {rate[c]}" for c in range(k1)]
+        code += ["hdot(zt, dv)", "sd = dm[()]"]
+        chain, v = cascade("sd")
+        return code + dots(seg) + chain + [
+            f"{out}{i * k1 + c} = {v[i]} * {seg[i][c]}"
+            for i in range(n + 1) for c in range(k1)]
 
-    buffers = []
+    def car_stage(y, vn, head, out):
+        # the headings' differences d_i and a_i = cos d_i, then the rates
+        # of x, y and the headings th_0..th_{n-1}
+        th = y[2:] + [f"e{head}"]
+        code = [f"d{i} = {th[i + 1]} - {th[i]}" for i in range(n)]
+        chain, v = cascade(vn)
+        code += [f"a{i} = cos(d{i})" for i in range(n)] + chain
+        code += [f"{out}0 = {v[0]} * cos({th[0]})",
+                 f"{out}1 = {v[0]} * sin({th[0]})"]
+        return code + [f"{out}{i + 2} = {v[i + 1]} * sin(d{i})"
+                       for i in range(n)]
+
+    buffers, pre, rows, project = [], [], [], []
     if route == "cartesian":
         stage, read, pre, rows = cartesian_stage, range(m), diff(state), seg
-        # the dot products' operands, allocated per call: callers share run
-        buffers = [f"zt, ht = array([0.0] * {k1}), array([0.0] * {k1})",
+        # the dot products' operands and result, allocated per call:
+        # callers share run
+        buffers = [f"zt, ht, dv = array([0.0] * {k1}), array([0.0] * {k1}), "
+                   "array(0.0)",
+                   "zv, hv, dm = memoryview(zt), memoryview(ht), "
+                   "memoryview(dv)",
                    "zdot, hdot = zt.dot, ht.dot"]
         # divide, then the cumulative sum, then x_0 + the sums
         project = ([f"z{i} = z{i} / q{i // k1}" for i in range(m - k1)]
                    + [f"z{i} = z{i - k1} + z{i}" for i in range(k1, m - k1)]
                    + [f"y{i + k1} = y{i % k1} + z{i}" for i in range(m - k1)])
+    elif route == "car":
+        stage, read = car_stage, range(m)
     else:
-        stage, read, pre = arm_stage, range(k1, m), []
+        stage, read = arm_stage, range(k1, m)
         rows = [state[i:i + k1] for i in read[::k1]]
         project = [f"y{i} = y{i} / q{i // k1 - 1}" for i in read]
     tmp = [f"s{i}" for i in range(m)]
@@ -572,8 +604,11 @@ def _arm_kernel(route: str, n: int, k1: int):
         code += [f"s{i} = k{i} * {dt} + y{i}" for i in read]
     code += stage(tmp, "u4", 3, "k")
     code += [f"y{i} = y{i} + (c{i} + k{i}) * h6" for i in range(m)]
-    # x * 0.0 is 0 for every finite x and nan otherwise
-    code += [f"if {' + '.join(f'{y} * 0.0' for y in state)} != 0.0:",
+    # x * 0.0 is 0 for every finite x and nan otherwise; a non-finite term
+    # makes the plain sum non-finite, and only a finite state whose sum
+    # overflows needs the exact test
+    code += [f"if ({' + '.join(state)}) * 0.0 != 0.0 and "
+             f"{' + '.join(f'{y} * 0.0' for y in state)} != 0.0:",
              "    return len(drifts), None"] + pre
     code += [f"q{i} = sqrt({' + '.join(f'{y} * {y}' for y in row)})"
              for i, row in enumerate(rows)]
@@ -595,7 +630,8 @@ def _arm_kernel(route: str, n: int, k1: int):
         f"    for h, (u1, u2, u4), ({heads},) in zip(steps, stage_vn, heads):",
         "        dh, h6 = 0.5 * h, h / 6.0"] + [f"        {c}" for c in code]
         + ["    return None\n"])
-    scope = {"sqrt": math.sqrt, "array": np.array}
+    scope = {"sqrt": math.sqrt, "array": np.array, "cos": math.cos,
+             "sin": math.sin}
     exec(compile(source, f"<{route} kernel n={n} k+1={k1}>", "exec"), scope)
     return scope["run"]
 
@@ -698,6 +734,9 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     """Integrate the planar car cascade in (x, y, headings) variables.
 
     Independent of `integrate_arm`: different state variables, same motion.
+    Cars of n+2 <= KERNEL_COMPONENTS stepped components (x, y and the
+    headings theta_0..theta_{n-1}) step through `_arm_kernel`, larger ones
+    on numpy buffers; both give the same bits.
     """
     dims = q0.dims
     if dims.k != 1:
@@ -714,7 +753,7 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
         return rate
 
     # the head table is the head angle; headings carry no constraint
-    run = _integrate(functools.partial(_numpy_loop, rhs, None, None),
+    run = _integrate(_loop("car", dims.n, 1, rhs, None, None),
                      lambda theta, w: theta, None, car_state_from_config(q0),
                      u, 1, T, settings)
     return _record("car", dims, T, settings, seed, run, _car_view)

@@ -638,6 +638,11 @@ def arm_route(k, n):
             ref_arm_route, lambda q: q)
 
 
+def car_route(n):
+    return (1, n, lambda q, u, T, s: dyn.integrate_car(q, u, T, s),
+            ref_car_route, lambda q: q)
+
+
 ROUTES = {
     "arm": arm_route(2, 3),
     "arm-n0": arm_route(3, 0),
@@ -648,8 +653,11 @@ ROUTES = {
     "arm-k6-at-limit": arm_route(6, dyn.KERNEL_COMPONENTS // 7 - 1),
     "arm-k7n1": arm_route(7, 1),
     "arm-k4-above-limit": arm_route(4, dyn.KERNEL_COMPONENTS // 5),
-    "car": (1, 3, lambda q, u, T, s: dyn.integrate_car(q, u, T, s),
-            ref_car_route, lambda q: q),
+    # the same rule on the car's n+2 stepped components
+    "car": car_route(3),
+    "car-n0": car_route(0),
+    "car-at-limit": car_route(dyn.KERNEL_COMPONENTS - 2),
+    "car-above-limit": car_route(dyn.KERNEL_COMPONENTS - 1),
     # the head-frame plan differs with k: one Cartesian run per sphere
     "cartesian": cartesian_route(2, 2),
     "cartesian-k1n3": cartesian_route(1, 3),
@@ -711,11 +719,10 @@ class TestReferenceStepper:
         assert len(tr) == {0.1: 11, 0.1037: 12, 0.0: 1}[T]
         assert_same_run(tr, ref_run(ref_route, ref_start(q), u, T, s))
 
-    @pytest.mark.parametrize("route", sorted(
-        r for r in ROUTES if ROUTES[r][3] is not ref_car_route))
+    @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_arm_loop_by_shape(self, route, monkeypatch):
-        # the arm and Cartesian routes take the kernel on the same rule:
-        # rows of k+1 <= 7 terms and at most KERNEL_COMPONENTS stepped
+        # every route takes the kernel on the same rule: rows of k+1 <= 7
+        # terms and at most KERNEL_COMPONENTS stepped
         k, n, run, ref_route, start = ROUTES[route]
         loops = spy_loops(monkeypatch)
         q = sampling.random_regular_config(arm.ArmDims(k, n),
@@ -724,8 +731,9 @@ class TestReferenceStepper:
         run(q, dyn.ControlSignal.constant(0.7, np.full(k, 0.2)), 0.05,
             dyn.IntegratorSettings(h=1e-2))
         sub = start(q).dims
-        size = (sub.cartesian_dim if ref_route is ref_cartesian_route
-                else (sub.n + 1) * sub.ambient)
+        size = {ref_cartesian_route: sub.cartesian_dim,
+                ref_car_route: sub.n + 2}.get(ref_route,
+                                              (sub.n + 1) * sub.ambient)
         assert loops == (["_kernel_loop"] if size <= dyn.KERNEL_COMPONENTS
                          and sub.k <= 6 else ["_numpy_loop"])
 
@@ -802,11 +810,15 @@ class TestReferenceStepper:
         assert messages == [str(want.value)] * 2
         assert str(want.value) == "non-finite state at t=1"
 
-    @pytest.mark.parametrize("route", ["arm", "cartesian"])
+    @pytest.mark.parametrize("route", ["arm", "cartesian", "car"])
     def test_runs_across_chunks(self, route, monkeypatch):
         # 600 steps: the kernel takes three chunks, the numpy loop none; a
-        # jump to vn = 1e4 after t = 0.3 is refused in the second chunk
+        # jump to vn = 1e4 after t = 0.3 is refused in the second chunk,
+        # and on the car, which has no drift gate, one to vn = inf.  The
+        # car run pins numpy's sines and cosines to Python's `math`
         k, n, run, _, _ = ROUTES[route]
+        vn, message = ((np.inf, "non-finite state") if route == "car"
+                       else (1e4, r"constraint drift \S+ in one step"))
         q = sampling.random_regular_config(arm.ArmDims(k, n),
                                            np.random.default_rng(24),
                                            chart_margin=0.1)
@@ -815,7 +827,7 @@ class TestReferenceStepper:
         smooth = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.4,
                                             freq=0.7)
         jump = dyn.ControlSignal(
-            lambda t: np.where(np.asarray(t) > 0.3, 1e4, 0.5),
+            lambda t: np.where(np.asarray(t) > 0.3, vn, 0.5),
             lambda t: np.full(np.shape(t) + (k,), 0.2))
         loops, runs, messages = spy_loops(monkeypatch), [], []
         for size in (dyn.KERNEL_COMPONENTS, 0):
@@ -830,8 +842,77 @@ class TestReferenceStepper:
                                   for key in RECORDED
                                   if getattr(runs[1], key) is not None})
         assert messages[0] == messages[1]
-        assert re.fullmatch(r"constraint drift \S+ in one step at t=0\.3",
-                            messages[0])
+        assert re.fullmatch(message + r" at t=0\.3", messages[0])
+
+    @pytest.mark.parametrize("route", ["arm", "car"])
+    def test_overflowing_sum_steps_on(self, route, monkeypatch):
+        # the finite check first tests the plain sum of the state; a base
+        # point of 1e308 in every component makes that sum overflow, and
+        # the exact test lets the state step on, with the numpy loop's bits
+        k, n, run, _, _ = ROUTES[route]
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(27),
+                                           chart_margin=0.1)
+        q = arm.AngularConfig(dims=q.dims, x0=np.full(k + 1, 1e308), z=q.z)
+        u = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.4, freq=0.7)
+        loops, runs = spy_loops(monkeypatch), []
+        for size in (dyn.KERNEL_COMPONENTS, 0):
+            monkeypatch.setattr(dyn, "KERNEL_COMPONENTS", size)
+            runs.append(run(q, u, 0.1, dyn.IntegratorSettings(h=1e-2)))
+        assert loops == ["_kernel_loop", "_numpy_loop"]
+        assert len(runs[0]) == 11 and np.all(runs[0].x0 == 1e308)
+        assert_same_run(runs[0], {key: getattr(runs[1], key)
+                                  for key in RECORDED
+                                  if getattr(runs[1], key) is not None})
+
+    @pytest.mark.parametrize("route, jump", [
+        ("arm", "vn"), ("cartesian", "vn"), ("car", "vn"), ("car", "head")])
+    def test_non_finite_refused_alike(self, route, jump, monkeypatch):
+        # a state that turns non-finite is refused at the same step, with
+        # the same line, by the kernel and by the numpy loop.  Either vn
+        # jumps to inf after t = 0.03, or the head rates at the stage
+        # times 8, 10 and 12 of the step from t = 8 (h = 4) are -1e308,
+        # 5e307 and -1e308: that step ends at a finite head angle, but its
+        # last stage's angle, start + 4 * 5e307, overflows.  Where a car
+        # angle is infinite, the kernel's `math.cos` raises ValueError and
+        # `np.cos` gives nan
+        k, n, run, _, _ = ROUTES[route]
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(28),
+                                           chart_margin=0.1)
+        if jump == "vn":
+            u = dyn.ControlSignal(
+                lambda t: np.where(np.asarray(t) > 0.03, np.inf, 0.5),
+                lambda t: np.full(np.shape(t) + (k,), 0.2))
+            s, T, at = dyn.IntegratorSettings(h=1e-2), 0.1, "0.04"
+        else:
+            def w(t):
+                t = np.asarray(t)[..., None]
+                return np.where(t == 10.0, 5e307, np.where(
+                    (t == 8.0) | (t == 12.0), -1e308, 0.2))
+            u = dyn.ControlSignal(lambda t: np.full(np.shape(t), 0.5), w)
+            s, T, at = dyn.IntegratorSettings(h=4.0), 16.0, "12"
+        raised, kernel_loop = [], dyn._kernel_loop
+
+        def spy(kernel, *args):
+            def traced(*a):
+                try:
+                    return kernel(*a)
+                except (ZeroDivisionError, ValueError) as exc:
+                    raised.append(type(exc))
+                    raise
+            return kernel_loop(traced, *args)
+
+        monkeypatch.setattr(dyn, "_kernel_loop", spy)
+        loops, messages = spy_loops(monkeypatch), []
+        for size in (dyn.KERNEL_COMPONENTS, 0):
+            monkeypatch.setattr(dyn, "KERNEL_COMPONENTS", size)
+            with pytest.raises(StepRejected) as got:
+                run(q, u, T, s)
+            messages.append(str(got.value))
+        assert loops == ["_kernel_loop", "_numpy_loop"]
+        assert messages == [f"non-finite state at t={at}"] * 2
+        assert raised == ([ValueError] if route == "car" else [])
 
     def test_kernel_refusal_index_across_chunks(self):
         # a kernel that takes 5 steps of the second chunk and then divides
@@ -864,17 +945,17 @@ class TestReferenceStepper:
         loop = dyn._kernel_loop
         monkeypatch.setattr(dyn, "_kernel_loop", spy)
         for name in ("arm", "arm-n0", "arm-k1n4", "cartesian",
-                     "cartesian-k5n0", "cartesian-k6-at-limit"):
+                     "cartesian-k5n0", "cartesian-k6-at-limit", "car"):
             k, n, run, _, _ = ROUTES[name]
             q = sampling.random_regular_config(arm.ArmDims(k, n),
                                                np.random.default_rng(25),
                                                chart_margin=0.1)
             run(q, dyn.ControlSignal.constant(0.7, np.full(k, 0.2)), 0.05,
                 dyn.IntegratorSettings(h=1e-2))
-        assert len(set(kernels)) == 6
+        assert len(set(kernels)) == 7
         for kernel in kernels:
             assert sorted(kernel.__globals__) == ["__builtins__", "array",
-                                                  "run", "sqrt"]
+                                                  "cos", "run", "sin", "sqrt"]
 
 
 def stage_times(T, h):

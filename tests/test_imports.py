@@ -11,6 +11,7 @@ every function and class of the package is used by the package itself.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -96,25 +97,27 @@ def private_reads(module):
                   and n.attr.startswith("_") and not n.attr.startswith("__")}
 
 
+def references(tree):
+    """How often each name is referred to in a tree: as a name, an
+    attribute or an imported name."""
+    return collections.Counter(
+        getattr(ref, "id", None) or getattr(ref, "attr", None) or ref.name
+        for ref in ast.walk(tree)
+        if isinstance(ref, (ast.Name, ast.Attribute, ast.alias)))
+
+
 def test_every_definition_is_used():
     # every module-level function and class is referenced by other code of
     # the package (outside its own body) or exported in `__all__`, so no
     # helper stays in the library for the tests alone
     trees = {module: parse(module) for module in MODULES}
     exported = used_names(trees["__init__"])
-    unused = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = set(map(id, ast.walk(node)))
-            # a name, an attribute or an imported name
-            refs = [ref for other in trees.values() for ref in ast.walk(other)
-                    if id(ref) not in own and node.name in (
-                        getattr(ref, "id", None), getattr(ref, "attr", None),
-                        ref.name if isinstance(ref, ast.alias) else None)]
-            if not refs and node.name not in exported:
-                unused.append(f"{module}.{node.name}")
+    package = sum(map(references, trees.values()), collections.Counter())
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and package[node.name] == references(node)[node.name]
+              and node.name not in exported]
     assert unused == []
 
 
@@ -232,8 +235,8 @@ def test_only_main_writes_stderr():
 
 def test_code_generated_in_one_place():
     # `dynamics._arm_kernel` compiles and runs the generated step loops of
-    # the arm and Cartesian routes; no other function compiles, executes or
-    # evaluates a string
+    # every route; no other function compiles, executes or evaluates a
+    # string
     calls = set()
     for module in MODULES:
         for fn in parse(module).body:

@@ -201,27 +201,33 @@ def config_from_dict(d: dict) -> AngularConfig:
     return AngularConfig(dims=dims, x0=x0, z=z)
 
 
-# rows of an array per `json.dumps` call in `_write_json`, and per `%`
-# format of `Trajectory.to_csv`
+# rows of an array per encoder call in `_write_json`, and per `%` format
+# of `Trajectory.to_csv`
 JSON_ROWS = 256
+# the encoder of `json.dump(..., sort_keys=True)`, without its cycle check:
+# a written payload is a tree of lists and dicts
+_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _write_json(path, obj: dict) -> None:
     """Write the bytes of `json.dump(obj, fh, sort_keys=True)` and a newline
-    through the C encoder (`json.dumps`) in bounded pieces: one call per
-    top-level value, per list item and per JSON_ROWS rows of an array."""
+    through the C encoder in bounded pieces: one call per top-level value,
+    per list item and per JSON_ROWS rows of an array.  A list item with a
+    `json_text()` method (`flags.FlagReport`) is written as that text,
+    which stands for the encoded dict form of the item."""
     def pieces(val):
         if isinstance(val, np.ndarray):
-            return (json.dumps(val[i:i + JSON_ROWS].tolist())[1:-1]
+            return (_JSON.encode(val[i:i + JSON_ROWS].tolist())[1:-1]
                     for i in range(0, len(val), JSON_ROWS))
-        return (json.dumps(item, sort_keys=True) for item in val)
+        return (item.json_text() if hasattr(item, "json_text")
+                else _JSON.encode(item) for item in val)
 
     with open(path, "w") as fh:
         fh.write("{")
         for j, key in enumerate(sorted(obj)):
-            fh.write((", " if j else "") + json.dumps(key) + ": ")
+            fh.write((", " if j else "") + _JSON.encode(key) + ": ")
             if not isinstance(obj[key], (list, np.ndarray)):
-                fh.write(json.dumps(obj[key], sort_keys=True))
+                fh.write(_JSON.encode(obj[key]))
                 continue
             fh.write("[")
             for i, piece in enumerate(pieces(obj[key])):

@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
             "samples": args.samples,
             "singular_samples": len(singular),
             "basis": args.basis,
-            "reports": [r.to_dict() for r in reports],
+            "reports": reports,
         }
         _write_json(args.out + "_reports.json", payload)
 

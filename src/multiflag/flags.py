@@ -30,7 +30,10 @@ and the derived inclusion [D^{m+1}, D^{m+1}] in D^m.
 from __future__ import annotations
 
 import functools
+import json
+import math
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,8 +41,8 @@ import numpy as np
 from . import fields as fl
 from .arm import AngularConfig, ArmDims
 from .fields import Field, field_jacobian
-from .numerics import (RowSpan, orthonormal_rows, span_angle, subspace_angle,
-                       svd_rank)
+from .numerics import (RowSpan, orthonormal_rows, singular_values, span_angle,
+                       subspace_angle, svd_rank)
 
 # unused by the pass, wrapped here by name by bench/tracing.py
 _WRAPPED = (svd_rank, orthonormal_rows, subspace_angle)
@@ -327,6 +330,34 @@ class FlagReport:
             "failures": self.failures,
         }
 
+    def json_text(self) -> str:
+        """The text of `json.dumps(self.to_dict(), sort_keys=True)`, as one
+        `%` fill of the template of its shape, basis and svd tol
+        (`_report_template`), for a report as `verify_flags` makes it:
+        plain floats and ints and the levels of its shape.  A report whose
+        floats do not sum to a finite Python float, as one holding a nan,
+        an infinity or a numpy float, is encoded whole: %r writes `nan`
+        where json writes `NaN`."""
+        head = [*self.a_values, self.delta_involutivity]
+        for dv in self.derived:
+            head += (dv.angle, dv.rank)
+        levels = []
+        for lv in self.levels:
+            levels += (lv.cauchy_residual, lv.involutivity_e, lv.rank_d,
+                       lv.rank_e)
+        del levels[-4]  # the top level's cauchy_residual is a literal null
+        point = list(self.point["x0"])
+        for row in self.point["z"]:
+            point += row
+        total = sum(head) + sum(levels) + sum(point)
+        if type(total) is not float or not math.isfinite(total):
+            return json.dumps(self.to_dict(), sort_keys=True)
+        return _report_template(self.dims, self.basis, self.svd_tol) % (
+            *head, "[%s]" % ", ".join(map(_json_string, self.failures)),
+            *levels, "true" if self.passed else "false", *point,
+            str(list(self.sandwich_indices)),
+            str(list(self.singular_indices)), _json_string(self.verdict))
+
     def render(self) -> str:
         """Text sandwich diagram with the measured ranks per level."""
         n = self.dims.n
@@ -354,6 +385,31 @@ class FlagReport:
             f"  {'PASS' if self.passed else 'FAIL: ' + '; '.join(self.failures)}",
         ]
         return "\n".join(lines)
+
+
+# typed: a tol of 1 is written `1`, one of 1.0 `1.0`
+@functools.lru_cache(maxsize=None, typed=True)
+def _report_template(dims: ArmDims, basis: str, svd_tol: float) -> str:
+    """The text of `json.dumps(FlagReport.to_dict(), sort_keys=True)` for a
+    report of one shape, basis and svd tol, with %r for each float, %d for
+    each rank and %s for the verdict, passed, failures and index lists, in
+    the order of sorted keys that `FlagReport.json_text` fills them in; the
+    keys, the levels' expected ranks and the tolerances are literal."""
+    f, d, s = "\0r", "\0d", "\0s"
+    n1, k1 = dims.n + 1, dims.ambient
+    levels = [LevelReport(m, d, d, expected_rank_d(dims, m),
+                          expected_rank_e(dims, m), f, f if m < n1 else None)
+              for m in range(1, n1 + 1)]
+    derived = [DerivedReport(m, d, expected_rank_d(dims, m), f)
+               for m in range(n1)]
+    skeleton = FlagReport(dims, {"x0": [f] * k1, "z": [[f] * k1] * n1},
+                          [f] * dims.n, s, (), (), levels, derived, f, basis,
+                          svd_tol, s, s).to_dict()
+    skeleton["sandwich_indices"] = skeleton["singular_indices"] = s
+    text = json.dumps(skeleton, sort_keys=True).replace("%", "%%")
+    for mark in (f, d, s):
+        text = text.replace(json.dumps(mark), "%" + mark[1])
+    return text
 
 
 def verify_flags(qs: Sequence[AngularConfig], tol: float = 1e-8,
@@ -482,10 +538,10 @@ def _verify_block(qs: list[AngularConfig], tol: float,
     # already lies in E^l (no rank increase); at k = 1 the A_i decide
     stalls = None
     if k >= 2 and n:
-        w = RowSpan(pb.values[:, np.column_stack([np.arange(1, n1),
-                                                  tangent[:-1]])])
-        top_w = np.maximum(w.s[..., 0], top_e[:, 1:])
-        stalls = ((w.s > tol * top_w[..., None]).sum(axis=-1)
+        w = singular_values(pb.values[:, np.column_stack([np.arange(1, n1),
+                                                          tangent[:-1]])])
+        top_w = np.maximum(w[..., 0], top_e[:, 1:])
+        stalls = ((w > tol * top_w[..., None]).sum(axis=-1)
                   + _kept_from(t.s, tol * top_w, 1).sum(axis=(2, 3))
                   == ranks_e[:, :n])
 

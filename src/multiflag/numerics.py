@@ -35,6 +35,13 @@ def _finite_matrix(mat: np.ndarray) -> np.ndarray:
     return np.atleast_2d(mat) if mat.ndim < 2 else mat
 
 
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """The descending singular values (..., K) of a matrix or of each
+    matrix of a stack, without the singular vectors (LAPACK's values-only
+    dgesdd, which may differ from `RowSpan(mat).s` in the last bits)."""
+    return np.linalg.svd(_finite_matrix(mat), compute_uv=False)
+
+
 def svd_rank(mat: np.ndarray, tol: float = 1e-8):
     """Rank of the row span: count singular values above tol * largest."""
     return RowSpan(mat).rank(tol)
@@ -96,8 +103,8 @@ def span_angle(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
             q1, q2 = q1[big], q2[big]
             dropped = np.eye(q2.shape[1]) * ~q2.any(axis=2)[:, :, None]
             cross = np.concatenate([q2 @ q1.swapaxes(1, 2), dropped], axis=2)
-            angle[big] = np.arccos(np.minimum(1.0, np.linalg.svd(
-                cross, compute_uv=False)[:, -1]))
+            angle[big] = np.arccos(np.minimum(1.0, singular_values(
+                cross)[:, -1]))
         return angle
 
     return np.maximum(one_sided(qa, qb), one_sided(qb, qa)).reshape(lead)

@@ -10,6 +10,16 @@ from multiflag import cli
 from multiflag.fields import a_chain
 
 
+def read_sorted_json(path):
+    """The object of a written JSON file, whose text must be `json.dump`'s
+    of it with sorted keys and a newline: key order, separators and float
+    text pinned without the package's writer."""
+    text = path.read_text()
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True) + "\n"
+    return obj
+
+
 def read_csv_states(path):
     rows = np.loadtxt(path, delimiter=",", skiprows=2)
     return rows
@@ -37,7 +47,7 @@ class TestSimulate:
                        "--controls", "sine", "--vn", "0.8", "--wn", "0.4,0.3",
                        "--T", "2", "--h", "1e-3", "--out", str(out)])
         assert rc == 0
-        data = json.loads((tmp_path / "rnd.json").read_text())
+        data = read_sorted_json(tmp_path / "rnd.json")
         assert max(abs(d) for d in data["drift_post"]) < 1e-9
 
     def test_deterministic_outputs(self, tmp_path):
@@ -645,8 +655,7 @@ class TestVerdictsFromJson:
         rc = cli.main(["verify", "--k", str(k), "--n", str(n),
                        "--samples", "10", "--singular-samples", "2",
                        "--tol", tol, "--out", str(tmp_path / "v")])
-        reports = json.loads((tmp_path / "v_reports.json").read_text())[
-            "reports"]
+        reports = read_sorted_json(tmp_path / "v_reports.json")["reports"]
         assert len(reports) == 12
         for rep in reports:
             assert rep["failures"] == failures_from_json(rep)
@@ -803,7 +812,7 @@ class TestSingularScan:
                        "--preset", "straight", "--vn", "0", "--wn", "1",
                        "--T", "2", "--out", str(tmp_path / "scan.json")])
         assert rc == 0
-        report = json.loads((tmp_path / "scan.json").read_text())
+        report = read_sorted_json(tmp_path / "scan.json")
         events = [e for e in report["events"] if e["index"] == 2]
         assert events and events[0]["zero_velocity_joints"] == [0, 1]
 

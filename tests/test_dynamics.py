@@ -1,9 +1,14 @@
+import dataclasses
+import functools
+import itertools
 import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiflag import arm, cli, flags
 from multiflag import dynamics as dyn
@@ -1044,6 +1049,26 @@ class TestControlContract:
         assert calls["v_n"] <= 2 and calls["w"] <= 2
 
 
+def with_float_leaves(rep, leaves):
+    """A hand-built copy of the report `rep` whose float leaves, its svd
+    tol among them, are taken in turn from the iterator `leaves`."""
+    def take(xs):
+        return [next(leaves) for _ in xs]
+
+    return dataclasses.replace(
+        rep, point={"x0": take(rep.point["x0"]),
+                    "z": [take(row) for row in rep.point["z"]]},
+        a_values=take(rep.a_values), delta_involutivity=next(leaves),
+        svd_tol=next(leaves),
+        levels=[dataclasses.replace(
+            lv, involutivity_e=next(leaves),
+            cauchy_residual=None if lv.cauchy_residual is None
+            else next(leaves))
+            for lv in rep.levels],
+        derived=[dataclasses.replace(dv, angle=next(leaves))
+                 for dv in rep.derived])
+
+
 class TestJsonWriter:
     """`to_json` and the report writer stream through the C encoder and
     write the bytes of `json.dump(..., sort_keys=True)`."""
@@ -1073,17 +1098,70 @@ class TestJsonWriter:
         assert (tmp_path / "run.json").read_bytes() == \
             self.dumped(self.listed(tr), tmp_path / "ref.json")
 
-    def test_verify_payload_bytes(self, tmp_path):
-        rng = np.random.default_rng(36)
-        dims = arm.ArmDims(2, 2)
-        qs = [sampling.random_regular_config(dims, rng) for _ in range(3)]
-        qs.append(sampling.singular_config(dims, rng, index=1))
+    def assert_reports_written(self, path, reports):
+        """The writer's bytes for a payload of `reports` are those of
+        `json.dump` of the same payload with their dict forms."""
         payload = {"k": 2, "n": 2, "seed": None, "samples": 3,
                    "basis": "projected", "singular_samples": 1,
-                   "reports": [r.to_dict() for r in flags.verify_flags(qs)]}
-        _write_json(tmp_path / "out.json", payload)
-        assert (tmp_path / "out.json").read_bytes() == \
-            self.dumped(payload, tmp_path / "ref.json")
+                   "reports": [r.to_dict() for r in reports]}
+        _write_json(path / "out.json", {**payload, "reports": reports})
+        assert (path / "out.json").read_bytes() == \
+            self.dumped(payload, path / "ref.json")
+
+    @pytest.mark.parametrize("k, n", [(1, 0), (1, 3), (2, 2), (3, 4)])
+    @pytest.mark.parametrize("basis", ["projected", "chart"])
+    @pytest.mark.parametrize("case", ["pass", "tol-0.5", "nonfinite",
+                                      "numpy-floats"])
+    def test_verify_payload_bytes(self, tmp_path, k, n, basis, case):
+        # regular samples and one injected singular sample per index, at
+        # the gates, at a tol that fails ranks at (3,4), or with nan and
+        # infinities, or numpy floats (which %r writes as np.float64(..)),
+        # written into the float leaves of each report
+        rng = np.random.default_rng(36)
+        dims = arm.ArmDims(k, n)
+        qs = [sampling.random_regular_config(dims, rng) for _ in range(3)]
+        qs += [sampling.singular_config(dims, rng, index=i)
+               for i in range(1, n + 1)]
+        reports = flags.verify_flags(qs, tol=0.5 if case == "tol-0.5"
+                                     else 1e-8, basis=basis)
+        failed = any(r.failures for r in reports)
+        assert failed == (case == "tol-0.5") if k == 3 else \
+            not failed or case == "tol-0.5"
+        if case == "nonfinite":
+            leaves = itertools.cycle([np.nan, np.inf, -np.inf, 0.5])
+            reports = [with_float_leaves(r, leaves) for r in reports]
+        if case == "numpy-floats":
+            leaves = map(np.float64, itertools.count(0.25))
+            reports = [with_float_leaves(r, leaves) for r in reports]
+        self.assert_reports_written(tmp_path, reports)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_report_float_leaves(self, tmp_path_factory, data):
+        rep = self.two_two_report()
+        edges = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e16,
+                                 -1.0000000000000002e16, 1.7976931348623157e308,
+                                 np.nan, np.inf, -np.inf])
+        leaf = edges | st.floats(allow_subnormal=True) | \
+            st.floats(min_value=1e16) | st.floats(max_value=-1e16)
+        rep = with_float_leaves(rep, iter(lambda: data.draw(leaf), None))
+        assert rep.json_text() == json.dumps(rep.to_dict(), sort_keys=True)
+        self.assert_reports_written(tmp_path_factory.mktemp("leaves"), [rep])
+
+    def test_template_per_tol_type(self):
+        # a tol of 1 and one of 1.0 are equal keys but different text
+        rep = self.two_two_report()
+        for tol in (1.0, 1, 0.5):
+            rep = dataclasses.replace(rep, svd_tol=tol)
+            assert rep.json_text() == json.dumps(rep.to_dict(),
+                                                 sort_keys=True)
+
+    @staticmethod
+    @functools.cache
+    def two_two_report():
+        rng = np.random.default_rng(38)
+        return flags.verify_flag(sampling.random_regular_config(
+            arm.ArmDims(2, 2), rng))
 
     def test_peak_memory_bounded(self, tmp_path):
         rng = np.random.default_rng(37)

@@ -286,8 +286,8 @@ def test_decompositions_in_one_place():
                         and getattr(node.value, "attr", None) == "linalg"):
                     calls.add((module, getattr(fn, "name", None), node.attr))
     assert calls == {("numerics", "RowSpan", "svd"),
-                     ("numerics", "span_angle", "eigvalsh"),
-                     ("numerics", "span_angle", "svd")}
+                     ("numerics", "singular_values", "svd"),
+                     ("numerics", "span_angle", "eigvalsh")}
 
 
 def test_threads_in_one_place():

@@ -1,9 +1,10 @@
 """The decompositions of `numerics` against plain numpy routes.
 
-`RowSpan` is one stacked SVD, the flag pass's blocks together carry the
-singular values of the whole derived stacks, and `subspace_angle` reads
-small angles from the top eigenvalue of a Gram matrix and large ones from a
-cosine; these tests pin them to the direct routes.
+`RowSpan` is one stacked SVD and `singular_values` one values-only SVD,
+the flag pass's blocks together carry the singular values of the whole
+derived stacks, and `subspace_angle` reads small angles from the top
+eigenvalue of a Gram matrix and large ones from a cosine; these tests pin
+them to the direct routes.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from multiflag import arm
 from multiflag import flags as fg
 from multiflag import sampling
-from multiflag.numerics import RowSpan, subspace_angle, svd_rank
+from multiflag.numerics import (RowSpan, singular_values, subspace_angle,
+                               svd_rank)
 from test_flags import dense_brackets, pair_number, pairs
 
 
@@ -95,8 +97,8 @@ class TestRowSpan:
     @pytest.mark.parametrize("extra", [0, -1])
     def test_at_the_tall_threshold(self, cols, extra):
         # on either side of r = 2D, where LAPACK's SVD takes a QR first,
-        # a span has the numbers of the direct SVD, also on low-rank and
-        # zero-row stacks
+        # a span has the numbers of the direct SVD, and `singular_values`
+        # those of the values-only one, also on low-rank and zero-row stacks
         rng = np.random.default_rng(cols)
         rows = 2 * cols + extra
         full = rng.normal(size=(4, rows, cols))
@@ -109,6 +111,8 @@ class TestRowSpan:
             span = RowSpan(st)
             assert np.array_equal(span.s, s)
             assert np.array_equal(span.vt, vt)
+            assert np.array_equal(singular_values(st),
+                                  np.linalg.svd(st, compute_uv=False))
 
     @pytest.mark.parametrize("shape", [(6, 2), (3, 4, 2), (2, 3), (3, 3)])
     def test_nan_input_raises(self, shape):
@@ -119,6 +123,8 @@ class TestRowSpan:
             RowSpan(mat)
         with pytest.raises(np.linalg.LinAlgError):
             subspace_angle(mat, np.ones(shape))
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values(mat)
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (3, 5), (2, 3),
                                        (6, 2), (2, 3, 3)])
@@ -141,6 +147,8 @@ class TestRowSpan:
                 RowSpan(mat)
             with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
                 svd_rank(mat)
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                singular_values(mat)
             with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
                 subspace_angle(np.ones(shape), mat)
         assert np.all(svd_rank(np.ones(shape)) == 1)

@@ -2,13 +2,12 @@
 of the planar car with trailers), with numerical verification of the
 nested bracket structure of its control distribution."""
 
-from .arm import (AngularConfig, ArmDims, CartesianConfig, config_from_dict,
-                  config_to_dict, constraint_residuals, gamma, gamma_inverse,
-                  load_config, normal_fields, save_config)
-from .dynamics import (ControlSignal, IntegratorSettings, Trajectory,
-                       cascade_residuals, collinearity_residuals,
-                       induced_subarm_controls, integrate_arm, integrate_car,
-                       integrate_cartesian, integrate_subarm, project_subarm)
+from .arm import (AngularConfig, ArmDims, CartesianConfig,
+                  constraint_residuals, gamma, gamma_inverse, normal_fields)
+from .dynamics import (ControlSignal, IntegratorSettings, cascade_residuals,
+                       collinearity_residuals, induced_subarm_controls,
+                       integrate_arm, integrate_car, integrate_cartesian,
+                       integrate_subarm, project_subarm)
 from .errors import ChartDegenerate, ConstraintViolated, StepRejected
 from .fields import (a_chain, cart_z_field, cartesian_delta, f_products,
                      pushforward_check, x0_chart, x0_field, xi_field,
@@ -17,6 +16,8 @@ from .flags import FlagReport, bracket_field, build_level, verify_flag
 from .hyperspherical import (angles_from_unit, frame_change, frame_inverse,
                              frame_norms, jacobian, jacobian_det,
                              unit_and_jacobian, unit_from_angles)
+from .records import (Trajectory, config_from_dict, config_to_dict,
+                      load_config, save_config)
 
 __version__ = "0.1.0"
 

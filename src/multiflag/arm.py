@@ -10,11 +10,11 @@ Two equivalent representations are kept around:
 The unit vectors are the source of truth in the angular representation;
 chart angles are derived on demand because chart boundaries are ordinary
 arm positions and must not block anything but chart-specific queries.
+This module is geometry only; `records` reads and writes configurations.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,84 +164,3 @@ def normal_fields(c: CartesianConfig) -> np.ndarray:
         out[i, (i + 1) * k1:(i + 2) * k1] = seg[i]
         out[i, i * k1:(i + 1) * k1] = -seg[i]
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization: {"k":…, "n":…, "x0":[…], "z":[[…],…]}
-# ---------------------------------------------------------------------------
-
-def config_to_dict(a: AngularConfig) -> dict:
-    return {
-        "k": a.dims.k,
-        "n": a.dims.n,
-        "x0": a.x0.tolist(),
-        "z": a.z.tolist(),
-    }
-
-
-def _scalar(obj, d, key, types, what, ok=lambda v: True):
-    """d[key] (None if missing where `types` admits None), refused as `<obj>
-    'key' must be <what>, got <value>` unless of an exact JSON type of
-    `types` (no true, "1" or 1.0 is an integer) and ok(value)."""
-    val = d.get(key) if type(None) in types else d[key]
-    if type(val) not in types or not ok(val):
-        raise ValueError(f"{obj} {key!r} must be {what}, got {val!r}")
-    return val
-
-
-def config_from_dict(d: dict) -> AngularConfig:
-    """Build a config from the JSON form; directions are renormalized."""
-    try:
-        dims = ArmDims(*(_scalar("configuration", d, key, (int,),
-                                 "an integer") for key in "kn"))
-        x0 = np.asarray(d["x0"], dtype=float)
-        z = np.asarray(d["z"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad configuration object: {exc!r}") from exc
-    return AngularConfig(dims=dims, x0=x0, z=z)
-
-
-# rows of an array per encoder call in `_write_json`, and per `%` format
-# of `Trajectory.to_csv`
-JSON_ROWS = 256
-# the encoder of `json.dump(..., sort_keys=True)`, without its cycle check:
-# a written payload is a tree of lists and dicts
-_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
-
-
-def _write_json(path, obj: dict) -> None:
-    """Write the bytes of `json.dump(obj, fh, sort_keys=True)` and a newline
-    through the C encoder in bounded pieces: one call per top-level value,
-    per list item and per JSON_ROWS rows of an array.  A list item with a
-    `json_text()` method (`flags.FlagReport`) is written as that text,
-    which stands for the encoded dict form of the item."""
-    def pieces(val):
-        if isinstance(val, np.ndarray):
-            return (_JSON.encode(val[i:i + JSON_ROWS].tolist())[1:-1]
-                    for i in range(0, len(val), JSON_ROWS))
-        return (item.json_text() if hasattr(item, "json_text")
-                else _JSON.encode(item) for item in val)
-
-    with open(path, "w") as fh:
-        fh.write("{")
-        for j, key in enumerate(sorted(obj)):
-            fh.write((", " if j else "") + _JSON.encode(key) + ": ")
-            if not isinstance(obj[key], (list, np.ndarray)):
-                fh.write(_JSON.encode(obj[key]))
-                continue
-            fh.write("[")
-            for i, piece in enumerate(pieces(obj[key])):
-                fh.write((", " if i else "") + piece)
-            fh.write("]")
-        fh.write("}\n")
-
-
-def save_config(a: AngularConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(a), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_config(path) -> AngularConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))

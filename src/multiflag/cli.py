@@ -17,14 +17,13 @@ import math
 import os
 import re
 import sys
-import warnings
 
 import numpy as np
 
 from . import dynamics as dyn
 from . import flags as fg
-from . import sampling
-from .arm import ArmDims, _write_json, gamma_inverse, load_config
+from . import records, sampling
+from .arm import ArmDims, gamma_inverse
 from .errors import FlagCheckFailed, StepRejected
 from .fields import a_chain
 
@@ -98,7 +97,7 @@ def _same_shape(what: str, dims: ArmDims, args) -> None:
 
 def _initial_config(args, dims, rng) -> "sampling.AngularConfig":
     if args.config:
-        q = _read("--config", args.config, load_config)
+        q = _read("--config", args.config, records.load_config)
         _same_shape("config", q.dims, args)
         return q
     if args.preset == "random":
@@ -106,21 +105,11 @@ def _initial_config(args, dims, rng) -> "sampling.AngularConfig":
     return sampling.collinear_config(dims)
 
 
-def _control_table(path: str, k: int) -> dyn.ControlSignal:
-    with open(path) as fh, warnings.catch_warnings():
-        # a file without data rows is refused below, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-    if not len(data):
-        raise ValueError("controls file has no data rows")
-    if data.shape[1] != 2 + k:
-        raise ValueError(f"controls file needs columns t, vn, w1..w{k}")
-    return dyn.ControlSignal.from_table(data[:, 0], data[:, 1], data[:, 2:])
-
-
 def _controls(args, k: int) -> dyn.ControlSignal:
     if args.controls_file:
-        return _read("--controls-file", args.controls_file, _control_table, k)
+        return _read("--controls-file", args.controls_file,
+                     lambda path: dyn.ControlSignal.from_table(
+                         *records.read_controls(path, k)))
     wn = np.zeros(k) if args.wn is None else np.array(args.wn)
     if wn.size == 1 and k > 1:
         wn = np.full(k, wn[0])
@@ -132,7 +121,7 @@ def _controls(args, k: int) -> dyn.ControlSignal:
     return dyn.ControlSignal.constant(args.vn, wn)
 
 
-def _simulate_trajectory(args, rng) -> dyn.Trajectory:
+def _simulate_trajectory(args, rng) -> records.Trajectory:
     if args.mode == "car" and args.k != 1:
         raise ValueError("--mode car requires --k 1")
     if args.mode == "subarm" and (args.p is None or args.m is None):
@@ -164,16 +153,13 @@ def cmd_simulate(args) -> int:
     traj = _simulate_trajectory(args, rng)
     traj.to_csv(args.out + ".csv")
     traj.to_json(args.out + ".json")
-    summary = {
-        "records": len(traj),
-        "max_drift_pre_projection": float(traj.drift_pre.max()),
-        "max_drift_post_projection": float(traj.drift_post.max()),
-        "min_abs_A": traj.min_abs_a(),
-    }
-    print(f"wrote {args.out}.csv and {args.out}.json")
-    for key, val in summary.items():
-        print(f"  {key}: {val:.6e}" if isinstance(val, float)
-              else f"  {key}: {val}")
+    print(f"wrote {args.out}.csv and {args.out}.json\n"
+          f"  records: {len(traj)}")
+    for key, val in [("max_drift_pre_projection", traj.drift_pre.max()),
+                     ("max_drift_post_projection", traj.drift_post.max()),
+                     ("min_abs_A", np.abs(a_chain(traj.z)).min(
+                         initial=np.inf))]:
+        print(f"  {key}: {val:.6e}")
     return EXIT_OK
 
 
@@ -189,14 +175,10 @@ def cmd_verify(args) -> int:
                               basis=args.basis)
 
     if args.out:
-        payload = {
+        records.write_json(args.out + "_reports.json", {
             "k": dims.k, "n": dims.n, "seed": args.seed,
-            "samples": args.samples,
-            "singular_samples": len(singular),
-            "basis": args.basis,
-            "reports": reports,
-        }
-        _write_json(args.out + "_reports.json", payload)
+            "samples": args.samples, "singular_samples": len(singular),
+            "basis": args.basis, "reports": reports})
 
     if args.render and reports:
         print(reports[0].render())
@@ -233,7 +215,7 @@ def cmd_singular_scan(args) -> int:
         if unused:
             raise ValueError(f"--traj scans a recorded run and takes no "
                              f"simulation flags: {', '.join(unused)}")
-        traj = _read("--traj", args.traj, dyn.Trajectory.from_json)
+        traj = _read("--traj", args.traj, records.Trajectory.from_json)
         _same_shape("trajectory", traj.dims, args)
     else:
         traj = _simulate_trajectory(args, rng)
@@ -248,8 +230,8 @@ def cmd_singular_scan(args) -> int:
                "zero_velocity_joints": list(range(i + 1))}
               for j, i in np.argwhere(mark).tolist()]
     if args.out:
-        _write_json(args.out, {"events": events, "eps_sing": args.eps_sing,
-                               "seed": args.seed})
+        records.write_json(args.out, {"events": events, "seed": args.seed,
+                                      "eps_sing": args.eps_sing})
     if not events:
         print("no alignment degeneracies found")
     for e in events:
@@ -263,7 +245,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="sphere dimension")
     p.add_argument("--n", type=int, required=True,
                    help="number of trailers/segments minus one")
-    p.add_argument("--mode", default="arm", choices=dyn.MODES)
+    p.add_argument("--mode", default="arm", choices=records.MODES)
     p.add_argument("--p", type=int, default=None, help="sub-arm lower joint")
     p.add_argument("--m", type=int, default=None, help="sub-arm upper joint")
     p.add_argument("--preset", default="straight",

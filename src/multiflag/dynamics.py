@@ -1,44 +1,32 @@
 """Controlled kinematics of the arm: fixed-step RK4 integrators with
 per-step projection onto the product of unit spheres.
 
-Three routes to the same motion are implemented independently so they can
-cross-check each other:
+Three independent routes to the same motion cross-check each other:
+`integrate_car`, the planar cascade in car variables (x, y, headings) for
+k = 1 only; `integrate_arm`, the general system on the base point and
+unit segment directions, driven by the normal velocity of the head and
+the k tangential chart rates of the last sphere; and
+`integrate_cartesian`, the flow of the constrained-distribution
+generators on raw joint positions.
 
-* `integrate_car`: the planar cascade in car variables (x, y, headings),
-  valid for k = 1 only;
-* `integrate_arm`: the general system on the base point and unit segment
-  directions, driven by the normal velocity of the head and the k tangential
-  chart rates of the last sphere;
-* `integrate_cartesian`: the flow of the constrained-distribution
-  generators on raw joint positions.
-
-The routes differ only in their state variables.  Each supplies a step
-loop, a batched table `head(theta, w)` of what it reads of the head, its
-unit rows, an initial state and a batched view of its states as base
-points, unit segment rows and head angles; one stepper (`_integrate`:
-controls, head track and head table before the first step, then the
-loop, then the gate messages and the drift after projection) and one
-recorder (`_record`) serve all three.  A state of at most
-KERNEL_COMPONENTS stepped components, in rows of k+1 <= 7 on the arm and
-Cartesian routes, steps through straight-line Python generated for its
-route and shape (`_arm_kernel`); larger ones loop on numpy
-(`_numpy_loop`), with a right-hand side `rhs(y, vn, head_row)` writing
-into buffers allocated once, the same arithmetic in the same order, and
-one rule (`_loop`) chooses for every route.  Every route carries the
-head-sphere chart angles as state, so no route inverts a chart mid-run;
-as d theta/dt = w alone, the stepper tables them, like the controls, at
-every stage before the first step.
-Joint velocities come from one kernel batched over records
-(`_joint_velocities`), which `collinearity_residuals` reuses; the
-recorder keeps only the normal velocities.  The angular right-hand side
-is evaluated on unit vectors, so it stays well defined where
-intermediate sphere charts degenerate.
+The routes differ only in their state variables: one stepper
+(`_integrate`) and one recorder (`_record`) serve all three.  Every route
+carries the head-sphere chart angles as state, and as d theta/dt = w
+alone the stepper tables them with the controls at every stage before
+the first step, so no route inverts a chart mid-run.  A state of at most
+KERNEL_COMPONENTS stepped components, in rows of k+1 <= 7, steps through
+straight-line Python generated for its route and shape (`_arm_kernel`),
+larger ones on numpy buffers (`_numpy_loop`) with the same arithmetic in
+the same order; `_loop` chooses for every route.  Joint velocities come
+from one kernel batched over records (`_joint_velocities`).  The angular
+right-hand side is evaluated on unit vectors, so it stays well defined
+where intermediate sphere charts degenerate.  A run comes back as a
+`records.Trajectory`, which writes and reads its files.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -46,13 +34,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import hyperspherical as hs
-from .arm import (JSON_ROWS, AngularConfig, ArmDims, CartesianConfig,
-                  _scalar, _write_json)
+from .arm import AngularConfig, ArmDims, CartesianConfig
 from .errors import StepRejected
 from .fields import _cascade, a_chain, f_products
-
-FMT = "%.17g"
-MODES = ("arm", "car", "cartesian", "subarm")  # the routes a run can take
+from .records import Trajectory
 
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
@@ -110,9 +95,8 @@ class ControlSignal:
         """Linear interpolation of sampled controls at times (M,): vn_values
         (M,) and w_values (M, k); the table must be finite and its times
         strictly increasing."""
-        times = np.asarray(times, dtype=float)
-        vn_values = np.asarray(vn_values, dtype=float)
-        w_values = np.asarray(w_values, dtype=float)
+        times, vn_values, w_values = (np.asarray(x, dtype=float) for x in
+                                      (times, vn_values, w_values))
         if not all(np.all(np.isfinite(x))
                    for x in (times, vn_values, w_values)):
             raise ValueError("control table holds a non-finite value")
@@ -139,143 +123,6 @@ class IntegratorSettings:
     def __post_init__(self):
         if not 0.0 < self.h < np.inf:
             raise ValueError("step size must be positive and finite")
-
-
-# ---------------------------------------------------------------------------
-# trajectory container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Trajectory:
-    """Recorded motion plus per-step diagnostics.
-
-    All modes store the angular view of each state (base point, unit
-    segment rows and head-sphere angles); the Cartesian integrator also
-    keeps its raw joint positions.
-    """
-
-    mode: str
-    dims: ArmDims
-    times: np.ndarray          # (M,)
-    x0: np.ndarray             # (M, k+1)
-    z: np.ndarray              # (M, n+1, k+1)
-    theta_n: np.ndarray        # (M, k)
-    vn: np.ndarray             # (M,)
-    w: np.ndarray              # (M, k)
-    v: np.ndarray              # (M, n+1) normal velocities of joints 1..n+1
-    drift_pre: np.ndarray      # (M,) pre-projection constraint drift
-    drift_post: np.ndarray     # (M,)
-    h: float
-    T: float
-    projection: bool
-    seed: Optional[int] = None
-    points: Optional[np.ndarray] = None  # (M, n+2, k+1), cartesian mode
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def index_of(self, t):
-        """Index of the recorded time closest to t, or an index array for
-        an array of times; every t must sit on the grid."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(0.5 * (self.times[1:] + self.times[:-1]), t)
-        off = np.abs(self.times[idx] - t) > (
-            1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12)
-        if np.any(off):
-            raise ValueError(f"time {float(t[off][0])} is not on the "
-                             f"recorded grid")
-        return int(idx) if t.ndim == 0 else idx
-
-    def min_abs_a(self) -> float:
-        """Smallest |A_i| seen along the trajectory (inf when n = 0)."""
-        if self.dims.n == 0:
-            return float("inf")
-        return float(np.min(np.abs(a_chain(self.z))))
-
-    # -- export ------------------------------------------------------------
-
-    def csv_header(self) -> list[str]:
-        k1 = self.dims.ambient
-        cols = ["t"]
-        cols += [f"x0_{r + 1}" for r in range(k1)]
-        for i in range(1, self.dims.n + 2):
-            cols += [f"z{i}_{r + 1}" for r in range(k1)]
-        cols += [f"v{i}" for i in range(self.dims.n + 1)]
-        return cols
-
-    def to_csv(self, path) -> None:
-        meta = (f"# multiflag trajectory mode={self.mode} k={self.dims.k} "
-                f"n={self.dims.n} h={FMT % self.h} T={FMT % self.T} "
-                f"projection={'on' if self.projection else 'off'} "
-                f"seed={self.seed if self.seed is not None else 'none'}")
-        block = np.column_stack([self.times, self.x0,
-                                 self.z.reshape(len(self), -1), self.v])
-        # the rows of np.savetxt, JSON_ROWS of them per `%` format
-        row = ",".join([FMT] * block.shape[1]) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(meta + "\n" + ",".join(self.csv_header()) + "\r\n")
-            for i in range(0, len(block), JSON_ROWS):
-                chunk = block[i:i + JSON_ROWS]
-                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
-
-    def _payload(self) -> dict:
-        """The JSON form, each recorded array still an array."""
-        out = {"mode": self.mode, "k": self.dims.k, "n": self.dims.n,
-               "h": self.h, "T": self.T, "projection": self.projection,
-               "seed": self.seed}
-        for key in ("times", "x0", "z", "theta_n", "vn", "w", "v",
-                    "drift_pre", "drift_post", "points"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        return out
-
-    def to_json(self, path) -> None:
-        _write_json(path, self._payload())
-
-    @staticmethod
-    def from_dict(d: dict) -> "Trajectory":
-        """The trajectory of a `to_json` object, read back with lists for
-        arrays; raises ValueError on a missing key, a scalar of the wrong
-        type or range, no records, or an array of the wrong shape or with a
-        non-finite value, none of which a written run holds."""
-        scalar = functools.partial(_scalar, "trajectory", d)
-        number = (int, float)
-        try:
-            dims = ArmDims(*[scalar(c, (int,), "an integer") for c in "kn"])
-            m, k1, n1 = len(d["times"]), dims.ambient, dims.n + 1
-            if m == 0:
-                raise ValueError("trajectory has no records")
-            shapes = {"times": (m,), "x0": (m, k1), "z": (m, n1, k1),
-                      "theta_n": (m, dims.k), "vn": (m,), "w": (m, dims.k),
-                      "v": (m, n1), "drift_pre": (m,), "drift_post": (m,)}
-            if d.get("points") is not None:
-                shapes["points"] = (m, dims.joints, k1)
-            arrays = {key: np.asarray(d[key], dtype=float) for key in shapes}
-            scalars = {
-                "mode": scalar("mode", (str,), "one of " + ", ".join(
-                    map(repr, MODES)), MODES.__contains__),
-                "h": float(scalar("h", number, "a positive finite number",
-                                  lambda v: 0 < v < np.inf)),
-                "T": float(scalar("T", number, "a nonnegative finite number",
-                                  lambda v: 0 <= v < np.inf)),
-                "projection": scalar("projection", (bool,), "true or false"),
-                "seed": scalar("seed", (int, type(None)),
-                               "an integer or null")}
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad trajectory object: {exc!r}") from exc
-        for key, shape in shapes.items():
-            if arrays[key].shape != shape:
-                raise ValueError(f"trajectory {key!r} has shape "
-                                 f"{arrays[key].shape}, expected {shape}")
-            if not np.isfinite(arrays[key]).all():
-                raise ValueError(f"trajectory {key!r} holds a non-finite "
-                                 f"value")
-        return Trajectory(dims=dims, **scalars, **arrays)
-
-    @staticmethod
-    def from_json(path) -> "Trajectory":
-        with open(path) as fh:
-            return Trajectory.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from multiflag import arm
 from multiflag import fields as fl
 from multiflag import hyperspherical as hs
-from multiflag import sampling
+from multiflag import records, sampling
 from multiflag.errors import ChartDegenerate, ConstraintViolated
 
 
@@ -182,38 +182,39 @@ class TestSerialization:
         rng = np.random.default_rng(8)
         a = random_config(arm.ArmDims(2, 2), rng)
         path = tmp_path / "cfg.json"
-        arm.save_config(a, path)
-        b = arm.load_config(path)
+        records.save_config(a, path)
+        b = records.load_config(path)
         assert b.dims == a.dims
         assert np.abs(b.x0 - a.x0).max() < 1e-15
         assert np.abs(b.z - a.z).max() < 1e-15
 
     def test_loader_renormalizes(self):
-        d = {"k": 1, "n": 0, "x0": [0.0, 0.0], "z": [[0.0, 2.0]]}
-        a = arm.config_from_dict(d)
+        # hand-written JSON integers are numbers like any float
+        d = {"k": 1, "n": 0, "x0": [0, 0], "z": [[0, 2]]}
+        a = records.config_from_dict(d)
         assert abs(np.linalg.norm(a.z[0]) - 1.0) <= 1e-12
 
     def test_loader_validates(self):
         with pytest.raises(ValueError):
-            arm.config_from_dict({"k": 1, "n": 1, "x0": [0, 0]})
+            records.config_from_dict({"k": 1, "n": 1, "x0": [0, 0]})
         with pytest.raises(ValueError):
-            arm.config_from_dict(
+            records.config_from_dict(
                 {"k": 1, "n": 0, "x0": [0, 0], "z": [[0.0, 0.0]]})
 
     @pytest.mark.parametrize("value", [1.7, True, "1", 1.0, None])
     @pytest.mark.parametrize("key", ["k", "n"])
     def test_loader_checks_shape_types(self, key, value):
         # k and n must be JSON integers, as in `Trajectory.from_dict`
-        d = dict(arm.config_to_dict(sampling.collinear_config(
+        d = dict(records.config_to_dict(sampling.collinear_config(
             arm.ArmDims(1, 1))), **{key: value})
         with pytest.raises(ValueError) as exc:
-            arm.config_from_dict(d)
+            records.config_from_dict(d)
         assert str(exc.value) == (f"configuration {key!r} must be an "
                                   f"integer, got {value!r}")
 
     def test_json_is_plain(self):
         a = sampling.collinear_config(arm.ArmDims(1, 1))
-        text = json.dumps(arm.config_to_dict(a))
+        text = json.dumps(records.config_to_dict(a))
         assert '"k": 1' in text
 
 

@@ -10,7 +10,7 @@ chart domain.
 import numpy as np
 import pytest
 
-from multiflag import arm, cli
+from multiflag import arm, cli, records
 from multiflag import dynamics as dyn
 from multiflag import fields as fl
 from multiflag import hyperspherical as hs
@@ -82,8 +82,8 @@ def test_cartesian_and_arm_refuse_the_same_heads(k, n, j, s):
 def test_cli_refuses_head_near_chart_pole(mode, tmp_path, capsys):
     z = np.array([[0.0, 0.0, 1.0], unit_with_sine(2, 0, 1e-10)])
     config = tmp_path / "q0.json"
-    arm.save_config(arm.AngularConfig(arm.ArmDims(2, 1), np.zeros(3), z),
-                    config)
+    records.save_config(
+        arm.AngularConfig(arm.ArmDims(2, 1), np.zeros(3), z), config)
     rc = cli.main(["simulate", "--k", "2", "--n", "1", "--mode", mode,
                    "--config", str(config), "--T", "0.01",
                    "--out", str(tmp_path / "run")])

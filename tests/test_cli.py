@@ -2,11 +2,12 @@ import argparse
 import json
 import os
 import re
+import reprlib
 import warnings
 
 import numpy as np
 import pytest
-from multiflag import cli
+from multiflag import cli, records
 from multiflag.fields import a_chain
 
 
@@ -104,7 +105,8 @@ class TestSimulate:
     def test_config_shape_must_match_flags(self, tmp_path, capsys):
         from multiflag import arm, sampling
         cfg = tmp_path / "cfg.json"
-        arm.save_config(sampling.collinear_config(arm.ArmDims(1, 2)), cfg)
+        records.save_config(
+            sampling.collinear_config(arm.ArmDims(1, 2)), cfg)
         rc = cli.main(["simulate", "--k", "1", "--n", "1", "--config",
                        str(cfg), "--out", str(tmp_path / "run")])
         assert rc == cli.EXIT_USAGE
@@ -114,24 +116,32 @@ class TestSimulate:
         assert captured.out == ""
         assert not (tmp_path / "run.csv").exists()
 
-    @pytest.mark.parametrize("value", [1.7, True, "1", 1.0])
-    @pytest.mark.parametrize("key", ["k", "n"])
+    CONFIG_VALUES = [(key, value, f"must be an integer, got {value!r}")
+                     for key in "kn" for value in (1.7, True, "1", 1.0)] + [
+        ("x0", ["0.5", True], "must hold only numbers, got '0.5'"),
+        ("x0", [0.5, True], "must hold only numbers, got True"),
+        ("z", [[1, 0], ["0", "1"]], "must hold only numbers, got '0'"),
+        ("z", [[1, 0], [None, 1]], "must hold only numbers, got None")]
+
+    @pytest.mark.parametrize("key, value, reason", CONFIG_VALUES, ids=[
+        f"{key}-{value}" for key, value, _ in CONFIG_VALUES])
     @pytest.mark.parametrize("command", ["simulate", "singular-scan"])
-    def test_config_scalars_checked(self, command, key, value, tmp_path,
-                                    capsys):
+    def test_config_scalars_checked(self, command, key, value, reason,
+                                    tmp_path, capsys):
         # the shape is read by the trajectory loader's rule: a JSON 1.7,
-        # true, "1" or 1.0 is no integer, not k = 1
+        # true, "1" or 1.0 is no integer, not k = 1; an array entry "0.5",
+        # true or null is no number
         from multiflag import arm, sampling
         cfg = tmp_path / "cfg.json"
-        good = arm.config_to_dict(sampling.collinear_config(arm.ArmDims(1, 1)))
+        good = records.config_to_dict(
+            sampling.collinear_config(arm.ArmDims(1, 1)))
         cfg.write_text(json.dumps(dict(good, **{key: value})))
         rc = cli.main([command, "--k", "1", "--n", "1", "--T", "0.01",
                        "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert rc == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == (f"{command}: --config {str(cfg)!r}: "
-                                f"configuration {key!r} must be an integer, "
-                                f"got {value!r}\n")
+                                f"configuration {key!r} {reason}\n")
         assert captured.out == ""
         assert sorted(tmp_path.iterdir()) == [cfg]
 
@@ -172,7 +182,7 @@ class TestSimulate:
                                            np.random.default_rng(1),
                                            chart_margin=0.1)
         cfg = tmp_path / "cfg.json"
-        arm.save_config(q, cfg)
+        records.save_config(q, cfg)
         rc = cli.main(["simulate", "--k", "2", "--n", "2",
                        "--config", str(cfg), "--T", "0.1",
                        "--out", str(tmp_path / "fromfile")])
@@ -505,7 +515,8 @@ class TestInputMatrix:
         from multiflag import arm, sampling
         (tmp_path / "in").mkdir()
         path = tmp_path / "in" / "input"
-        good = arm.config_to_dict(sampling.collinear_config(arm.ArmDims(2, 1)))
+        good = records.config_to_dict(
+            sampling.collinear_config(arm.ArmDims(2, 1)))
         if flag == "--traj" and kind == "string-k":
             assert cli.main(["simulate", "--k", "2", "--n", "1", "--T",
                              "0.01", "--out", str(tmp_path / "in" / "tr")]) == 0
@@ -918,10 +929,22 @@ class TestSingularScan:
         ("mode", "boat", "'mode' must be one of 'arm', 'car', 'cartesian', "
          "'subarm', got 'boat'"),
         ("seed", "abc", "'seed' must be an integer or null, got 'abc'"),
-        ("seed", False, "'seed' must be an integer or null, got False")]
+        ("seed", False, "'seed' must be an integer or null, got False"),
+        # the run's 11 records at h = 1e-3; times must strictly increase,
+        # as a written run's do and `Trajectory.index_of` reads them
+        ("times", [(10 - i) / 1000 for i in range(11)],
+         "times must strictly increase"),
+        ("times", [0.0] * 11, "times must strictly increase"),
+        # an array entry is a JSON number too: no string, true or null
+        ("times", [0.0, 0.001, 0.002, "0.003", 0.004, 0.005, 0.006, 0.007,
+                   0.008, 0.009, 0.01],
+         "'times' must hold only numbers, got '0.003'"),
+        ("z", [[[1, 0], [0, True]]] * 11,
+         "'z' must hold only numbers, got True"),
+        ("x0", [[0, None]] * 11, "'x0' must hold only numbers, got None")]
 
     @pytest.mark.parametrize("key, value, reason", SCALARS, ids=[
-        f"{key}-{value!r}" for key, value, _ in SCALARS])
+        f"{key}-{reprlib.repr(value)}" for key, value, _ in SCALARS])
     def test_trajectory_scalars_checked(self, key, value, reason, tmp_path,
                                         capsys):
         # a scalar of another JSON type is refused, not converted: 1.7 is

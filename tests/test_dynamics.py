@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import re
@@ -14,7 +16,7 @@ from multiflag import arm, cli, flags
 from multiflag import dynamics as dyn
 from multiflag import hyperspherical as hs
 from multiflag import sampling
-from multiflag.arm import JSON_ROWS, _write_json
+from multiflag.records import CHUNK_ROWS, write_json
 from multiflag.errors import ChartDegenerate, StepRejected
 from multiflag.fields import _cascade, a_chain, f_products
 from test_arm import random_config
@@ -363,6 +365,45 @@ class TestExport:
             tr.to_csv(p)
             outs.append(p.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    @pytest.mark.parametrize("projection", [True, False])
+    @pytest.mark.parametrize("route", ["arm", "cartesian", "car"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, route, projection,
+                                        seed):
+        # an independent writer of the documented format: the meta line,
+        # then `csv.writer` rows of "%.17g" numbers, over more than two
+        # chunks of CHUNK_ROWS rows
+        k, n = (1 if route == "car" else 2), 3
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(39),
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(k, vn_amp=0.8, w_amp=0.6, freq=0.5)
+        start = arm.gamma_inverse(q) if route == "cartesian" else q
+        settings = dyn.IntegratorSettings(h=1e-3, projection=projection)
+        tr = getattr(dyn, f"integrate_{route}")(start, u, 0.6, settings,
+                                                seed=seed)
+        assert len(tr) > 2 * CHUNK_ROWS
+        tr.to_csv(tmp_path / "run.csv")
+
+        ref = io.StringIO(newline="")
+        ref.write(f"# multiflag trajectory mode={route} k={k} n={n} "
+                  f"h={'%.17g' % 1e-3} T={'%.17g' % 0.6} "
+                  f"projection={'on' if projection else 'off'} "
+                  f"seed={'none' if seed is None else seed}\n")
+        rows = csv.writer(ref, lineterminator="\r\n")
+        axes = range(1, k + 2)
+        rows.writerow(["t"] + [f"x0_{c}" for c in axes]
+                      + [f"z{i}_{c}" for i in range(1, n + 2) for c in axes]
+                      + [f"v{i}" for i in range(n + 1)])
+        for j in range(len(tr)):
+            rows.writerow(["%.17g" % x for x in [
+                tr.times[j], *tr.x0[j], *tr.z[j].ravel(), *tr.v[j]]])
+        got = (tmp_path / "run.csv").read_bytes().split(b"\n")
+        want = ref.getvalue().encode().split(b"\n")
+        assert next(((j, a, b) for j, (a, b) in enumerate(zip(got, want))
+                     if a != b), None) is None
+        assert len(got) == len(want)
 
 
 ORACLE_SHAPES = [(1, 3), (2, 0), (2, 5), (3, 1), (3, 4)]
@@ -1093,7 +1134,7 @@ class TestJsonWriter:
                                            chart_margin=0.1)
         u = dyn.ControlSignal.sinusoid(2, vn_amp=0.8, w_amp=0.4, freq=0.5)
         tr = ROUTES[route][2](q, u, 0.6, dyn.IntegratorSettings(h=1e-3))
-        assert len(tr) > 2 * JSON_ROWS
+        assert len(tr) > 2 * CHUNK_ROWS
         tr.to_json(tmp_path / "run.json")
         assert (tmp_path / "run.json").read_bytes() == \
             self.dumped(self.listed(tr), tmp_path / "ref.json")
@@ -1104,7 +1145,7 @@ class TestJsonWriter:
         payload = {"k": 2, "n": 2, "seed": None, "samples": 3,
                    "basis": "projected", "singular_samples": 1,
                    "reports": [r.to_dict() for r in reports]}
-        _write_json(path / "out.json", {**payload, "reports": reports})
+        write_json(path / "out.json", {**payload, "reports": reports})
         assert (path / "out.json").read_bytes() == \
             self.dumped(payload, path / "ref.json")
 

@@ -4,10 +4,11 @@ Every name a module imports is used in it, the layers below the
 integrators and the command line import neither, and a module reads
 another's underscore names only where `PRIVATE_READS` lists it,
 names that became test oracles or were folded into another stay out of
-the library, the command line refuses bad input and prints to stderr in
-one place, code is generated, sphere axes are chosen and matrices are
-decomposed in one place only, no module imports a threading library, and
-every function and class of the package is used by the package itself.
+the library, only `records` reads or writes a file, the command line
+refuses bad input and prints to stderr in one place, code is generated,
+sphere axes are chosen and matrices are decomposed in one place only, no
+module imports a threading library, and every function and class of the
+package is used by the package itself.
 """
 
 import ast
@@ -19,14 +20,10 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "multiflag"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 BELOW_DYNAMICS = ["hyperspherical", "numerics", "arm", "fields", "flags",
-                  "sampling"]
+                  "sampling", "records"]
 # (reader, owner, name): the only underscore names one package module reads
 # from another; a new one is added here on purpose or made public
-# (`arm._scalar` is the one JSON scalar rule of both loaders)
-PRIVATE_READS = {("dynamics", "fields", "_cascade"),
-                 ("dynamics", "arm", "_write_json"),
-                 ("dynamics", "arm", "_scalar"),
-                 ("cli", "arm", "_write_json")}
+PRIVATE_READS = {("dynamics", "fields", "_cascade")}
 
 
 def parse(module):
@@ -136,6 +133,17 @@ def test_oracle_names_stay_out_of_fields(name):
     import multiflag
     from multiflag import fields
     assert not hasattr(fields, name) and not hasattr(multiflag, name)
+
+
+def test_files_in_one_place():
+    # `records` is the one module that opens, loads or dumps a file; `flags`
+    # only renders its report template with `json.dumps`
+    calls = {(module, ast.unparse(node.func))
+             for module in MODULES for node in ast.walk(parse(module))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("open", "np.loadtxt",
+                                            "json.load", "json.dump")}
+    assert {module for module, _ in calls} == {"records"}, calls
 
 
 def test_one_refusal_path_in_cli():

@@ -37,16 +37,14 @@ from . import hyperspherical as hs
 from .arm import AngularConfig, ArmDims, CartesianConfig
 from .errors import StepRejected
 from .fields import _cascade, a_chain, f_products
-from .records import Trajectory
+from .records import CHUNK_ROWS, Trajectory
 
 # Largest constraint drift one RK4 step may build up before projection.
 MAX_STEP_DRIFT = 1e-6
-HEAD_ROWS = 1024  # stages per head-frame call; bounds the frames' memory
 # Largest stepped state, (n+1)(k+1) on the arm route, (n+2)(k+1) on the
 # Cartesian one and n+2 on the car, for which `_arm_kernel` repays its
 # compile.
 KERNEL_COMPONENTS = 64
-STEP_CHUNK = 256  # steps per call of a generated kernel
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +167,19 @@ def _integrate(loop, head, rows, y0: np.ndarray, u: ControlSignal, k: int,
 
     The stage times of a step are t, t + h/2 and t + h, with t = t + h.
     The controls at all of them and the head track (d theta/dt = w, in
-    the loop's arithmetic) are tabled before the first step, and so is
-    `head(theta, w)`: the rows (S, r) that the route's rates read at the
-    stage angles and controls (S, k).  `loop(steps, stepped, table,
-    stage_vn, drift_pre, projection)` then steps the other components in
-    place, from row 0 of `stepped` (`_numpy_loop` or `_kernel_loop`), and
-    returns None, or the index of the step it refused and that step's
-    drift (None: a non-finite state); a step whose tabled head angles are
-    not finite is refused before the loop reaches it.  `rows(states)`
-    gives the rows (M, r, k+1) of stacked states that must stay unit
-    (None: none).  The refusal messages are written here alone.  Numpy
-    warns of no overflow: the gates reject what it leads to.
+    the loop's arithmetic) are tabled before the first step.  The steps
+    then go in chunks of CHUNK_ROWS, the module's one chunk loop: per
+    chunk, `head(theta, w)` gives the rows (S, r) that the route's rates
+    read at the chunk's stage angles and controls (S, k), and
+    `loop(steps, stepped, table, stage_vn, drift_pre, projection)` steps
+    the other components in place, from row 0 of the chunk's `stepped`
+    (`_numpy_loop` or `_kernel_loop`), and returns None, or the index in
+    the chunk of the step it refused and that step's drift (None: a
+    non-finite state); a step whose tabled head angles are not finite is
+    refused before the loop reaches it.  `rows(states)` gives the rows
+    (M, r, k+1) of stacked states that must stay unit (None: none).  The
+    refusal messages are written here alone.  Numpy warns of no overflow:
+    the gates reject what it leads to.
 
     Returns times (M,), states (M, D), the constraint drift of each step
     before and after its projection (M,), and the controls at the
@@ -208,18 +208,24 @@ def _integrate(loop, head, rows, y0: np.ndarray, u: ControlSignal, k: int,
     np.add.accumulate(np.concatenate([theta[:1], (
         ((w1 + w2 * 2.0) + w2 * 2.0) + w4 * 1.0) * (full / 6.0)]), out=theta)
     start = theta[:-1]
-    table = head(np.stack([start, w1 * half + start, w2 * half + start,
-                           w2 * full + start], axis=1).reshape(-1, k),
-                 np.stack([w1, w2, w2, w4], axis=1).reshape(-1, k))
-    table = table.reshape((s, 4) + table.shape[1:])
+    angles = np.stack([start, w1 * half + start, w2 * half + start,
+                       w2 * full + start], axis=1)
+    rates, stage_vn = np.stack([w1, w2, w2, w4], axis=1), vn[:-1].reshape(s, 3)
 
     # no loop takes a step whose tabled head angles are not finite
     finite = np.isfinite(theta[1:]).all(axis=1)
     stop = s if finite.all() else int(np.argmin(finite))
-    drift_pre = np.zeros(s + 1)
-    refused = loop(steps[:stop], states[:stop + 1, :m], table[:stop],
-                   vn[:-1].reshape(s, 3)[:stop], drift_pre[:stop + 1],
-                   settings.projection)
+    drift_pre, refused = np.zeros(s + 1), None
+    for j in range(0, stop, CHUNK_ROWS):
+        part = slice(j, min(j + CHUNK_ROWS, stop))
+        table = head(angles[part].reshape(-1, k), rates[part].reshape(-1, k))
+        refused = loop(steps[part], states[j:part.stop + 1, :m],
+                       table.reshape((part.stop - j, 4) + table.shape[1:]),
+                       stage_vn[part], drift_pre[j:part.stop + 1],
+                       settings.projection)
+        if refused is not None:
+            refused = j + refused[0], refused[1]
+            break
     if refused is None and stop < s:
         refused = stop, None
     if refused is not None:
@@ -277,30 +283,26 @@ def _numpy_loop(rhs, rows, normalize, steps, stepped, table, stage_vn,
 
 def _kernel_loop(run, steps, stepped, table, stage_vn, drift_pre,
                  projection):
-    """`_integrate`'s loop through a generated kernel `run` (`_arm_kernel`),
-    in chunks of STEP_CHUNK steps: each chunk's controls and head rows go
-    in as Python floats, and its states come back as one flat list and its
-    drifts as another, each written into its array at once.  A zero norm
-    raises ZeroDivisionError and the cosine or sine of an infinite car
-    angle ValueError, where numpy's step turns nan; either way the step
-    after the chunk's last drift is refused as non-finite."""
-    for j in range(0, steps.size, STEP_CHUNK):
-        part = slice(j, min(j + STEP_CHUNK, steps.size))
-        taken, drifts = [], []
-        try:
-            refused = run(stepped[j].tolist(), steps[part].tolist(),
-                          stage_vn[part].tolist(),
-                          table[part].reshape(part.stop - j, -1).tolist(),
-                          projection, MAX_STEP_DRIFT, taken, drifts)
-        except (ZeroDivisionError, ValueError):  # nan in numpy's step
-            refused = len(drifts), None
-        if refused is not None:
-            return j + refused[0], refused[1]
+    """`_integrate`'s loop through a generated kernel `run` (`_arm_kernel`)
+    in one call: the chunk's controls and head rows go in as Python
+    floats, and its states come back as one flat list and its drifts as
+    another, each written into its array at once.  A zero norm raises
+    ZeroDivisionError and the cosine or sine of an infinite car angle
+    ValueError, where numpy's step turns nan; either way the step after
+    the last drift is refused as non-finite."""
+    taken, drifts = [], []
+    try:
+        refused = run(stepped[0].tolist(), steps.tolist(), stage_vn.tolist(),
+                      table.reshape(steps.size, -1).tolist(), projection,
+                      MAX_STEP_DRIFT, taken, drifts)
+    except (ZeroDivisionError, ValueError):  # nan in numpy's step
+        refused = len(drifts), None
+    if refused is None:
         # np.array would discover the dtype float by float
-        stepped[j + 1:part.stop + 1] = np.fromiter(
-            taken, float, len(taken)).reshape(-1, stepped.shape[1])
-        drift_pre[j + 1:part.stop + 1] = drifts
-    return None
+        stepped[1:] = np.fromiter(taken, float, len(taken)).reshape(
+            -1, stepped.shape[1])
+        drift_pre[1:] = drifts
+    return refused
 
 
 def _loop(route: str, n: int, k1: int, rhs, rows, normalize):
@@ -585,10 +587,7 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
     headings theta_0..theta_{n-1}) step through `_arm_kernel`, larger ones
     on numpy buffers; both give the same bits.
     """
-    dims = q0.dims
-    if dims.k != 1:
-        raise ValueError("integrate_car needs k = 1")
-
+    dims, y0 = q0.dims, car_state_from_config(q0)  # refuses k != 1
     th, rate = np.empty(dims.n + 1), np.empty(dims.n + 2)
 
     def rhs(y: np.ndarray, vn: float, head_row: np.ndarray) -> np.ndarray:
@@ -601,8 +600,7 @@ def integrate_car(q0: AngularConfig, u: ControlSignal, T: float,
 
     # the head table is the head angle; headings carry no constraint
     run = _integrate(_loop("car", dims.n, 1, rhs, None, None),
-                     lambda theta, w: theta, None, car_state_from_config(q0),
-                     u, 1, T, settings)
+                     lambda theta, w: theta, None, y0, u, 1, T, settings)
     return _record("car", dims, T, settings, seed, run, _car_view)
 
 
@@ -636,12 +634,8 @@ def integrate_cartesian(q0: CartesianConfig, u: ControlSignal, T: float,
                 "theta_n": states[:, p:], "points": x}
 
     def head_rates(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # jac w at every stage; chunks bound the memory of the stage frames
-        out = np.empty((len(theta), k1))
-        for i in range(0, len(theta), HEAD_ROWS):
-            jac = hs.unit_and_jacobian(theta[i:i + HEAD_ROWS])[1]
-            out[i:i + HEAD_ROWS] = (jac @ w[i:i + HEAD_ROWS, :, None])[..., 0]
-        return out
+        # jac w at every stage of a chunk
+        return (hs.unit_and_jacobian(theta)[1] @ w[:, :, None])[..., 0]
 
     # buffers of the right-hand side, and the views of them it uses
     z, lead = np.empty((n + 1, k1)), np.empty((n + 1, 1))

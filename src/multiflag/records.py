@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -22,8 +23,8 @@ from .arm import AngularConfig, ArmDims
 
 FMT = "%.17g"
 MODES = ("arm", "car", "cartesian", "subarm")  # the routes a run can take
-# rows of an array per encoder call of `write_json`, and per `%` format of
-# `Trajectory.to_csv`
+# rows of an array per encoder call of `write_json`, per `%` format of
+# `Trajectory.to_csv`, and steps per step-loop call of `dynamics._integrate`
 CHUNK_ROWS = 256
 # the encoder of `json.dump(..., sort_keys=True)`, without its cycle check:
 # a written payload is a tree of lists and dicts
@@ -74,7 +75,8 @@ def _numbers(what, d, key) -> np.ndarray:
     flat = entries.ravel().tolist()
     if not set(map(type, flat)) <= {int, float}:
         bad = next(v for v in flat if type(v) not in (int, float))
-        raise ValueError(f"{what} {key!r} must hold only numbers, got {bad!r}")
+        raise ValueError(f"{what} {key!r} must hold only numbers, got "
+                         f"{reprlib.repr(bad)}")
     return entries.astype(float)
 
 
@@ -91,9 +93,14 @@ def _from_dict(what, d, build):
 
 
 def _load(path, from_dict):
-    """from_dict of the JSON object in the file at path."""
+    """from_dict of the JSON object in the file at path; JSON nested past
+    the recursion limit is refused as ValueError."""
     with open(path) as fh:
-        return from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"nested too deeply: {exc}") from exc
+    return from_dict(obj)
 
 
 def config_to_dict(a: AngularConfig) -> dict:
@@ -210,7 +217,7 @@ class Trajectory:
         arrays; raises ValueError on what no written run holds: a missing
         key, a value of the wrong type or range, no records, an array of
         the wrong shape or with a non-finite value, or times that do not
-        strictly increase."""
+        step from 0 to T by h."""
         return _from_dict("trajectory", d, _trajectory)
 
     @staticmethod
@@ -246,6 +253,13 @@ def _trajectory(dims: ArmDims, scalar, numbers) -> Trajectory:
         if not np.isfinite(val).all():
             raise ValueError(f"trajectory {key!r} holds a non-finite value")
     # the rule of `ControlSignal.from_table`; `index_of` reads sorted times
-    if np.any(np.diff(arrays["times"]) <= 0):
+    times, gaps, h = arrays["times"], np.diff(arrays["times"]), scalars["h"]
+    if np.any(gaps <= 0):
         raise ValueError("trajectory times must strictly increase")
+    # the grid a run is written on, to `index_of`'s tolerance: from 0 to T
+    # in steps of h, the last at most h
+    tol = 1e-9 * max(1.0, scalars["T"]) + 1e-12
+    off = np.concatenate([times[[0, -1]] - [0.0, scalars["T"]], gaps[:-1] - h])
+    if np.abs(off).max() > tol or gaps[-1:].max(initial=h) > h + tol:
+        raise ValueError("trajectory times must step from 0 to T by h")
     return Trajectory(dims=dims, **scalars, **arrays)

@@ -505,7 +505,7 @@ class TestInputMatrix:
 
     @pytest.mark.parametrize("kind", ["missing", "empty", "header-only",
                                       "directory", "list", "string", "null",
-                                      "string-k"])
+                                      "string-k", "deep", "deep-900"])
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--config"), ("simulate", "--controls-file"),
         ("singular-scan", "--config"), ("singular-scan", "--controls-file"),
@@ -517,17 +517,23 @@ class TestInputMatrix:
         path = tmp_path / "in" / "input"
         good = records.config_to_dict(
             sampling.collinear_config(arm.ArmDims(2, 1)))
-        if flag == "--traj" and kind == "string-k":
+        if flag == "--traj" and kind in ("string-k", "deep-900"):
             assert cli.main(["simulate", "--k", "2", "--n", "1", "--T",
                              "0.01", "--out", str(tmp_path / "in" / "tr")]) == 0
             good = json.loads((tmp_path / "in" / "tr.json").read_text())
         if kind == "directory":
             path.mkdir()
         elif kind != "missing":
+            # nested past the recursion limit, or an x0 that decodes but
+            # is no array of numbers
+            deep = json.dumps(dict(good, x0="?")).replace(
+                '"?"', "[" * 900 + "]" * 900)
             path.write_text({"empty": "", "header-only": "t,vn,w1,w2\n",
                              "list": "[]", "string": '"input"',
                              "null": "null",
-                             "string-k": json.dumps(dict(good, k="2"))}[kind])
+                             "string-k": json.dumps(dict(good, k="2")),
+                             "deep": "[" * 100_000 + "]" * 100_000,
+                             "deep-900": deep}[kind])
         capsys.readouterr()
         (tmp_path / "work").mkdir()
         monkeypatch.chdir(tmp_path / "work")
@@ -539,6 +545,8 @@ class TestInputMatrix:
         # each is bad input, refused naming its flag and its file
         assert rc == cli.EXIT_USAGE and out == ""
         assert err.startswith(f"{command}: {flag} {str(path)!r}: ")
+        if kind.startswith("deep"):  # a deep entry is quoted shortened
+            assert err.count("[") < 10, err
 
 
 class TestVerify:
@@ -941,7 +949,13 @@ class TestSingularScan:
          "'times' must hold only numbers, got '0.003'"),
         ("z", [[[1, 0], [0, True]]] * 11,
          "'z' must hold only numbers, got True"),
-        ("x0", [[0, None]] * 11, "'x0' must hold only numbers, got None")]
+        ("x0", [[0, None]] * 11, "'x0' must hold only numbers, got None"),
+        # h and T must agree with the times: from 0 to T in steps of h
+        ("T", 5.0, "times must step from 0 to T by h"),
+        ("h", 0.5, "times must step from 0 to T by h"),
+        ("h", 1e-4, "times must step from 0 to T by h"),
+        ("times", [(1000 + i) / 1000 for i in range(11)],
+         "times must step from 0 to T by h")]
 
     @pytest.mark.parametrize("key, value, reason", SCALARS, ids=[
         f"{key}-{reprlib.repr(value)}" for key, value, _ in SCALARS])

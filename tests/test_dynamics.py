@@ -104,6 +104,13 @@ class TestCar:
         assert v[0] == pytest.approx(0.5, abs=1e-12)
         assert v[-1] == pytest.approx(1.0, abs=1e-15)
 
+    def test_needs_k1(self):
+        # the car variables are planar: one check refuses any other k
+        q = sampling.collinear_config(arm.ArmDims(2, 1))
+        with pytest.raises(ValueError, match=r"^car variables need k = 1$"):
+            dyn.integrate_car(q, dyn.ControlSignal.constant(1.0, [0.0, 0.0]),
+                              0.1, dyn.IntegratorSettings(h=1e-2))
+
 
 class TestArm:
     def test_zero_controls_constant(self):
@@ -209,9 +216,10 @@ class TestCartesian:
         assert dyn.collinearity_residuals(tr).max() < 1e-8
 
     def test_head_frame_formed_in_place(self, monkeypatch):
-        # the head table in full chunks of HEAD_ROWS stages, which bound
-        # the memory of the stage frames, then the recorder's batched call;
-        # a return to one call per stage would make 4,001
+        # the head table in full chunks of 4 * CHUNK_ROWS stages, one per
+        # step chunk, which bound the memory of the stage frames, then the
+        # recorder's batched call; a return to one call per stage would
+        # make 4,001
         calls = []
 
         def counted(theta):
@@ -224,7 +232,7 @@ class TestCartesian:
         tr = dyn.integrate_cartesian(arm.gamma_inverse(q), u, 1.0,
                                      dyn.IntegratorSettings(h=1e-3))
         assert len(tr) == 1001
-        chunk, stages = dyn.HEAD_ROWS, 4 * 1000
+        chunk, stages = 4 * CHUNK_ROWS, 4 * 1000
         assert len(calls) <= -(-stages // chunk) + 1
         assert calls[-1] == (1001, 2)
         assert all(rows >= chunk for rows, _ in calls[:-2])
@@ -858,10 +866,10 @@ class TestReferenceStepper:
 
     @pytest.mark.parametrize("route", ["arm", "cartesian", "car"])
     def test_runs_across_chunks(self, route, monkeypatch):
-        # 600 steps: the kernel takes three chunks, the numpy loop none; a
-        # jump to vn = 1e4 after t = 0.3 is refused in the second chunk,
-        # and on the car, which has no drift gate, one to vn = inf.  The
-        # car run pins numpy's sines and cosines to Python's `math`
+        # 600 steps: either loop takes three chunks; a jump to vn = 1e4
+        # after t = 0.3 is refused in the second chunk, and on the car,
+        # which has no drift gate, one to vn = inf.  The car run pins
+        # numpy's sines and cosines to Python's `math`
         k, n, run, _, _ = ROUTES[route]
         vn, message = ((np.inf, "non-finite state") if route == "car"
                        else (1e4, r"constraint drift \S+ in one step"))
@@ -869,7 +877,7 @@ class TestReferenceStepper:
                                            np.random.default_rng(24),
                                            chart_margin=0.1)
         s = dyn.IntegratorSettings(h=1e-3)
-        assert 0.6 / s.h > 2 * dyn.STEP_CHUNK > 0.3 / s.h > dyn.STEP_CHUNK
+        assert 0.6 / s.h > 2 * CHUNK_ROWS > 0.3 / s.h > CHUNK_ROWS
         smooth = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.4,
                                             freq=0.7)
         jump = dyn.ControlSignal(
@@ -882,7 +890,8 @@ class TestReferenceStepper:
             with pytest.raises(StepRejected) as got:
                 run(q, jump, 0.6, s)
             messages.append(str(got.value))
-        assert loops == ["_kernel_loop"] * 2 + ["_numpy_loop"] * 2
+        # one call per chunk: three for the smooth run, two for the jump
+        assert loops == ["_kernel_loop"] * (3 + 2) + ["_numpy_loop"] * (3 + 2)
         assert len(runs[0]) == 601
         assert_same_run(runs[0], {key: getattr(runs[1], key)
                                   for key in RECORDED
@@ -960,24 +969,70 @@ class TestReferenceStepper:
         assert messages == [f"non-finite state at t={at}"] * 2
         assert raised == ([ValueError] if route == "car" else [])
 
+    @pytest.mark.parametrize("route", ["arm", "cartesian", "car"])
+    def test_loops_take_chunks(self, route, monkeypatch):
+        # either loop gets at most CHUNK_ROWS steps per call, the calls
+        # cover the run's steps in order, each starting from the state the
+        # last one left, and the run keeps the reference stepper's bits:
+        # 640 steps of h = 1e-3 and a remainder step, in three chunks
+        k, n, run, ref_route, ref_start = ROUTES[route]
+        q = sampling.random_regular_config(arm.ArmDims(k, n),
+                                           np.random.default_rng(29),
+                                           chart_margin=0.1)
+        u = dyn.ControlSignal.sinusoid(k, vn_amp=0.9, w_amp=0.4, freq=0.7)
+        s, T = dyn.IntegratorSettings(h=1e-3), 0.6405
+        steps = dyn._steps(T, s.h)
+        assert steps.size > 2 * CHUNK_ROWS and 0 < steps[-1] < s.h
+        want = ref_run(ref_route, ref_start(q), u, T, s)
+        calls = []
+        for name in ("_kernel_loop", "_numpy_loop"):
+            def spy(*args, name=name, loop=getattr(dyn, name)):
+                # the arguments both loops share, after the bound ones
+                chunk, stepped, _, stage_vn, drift_pre, _ = args[-6:]
+                start = stepped[0].copy()
+                refused = loop(*args)
+                calls.append((name, chunk.copy(), stage_vn.copy(), start,
+                              stepped[-1].copy(), len(stepped),
+                              len(drift_pre)))
+                return refused
+            monkeypatch.setattr(dyn, name, spy)
+        for size, name in ((dyn.KERNEL_COMPONENTS, "_kernel_loop"),
+                           (0, "_numpy_loop")):
+            monkeypatch.setattr(dyn, "KERNEL_COMPONENTS", size)
+            calls.clear()
+            assert_same_run(run(q, u, T, s), want)
+            assert [c[0] for c in calls] == [name] * 3
+            assert all(c[1].size <= CHUNK_ROWS and c[5] == c[6] == c[1].size
+                       + 1 for c in calls)
+            assert np.array_equal(np.concatenate([c[1] for c in calls]),
+                                  steps)
+            assert np.array_equal(np.concatenate([c[2] for c in calls]),
+                                  u.v_n(stage_times(T, s.h)).reshape(-1, 3))
+            assert all(np.array_equal(a[4], b[3])
+                       for a, b in zip(calls, calls[1:]))
+
     def test_kernel_refusal_index_across_chunks(self):
         # a kernel that takes 5 steps of the second chunk and then divides
         # by zero: the step index counts the chunks before it
         def run(y, steps, stage_vn, heads, projection, limit, taken,
                 drifts):
-            if len(steps) < dyn.STEP_CHUNK:
+            if len(steps) < CHUNK_ROWS:
                 taken.extend(y * 5)
                 drifts.extend([0.0] * 5)
                 raise ZeroDivisionError
             taken.extend(y * len(steps))
             drifts.extend([0.0] * len(steps))
 
-        s = dyn.STEP_CHUNK + 9
-        stepped = np.zeros((s + 1, 3))
-        assert dyn._kernel_loop(run, np.full(s, 1e-3), stepped,
-                                np.zeros((s, 4, 3)), np.zeros((s, 3)),
-                                np.zeros(s + 1), True) == (
-            dyn.STEP_CHUNK + 5, None)
+        # steps of h = 1 from three stepped components and a head angle:
+        # step CHUNK_ROWS + 5 ends at t = CHUNK_ROWS + 6
+        s = CHUNK_ROWS + 9
+        with pytest.raises(StepRejected) as got:
+            dyn._integrate(functools.partial(dyn._kernel_loop, run),
+                           lambda theta, w: theta, None, np.zeros(4),
+                           dyn.ControlSignal.constant(0.0, [0.0]), 1,
+                           float(s), dyn.IntegratorSettings(h=1.0))
+        assert str(got.value) == \
+            f"non-finite state at t={CHUNK_ROWS + 5 + 1}"
 
     def test_kernels_hold_no_state(self, monkeypatch):
         # the kernels are cached per shape and shared by every caller: a

@@ -135,6 +135,22 @@ def test_oracle_names_stay_out_of_fields(name):
     assert not hasattr(fields, name) and not hasattr(multiflag, name)
 
 
+@pytest.mark.parametrize("name", ["STEP_CHUNK", "HEAD_ROWS"])
+def test_one_chunk_size(name):
+    # `dynamics._integrate` hands its loop `records.CHUNK_ROWS` steps per
+    # call and tables the head rows of those steps alone: no second chunk
+    # size, and no chunk loop outside `_integrate`
+    import multiflag
+    from multiflag import dynamics
+    assert not hasattr(dynamics, name) and not hasattr(multiflag, name)
+    loops = [fn.name for fn in ast.walk(parse("dynamics"))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.For)
+             and ast.unparse(node.iter).startswith("range(")
+             and len(node.iter.args) == 3]
+    assert loops == ["_integrate"]
+
+
 def test_files_in_one_place():
     # `records` is the one module that opens, loads or dumps a file; `flags`
     # only renders its report template with `json.dumps`
